@@ -36,6 +36,7 @@ __all__ = [
     "steering_matrix",
     "steering_vector",
     "synthesize_snapshots",
+    "wrap_angle",
 ]
 
 SIGNAL_POLICIES = ("fixed-matrix", "random-gaussian-normalized", "identity-covariance")
@@ -165,6 +166,15 @@ def steering_matrix(m: int, doas) -> np.ndarray:
     if m < 1:
         raise ValueError(f"steering dimension must be positive, got {m}")
     return np.exp(1j * np.outer(np.arange(m), doas)) / math.sqrt(m)
+
+
+def wrap_angle(theta):
+    """Angles wrapped onto [-pi, pi); an angle already there is returned as is."""
+    t = np.asarray(theta, dtype=float)
+    wrapped = np.mod(t + math.pi, 2.0 * math.pi) - math.pi
+    # np.mod can round a tiny negative argument up to exactly 2 pi
+    wrapped = np.where(wrapped >= math.pi, wrapped - 2.0 * math.pi, wrapped)
+    return np.where((t >= -math.pi) & (t < math.pi), t, wrapped)
 
 
 def steering_derivative(m: int, theta: float) -> np.ndarray:

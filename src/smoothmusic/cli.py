@@ -34,11 +34,9 @@ import numpy as np
 
 from . import montecarlo, verify
 from .array_model import ArrayScenario, hankelize, synthesize_snapshots
-from .rmt import MpParams
 from .subspace import (
     NotSeparatedError,
     UnderResolvedError,
-    gmusic_weights,
     noise_variance_estimate,
     sample_covariance_eig,
     spectrum_trace,
@@ -351,16 +349,11 @@ def cmd_spectrum(cfg: dict, scenario: ArrayScenario):
     snapshots = synthesize_snapshots(scenario)
     eig = sample_covariance_eig(hankelize(snapshots, scenario.l), scenario.k)
     sigma2_hat = noise_variance_estimate(eig)
-    if scenario.k and spec["strict_separation"]:
-        _, separated = gmusic_weights(eig, sigma2_hat, eig.c_n)
-        if not np.all(separated):
-            bad = np.flatnonzero(~separated)
-            edge = MpParams(sigma2_hat, eig.c_n).edge_plus
-            raise NotSeparatedError(bad, eig.eigenvalues[: eig.k], edge)
-
     grid = np.linspace(spec["lo"], spec["hi"], grid_points)
     trad = spectrum_trace(eig, grid, "traditional")
-    gm = spectrum_trace(eig, grid, "g-music", sigma2=sigma2_hat, c=eig.c_n)
+    gm = spectrum_trace(
+        eig, grid, "g-music", sigma2=sigma2_hat, c=eig.c_n, strict=spec["strict_separation"]
+    )
 
     def flags(trace):
         mask = np.zeros(grid.size, dtype=bool)

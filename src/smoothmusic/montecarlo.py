@@ -32,6 +32,7 @@ from .array_model import (
     draw_signal_matrix,
     steering_derivative,
     steering_matrix,
+    wrap_angle,
 )
 
 __all__ = [
@@ -177,12 +178,13 @@ class MseTable:
 
 
 def _matched_errors(theta_hat: np.ndarray, doas: Sequence[float]) -> np.ndarray:
-    """Signed estimate errors after nearest assignment to the true DoAs."""
+    """Signed estimate errors on the circle, in [-pi, pi), after nearest
+    assignment to the true DoAs."""
     truth = np.asarray(doas, dtype=float)
-    cost = np.abs(theta_hat[:, None] - truth[None, :])
-    rows, cols = linear_sum_assignment(cost)
+    diff = wrap_angle(theta_hat[:, None] - truth[None, :])
+    rows, cols = linear_sum_assignment(np.abs(diff))
     errors = np.empty(truth.size)
-    errors[cols] = theta_hat[rows] - truth[cols]
+    errors[cols] = diff[rows, cols]
     return errors
 
 
@@ -220,18 +222,20 @@ def _run_trial(task):
         sm = SmoothedMatrix(entries=block_hankel(y, lval), m=m, n=n, l=lval)
         eigs[lval] = subspace.sample_covariance_eig(sm, k)
 
+    weights = {}  # G-MUSIC weights, once per eigensystem
     out = {}
     for est in estimators:
-        eig = eigs[_smoothing_factor(est, scenario.l)]
-        if est in ("music", "music-ss"):
-            fn = lambda th, e=eig: subspace.traditional_pseudospectrum(e, th)
-        else:
-            sigma2_hat = subspace.noise_variance_estimate(eig)
-            fn = lambda th, e=eig, s2=sigma2_hat: subspace.gmusic_pseudospectrum(
-                e, s2, e.c_n, th, strict=strict
-            )
+        lval = _smoothing_factor(est, scenario.l)
+        eig = eigs[lval]
         try:
-            theta_hat = subspace.find_doas(fn, k, policy, m)
+            if est in ("music", "music-ss"):
+                spectrum = subspace.Pseudospectrum(eig)
+            else:
+                if lval not in weights:
+                    sigma2_hat = subspace.noise_variance_estimate(eig)
+                    weights[lval] = subspace.gmusic_weights(eig, sigma2_hat, eig.c_n, strict)[0]
+                spectrum = subspace.Pseudospectrum(eig, weights[lval])
+            theta_hat = subspace.find_doas(spectrum, k, policy, m)
         except (subspace.UnderResolvedError, subspace.NotSeparatedError):
             out[est] = None
             continue

@@ -5,6 +5,12 @@ projection onto the estimated noise subspace (MUSIC SS) and the
 random-matrix-corrected estimator (G-MUSIC SS) that reweights the top sample
 eigenvectors by the inverse spike attenuation 1/h(lambda_hat).  DoAs are the
 deepest minima of the modulus of the pseudo-spectrum.
+
+A :class:`Pseudospectrum` fixes one spectrum from an eigensystem and its
+weights.  On a whole-circle search window it is evaluated by FFT: on the
+grid theta_j = lo + 2 pi j / P every projection u_k* a(theta_j) is one
+zero-padded length-P DFT of the eigenvector, so a P-point scan costs k FFTs
+instead of a U x P steering matrix.  Any other angles are evaluated directly.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from .array_model import (
     signal_covariance,
     signal_covariance_hadamard,
     steering_matrix,
+    wrap_angle,
 )
 from .rmt import BelowEdgeError, MpParams, h_star
 
@@ -29,6 +36,7 @@ __all__ = [
     "GMusicWeight",
     "KnownIntervals",
     "NotSeparatedError",
+    "Pseudospectrum",
     "SearchWindow",
     "SeparationCheck",
     "SeparationReport",
@@ -79,8 +87,13 @@ class NotSeparatedError(RuntimeError):
 class EigenSystem:
     """Eigendecomposition of a smoothed sample covariance.
 
-    eigenvalues are descending and nonnegative; eigenvectors[:, i] matches
-    eigenvalues[i]; k is the source count used to split signal and noise.
+    eigenvalues are descending and nonnegative, one per dimension;
+    eigenvectors[:, i] matches eigenvalues[i]; k is the source count used to
+    split signal and noise.  eigenvectors may hold fewer columns than there
+    are eigenvalues, but always at least k: when the covariance has rank
+    N L < U, :func:`sample_covariance_eig` keeps only the N L vectors of its
+    range and the remaining U - N L eigenvalues are exact zeros.  Readers use
+    the first k columns and the eigenvalues only, never the null space.
     """
 
     eigenvalues: np.ndarray
@@ -129,7 +142,11 @@ class SpectrumTrace:
 
 @dataclass(frozen=True)
 class SearchWindow:
-    """Grid policy: scan [lo, hi) and keep the k deepest strict local minima."""
+    """Grid policy: scan [lo, hi) and keep the k deepest strict local minima.
+
+    A window with hi - lo = 2 pi (the default) is the whole circle: its grid
+    is periodic, so a dip at the seam counts like any other.
+    """
 
     lo: float = -math.pi
     hi: float = math.pi
@@ -140,6 +157,10 @@ class SearchWindow:
             raise ValueError(f"empty search window [{self.lo}, {self.hi}]")
         if self.points_per_beamwidth < 2:
             raise ValueError("need at least 2 grid points per beamwidth")
+
+    @property
+    def circle(self) -> bool:
+        return math.isclose(self.hi - self.lo, 2.0 * math.pi, rel_tol=1e-12)
 
 
 @dataclass(frozen=True)
@@ -179,14 +200,29 @@ def intervals_around(doas: Sequence[float], m: int, frac: float = 0.95) -> Known
 
 
 def sample_covariance_eig(smoothed: SmoothedMatrix, k: int) -> EigenSystem:
-    """Eigendecomposition of W W* / (N L), eigenvalues descending."""
+    """Eigendecomposition of W W* / (N L), eigenvalues descending.
+
+    When k < N L < U, a thin SVD W = V S Z* gives the N L range eigenpairs
+    (s^2 / (N L), V) at a fraction of the cost of a U x U eigensolve; the
+    U - N L null eigenvalues are returned as exact zeros and their
+    eigenvectors are not computed (see :class:`EigenSystem`).  With
+    k >= N L the range holds no noise eigenvalue, so the full eigensolve is
+    kept: its rounding-level null eigenvalues are what the noise estimate
+    then averages.
+    """
     w = smoothed.entries
     if not np.all(np.isfinite(w.view(float))):
         raise ValueError("smoothed matrix contains non-finite entries")
     u = smoothed.subarray_size
     if not 0 <= k < u:
         raise ValueError(f"need 0 <= k < subarray size {u}, got k={k}")
-    cov = w @ w.conj().T / smoothed.virtual_snapshots
+    nl = smoothed.virtual_snapshots
+    if k < nl < u:
+        vecs, sing, _ = np.linalg.svd(w, full_matrices=False)
+        vals = np.zeros(u)
+        vals[:nl] = sing**2 / nl
+        return EigenSystem(eigenvalues=vals, eigenvectors=vecs, k=k, c_n=smoothed.c_n)
+    cov = w @ w.conj().T / nl
     cov = 0.5 * (cov + cov.conj().T)
     vals, vecs = np.linalg.eigh(cov)
     vals = vals[::-1].copy()
@@ -211,10 +247,30 @@ def _signal_projections(eig: EigenSystem, theta) -> np.ndarray:
     return np.abs(proj) ** 2
 
 
+def _circle_projections(eig: EigenSystem, lo: float, p: int) -> np.ndarray:
+    """|u_i^* a(lo + 2 pi j / p)|^2 for j = 0..p-1, shape (k, p), by FFT.
+
+    u^* a(theta_j) = conj(sum_n u_n e^{-i n lo} e^{-2 pi i n j / p}) / sqrt(U),
+    a length-p DFT of u_n e^{-i n lo}.  Terms with n >= p fold onto n mod p,
+    so any p is exact, not only p >= U.
+    """
+    dim = eig.dim
+    x = eig.eigenvectors[:, : eig.k] * np.exp(-1j * lo * np.arange(dim))[:, None]
+    if dim > p:
+        x = np.pad(x, ((0, -dim % p), (0, 0))).reshape(-1, p, eig.k).sum(axis=0)
+    return np.abs(np.fft.fft(x, n=p, axis=0).T) ** 2 / dim
+
+
+def _spectrum_values(proj2: np.ndarray, weights: Optional[np.ndarray]) -> np.ndarray:
+    """1 - sum_k w_k proj2_k; weights None is the traditional form, clipped to [0, 1]."""
+    if weights is None:
+        return np.clip(1.0 - np.sum(proj2, axis=0), 0.0, 1.0)
+    return 1.0 - np.einsum("k,k...->...", weights, proj2)
+
+
 def traditional_pseudospectrum(eig: EigenSystem, theta):
     """a(theta)* Pi_noise_hat a(theta) = 1 - sum_k |a* u_k|^2, in [0, 1]."""
-    val = 1.0 - np.sum(_signal_projections(eig, theta), axis=0)
-    val = np.clip(val, 0.0, 1.0)
+    val = _spectrum_values(_signal_projections(eig, theta), None)
     if np.ndim(theta) == 0:
         return float(val[0])
     return val
@@ -234,11 +290,18 @@ def gmusic_weight(lambda_hat: float, sigma2: float, c: float) -> GMusicWeight:
         return GMusicWeight(1.0, False)
 
 
-def gmusic_weights(eig: EigenSystem, sigma2: float, c: float):
-    """Vector of spike weights for the k top eigenvalues, plus separation mask."""
+def gmusic_weights(eig: EigenSystem, sigma2: float, c: float, strict: bool = False):
+    """Vector of spike weights for the k top eigenvalues, plus separation mask.
+
+    ``strict`` turns a top eigenvalue at or below the bulk edge into
+    :class:`NotSeparatedError` instead of a clamped weight.
+    """
     pairs = [gmusic_weight(lv, sigma2, c) for lv in eig.eigenvalues[: eig.k]]
     values = np.array([p.value for p in pairs])
     separated = np.array([p.separated for p in pairs], dtype=bool)
+    if strict and not np.all(separated):
+        bad = np.flatnonzero(~separated)
+        raise NotSeparatedError(bad, eig.eigenvalues[: eig.k], MpParams(sigma2, c).edge_plus)
     return values, separated
 
 
@@ -254,22 +317,42 @@ def gmusic_pseudospectrum(
 
     May be negative at finite sizes.  ``weights`` overrides the spike
     weights (all ones reproduces the traditional estimator before
-    clipping); ``strict`` turns a non-separated top eigenvalue into
-    :class:`NotSeparatedError` instead of a clamped weight.
+    clipping), and sigma2, c and strict are then unused; ``strict`` is
+    passed to :func:`gmusic_weights`.
     """
     if weights is None:
-        weights, separated = gmusic_weights(eig, sigma2, c)
-        if strict and not np.all(separated):
-            bad = np.flatnonzero(~separated)
-            raise NotSeparatedError(bad, eig.eigenvalues[: eig.k], MpParams(sigma2, c).edge_plus)
+        weights, _ = gmusic_weights(eig, sigma2, c, strict=strict)
     else:
         weights = np.asarray(weights, dtype=float)
         if weights.shape != (eig.k,):
             raise ValueError(f"weights has shape {weights.shape}, expected {(eig.k,)}")
-    val = 1.0 - np.einsum("k,k...->...", weights, _signal_projections(eig, theta))
+    val = _spectrum_values(_signal_projections(eig, theta), weights)
     if np.ndim(theta) == 0:
         return float(val[0])
     return val
+
+
+@dataclass(frozen=True)
+class Pseudospectrum:
+    """One pseudo-spectrum of a trial, fixed by its eigensystem and weights.
+
+    weights None is the traditional (MUSIC) spectrum; otherwise the G-MUSIC
+    spectrum with those spike weights, computed once, e.g. by
+    :func:`gmusic_weights`.  Calling it evaluates angles directly;
+    :meth:`on_circle` evaluates a uniform grid around the whole circle by FFT.
+    """
+
+    eig: EigenSystem
+    weights: Optional[np.ndarray] = None
+
+    def __call__(self, theta):
+        if self.weights is None:
+            return traditional_pseudospectrum(self.eig, theta)
+        return gmusic_pseudospectrum(self.eig, None, None, theta, weights=self.weights)
+
+    def on_circle(self, lo: float, p: int) -> np.ndarray:
+        """Values at lo + 2 pi j / p, j = 0..p-1."""
+        return _spectrum_values(_circle_projections(self.eig, lo, p), self.weights)
 
 
 def _golden_min(f: Callable[[float], float], a: float, b: float, xtol: float) -> float:
@@ -301,13 +384,27 @@ def _grid(lo: float, hi: float, m: int, points_per_beamwidth: int, floor: int = 
     return np.linspace(lo, hi, max(npts, floor, 5))
 
 
+def _deepest_minima(vals: np.ndarray, k: int, periodic: bool = False) -> np.ndarray:
+    """Indices of the (at most) k deepest strict local minima, deepest first.
+
+    periodic treats vals as samples around a circle, so the first and the
+    last point are neighbours; otherwise the end points never count.
+    """
+    if periodic:
+        idx = np.flatnonzero((vals < np.roll(vals, 1)) & (vals < np.roll(vals, -1)))
+    else:
+        idx = np.flatnonzero((vals[1:-1] < vals[:-2]) & (vals[1:-1] < vals[2:])) + 1
+    return idx[np.argsort(vals[idx], kind="stable")][:k]
+
+
 def find_doas(spectrum_fn, k: int, policy, m: int):
     """Locate k DoAs as the deepest dips of a pseudo-spectrum.
 
-    spectrum_fn maps an angle array to real spectrum values and is passed
-    unwrapped: the bias-corrected estimator may fluctuate below zero at the
-    bottom of a dip, and the search minimizes the signed value throughout so
-    that refinement tracks the center of the dip.  (Minimizing the modulus
+    spectrum_fn maps an angle array to real spectrum values (a
+    :class:`Pseudospectrum`, or any callable) and is passed unwrapped: the
+    bias-corrected estimator may fluctuate below zero at the bottom of a
+    dip, and the search minimizes the signed value throughout so that
+    refinement tracks the center of the dip.  (Minimizing the modulus
     instead would converge onto one of the two zero crossings that flank a
     negative dip, half a lobe-width off center, inflating the angle error
     once the dip floor sits below zero.)  For the clipped traditional
@@ -319,6 +416,11 @@ def find_doas(spectrum_fn, k: int, policy, m: int):
     global minimum.  Each minimum is refined by golden-section search to an
     absolute tolerance of 1e-4 beamwidths.  Returns angles in ascending
     order.
+
+    A whole-circle window treats spectrum_fn as 2 pi-periodic: its grid
+    counts the seam point once, minima wrap around it, refinement may step
+    across it, and the angles returned are wrapped onto [-pi, pi).  A
+    :class:`Pseudospectrum` is then scanned by FFT.
     """
     if k < 1:
         raise ValueError(f"need at least one source, got k={k}")
@@ -327,15 +429,21 @@ def find_doas(spectrum_fn, k: int, policy, m: int):
 
     if isinstance(policy, SearchWindow):
         grid = _grid(policy.lo, policy.hi, m, policy.points_per_beamwidth)
-        vals = np.asarray(spectrum_fn(grid))
-        interior = (vals[1:-1] < vals[:-2]) & (vals[1:-1] < vals[2:])
-        idx = np.flatnonzero(interior) + 1
-        if idx.size < k:
-            raise UnderResolvedError(needed=k, found=int(idx.size))
-        deepest = idx[np.argsort(vals[idx], kind="stable")][:k]
-        refined = [
-            _golden_min(scalar_fn, grid[i - 1], grid[i + 1], xtol) for i in deepest
-        ]
+        if not policy.circle:
+            vals = np.asarray(spectrum_fn(grid))
+        elif isinstance(spectrum_fn, Pseudospectrum):
+            vals = spectrum_fn.on_circle(policy.lo, grid.size - 1)
+        else:
+            vals = np.asarray(spectrum_fn(grid[:-1]))  # grid[-1] repeats grid[0]
+        deepest = _deepest_minima(vals, k, periodic=policy.circle)
+        if deepest.size < k:
+            raise UnderResolvedError(needed=k, found=int(deepest.size))
+        # grid[-1] is the right neighbour of the last circle point; the left
+        # neighbour of the first lies one step before lo
+        below = lambda i: grid[i - 1] if i else 2.0 * grid[0] - grid[1]
+        refined = [_golden_min(scalar_fn, below(i), grid[i + 1], xtol) for i in deepest]
+        if policy.circle:
+            refined = wrap_angle(refined)
         return np.sort(np.asarray(refined))
 
     if isinstance(policy, KnownIntervals):
@@ -356,28 +464,29 @@ def find_doas(spectrum_fn, k: int, policy, m: int):
     raise TypeError(f"unknown grid policy {policy!r}")
 
 
-def spectrum_trace(eig: EigenSystem, grid: np.ndarray, method: str, sigma2=None, c=None) -> SpectrumTrace:
+def spectrum_trace(
+    eig: EigenSystem, grid: np.ndarray, method: str, sigma2=None, c=None, strict: bool = False
+) -> SpectrumTrace:
     """Evaluate one pseudo-spectrum on a grid and locate its k deepest minima.
 
     Values are reported signed; the bias-corrected spectrum may dip below
     zero at a source.  Minima are selected and refined on the signed values
     (see :func:`find_doas` for why refinement must not fold the sign).
+    ``strict`` is passed to :func:`gmusic_weights` for the g-music method.
     """
     grid = np.asarray(grid, dtype=float)
     if method == "traditional":
-        fn = lambda t: traditional_pseudospectrum(eig, t)
+        fn = Pseudospectrum(eig)
     elif method == "g-music":
         if sigma2 is None or c is None:
             raise ValueError("g-music trace needs sigma2 and c")
-        fn = lambda t: gmusic_pseudospectrum(eig, sigma2, c, t)
+        fn = Pseudospectrum(eig, gmusic_weights(eig, sigma2, c, strict=strict)[0])
     else:
         raise ValueError(f"unknown method {method!r}")
     values = fn(grid)
     minima = ()
     if eig.k >= 1:
-        interior = (values[1:-1] < values[:-2]) & (values[1:-1] < values[2:])
-        idx = np.flatnonzero(interior) + 1
-        take = idx[np.argsort(values[idx], kind="stable")][: eig.k]
+        take = _deepest_minima(values, eig.k)
         xtol = 1e-4 * (grid[1] - grid[0]) if grid.size > 1 else 1e-8
         scalar_fn = lambda t: float(fn(np.array([t]))[0])
         refined = []

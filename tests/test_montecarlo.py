@@ -19,6 +19,7 @@ from smoothmusic.montecarlo import (
     ESTIMATORS,
     ExperimentPlan,
     MseTable,
+    _matched_errors,
     consistency_sweep,
     crb,
     point_scenario,
@@ -168,6 +169,15 @@ def test_run_plan_failure_accounting_window_mode():
     incl = run_plan(ExperimentPlan(**base, include_failures=True)).rows[0]
     assert incl.failures == 12
     assert math.isfinite(incl.mse) and incl.mse > 0.1
+
+
+def test_matched_errors_wrap_around_the_circle():
+    """Errors are angle differences on the circle, not on the real line."""
+    err = _matched_errors(np.array([math.pi - 1e-3]), [-math.pi + 1e-3])
+    assert err[0] == pytest.approx(-0.002, abs=1e-12)
+    # the assignment also measures distance on the circle
+    err = _matched_errors(np.array([1.0001, math.pi - 1e-3]), [-math.pi + 1e-3, 1.0])
+    np.testing.assert_allclose(err, [-0.002, 1e-4], atol=1e-12)
 
 
 def test_run_plan_strict_separation_counts_bulk_collisions():

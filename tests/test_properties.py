@@ -1,0 +1,108 @@
+"""Property tests for the spectral and eigen layers.
+
+The FFT scan of a whole-circle window is checked against direct evaluation
+through steering_matrix and against the rotation identity it implies; the
+thin-SVD eigen path is checked against a dense eigh of the same covariance;
+and a source count above the rank of the covariance must still give finite
+results.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from smoothmusic.array_model import SmoothedMatrix
+from smoothmusic.subspace import (
+    EigenSystem,
+    Pseudospectrum,
+    noise_variance_estimate,
+    sample_covariance_eig,
+)
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+def _unitary(dim, rng):
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(g)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))[None, :]
+
+
+def _spectrum(dim, k, seed, weighted):
+    rng = np.random.default_rng(seed)
+    vals = np.sort(rng.uniform(0.1, 5.0, dim))[::-1]
+    eig = EigenSystem(eigenvalues=vals, eigenvectors=_unitary(dim, rng), k=k, c_n=0.5)
+    return Pseudospectrum(eig, rng.uniform(0.2, 3.0, k) if weighted else None)
+
+
+@given(dim=st.integers(2, 40), data=st.data(), seed=seeds, weighted=st.booleans())
+def test_circle_fft_matches_direct_evaluation(dim, data, seed, weighted):
+    """on_circle equals the direct steering-matrix values, also for p < U."""
+    k = data.draw(st.integers(1, dim - 1), label="k")
+    p = data.draw(st.integers(1, 6 * dim), label="p")
+    lo = data.draw(st.floats(-2 * math.pi, 2 * math.pi), label="lo")
+    spectrum = _spectrum(dim, k, seed, weighted)
+    grid = lo + 2.0 * math.pi * np.arange(p) / p
+    np.testing.assert_allclose(spectrum.on_circle(lo, p), spectrum(grid), rtol=0, atol=1e-12)
+
+
+@given(dim=st.integers(2, 40), data=st.data(), seed=seeds, weighted=st.booleans())
+def test_rotating_eigenvectors_shifts_circle_values(dim, data, seed, weighted):
+    """u_n -> u_n e^{i n delta} with delta = 2 pi j / p shifts the scan by j samples."""
+    k = data.draw(st.integers(1, dim - 1), label="k")
+    p = data.draw(st.integers(2, 6 * dim), label="p")
+    j = data.draw(st.integers(0, p - 1), label="j")
+    spectrum = _spectrum(dim, k, seed, weighted)
+    eig = spectrum.eig
+    phase = np.exp(1j * (2.0 * math.pi * j / p) * np.arange(dim))
+    rotated = Pseudospectrum(
+        EigenSystem(eig.eigenvalues, eig.eigenvectors * phase[:, None], k, eig.c_n),
+        spectrum.weights,
+    )
+    np.testing.assert_allclose(
+        rotated.on_circle(-math.pi, p), np.roll(spectrum.on_circle(-math.pi, p), j), rtol=0, atol=1e-12
+    )
+
+
+def _smoothed(u, nl, seed):
+    rng = np.random.default_rng(seed)
+    w = (rng.standard_normal((u, nl)) + 1j * rng.standard_normal((u, nl))) / math.sqrt(2.0)
+    # m, n, l with m - l + 1 = u and n l = nl: n = nl, l = 1
+    return SmoothedMatrix(entries=w, m=u, n=nl, l=1)
+
+
+@given(nl=st.integers(2, 20), extra=st.integers(1, 30), data=st.data(), seed=seeds)
+def test_thin_svd_matches_dense_eigh(nl, extra, data, seed):
+    """With c_N > 1 the thin-SVD eigensystem equals a dense eigh of W W*/(N L)."""
+    u = nl + extra
+    k = data.draw(st.integers(1, nl - 1), label="k")
+    sm = _smoothed(u, nl, seed)
+    eig = sample_covariance_eig(sm, k)
+    assert sm.c_n > 1
+    vals, vecs = np.linalg.eigh(sm.entries @ sm.entries.conj().T / nl)
+    vals, vecs = vals[::-1], vecs[:, ::-1]
+    # a near-degenerate k-th gap leaves the top-k subspace ill defined
+    assume(vals[k - 1] - vals[k] > 1e-3 * vals[0])
+    assert eig.eigenvalues.shape == (u,)
+    np.testing.assert_allclose(eig.eigenvalues, vals, rtol=1e-12, atol=1e-12 * vals[0])
+    assert np.all(eig.eigenvalues[nl:] == 0.0)
+    top = eig.eigenvectors[:, :k]
+    want = vecs[:, :k]
+    np.testing.assert_allclose(top @ top.conj().T, want @ want.conj().T, rtol=0, atol=1e-10)
+
+
+@given(nl=st.integers(1, 10), data=st.data(), seed=seeds, weighted=st.booleans())
+def test_source_count_above_rank_stays_finite(nl, data, seed, weighted):
+    """k >= N L leaves no noise eigenvalue in the range; results stay finite."""
+    u = nl + data.draw(st.integers(2, 30), label="extra")
+    k = data.draw(st.integers(nl, u - 1), label="k")
+    eig = sample_covariance_eig(_smoothed(u, nl, seed), k)
+    assert eig.eigenvectors.shape[1] >= k
+    assert np.all(np.isfinite(eig.eigenvalues)) and np.all(np.isfinite(eig.eigenvectors))
+    assert math.isfinite(noise_variance_estimate(eig))
+    weights = np.full(k, 2.0) if weighted else None
+    spectrum = Pseudospectrum(eig, weights)
+    assert np.all(np.isfinite(spectrum.on_circle(-math.pi, 4 * u)))
+    assert np.all(np.isfinite(spectrum(np.linspace(-math.pi, math.pi, 7))))

@@ -28,6 +28,7 @@ from smoothmusic.subspace import (
     EigenSystem,
     KnownIntervals,
     NotSeparatedError,
+    Pseudospectrum,
     SearchWindow,
     UnderResolvedError,
     find_doas,
@@ -249,6 +250,23 @@ def test_find_doas_known_intervals_and_errors():
         find_doas(rising, 1, SearchWindow(lo=0.0, hi=1.0), 64)
     assert info.value.needed == 1
     assert info.value.found == 0
+
+
+def test_find_doas_whole_circle_has_no_seam():
+    """A source next to -pi is found, whichever angle the circle starts at.
+
+    The whole-circle grid is periodic: a dip straddling -pi/pi is a minimum
+    like any other, and refined angles come back in [-pi, pi).
+    """
+    m = 32
+    sc = ArrayScenario(m=m, n=20, l=1, doas=(-math.pi + 1e-3, 1.0), snr_db=30.0, seed=0)
+    eig = sample_covariance_eig(hankelize(synthesize_snapshots(sc), sc.l), sc.k)
+    direct = lambda th: traditional_pseudospectrum(eig, th)
+    for fn in (direct, Pseudospectrum(eig)):  # direct scan, FFT scan
+        for window in (SearchWindow(), SearchWindow(lo=0.0, hi=2 * math.pi)):
+            got = find_doas(fn, 2, window, m)
+            np.testing.assert_allclose(got, sc.doas, atol=0.01, err_msg=f"{window}")
+            assert np.all((got >= -math.pi) & (got < math.pi))
 
 
 def test_grid_policy_validation():
