@@ -23,9 +23,12 @@ __all__ = [
     "SIGNAL_POLICIES",
     "ArrayScenario",
     "SmoothedMatrix",
+    "Smoothing",
     "SnapshotMatrix",
     "block_hankel",
+    "complex_gaussian",
     "draw_signal_matrix",
+    "haar_columns",
     "hankelize",
     "signal_covariance",
     "signal_covariance_hadamard",
@@ -42,22 +45,55 @@ __all__ = [
 SIGNAL_POLICIES = ("fixed-matrix", "random-gaussian-normalized", "identity-covariance")
 
 
+def _check_smoothing(m: int, l: int) -> None:
+    if not 1 <= l < m:
+        raise ValueError(f"smoothing factor must satisfy 1 <= l < m, got l={l}, m={m}")
+
+
 @dataclass(frozen=True)
-class ArrayScenario:
+class Smoothing:
+    """Smoothing geometry: m sensors, n snapshots, smoothing factor l.
+
+    The block-Hankel matrix has subarray_size = m - l + 1 rows and
+    virtual_snapshots = n l columns; c_n is their ratio.  l = 1 is the
+    unsmoothed array.
+    """
+
+    m: int
+    n: int
+    l: int
+
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError(f"n must be a positive integer, got {self.n}")
+        _check_smoothing(self.m, self.l)
+
+    @property
+    def subarray_size(self) -> int:
+        return self.m - self.l + 1
+
+    @property
+    def virtual_snapshots(self) -> int:
+        return self.n * self.l
+
+    @property
+    def c_n(self) -> float:
+        return self.subarray_size / self.virtual_snapshots
+
+
+@dataclass(frozen=True)
+class ArrayScenario(Smoothing):
     """One synthetic-experiment configuration.
 
     Fields
     ------
-    m, n, l : sensors, snapshots, smoothing factor (l = 1 means unsmoothed).
+    m, n, l : sensors, snapshots, smoothing factor (see :class:`Smoothing`).
     doas : tuple of source angles in [-pi, pi), pairwise distinct.
     snr_db : 10 log10(1 / sigma2) with sigma2 the per-entry noise power.
     signal_policy : one of SIGNAL_POLICIES.
     seed : master seed for snapshot synthesis.
     """
 
-    m: int
-    n: int
-    l: int
     doas: tuple
     snr_db: float
     signal_policy: str = "random-gaussian-normalized"
@@ -65,12 +101,7 @@ class ArrayScenario:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "doas", tuple(float(t) for t in self.doas))
-        if self.m < 1:
-            raise ValueError(f"m must be a positive integer, got {self.m}")
-        if self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n}")
-        if not 1 <= self.l < self.m:
-            raise ValueError(f"smoothing factor must satisfy 1 <= l < m, got l={self.l}, m={self.m}")
+        super().__post_init__()
         if self.signal_policy not in SIGNAL_POLICIES:
             raise ValueError(f"unknown signal policy {self.signal_policy!r}")
         k = len(self.doas)
@@ -101,18 +132,6 @@ class ArrayScenario:
         return 10.0 ** (-self.snr_db / 10.0)
 
     @property
-    def subarray_size(self) -> int:
-        return self.m - self.l + 1
-
-    @property
-    def virtual_snapshots(self) -> int:
-        return self.n * self.l
-
-    @property
-    def c_n(self) -> float:
-        return self.subarray_size / self.virtual_snapshots
-
-    @property
     def beamwidth(self) -> float:
         return 2.0 * math.pi / self.m
 
@@ -127,30 +146,16 @@ class SnapshotMatrix:
 
 
 @dataclass(frozen=True)
-class SmoothedMatrix:
+class SmoothedMatrix(Smoothing):
     """Block-Hankel matrix of a snapshot matrix, with its defining sizes."""
 
     entries: np.ndarray
-    m: int
-    n: int
-    l: int
 
     def __post_init__(self) -> None:
-        expected = (self.m - self.l + 1, self.n * self.l)
+        super().__post_init__()
+        expected = (self.subarray_size, self.virtual_snapshots)
         if self.entries.shape != expected:
             raise ValueError(f"smoothed entries have shape {self.entries.shape}, expected {expected}")
-
-    @property
-    def subarray_size(self) -> int:
-        return self.m - self.l + 1
-
-    @property
-    def virtual_snapshots(self) -> int:
-        return self.n * self.l
-
-    @property
-    def c_n(self) -> float:
-        return self.subarray_size / self.virtual_snapshots
 
 
 def steering_vector(m: int, theta: float) -> np.ndarray:
@@ -185,10 +190,25 @@ def steering_derivative(m: int, theta: float) -> np.ndarray:
     return 1j * j * np.exp(1j * j * theta) / math.sqrt(m)
 
 
+def complex_gaussian(rng: np.random.Generator, shape, scale: float = 1.0) -> np.ndarray:
+    """Circularly symmetric complex Gaussian entries with E|x|^2 = scale^2."""
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+
+
+def haar_columns(dim: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k Haar-distributed orthonormal columns in C^dim (QR with phase fix)."""
+    q, r = np.linalg.qr(complex_gaussian(rng, (dim, k)))
+    # fix the QR phase ambiguity so the draw is a deterministic function
+    # of the generator state
+    d = np.diagonal(r)
+    phase = np.where(np.abs(d) > 0, d / np.abs(np.where(np.abs(d) > 0, d, 1.0)), 1.0)
+    return q * phase[None, :]
+
+
 def draw_signal_matrix(k: int, n: int, policy: str, rng: np.random.Generator) -> np.ndarray:
     """Draw a K x N source matrix under one of the random signal policies."""
     if policy == "random-gaussian-normalized":
-        s = (rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))) / math.sqrt(2.0)
+        s = complex_gaussian(rng, (k, n))
         if k:
             power = np.sum(np.abs(s) ** 2, axis=1) / n
             s = s / np.sqrt(power)[:, None]
@@ -196,14 +216,7 @@ def draw_signal_matrix(k: int, n: int, policy: str, rng: np.random.Generator) ->
     if policy == "identity-covariance":
         if k > n:
             raise ValueError(f"identity-covariance needs k <= n, got k={k}, n={n}")
-        s = (rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))) / math.sqrt(2.0)
-        q, r = np.linalg.qr(s)
-        # fix the QR phase ambiguity so the draw is a deterministic function
-        # of the generator state
-        d = np.diagonal(r)
-        phase = np.where(np.abs(d) > 0, d / np.abs(np.where(np.abs(d) > 0, d, 1.0)), 1.0)
-        q = q * phase[None, :]
-        return math.sqrt(n) * q.conj().T
+        return math.sqrt(n) * haar_columns(n, k, rng).conj().T
     raise ValueError(f"policy {policy!r} does not draw signals")
 
 
@@ -235,8 +248,7 @@ def synthesize_snapshots(
         s = draw_signal_matrix(k, n, scenario.signal_policy, rng)
     a = steering_matrix(m, scenario.doas) if k else np.zeros((m, 0), dtype=complex)
     signal_part = a @ s
-    sigma = math.sqrt(scenario.sigma2)
-    noise_part = sigma * (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / math.sqrt(2.0)
+    noise_part = complex_gaussian(rng, (m, n), math.sqrt(scenario.sigma2))
     return SnapshotMatrix(
         entries=signal_part + noise_part,
         signal_part=signal_part,
@@ -258,8 +270,7 @@ def block_hankel(y: np.ndarray, l: int) -> np.ndarray:
     if y.ndim != 2:
         raise ValueError(f"expected a vector or matrix, got ndim={y.ndim}")
     m = y.shape[0]
-    if not 1 <= l < m:
-        raise ValueError(f"smoothing factor must satisfy 1 <= l < m, got l={l}, m={m}")
+    _check_smoothing(m, l)
     windows = sliding_window_view(y, l, axis=0)  # (m-l+1, n, l), [i, j, t] = y[i+t, j]
     out = np.ascontiguousarray(windows).reshape(m - l + 1, y.shape[1] * l)
     if np.shares_memory(out, y):
@@ -273,11 +284,6 @@ def hankelize(snapshots: SnapshotMatrix, l: int) -> SmoothedMatrix:
     """Spatially smooth a snapshot matrix."""
     m, n = snapshots.entries.shape
     return SmoothedMatrix(entries=block_hankel(snapshots.entries, l), m=m, n=n, l=l)
-
-
-def _check_smoothing(m: int, l: int) -> None:
-    if not 1 <= l < m:
-        raise ValueError(f"smoothing factor must satisfy 1 <= l < m, got l={l}, m={m}")
 
 
 def smoothed_steering(theta: float, m: int, l: int) -> np.ndarray:

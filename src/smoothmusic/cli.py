@@ -33,10 +33,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import montecarlo, verify
-from .array_model import ArrayScenario, hankelize, synthesize_snapshots
+from .array_model import ArrayScenario, Smoothing, hankelize, synthesize_snapshots, wrap_angle
 from .subspace import (
     NotSeparatedError,
+    Pseudospectrum,
     UnderResolvedError,
+    gmusic_weights,
     noise_variance_estimate,
     sample_covariance_eig,
     spectrum_trace,
@@ -348,17 +350,20 @@ def cmd_spectrum(cfg: dict, scenario: ArrayScenario):
         raise ConfigError(f"empty spectrum window [{spec['lo']}, {spec['hi']}]")
     snapshots = synthesize_snapshots(scenario)
     eig = sample_covariance_eig(hankelize(snapshots, scenario.l), scenario.k)
-    sigma2_hat = noise_variance_estimate(eig)
-    grid = np.linspace(spec["lo"], spec["hi"], grid_points)
-    trad = spectrum_trace(eig, grid, "traditional")
-    gm = spectrum_trace(
-        eig, grid, "g-music", sigma2=sigma2_hat, c=eig.c_n, strict=spec["strict_separation"]
+    weights, _ = gmusic_weights(
+        eig, noise_variance_estimate(eig), eig.c_n, strict=spec["strict_separation"]
     )
+    grid = np.linspace(spec["lo"], spec["hi"], grid_points)
+    trad = spectrum_trace(Pseudospectrum(eig), grid)
+    gm = spectrum_trace(Pseudospectrum(eig, weights), grid)
 
     def flags(trace):
+        # nearest grid angle on the circle, as minima come back wrapped onto
+        # [-pi, pi); both ends of a 2 pi grid are one angle and both are flagged
         mask = np.zeros(grid.size, dtype=bool)
         for theta, _depth in trace.minima:
-            mask[int(np.argmin(np.abs(grid - theta)))] = True
+            dist = np.abs(wrap_angle(grid - theta))
+            mask |= dist <= dist.min() + 1e-12
         return mask
 
     f_t, f_g = flags(trad), flags(gm)
@@ -372,17 +377,11 @@ def cmd_spectrum(cfg: dict, scenario: ArrayScenario):
 
 def cmd_montecarlo(cfg: dict, scenario: ArrayScenario, workers: Optional[int], strict: Optional[bool]):
     mc = cfg["montecarlo"]
-    values = mc["values"]
-    if mc["sweep"] in ("l", "m"):
-        as_int = tuple(int(v) for v in values)
-        if any(i != v for i, v in zip(as_int, values)):
-            raise ConfigError(f"{mc['sweep']} sweep values must be integers, got {values}")
-        values = as_int
     try:
         plan = montecarlo.ExperimentPlan(
             scenario=scenario,
             sweep=mc["sweep"],
-            values=values,
+            values=mc["values"],
             trials=mc["trials"],
             estimators=mc["estimators"],
             doa_mode=mc["doa_mode"],
@@ -455,10 +454,10 @@ def cmd_verify(cfg: dict, flag_seed: Optional[int]):
         raise ConfigError(f"sigma2 must be positive, got {vc['sigma2']}")
     if vc["trials"] < 2:
         raise ConfigError(f"trials must be >= 2, got {vc['trials']}")
-    if not 1 <= vc["l"] < vc["m"]:
-        raise ConfigError(f"need 1 <= l < m, got l={vc['l']}, m={vc['m']}")
-    if vc["n"] < 1:
-        raise ConfigError(f"n must be positive, got {vc['n']}")
+    try:
+        Smoothing(m=vc["m"], n=vc["n"], l=vc["l"])
+    except ValueError as exc:
+        raise ConfigError(f"invalid [verify]: {exc}") from exc
     log.info(
         "verify: M=%d N=%d L=%d sigma2=%g, %d trials", vc["m"], vc["n"], vc["l"], vc["sigma2"], vc["trials"]
     )

@@ -29,6 +29,7 @@ from .array_model import (
     ArrayScenario,
     SmoothedMatrix,
     block_hankel,
+    complex_gaussian,
     draw_signal_matrix,
     steering_derivative,
     steering_matrix,
@@ -63,6 +64,21 @@ def _smoothing_factor(estimator: str, l: int) -> int:
     return l if estimator in ("music-ss", "gmusic-ss") else 1
 
 
+def _check_rank(scenario: ArrayScenario, estimators) -> None:
+    """Reject an estimator whose covariance, of rank N L, is too small.
+
+    MUSIC's k signal eigenvectors must lie in the range (k <= N L); G-MUSIC
+    also needs a noise eigenvalue there (k < N L) to estimate sigma2 from.
+    """
+    for est in estimators:
+        nl = scenario.n * _smoothing_factor(est, scenario.l)
+        need = scenario.k + 1 if est in ("gmusic", "gmusic-ss") else scenario.k
+        if nl < need:
+            raise ValueError(
+                f"{est} needs N L >= {need} virtual snapshots for k={scenario.k} sources, got N L={nl}"
+            )
+
+
 @dataclass(frozen=True)
 class ExperimentPlan:
     """One sweep experiment: scenario template, swept values, trial budget.
@@ -74,7 +90,6 @@ class ExperimentPlan:
     values : swept values, nonempty.
     trials : noise realizations per sweep point, >= 1.
     estimators : subset of ESTIMATORS, order preserved in the output table.
-    seed : master seed; None falls back to scenario.seed.
     doa_mode : "intervals" confines the search to disjoint windows around
         the true DoAs (the estimators the consistency theory defines);
         "window" scans the whole circle for the k deepest minima.
@@ -91,7 +106,6 @@ class ExperimentPlan:
     values: tuple
     trials: int
     estimators: tuple = ESTIMATORS
-    seed: Optional[int] = None
     doa_mode: str = "intervals"
     include_failures: bool = False
     fresh_signal: bool = False
@@ -124,14 +138,9 @@ class ExperimentPlan:
             raise ValueError(f"doa_mode must be one of {DOA_MODES}, got {self.doa_mode!r}")
         if self.fresh_signal and self.scenario.signal_policy == "fixed-matrix":
             raise ValueError("fresh_signal needs a drawing signal policy")
-        if self.seed is not None and self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
         for v in values:
-            point_scenario(self, v)  # fail fast on invalid sweep points
-
-    @property
-    def master_seed(self) -> int:
-        return self.scenario.seed if self.seed is None else self.seed
+            # fail fast on invalid sweep points
+            _check_rank(point_scenario(self, v), estimators)
 
 
 def point_scenario(plan: ExperimentPlan, value) -> ArrayScenario:
@@ -203,13 +212,12 @@ def _run_trial(task):
     Module-level so process pools can pickle it.  Returns
     (point_index, trial_index, {estimator: signed errors or None}).
     """
-    scenario, signal, master, point, trial, estimators, doa_mode, strict = task
+    scenario, signal, point, trial, estimators, doa_mode, strict = task
     m, n, k = scenario.m, scenario.n, scenario.k
     rng = np.random.default_rng(
-        np.random.SeedSequence([master, _STREAM_NOISE, point, trial])
+        np.random.SeedSequence([scenario.seed, _STREAM_NOISE, point, trial])
     )
-    sigma = math.sqrt(scenario.sigma2)
-    noise = sigma * (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / math.sqrt(2.0)
+    noise = complex_gaussian(rng, (m, n), math.sqrt(scenario.sigma2))
     y = steering_matrix(m, scenario.doas) @ signal + noise
 
     if doa_mode == "intervals":
@@ -267,7 +275,7 @@ def _plan_signal(plan: ExperimentPlan, signal) -> Optional[np.ndarray]:
         raise ValueError(f"policy {plan.scenario.signal_policy!r} draws its own signal")
     if plan.fresh_signal:
         return None
-    rng = np.random.default_rng(np.random.SeedSequence([plan.master_seed, _STREAM_SIGNAL]))
+    rng = np.random.default_rng(np.random.SeedSequence([plan.scenario.seed, _STREAM_SIGNAL]))
     return draw_signal_matrix(k, n, plan.scenario.signal_policy, rng)
 
 
@@ -279,7 +287,7 @@ def run_plan(plan: ExperimentPlan, workers: int = 1, signal=None) -> MseTable:
     fixed order.  Under the fixed-matrix policy pass the source matrix as
     ``signal``.
     """
-    master = plan.master_seed
+    master = plan.scenario.seed
     s_shared = _plan_signal(plan, signal)
     scens = [point_scenario(plan, v) for v in plan.values]
 
@@ -294,7 +302,7 @@ def run_plan(plan: ExperimentPlan, workers: int = 1, signal=None) -> MseTable:
             else:
                 s = s_shared
             tasks.append(
-                (sc, s, master, p, t, plan.estimators, plan.doa_mode, plan.strict_separation)
+                (sc, s, p, t, plan.estimators, plan.doa_mode, plan.strict_separation)
             )
 
     by_key = {}
@@ -379,9 +387,7 @@ class Table1Row(NamedTuple):
     min_snr_db_iqr: float
 
 
-def table1(
-    scenario: ArrayScenario, l_values: Sequence[int], draws: int = 100, seed: Optional[int] = None
-) -> list:
+def table1(scenario: ArrayScenario, l_values: Sequence[int], draws: int = 100) -> list:
     """Minimum separation SNR per smoothing factor, summarized over draws.
 
     For each l the scenario's source matrix is redrawn ``draws`` times (the
@@ -393,11 +399,10 @@ def table1(
         raise ValueError("the separation table needs a drawing signal policy")
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
-    master = scenario.seed if seed is None else seed
     k, n = scenario.k, scenario.n
     signals = []
     for d in range(draws):
-        rng = np.random.default_rng(np.random.SeedSequence([master, _STREAM_SIGNAL, k, n, d]))
+        rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, _STREAM_SIGNAL, k, n, d]))
         signals.append(draw_signal_matrix(k, n, scenario.signal_policy, rng))
     rows = []
     for l in l_values:
@@ -466,6 +471,8 @@ def consistency_sweep(
                 m=m, n=n, l=l, doas=th, snr_db=snr_db, signal_policy=signal_policy, seed=seed
             )
         )
+    for sc in scens:
+        _check_rank(sc, (estimator,))
     cs = np.array([sc.c_n for sc in scens])
     target = float(np.mean(cs))
     if np.max(np.abs(cs - target)) > 0.1 * target:
@@ -486,7 +493,7 @@ def consistency_sweep(
     tasks = []
     for p, sc in enumerate(scens):
         for t in range(trials):
-            tasks.append((sc, signals[sc.n], seed, p, t, (estimator,), "intervals", False))
+            tasks.append((sc, signals[sc.n], p, t, (estimator,), "intervals", False))
     by_key = {}
     for p, t, out in _map_tasks(tasks, workers):
         by_key[(p, t)] = out

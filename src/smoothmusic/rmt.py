@@ -26,7 +26,6 @@ __all__ = [
     "BelowEdgeError",
     "DomainError",
     "MpParams",
-    "SpikeMap",
     "SpikePrediction",
     "h_star",
     "mp_atom",
@@ -87,28 +86,6 @@ class SpikePrediction(NamedTuple):
 
     value: float
     detached: bool
-
-
-@dataclass(frozen=True)
-class SpikeMap:
-    """Spike-to-outlier map at a fixed noise law."""
-
-    params: MpParams
-
-    @property
-    def threshold(self) -> float:
-        return self.params.spike_threshold
-
-    @property
-    def edge_plus(self) -> float:
-        return self.params.edge_plus
-
-    @property
-    def edge_minus(self) -> float:
-        return self.params.edge_minus
-
-    def forward(self, lam: float) -> SpikePrediction:
-        return spike_forward(lam, self.params)
 
 
 def mp_atom(p: MpParams) -> float:

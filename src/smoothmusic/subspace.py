@@ -137,7 +137,17 @@ class SpectrumTrace:
     grid: np.ndarray
     values: np.ndarray
     minima: tuple  # (theta, depth) pairs, refined
-    method: str
+
+
+# search grid points per beamwidth 2 pi / m, and the least per interval
+POINTS_PER_BEAMWIDTH = 16
+MIN_INTERVAL_POINTS = 33
+# intervals_around width over the minimum source spacing; < 1 keeps them disjoint
+INTERVAL_FRAC = 0.95
+
+
+def _spans_circle(lo: float, hi: float) -> bool:
+    return math.isclose(hi - lo, 2.0 * math.pi, rel_tol=1e-12)
 
 
 @dataclass(frozen=True)
@@ -150,17 +160,14 @@ class SearchWindow:
 
     lo: float = -math.pi
     hi: float = math.pi
-    points_per_beamwidth: int = 16
 
     def __post_init__(self):
         if not self.hi > self.lo:
             raise ValueError(f"empty search window [{self.lo}, {self.hi}]")
-        if self.points_per_beamwidth < 2:
-            raise ValueError("need at least 2 grid points per beamwidth")
 
     @property
     def circle(self) -> bool:
-        return math.isclose(self.hi - self.lo, 2.0 * math.pi, rel_tol=1e-12)
+        return _spans_circle(self.lo, self.hi)
 
 
 @dataclass(frozen=True)
@@ -168,8 +175,6 @@ class KnownIntervals:
     """Grid policy: one global minimum per known disjoint interval."""
 
     intervals: tuple
-    points_per_beamwidth: int = 16
-    min_points: int = 33
 
     def __post_init__(self):
         ivs = tuple((float(a), float(b)) for a, b in self.intervals)
@@ -182,11 +187,11 @@ class KnownIntervals:
                 raise ValueError("intervals must be disjoint and sorted")
 
 
-def intervals_around(doas: Sequence[float], m: int, frac: float = 0.95) -> KnownIntervals:
+def intervals_around(doas: Sequence[float], m: int) -> KnownIntervals:
     """Disjoint intervals centered on known DoAs.
 
-    Half-width is frac/2 times the minimum source spacing (frac < 1 keeps
-    the intervals disjoint); a lone source gets half a beamwidth.
+    Half-width is INTERVAL_FRAC / 2 times the minimum source spacing; a lone
+    source gets half a beamwidth.
     """
     doas = sorted(float(t) for t in doas)
     if not doas:
@@ -195,7 +200,7 @@ def intervals_around(doas: Sequence[float], m: int, frac: float = 0.95) -> Known
         half = math.pi / m
     else:
         spacing = min(b - a for a, b in zip(doas, doas[1:]))
-        half = 0.5 * frac * spacing
+        half = 0.5 * INTERVAL_FRAC * spacing
     return KnownIntervals(intervals=tuple((t - half, t + half) for t in doas))
 
 
@@ -378,9 +383,9 @@ def _golden_min(f: Callable[[float], float], a: float, b: float, xtol: float) ->
     return 0.5 * (a + b)
 
 
-def _grid(lo: float, hi: float, m: int, points_per_beamwidth: int, floor: int = 0) -> np.ndarray:
+def _grid(lo: float, hi: float, m: int, floor: int = 0) -> np.ndarray:
     beamwidth = 2.0 * math.pi / m
-    npts = int(math.ceil((hi - lo) / beamwidth * points_per_beamwidth)) + 1
+    npts = int(math.ceil((hi - lo) / beamwidth * POINTS_PER_BEAMWIDTH)) + 1
     return np.linspace(lo, hi, max(npts, floor, 5))
 
 
@@ -395,6 +400,25 @@ def _deepest_minima(vals: np.ndarray, k: int, periodic: bool = False) -> np.ndar
     else:
         idx = np.flatnonzero((vals[1:-1] < vals[:-2]) & (vals[1:-1] < vals[2:])) + 1
     return idx[np.argsort(vals[idx], kind="stable")][:k]
+
+
+def _refine(spectrum_fn, grid: np.ndarray, indices, xtol: float, periodic: bool) -> np.ndarray:
+    """Golden-section minimum of spectrum_fn between the grid neighbours of
+    each index.
+
+    On a periodic grid (grid[-1] is grid[0] + 2 pi) the left neighbour of
+    point 0 lies one step below it and the angles returned are wrapped onto
+    [-pi, pi); otherwise the brackets are clamped to the grid ends.
+    """
+    scalar_fn = lambda t: float(spectrum_fn(np.array([t]))[0])
+    out = []
+    for i in indices:
+        if periodic:
+            a = grid[i - 1] if i else 2.0 * grid[0] - grid[1]
+        else:
+            a = grid[max(i - 1, 0)]
+        out.append(_golden_min(scalar_fn, a, grid[min(i + 1, grid.size - 1)], xtol))
+    return wrap_angle(out) if periodic else np.asarray(out)
 
 
 def find_doas(spectrum_fn, k: int, policy, m: int):
@@ -425,10 +449,9 @@ def find_doas(spectrum_fn, k: int, policy, m: int):
     if k < 1:
         raise ValueError(f"need at least one source, got k={k}")
     xtol = 1e-4 * (2.0 * math.pi / m)
-    scalar_fn = lambda t: float(spectrum_fn(np.array([t]))[0])
 
     if isinstance(policy, SearchWindow):
-        grid = _grid(policy.lo, policy.hi, m, policy.points_per_beamwidth)
+        grid = _grid(policy.lo, policy.hi, m)
         if not policy.circle:
             vals = np.asarray(spectrum_fn(grid))
         elif isinstance(spectrum_fn, Pseudospectrum):
@@ -438,13 +461,7 @@ def find_doas(spectrum_fn, k: int, policy, m: int):
         deepest = _deepest_minima(vals, k, periodic=policy.circle)
         if deepest.size < k:
             raise UnderResolvedError(needed=k, found=int(deepest.size))
-        # grid[-1] is the right neighbour of the last circle point; the left
-        # neighbour of the first lies one step before lo
-        below = lambda i: grid[i - 1] if i else 2.0 * grid[0] - grid[1]
-        refined = [_golden_min(scalar_fn, below(i), grid[i + 1], xtol) for i in deepest]
-        if policy.circle:
-            refined = wrap_angle(refined)
-        return np.sort(np.asarray(refined))
+        return np.sort(_refine(spectrum_fn, grid, deepest, xtol, policy.circle))
 
     if isinstance(policy, KnownIntervals):
         if len(policy.intervals) != k:
@@ -453,48 +470,33 @@ def find_doas(spectrum_fn, k: int, policy, m: int):
             )
         out = []
         for lo, hi in policy.intervals:
-            grid = _grid(lo, hi, m, policy.points_per_beamwidth, floor=policy.min_points)
-            vals = np.asarray(spectrum_fn(grid))
-            i = int(np.argmin(vals))
-            a = grid[max(i - 1, 0)]
-            b = grid[min(i + 1, grid.size - 1)]
-            out.append(_golden_min(scalar_fn, a, b, xtol))
+            grid = _grid(lo, hi, m, floor=MIN_INTERVAL_POINTS)
+            i = int(np.argmin(np.asarray(spectrum_fn(grid))))
+            out.extend(_refine(spectrum_fn, grid, [i], xtol, periodic=False))
         return np.sort(np.asarray(out))
 
     raise TypeError(f"unknown grid policy {policy!r}")
 
 
-def spectrum_trace(
-    eig: EigenSystem, grid: np.ndarray, method: str, sigma2=None, c=None, strict: bool = False
-) -> SpectrumTrace:
+def spectrum_trace(spectrum: Pseudospectrum, grid: np.ndarray) -> SpectrumTrace:
     """Evaluate one pseudo-spectrum on a grid and locate its k deepest minima.
 
     Values are reported signed; the bias-corrected spectrum may dip below
     zero at a source.  Minima are selected and refined on the signed values
-    (see :func:`find_doas` for why refinement must not fold the sign).
-    ``strict`` is passed to :func:`gmusic_weights` for the g-music method.
+    (see :func:`find_doas` for why refinement must not fold the sign), to
+    1e-4 grid steps.  A grid whose ends are 2 pi apart is searched as a
+    circle, like a whole-circle :class:`SearchWindow`: its last point
+    repeats the first, a dip at the seam counts like any other, and the
+    minima are wrapped onto [-pi, pi).
     """
     grid = np.asarray(grid, dtype=float)
-    if method == "traditional":
-        fn = Pseudospectrum(eig)
-    elif method == "g-music":
-        if sigma2 is None or c is None:
-            raise ValueError("g-music trace needs sigma2 and c")
-        fn = Pseudospectrum(eig, gmusic_weights(eig, sigma2, c, strict=strict)[0])
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    values = fn(grid)
-    minima = ()
-    if eig.k >= 1:
-        take = _deepest_minima(values, eig.k)
-        xtol = 1e-4 * (grid[1] - grid[0]) if grid.size > 1 else 1e-8
-        scalar_fn = lambda t: float(fn(np.array([t]))[0])
-        refined = []
-        for i in sorted(take):
-            t = _golden_min(scalar_fn, grid[i - 1], grid[i + 1], xtol)
-            refined.append((t, scalar_fn(t)))
-        minima = tuple(refined)
-    return SpectrumTrace(grid=grid, values=values, minima=minima, method=method)
+    values = spectrum(grid)
+    periodic = grid.size > 1 and _spans_circle(grid[0], grid[-1])
+    take = _deepest_minima(values[:-1] if periodic else values, spectrum.eig.k, periodic)
+    xtol = 1e-4 * (grid[1] - grid[0]) if grid.size > 1 else 1e-8
+    thetas = _refine(spectrum, grid, sorted(take), xtol, periodic)
+    minima = tuple((t, float(spectrum(np.array([t]))[0])) for t in thetas)
+    return SpectrumTrace(grid=grid, values=values, minima=minima)
 
 
 def separation_report(scenario: ArrayScenario, signal: np.ndarray) -> SeparationReport:

@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 from scipy.optimize import brentq
 
-from .array_model import block_hankel
+from .array_model import Smoothing, block_hankel, complex_gaussian, haar_columns
 from .rmt import (
     MpParams,
     h_star,
@@ -105,30 +105,10 @@ class VerifyRow(NamedTuple):
     passed: bool
 
 
-def _noise_matrix(m: int, n: int, sigma2: float, rng: np.random.Generator) -> np.ndarray:
-    sigma = math.sqrt(sigma2)
-    return sigma * (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / math.sqrt(2.0)
-
-
-def _smoothed_noise(m: int, n: int, l: int, sigma2: float, rng: np.random.Generator) -> np.ndarray:
+def _smoothed_noise(g: Smoothing, sigma2: float, rng: np.random.Generator) -> np.ndarray:
     """Z = V^(L) / sqrt(N L): normalized block-Hankel of an iid noise block."""
-    v = _noise_matrix(m, n, sigma2, rng)
-    return block_hankel(v, l) / math.sqrt(n * l)
-
-
-def _haar_columns(dim: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k Haar-distributed orthonormal columns in C^dim (QR with phase fix)."""
-    g = (rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))) / math.sqrt(2.0)
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    phase = np.where(np.abs(d) > 0, d / np.abs(np.where(np.abs(d) > 0, d, 1.0)), 1.0)
-    return q * phase[None, :]
-
-
-def _mp_params(m: int, n: int, l: int, sigma2: float) -> MpParams:
-    if not 1 <= l < m:
-        raise ValueError(f"smoothing factor must satisfy 1 <= l < m, got l={l}, m={m}")
-    return MpParams(sigma2, (m - l + 1) / (n * l))
+    v = complex_gaussian(rng, (g.m, g.n), math.sqrt(sigma2))
+    return block_hankel(v, g.l) / math.sqrt(g.virtual_snapshots)
 
 
 def _ks_distance(sample: np.ndarray, p: MpParams) -> float:
@@ -151,14 +131,15 @@ def esd_vs_mp(m: int, n: int, l: int, sigma2: float, trials: int, seed: int) -> 
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    p = _mp_params(m, n, l, sigma2)
+    g = Smoothing(m=m, n=n, l=l)
+    p = MpParams(sigma2, g.c_n)
     inflated = (1.0 + EDGE_TOLERANCE) * p.edge_plus
     pooled = []
     trial_max = np.empty(trials)
     exceed = np.empty(trials, dtype=int)
     for t in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence([seed, _TAG_ESD, t]))
-        z = _smoothed_noise(m, n, l, sigma2, rng)
+        z = _smoothed_noise(g, sigma2, rng)
         cov = z @ z.conj().T
         vals = np.linalg.eigvalsh(0.5 * (cov + cov.conj().T))
         np.clip(vals, 0.0, None, out=vals)
@@ -186,15 +167,16 @@ def quadratic_form_check(
     shrink as the sizes grow at fixed c_N.  Real z inside the support is
     rejected by the Stieltjes-transform domain check.
     """
-    p = _mp_params(m, n, l, sigma2)
+    g = Smoothing(m=m, n=n, l=l)
+    p = MpParams(sigma2, g.c_n)
     mval = mp_stieltjes(z, p)
     mtval = mp_stieltjes_tilde(z, p)
-    u_dim, v_dim = m - l + 1, n * l
+    u_dim, v_dim = g.subarray_size, g.virtual_snapshots
     rng = np.random.default_rng(np.random.SeedSequence([seed, _TAG_QUAD]))
-    zmat = _smoothed_noise(m, n, l, sigma2, rng)
+    zmat = _smoothed_noise(g, sigma2, rng)
 
     def unit(dim):
-        v = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) / math.sqrt(2.0)
+        v = complex_gaussian(rng, dim)
         return v / np.linalg.norm(v)
 
     a, b = unit(u_dim), unit(u_dim)
@@ -236,8 +218,9 @@ def spike_experiment(
         raise ValueError(f"noise must be 'hankel' or 'iid', got {noise!r}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    p = _mp_params(m, n, l, sigma2)
-    u_dim, v_dim = m - l + 1, n * l
+    g = Smoothing(m=m, n=n, l=l)
+    p = MpParams(sigma2, g.c_n)
+    u_dim, v_dim = g.subarray_size, g.virtual_snapshots
     k = lams.size
     if k >= u_dim or k > v_dim:
         raise ValueError(f"rank {k} too large for a {u_dim} x {v_dim} model")
@@ -251,18 +234,13 @@ def spike_experiment(
     projections = np.empty((trials, k))
     for t in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence([seed, _TAG_SPIKE, t]))
-        u = _haar_columns(u_dim, k, rng)
-        vt = _haar_columns(v_dim, k, rng)
+        u = haar_columns(u_dim, k, rng)
+        vt = haar_columns(v_dim, k, rng)
         b = (u * np.sqrt(lams)) @ vt.conj().T
         if noise == "hankel":
-            zmat = _smoothed_noise(m, n, l, sigma2, rng)
+            zmat = _smoothed_noise(g, sigma2, rng)
         else:
-            sigma = math.sqrt(sigma2)
-            zmat = (
-                sigma
-                * (rng.standard_normal((u_dim, v_dim)) + 1j * rng.standard_normal((u_dim, v_dim)))
-                / math.sqrt(2.0 * v_dim)
-            )
+            zmat = complex_gaussian(rng, (u_dim, v_dim), math.sqrt(sigma2)) / math.sqrt(v_dim)
         x = b + zmat
         cov = x @ x.conj().T
         vals, vecs = np.linalg.eigh(0.5 * (cov + cov.conj().T))
@@ -333,7 +311,7 @@ def run_verification_suite(
     four-times-larger array (same c_N) with a similarly reduced internal
     trial count.
     """
-    p = _mp_params(m, n, l, sigma2)
+    p = MpParams(sigma2, Smoothing(m=m, n=n, l=l).c_n)
     rows = []
 
     esd = esd_vs_mp(m, n, l, sigma2, trials=max(trials // 2, 2), seed=seed)

@@ -15,6 +15,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from smoothmusic import cli, montecarlo, verify
 from smoothmusic.array_model import (
@@ -226,6 +227,7 @@ def _mean_mse(table, value, estimator):
     return float(np.mean([r.mse for r in rows]))
 
 
+@pytest.mark.slow
 def test_criterion_6_estimator_ordering():
     """Closely: gmusic-ss <= music-ss <= plain gmusic above threshold+5 dB;
     widely: the SS pair agrees within 1 dB; L=128 degrades vs L=16."""
@@ -285,6 +287,7 @@ def test_criterion_6_estimator_ordering():
 # criterion 7: consistency trends in M
 
 
+@pytest.mark.slow
 def test_criterion_7_consistency_trends():
     """Widely: median M|err| strictly decreasing for both SS estimators;
     closely: music-ss stays >= 0.8x while gmusic-ss decreases."""

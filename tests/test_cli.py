@@ -95,6 +95,27 @@ def test_spectrum_schema_and_minima_flags(tmp_path, capsys):
             assert min(abs(t - doa) for t in flagged) < 0.08, f"no flag near {doa}"
 
 
+def test_spectrum_flags_dip_at_the_seam(tmp_path, capsys):
+    """A dip next to -pi is flagged on the default whole-circle grid, at both
+    of its end rows (the same angle), and no sidelobe is flagged instead."""
+    seam = """\
+[scenario]
+m = 32
+n = 20
+l = 1
+doas = -3.1405926535897933, 1.0
+snr_db = 30
+seed = 0
+"""
+    code, out, _ = _run(["spectrum", "--config", _write(tmp_path, seam)], capsys)
+    assert code == 0
+    _, rows = _rows(out)
+    for col in (3, 4):
+        flagged = [float(r[0]) for r in rows if r[col] == "true"]
+        assert flagged[0] == -math.pi and flagged[-1] == math.pi
+        assert flagged[1:-1] == pytest.approx([1.0], abs=0.01)
+
+
 def test_spectrum_reruns_byte_identical_and_out_dir(tmp_path, capsys):
     """Same config twice gives identical bytes; --out writes <dir>/spectrum.csv."""
     cfg = _write(tmp_path, SPECTRUM_INI)
@@ -303,6 +324,10 @@ seed = 0
         capsys,
     )
     assert code2 == 2 and "trials" in err
+    code3, _, err = _run(
+        ["verify", "--config", _write(tmp_path, ini.replace("l = 8", "l = 64"), "v64.ini")], capsys
+    )
+    assert code3 == 2 and "invalid [verify]" in err
 
 
 def test_console_script_matches_in_process(tmp_path, capsys):

@@ -218,8 +218,6 @@ def test_plan_validation():
         ExperimentPlan(**{**good, "estimators": ()})
     with pytest.raises(ValueError):
         ExperimentPlan(**{**good, "doa_mode": "bogus"})
-    with pytest.raises(ValueError):
-        ExperimentPlan(**{**good, "seed": -3})
     with pytest.raises(ValueError):  # l sweep values must be integers
         ExperimentPlan(**{**good, "sweep": "l", "values": (2.5,)})
     with pytest.raises(ValueError):  # sweep point must build a valid scenario
@@ -232,9 +230,25 @@ def test_plan_validation():
     # estimator de-duplication preserves order
     plan = ExperimentPlan(**{**good, "estimators": ("gmusic-ss", "music", "gmusic-ss")})
     assert plan.estimators == ("gmusic-ss", "music")
-    # seed override wins over the scenario seed
-    assert ExperimentPlan(**{**good, "seed": 77}).master_seed == 77
-    assert ExperimentPlan(**good).master_seed == 0
+
+
+def test_plan_rejects_estimators_short_of_virtual_snapshots():
+    """G-MUSIC needs k < N L (a noise eigenvalue in the range); MUSIC k <= N L.
+
+    At N L = k the G-MUSIC noise estimate would average rounding-level null
+    eigenvalues, so its rows would silently equal MUSIC's.
+    """
+    sc = ArrayScenario(m=16, n=2, l=4, doas=(0.0, 1.0), snr_db=20.0, seed=0)
+    plan = dict(scenario=sc, sweep="snr_db", values=(20.0,), trials=1)
+    ExperimentPlan(**plan, estimators=("music", "music-ss", "gmusic-ss"))
+    with pytest.raises(ValueError, match="gmusic"):  # N L = n = k
+        ExperimentPlan(**plan, estimators=("gmusic",))
+    with pytest.raises(ValueError, match="music"):  # N L = 1 < k
+        ExperimentPlan(**{**plan, "scenario": dataclasses.replace(sc, n=1)}, estimators=("music",))
+    with pytest.raises(ValueError, match="gmusic-ss"):  # the sweep point l = 1 has N L = k
+        ExperimentPlan(**{**plan, "sweep": "l", "values": (4, 1)}, estimators=("gmusic-ss",))
+    with pytest.raises(ValueError, match="gmusic"):
+        consistency_sweep(((16, 2, 4),), sc.doas, "absolute", 20.0, "gmusic", trials=1, seed=0)
 
 
 def test_point_scenario_replaces_swept_field():
@@ -293,7 +307,7 @@ def test_table1_structure_and_determinism():
         assert r.min_snr_db_iqr >= 0
     again = table1(sc, (2, 4), draws=6)
     assert rows == again
-    other_seed = table1(sc, (2, 4), draws=6, seed=99)
+    other_seed = table1(dataclasses.replace(sc, seed=99), (2, 4), draws=6)
     assert rows != other_seed
     with pytest.raises(ValueError):
         table1(sc, (2, 4), draws=0)

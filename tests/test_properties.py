@@ -1,10 +1,11 @@
-"""Property tests for the spectral and eigen layers.
+"""Property tests for the signal model and the spectral and eigen layers.
 
 The FFT scan of a whole-circle window is checked against direct evaluation
-through steering_matrix and against the rotation identity it implies; the
-thin-SVD eigen path is checked against a dense eigh of the same covariance;
-and a source count above the rank of the covariance must still give finite
-results.
+through steering_matrix and against the rotation identity it implies, and
+the DoA search against the angle the circle starts at; the thin-SVD eigen
+path is checked against a dense eigh of the same covariance; a source
+count above the rank of the covariance must still give finite results; and
+the Kronecker and Hadamard forms of the smoothed signal covariance agree.
 """
 
 import math
@@ -13,10 +14,22 @@ import numpy as np
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from smoothmusic.array_model import SmoothedMatrix
+from smoothmusic.array_model import (
+    ArrayScenario,
+    SmoothedMatrix,
+    draw_signal_matrix,
+    hankelize,
+    signal_covariance,
+    signal_covariance_hadamard,
+    synthesize_snapshots,
+    wrap_angle,
+)
 from smoothmusic.subspace import (
     EigenSystem,
     Pseudospectrum,
+    SearchWindow,
+    find_doas,
+    gmusic_weights,
     noise_variance_estimate,
     sample_covariance_eig,
 )
@@ -106,3 +119,44 @@ def test_source_count_above_rank_stays_finite(nl, data, seed, weighted):
     spectrum = Pseudospectrum(eig, weights)
     assert np.all(np.isfinite(spectrum.on_circle(-math.pi, 4 * u)))
     assert np.all(np.isfinite(spectrum(np.linspace(-math.pi, math.pi, 7))))
+
+
+@given(
+    doa=st.floats(-math.pi, math.pi, exclude_max=True),
+    spacing=st.floats(3.0, 8.0),
+    delta=st.floats(-math.pi, math.pi),
+    seed=seeds,
+)
+def test_find_doas_does_not_depend_on_where_the_circle_starts(doa, spacing, delta, seed):
+    """A whole-circle window starting at delta - pi finds the DoAs of the
+    default window, for both spectra, to twice the refinement tolerance."""
+    m = 32
+    beamwidth = 2.0 * math.pi / m
+    second = float(wrap_angle(doa + spacing * beamwidth))
+    sc = ArrayScenario(m=m, n=20, l=4, doas=(doa, second), snr_db=30.0, seed=seed)
+    eig = sample_covariance_eig(hankelize(synthesize_snapshots(sc), sc.l), sc.k)
+    weights, _ = gmusic_weights(eig, noise_variance_estimate(eig), eig.c_n)
+    shifted = SearchWindow(lo=delta - math.pi, hi=delta + math.pi)
+    for spectrum in (Pseudospectrum(eig), Pseudospectrum(eig, weights)):
+        base = find_doas(spectrum, 2, SearchWindow(), m)
+        got = find_doas(spectrum, 2, shifted, m)
+        gap = np.abs(wrap_angle(got[:, None] - base[None, :])).min(axis=1)
+        assert np.max(gap) <= 2e-4 * beamwidth
+
+
+@given(m=st.integers(2, 40), data=st.data(), seed=seeds)
+def test_signal_covariance_kronecker_and_hadamard_forms_agree(m, data, seed):
+    """(1/L) A^(L) (P kron I_L) A^(L)* equals (U/M) A_U (P o A_L^T conj A_L) A_U*."""
+    l = data.draw(st.integers(1, m - 1), label="l")
+    k = data.draw(st.integers(1, m - l), label="k")
+    n = data.draw(st.integers(1, 12), label="n")
+    doas = data.draw(
+        st.lists(st.floats(-math.pi, math.pi, exclude_max=True), min_size=k, max_size=k, unique=True),
+        label="doas",
+    )
+    sc = ArrayScenario(m=m, n=n, l=l, doas=doas, snr_db=0.0)
+    signal = draw_signal_matrix(k, n, sc.signal_policy, np.random.default_rng(seed))
+    kron = signal_covariance(sc, signal)
+    np.testing.assert_allclose(
+        signal_covariance_hadamard(sc, signal), kron, rtol=0, atol=1e-12 * np.max(np.abs(kron))
+    )

@@ -19,7 +19,6 @@ from smoothmusic.rmt import (
     BelowEdgeError,
     DomainError,
     MpParams,
-    SpikeMap,
     h_star,
     mp_atom,
     mp_cdf,
@@ -324,17 +323,6 @@ def test_spike_forward_map():
         assert all(b > a for a, b in zip(vals, vals[1:]))
     with pytest.raises(ValueError):
         spike_forward(-0.1, MpParams(1.0, 0.5))
-
-
-def test_spike_map_wrapper():
-    """SpikeMap mirrors the free function and exposes the law's landmarks."""
-    p = MpParams(2.0, 0.25)
-    sm = SpikeMap(p)
-    assert sm.threshold == p.spike_threshold
-    assert sm.edge_plus == p.edge_plus
-    assert sm.edge_minus == p.edge_minus
-    for lam in (0.2, 0.5 * p.spike_threshold, 3.0 * p.spike_threshold):
-        assert sm.forward(lam) == spike_forward(lam, p)
 
 
 def test_mp_moments():

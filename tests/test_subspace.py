@@ -269,12 +269,21 @@ def test_find_doas_whole_circle_has_no_seam():
             assert np.all((got >= -math.pi) & (got < math.pi))
 
 
+def test_spectrum_trace_whole_circle_has_no_seam():
+    """A trace grid whose ends are 2 pi apart is searched as a circle."""
+    sc = ArrayScenario(m=32, n=20, l=1, doas=(-math.pi + 1e-3, 1.0), snr_db=30.0, seed=0)
+    eig = sample_covariance_eig(hankelize(synthesize_snapshots(sc), sc.l), sc.k)
+    weights, _ = gmusic_weights(eig, noise_variance_estimate(eig), eig.c_n)
+    grid = np.linspace(-math.pi, math.pi, 1024)
+    for spectrum in (Pseudospectrum(eig), Pseudospectrum(eig, weights)):
+        thetas = sorted(t for t, _ in spectrum_trace(spectrum, grid).minima)
+        np.testing.assert_allclose(thetas, sc.doas, atol=0.01)
+
+
 def test_grid_policy_validation():
     """Degenerate windows and overlapping intervals are rejected."""
     with pytest.raises(ValueError):
         SearchWindow(lo=1.0, hi=1.0)
-    with pytest.raises(ValueError):
-        SearchWindow(points_per_beamwidth=1)
     with pytest.raises(ValueError):
         KnownIntervals(intervals=((0.0, 0.0),))
     with pytest.raises(ValueError):
@@ -316,11 +325,10 @@ def test_spectrum_trace_minima_and_validation():
     sc = ArrayScenario(m=m, n=n, l=l, doas=doas, snr_db=40.0, seed=6)
     eig = sample_covariance_eig(hankelize(synthesize_snapshots(sc), l), sc.k)
     grid = np.linspace(-math.pi, math.pi, 2048)
-    trad = spectrum_trace(eig, grid, "traditional")
-    s2 = noise_variance_estimate(eig)
-    gm = spectrum_trace(eig, grid, "g-music", sigma2=s2, c=eig.c_n)
+    trad = spectrum_trace(Pseudospectrum(eig), grid)
+    weights, _ = gmusic_weights(eig, noise_variance_estimate(eig), eig.c_n)
+    gm = spectrum_trace(Pseudospectrum(eig, weights), grid)
     for trace, name in ((trad, "traditional"), (gm, "g-music")):
-        assert trace.method == name
         assert trace.values.shape == grid.shape
         assert len(trace.minima) == 2
         thetas = sorted(t for t, _ in trace.minima)
@@ -329,10 +337,6 @@ def test_spectrum_trace_minima_and_validation():
             assert depth <= np.min(trace.values) + 1e-6
     # the clipped spectrum stays in [0, 1]; the corrected one is unclipped
     assert np.all(trad.values >= 0.0) and np.all(trad.values <= 1.0)
-    with pytest.raises(ValueError):
-        spectrum_trace(eig, grid, "g-music")  # needs sigma2 and c
-    with pytest.raises(ValueError):
-        spectrum_trace(eig, grid, "bogus")
 
 
 def test_separation_widely_spaced_orthogonal_arithmetic():
