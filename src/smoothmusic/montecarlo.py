@@ -117,9 +117,10 @@ class ExperimentPlan:
         if self.sweep == "snr_db":
             values = tuple(float(v) for v in self.values)
         else:
+            for v in self.values:
+                if not (math.isfinite(v) and v == int(v)):
+                    raise ValueError(f"{self.sweep} sweep values must be finite integers, got {v}")
             values = tuple(int(v) for v in self.values)
-            if any(v != w for v, w in zip(values, self.values)):
-                raise ValueError(f"{self.sweep} sweep values must be integers")
         object.__setattr__(self, "values", values)
         if not values:
             raise ValueError("sweep values must be nonempty")

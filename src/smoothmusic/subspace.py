@@ -24,8 +24,7 @@ import numpy as np
 from .array_model import (
     ArrayScenario,
     SmoothedMatrix,
-    signal_covariance,
-    signal_covariance_hadamard,
+    smoothed_steering_set,
     steering_matrix,
     wrap_angle,
 )
@@ -502,20 +501,42 @@ def spectrum_trace(spectrum: Pseudospectrum, grid: np.ndarray) -> SpectrumTrace:
 def separation_report(scenario: ArrayScenario, signal: np.ndarray) -> SeparationReport:
     """Finite-sample separation condition lambda_k > sigma2 sqrt(c_N).
 
-    lambda_k are the k nonzero eigenvalues of
-    (1/L) A^(L) (S S*/N kron I_L) A^(L)*, computed from the Kronecker
-    construction and cross-checked against the Hadamard identity.  The
-    minimum separation SNR is 10 log10(sqrt(c_N) / lambda_K).
+    lambda_k are the k nonzero eigenvalues of the signal covariance
+    (1/L) A^(L) (P kron I_L) A^(L)* = (U/M) A_U (P o C) A_U*, with
+    P = S S*/N and C = A_L^T conj(A_L).  They are computed at size K x K as
+    the eigenvalues of (U/M) R G R, with R the Hermitian square root of
+    P o C and G = A_U* A_U, and cross-checked against the Kronecker form:
+    each eigenvector y maps to x = A_U R y, to which the Kronecker
+    covariance is applied as an operator.  The minimum separation SNR is
+    10 log10(sqrt(c_N) / lambda_K).
     """
-    if scenario.k == 0:
+    k, n, m, l = scenario.k, scenario.n, scenario.m, scenario.l
+    if k == 0:
         raise ValueError("separation analysis needs at least one source")
-    cov = signal_covariance(scenario, signal)
-    cov_h = signal_covariance_hadamard(scenario, signal)
-    scale = max(float(np.linalg.norm(cov)), 1e-300)
-    if float(np.linalg.norm(cov - cov_h)) / scale > 1e-8:
-        raise RuntimeError("Kronecker and Hadamard signal covariances disagree")
-    vals = np.linalg.eigvalsh(0.5 * (cov + cov.conj().T))[::-1]
-    lam = np.clip(vals[: scenario.k], 0.0, None)
+    s = np.asarray(signal, dtype=complex)
+    if s.shape != (k, n):
+        raise ValueError(f"signal has shape {s.shape}, expected {(k, n)}")
+    u = scenario.subarray_size
+    p = s @ s.conj().T / n
+    a_l = steering_matrix(l, scenario.doas)
+    a_u = steering_matrix(u, scenario.doas)
+    # P o C is singular when l = 1 and k > n, so its root comes from eigh, not Cholesky
+    w, v = np.linalg.eigh(p * (a_l.T @ a_l.conj()))
+    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    h = (u / m) * (root @ (a_u.conj().T @ a_u) @ root)
+    vals, vecs = np.linalg.eigh(0.5 * (h + h.conj().T))
+
+    # (1/L) A^(L) (P kron I_L) A^(L)* x for the K vectors x = A_U R y at once;
+    # A^(L) has K blocks of L columns, so P kron I_L acts on a (K, L) reshape
+    x = a_u @ (root @ vecs)
+    a_set = smoothed_steering_set(scenario.doas, m, l)
+    mixed = np.einsum("ij,jtc->itc", p, (a_set.conj().T @ x).reshape(k, l, k))
+    residual = np.linalg.norm(a_set @ mixed.reshape(k * l, k) / l - x * vals, axis=0)
+    # against the top column: x is at rounding level for a null eigenvalue
+    if float(np.max(residual)) > 1e-8 * float(vals[-1] * np.linalg.norm(x[:, -1])):
+        raise RuntimeError("K x K and Kronecker signal covariances disagree")
+
+    lam = np.clip(vals[::-1], 0.0, None)
     lam_k = float(lam[-1])
     threshold = scenario.sigma2 * math.sqrt(scenario.c_n)
     if lam_k > 0:

@@ -166,6 +166,11 @@ def quadratic_form_check(
     where Q = (Z Z* - z I)^{-1} and Q~ = (Z* Z - z I)^{-1}.  All three
     shrink as the sizes grow at fixed c_N.  Real z inside the support is
     rejected by the Stieltjes-transform domain check.
+
+    Only Z Z* - z I is factored, once for the two right-hand sides b and
+    Z b~: the push-through identity Z* Q Z = I + z Q~ gives
+    a~* Q~ b~ = ((Z a~)* Q Z b~ - a~* b~) / z, and z != 0 is part of the
+    domain check.
     """
     g = Smoothing(m=m, n=n, l=l)
     p = MpParams(sigma2, g.c_n)
@@ -182,10 +187,11 @@ def quadratic_form_check(
     a, b = unit(u_dim), unit(u_dim)
     at, bt = unit(v_dim), unit(v_dim)
     gram = zmat @ zmat.conj().T - z * np.eye(u_dim)
-    gram_t = zmat.conj().T @ zmat - z * np.eye(v_dim)
-    resolvent = abs(a.conj() @ np.linalg.solve(gram, b) - mval * (a.conj() @ b))
-    co_resolvent = abs(at.conj() @ np.linalg.solve(gram_t, bt) - mtval * (at.conj() @ bt))
-    mixed = abs(a.conj() @ np.linalg.solve(gram, zmat @ bt))
+    q_b, q_zbt = np.linalg.solve(gram, np.column_stack([b, zmat @ bt])).T
+    resolvent = abs(a.conj() @ q_b - mval * (a.conj() @ b))
+    overlap = at.conj() @ bt
+    co_resolvent = abs(((zmat @ at).conj() @ q_zbt - overlap) / z - mtval * overlap)
+    mixed = abs(a.conj() @ q_zbt)
     return QuadraticFormResiduals(float(resolvent), float(co_resolvent), float(mixed))
 
 

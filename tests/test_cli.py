@@ -181,6 +181,17 @@ def test_montecarlo_strict_separation_flag_overrides_config(tmp_path, capsys):
     assert failures(strict, "music-ss") == {0}, "plain spectra ignore strictness"
 
 
+@pytest.mark.parametrize("sweep", ["l", "m"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_montecarlo_non_finite_integer_sweep_value_is_config_error(tmp_path, capsys, sweep, value):
+    """An inf or nan l/m sweep value exits 2 naming the value, not with a traceback."""
+    ini = MONTECARLO_INI.replace("sweep = snr_db", f"sweep = {sweep}")
+    ini = ini.replace("values = 5, 15", f"values = 4, {value}")
+    code, out, err = _run(["montecarlo", "--config", _write(tmp_path, ini)], capsys)
+    assert code == 2 and out == ""
+    assert "config error: invalid [montecarlo]" in err and value in err
+
+
 def test_seed_precedence_flag_env_config(tmp_path, capsys, monkeypatch):
     """--seed beats SMOOTHMUSIC_SEED beats the config seed."""
     cfg3 = _write(tmp_path, SPECTRUM_INI, "seed3.ini")

@@ -2,10 +2,11 @@
 
 The FFT scan of a whole-circle window is checked against direct evaluation
 through steering_matrix and against the rotation identity it implies, and
-the DoA search against the angle the circle starts at; the thin-SVD eigen
-path is checked against a dense eigh of the same covariance; a source
-count above the rank of the covariance must still give finite results; and
-the Kronecker and Hadamard forms of the smoothed signal covariance agree.
+the DoA search against the angle the circle starts at; conjugating the
+snapshots mirrors both spectra; the thin-SVD eigen path is checked against
+a dense eigh of the same covariance; a source count above the rank of the
+covariance must still give finite results; and the Kronecker, Hadamard and
+K x K forms of the smoothed signal covariance agree.
 """
 
 import math
@@ -15,8 +16,10 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from smoothmusic.array_model import (
+    SIGNAL_POLICIES,
     ArrayScenario,
     SmoothedMatrix,
+    SnapshotMatrix,
     draw_signal_matrix,
     hankelize,
     signal_covariance,
@@ -32,6 +35,7 @@ from smoothmusic.subspace import (
     gmusic_weights,
     noise_variance_estimate,
     sample_covariance_eig,
+    separation_report,
 )
 
 seeds = st.integers(0, 2**32 - 1)
@@ -77,6 +81,37 @@ def test_rotating_eigenvectors_shifts_circle_values(dim, data, seed, weighted):
     np.testing.assert_allclose(
         rotated.on_circle(-math.pi, p), np.roll(spectrum.on_circle(-math.pi, p), j), rtol=0, atol=1e-12
     )
+
+
+@given(
+    l=st.integers(1, 8),
+    k=st.integers(1, 3),
+    doas=st.lists(st.floats(-math.pi, math.pi, exclude_max=True), min_size=3, max_size=3, unique=True),
+    p=st.integers(1, 300),
+    seed=seeds,
+)
+def test_conjugate_snapshots_mirror_both_spectra(l, k, doas, p, seed):
+    """Conjugating Y maps a(theta) to a(-theta): the scan of conj Y at index j
+    is the original scan at index -j mod P, for MUSIC and G-MUSIC alike."""
+    sc = ArrayScenario(m=24, n=10, l=l, doas=doas[:k], snr_db=20.0, seed=seed)
+    snaps = synthesize_snapshots(sc)
+    conj = SnapshotMatrix(
+        entries=snaps.entries.conj(),
+        signal_part=snaps.signal_part.conj(),
+        noise_part=snaps.noise_part.conj(),
+    )
+    eig = sample_covariance_eig(hankelize(snaps, l), k)
+    eig_c = sample_covariance_eig(hankelize(conj, l), k)
+    vals = eig.eigenvalues
+    # a near-degenerate top-k eigenvalue leaves its eigenvectors ill defined
+    assume(np.min(np.abs(np.diff(vals[: k + 1]))) > 1e-3 * vals[0])
+    np.testing.assert_allclose(eig_c.eigenvalues, vals, rtol=0, atol=1e-12 * vals[0])
+    weights, _ = gmusic_weights(eig, noise_variance_estimate(eig), eig.c_n)
+    mirror = (-np.arange(p)) % p
+    for w in (None, weights):
+        want = Pseudospectrum(eig, w).on_circle(-math.pi, p)[mirror]
+        got = Pseudospectrum(eig_c, w).on_circle(-math.pi, p)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def _smoothed(u, nl, seed):
@@ -160,3 +195,23 @@ def test_signal_covariance_kronecker_and_hadamard_forms_agree(m, data, seed):
     np.testing.assert_allclose(
         signal_covariance_hadamard(sc, signal), kron, rtol=0, atol=1e-12 * np.max(np.abs(kron))
     )
+
+
+@given(m=st.integers(3, 48), data=st.data(), seed=seeds)
+def test_separation_report_matches_kronecker_and_hadamard_eigenvalues(m, data, seed):
+    """The K x K separation eigenvalues are the top-k eigenvalues of both
+    U x U signal covariances, also for n < k, where some of them are 0."""
+    l = data.draw(st.integers(1, m - 1), label="l")
+    k = data.draw(st.integers(1, min(3, m - l)), label="k")
+    policy = data.draw(st.sampled_from(SIGNAL_POLICIES[1:]), label="policy")
+    n = data.draw(st.integers(k if policy == "identity-covariance" else 1, 8), label="n")
+    doas = data.draw(
+        st.lists(st.floats(-math.pi, math.pi, exclude_max=True), min_size=k, max_size=k, unique=True),
+        label="doas",
+    )
+    sc = ArrayScenario(m=m, n=n, l=l, doas=doas, snr_db=0.0, signal_policy=policy)
+    signal = draw_signal_matrix(k, n, policy, np.random.default_rng(seed))
+    lam = separation_report(sc, signal).lambda_signal
+    for cov in (signal_covariance(sc, signal), signal_covariance_hadamard(sc, signal)):
+        want = np.linalg.eigvalsh(0.5 * (cov + cov.conj().T))[::-1][:k]
+        np.testing.assert_allclose(lam, want, rtol=0, atol=1e-10 * want[0])

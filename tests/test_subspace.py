@@ -19,10 +19,12 @@ from smoothmusic.array_model import (
     block_hankel,
     draw_signal_matrix,
     hankelize,
+    smoothed_steering_set,
     steering_matrix,
     steering_vector,
     synthesize_snapshots,
 )
+from smoothmusic import subspace
 from smoothmusic.rmt import MpParams, h_star
 from smoothmusic.subspace import (
     EigenSystem,
@@ -389,6 +391,18 @@ def test_separation_report_single_source_closed_form():
         10 * math.log10(math.sqrt(sc.c_n) / rep.lambda_signal[0]), rel=1e-12
     )
     assert rep.c_n == pytest.approx(sc.c_n, rel=1e-15)
+
+
+def test_separation_report_cross_check_is_live(monkeypatch):
+    """A Kronecker steering set 1e-6 off the K x K form is a RuntimeError."""
+    sc = ArrayScenario(m=24, n=10, l=6, doas=(0.1, 0.5), snr_db=10.0)
+    s = draw_signal_matrix(2, 10, sc.signal_policy, np.random.default_rng(7))
+    separation_report(sc, s)
+    monkeypatch.setattr(
+        subspace, "smoothed_steering_set", lambda *a: (1.0 + 1e-6) * smoothed_steering_set(*a)
+    )
+    with pytest.raises(RuntimeError, match="disagree"):
+        separation_report(sc, s)
 
 
 def test_separation_report_validation():

@@ -11,7 +11,9 @@ import math
 import numpy as np
 import pytest
 
-from smoothmusic.rmt import MpParams, mp_cdf, phi_star
+from smoothmusic import verify
+from smoothmusic.array_model import Smoothing, block_hankel, complex_gaussian
+from smoothmusic.rmt import MpParams, mp_cdf, mp_stieltjes, mp_stieltjes_tilde, phi_star
 from smoothmusic.verify import (
     EsdReport,
     determinant_root_check,
@@ -168,6 +170,46 @@ def test_quadratic_form_residuals_shrink_with_size():
     r = quadratic_form_check(80, 25, 8, 1.0, z, seed=0)
     assert all(v >= 0 for v in r)
     assert set(r._fields) == {"resolvent", "co_resolvent", "mixed"}
+
+
+def _direct_residuals(m, n, l, sigma2, z, seed):
+    """quadratic_form_check's draws with Q~ = (Z* Z - z I)^{-1} solved directly."""
+    g = Smoothing(m=m, n=n, l=l)
+    p = MpParams(sigma2, g.c_n)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, verify._TAG_QUAD]))
+    v = complex_gaussian(rng, (m, n), math.sqrt(sigma2))
+    zmat = block_hankel(v, l) / math.sqrt(g.virtual_snapshots)
+
+    def unit(dim):
+        x = complex_gaussian(rng, dim)
+        return x / np.linalg.norm(x)
+
+    a, b = unit(g.subarray_size), unit(g.subarray_size)
+    at, bt = unit(g.virtual_snapshots), unit(g.virtual_snapshots)
+    gram = zmat @ zmat.conj().T - z * np.eye(g.subarray_size)
+    gram_t = zmat.conj().T @ zmat - z * np.eye(g.virtual_snapshots)
+    return (
+        abs(a.conj() @ np.linalg.solve(gram, b) - mp_stieltjes(z, p) * (a.conj() @ b)),
+        abs(at.conj() @ np.linalg.solve(gram_t, bt) - mp_stieltjes_tilde(z, p) * (at.conj() @ bt)),
+        abs(a.conj() @ np.linalg.solve(gram, zmat @ bt)),
+    )
+
+
+@pytest.mark.parametrize(
+    "m, n, l, sigma2, z",
+    [
+        (80, 25, 8, 1.0, 1.5 * MpParams(1.0, 73 / 200).edge_plus),  # real, above the edge
+        (80, 25, 8, 1.0, 0.8 + 0.3j),  # complex, over the bulk
+        (80, 25, 8, 1.0, -0.7),  # negative real
+        (60, 4, 3, 0.5, 1.5 * MpParams(0.5, 58 / 12).edge_plus),  # c_N > 1
+        (60, 4, 3, 0.5, 2.0 - 1.0j),  # c_N > 1, complex
+    ],
+)
+def test_quadratic_form_check_matches_direct_co_resolvent(m, n, l, sigma2, z):
+    """The push-through co-resolvent form equals the direct N L x N L solve."""
+    for seed in range(3):
+        got = quadratic_form_check(m, n, l, sigma2, z, seed=seed)
+        np.testing.assert_allclose(got, _direct_residuals(m, n, l, sigma2, z, seed), rtol=1e-10, atol=0)
 
 
 def test_run_verification_suite_all_rows_pass():
