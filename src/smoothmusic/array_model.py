@@ -30,6 +30,7 @@ __all__ = [
     "draw_signal_matrix",
     "haar_columns",
     "hankelize",
+    "min_spacing",
     "signal_covariance",
     "signal_covariance_hadamard",
     "smoothed_signal_part",
@@ -180,6 +181,16 @@ def wrap_angle(theta):
     # np.mod can round a tiny negative argument up to exactly 2 pi
     wrapped = np.where(wrapped >= math.pi, wrapped - 2.0 * math.pi, wrapped)
     return np.where((t >= -math.pi) & (t < math.pi), t, wrapped)
+
+
+def min_spacing(doas) -> float:
+    """Least distance on the circle between two of at least two angles.
+
+    The gap across the seam, 2 pi minus the span of the wrapped angles,
+    counts like any other.
+    """
+    t = np.sort(wrap_angle(doas))
+    return float(min(np.min(np.diff(t)), 2.0 * math.pi - (t[-1] - t[0])))
 
 
 def steering_derivative(m: int, theta: float) -> np.ndarray:

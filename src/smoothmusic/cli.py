@@ -34,6 +34,7 @@ import numpy as np
 
 from . import montecarlo, verify
 from .array_model import ArrayScenario, Smoothing, hankelize, synthesize_snapshots, wrap_angle
+from .rmt import MpParams
 from .subspace import (
     NotSeparatedError,
     Pseudospectrum,
@@ -350,7 +351,7 @@ def cmd_spectrum(cfg: dict, scenario: ArrayScenario):
         raise ConfigError(f"empty spectrum window [{spec['lo']}, {spec['hi']}]")
     snapshots = synthesize_snapshots(scenario)
     eig = sample_covariance_eig(hankelize(snapshots, scenario.l), scenario.k)
-    weights, _ = gmusic_weights(
+    weights = gmusic_weights(
         eig, noise_variance_estimate(eig), eig.c_n, strict=spec["strict_separation"]
     )
     grid = np.linspace(spec["lo"], spec["hi"], grid_points)
@@ -450,12 +451,10 @@ def cmd_septable(cfg: dict, scenario: ArrayScenario):
 def cmd_verify(cfg: dict, flag_seed: Optional[int]):
     vc = cfg["verify"]
     seed = _resolve_seed(vc["seed"], flag_seed)
-    if vc["sigma2"] <= 0:
-        raise ConfigError(f"sigma2 must be positive, got {vc['sigma2']}")
     if vc["trials"] < 2:
         raise ConfigError(f"trials must be >= 2, got {vc['trials']}")
     try:
-        Smoothing(m=vc["m"], n=vc["n"], l=vc["l"])
+        MpParams(vc["sigma2"], Smoothing(m=vc["m"], n=vc["n"], l=vc["l"]).c_n)
     except ValueError as exc:
         raise ConfigError(f"invalid [verify]: {exc}") from exc
     log.info(

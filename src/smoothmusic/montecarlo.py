@@ -31,6 +31,7 @@ from .array_model import (
     block_hankel,
     complex_gaussian,
     draw_signal_matrix,
+    min_spacing,
     steering_derivative,
     steering_matrix,
     wrap_angle,
@@ -200,10 +201,9 @@ def _matched_errors(theta_hat: np.ndarray, doas: Sequence[float]) -> np.ndarray:
 
 def _failure_threshold(doas: Sequence[float], m: int) -> float:
     """Error beyond this marks a trial as failed: half the minimum source
-    spacing, or half a beamwidth for a lone source."""
-    ds = sorted(doas)
-    if len(ds) >= 2:
-        return 0.5 * min(b - a for a, b in zip(ds, ds[1:]))
+    spacing on the circle, or half a beamwidth for a lone source."""
+    if len(doas) >= 2:
+        return 0.5 * min_spacing(doas)
     return math.pi / m
 
 
@@ -242,7 +242,7 @@ def _run_trial(task):
             else:
                 if lval not in weights:
                     sigma2_hat = subspace.noise_variance_estimate(eig)
-                    weights[lval] = subspace.gmusic_weights(eig, sigma2_hat, eig.c_n, strict)[0]
+                    weights[lval] = subspace.gmusic_weights(eig, sigma2_hat, eig.c_n, strict)
                 spectrum = subspace.Pseudospectrum(eig, weights[lval])
             theta_hat = subspace.find_doas(spectrum, k, policy, m)
         except (subspace.UnderResolvedError, subspace.NotSeparatedError):

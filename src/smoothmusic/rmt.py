@@ -14,13 +14,11 @@ survives in the sample eigenvector (``h_star``).
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate
 
 __all__ = [
     "BelowEdgeError",
@@ -110,39 +108,35 @@ def mp_density(x, p: MpParams):
     return out
 
 
-@functools.lru_cache(maxsize=64)
-def _bulk_mass_table(sigma2: float, c: float):
-    # Cumulative mass of the continuous part on a substitution grid
-    # x(u) = lo + (hi - lo) sin^2(u): the integrand becomes smooth in u,
-    # so a dense trapezoid rule resolves the sqrt edges to ~1e-9.
-    p = MpParams(sigma2, c)
-    lo, hi = p.edge_minus, p.edge_plus
-    span = hi - lo
-    u = np.linspace(0.0, math.pi / 2.0, 16385)
-    x = lo + span * np.sin(u) ** 2
-    # guard the x=0 endpoint when c = 1 (integrable 1/sqrt singularity)
-    x = np.maximum(x, 1e-300)
-    integrand = span**2 * np.sin(2.0 * u) ** 2 / (4.0 * math.pi * sigma2 * c * x)
-    mass = integrate.cumulative_trapezoid(integrand, u, initial=0.0)
-    # normalize the tiny quadrature defect so the full CDF reaches exactly 1
-    target = 1.0 - mp_atom(p)
-    if mass[-1] > 0:
-        mass = mass * (target / mass[-1])
-    return u, mass
-
-
 def mp_cdf(x, p: MpParams):
-    """CDF of the full MP law (atom at zero included)."""
-    u_grid, mass = _bulk_mass_table(p.sigma2, p.c)
-    lo, hi = p.edge_minus, p.edge_plus
-    span = hi - lo
-    atom = mp_atom(p)
+    """CDF of the full MP law (atom at zero included), in closed form.
+
+    In y = x / sigma2 the bulk density is sqrt((b - y)(y - a)) / (2 pi c y)
+    with edges a, b = (1 -+ sqrt(c))^2.  Substituting
+    y = 1 + c - 2 sqrt(c) cos(t), t in [0, pi], the bulk mass up to y is
+
+        (2 sqrt(c) sin t + (1 + c) t - |1 - c| atan2(|1 - c| sin t,
+        (1 + c) cos t - 2 sqrt(c))) / (2 pi c),
+
+    0 at a and min(1, 1/c) at b.  Every term is smooth in t, so rounding near
+    an edge costs no more than rounding elsewhere, where terms in
+    sqrt(b - y) would lose half the digits; at c = 1 (a = 0) the last term
+    is exactly 0.
+    """
+    c = p.c
+    root_c = math.sqrt(c)
     x_arr = np.asarray(x, dtype=float)
-    frac = np.clip((x_arr - lo) / span, 0.0, 1.0)
-    u = np.arcsin(np.sqrt(frac))
-    bulk = np.interp(u, u_grid, mass)
-    out = np.where(x_arr >= 0.0, atom, 0.0) + np.where(x_arr >= lo, bulk, 0.0)
-    out = np.where(x_arr >= hi, 1.0, out)
+    y = x_arr / p.sigma2
+    t = np.arccos(np.clip((1.0 + c - y) / (2.0 * root_c), -1.0, 1.0))
+    sin_t = np.sin(t)
+    gap = abs(1.0 - c)
+    bulk = (
+        2.0 * root_c * sin_t
+        + (1.0 + c) * t
+        - gap * np.arctan2(gap * sin_t, (1.0 + c) * np.cos(t) - 2.0 * root_c)
+    ) / (2.0 * math.pi * c)
+    out = np.where(x_arr >= 0.0, mp_atom(p), 0.0) + np.where(x_arr > p.edge_minus, bulk, 0.0)
+    out = np.where(x_arr >= p.edge_plus, 1.0, out)
     if np.ndim(x) == 0:
         return float(out)
     return out

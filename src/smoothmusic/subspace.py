@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .array_model import (
     ArrayScenario,
     SmoothedMatrix,
+    min_spacing,
     smoothed_steering_set,
     steering_matrix,
     wrap_angle,
@@ -32,25 +33,20 @@ from .rmt import BelowEdgeError, MpParams, h_star
 
 __all__ = [
     "EigenSystem",
-    "GMusicWeight",
     "KnownIntervals",
     "NotSeparatedError",
     "Pseudospectrum",
     "SearchWindow",
-    "SeparationCheck",
     "SeparationReport",
     "SpectrumTrace",
     "UnderResolvedError",
     "find_doas",
     "gmusic_pseudospectrum",
-    "gmusic_weight",
     "gmusic_weights",
     "intervals_around",
     "noise_variance_estimate",
     "sample_covariance_eig",
-    "separation_closely_spaced",
     "separation_report",
-    "separation_widely_spaced",
     "spectrum_trace",
     "traditional_pseudospectrum",
 ]
@@ -103,20 +99,6 @@ class EigenSystem:
     @property
     def dim(self) -> int:
         return self.eigenvalues.size
-
-
-class GMusicWeight(NamedTuple):
-    """Spike weight 1/h(lambda_hat); separated is False at or below the edge."""
-
-    value: float
-    separated: bool
-
-
-class SeparationCheck(NamedTuple):
-    separated: bool
-    margin: float
-    statistic: float
-    threshold: float
 
 
 @dataclass(frozen=True)
@@ -189,8 +171,8 @@ class KnownIntervals:
 def intervals_around(doas: Sequence[float], m: int) -> KnownIntervals:
     """Disjoint intervals centered on known DoAs.
 
-    Half-width is INTERVAL_FRAC / 2 times the minimum source spacing; a lone
-    source gets half a beamwidth.
+    Half-width is INTERVAL_FRAC / 2 times the minimum source spacing on the
+    circle; a lone source gets half a beamwidth.
     """
     doas = sorted(float(t) for t in doas)
     if not doas:
@@ -198,8 +180,7 @@ def intervals_around(doas: Sequence[float], m: int) -> KnownIntervals:
     if len(doas) == 1:
         half = math.pi / m
     else:
-        spacing = min(b - a for a, b in zip(doas, doas[1:]))
-        half = 0.5 * INTERVAL_FRAC * spacing
+        half = 0.5 * INTERVAL_FRAC * min_spacing(doas)
     return KnownIntervals(intervals=tuple((t - half, t + half) for t in doas))
 
 
@@ -280,52 +261,38 @@ def traditional_pseudospectrum(eig: EigenSystem, theta):
     return val
 
 
-def gmusic_weight(lambda_hat: float, sigma2: float, c: float) -> GMusicWeight:
-    """Weight 1/h(lambda_hat) for one top eigenvalue, or a non-separated tag.
+def gmusic_weights(eig: EigenSystem, sigma2: float, c: float, strict: bool = False) -> np.ndarray:
+    """Spike weights 1/h(lambda_hat) for the k top eigenvalues.
 
-    At or below the bulk edge the weight is clamped to 1 (the traditional
-    projection weight) and tagged separated=False; caller policy decides
-    whether that is an error.
+    A top eigenvalue at or below the bulk edge does not separate: its
+    weight is clamped to exactly 1, the traditional projection weight, or
+    ``strict`` raises :class:`NotSeparatedError` instead.
     """
     p = MpParams(sigma2, c)
-    try:
-        return GMusicWeight(1.0 / h_star(lambda_hat, p), True)
-    except BelowEdgeError:
-        return GMusicWeight(1.0, False)
-
-
-def gmusic_weights(eig: EigenSystem, sigma2: float, c: float, strict: bool = False):
-    """Vector of spike weights for the k top eigenvalues, plus separation mask.
-
-    ``strict`` turns a top eigenvalue at or below the bulk edge into
-    :class:`NotSeparatedError` instead of a clamped weight.
-    """
-    pairs = [gmusic_weight(lv, sigma2, c) for lv in eig.eigenvalues[: eig.k]]
-    values = np.array([p.value for p in pairs])
-    separated = np.array([p.separated for p in pairs], dtype=bool)
-    if strict and not np.all(separated):
-        bad = np.flatnonzero(~separated)
-        raise NotSeparatedError(bad, eig.eigenvalues[: eig.k], MpParams(sigma2, c).edge_plus)
-    return values, separated
+    top = eig.eigenvalues[: eig.k]
+    weights = np.ones(eig.k)
+    below = []
+    for i, lam in enumerate(top):
+        try:
+            weights[i] = 1.0 / h_star(lam, p)
+        except BelowEdgeError:
+            below.append(i)
+    if strict and below:
+        raise NotSeparatedError(below, top, p.edge_plus)
+    return weights
 
 
 def gmusic_pseudospectrum(
-    eig: EigenSystem,
-    sigma2: float,
-    c: float,
-    theta,
-    weights: Optional[np.ndarray] = None,
-    strict: bool = False,
+    eig: EigenSystem, sigma2: float, c: float, theta, weights: Optional[np.ndarray] = None
 ):
     """G-MUSIC SS estimator a*(I - sum_k (1/h(lam_k)) u_k u_k*) a.
 
     May be negative at finite sizes.  ``weights`` overrides the spike
-    weights (all ones reproduces the traditional estimator before
-    clipping), and sigma2, c and strict are then unused; ``strict`` is
-    passed to :func:`gmusic_weights`.
+    weights of :func:`gmusic_weights` (all ones reproduces the traditional
+    estimator before clipping), and sigma2 and c are then unused.
     """
     if weights is None:
-        weights, _ = gmusic_weights(eig, sigma2, c, strict=strict)
+        weights = gmusic_weights(eig, sigma2, c)
     else:
         weights = np.asarray(weights, dtype=float)
         if weights.shape != (eig.k,):
@@ -551,34 +518,3 @@ def separation_report(scenario: ArrayScenario, signal: np.ndarray) -> Separation
         min_snr_db=min_snr_db,
         c_n=scenario.c_n,
     )
-
-
-def separation_widely_spaced(a_set: np.ndarray, d: np.ndarray, sigma2: float, d_star: float, l: int) -> SeparationCheck:
-    """Asymptotic condition for widely spaced sources.
-
-    Checks lambda_K(A* A D) > sigma2 sqrt(d_star) / sqrt(l) with A the
-    subarray steering set and D the diagonal source-power matrix (given as
-    a vector).  The eigenvalues of A*A D are those of the Hermitian
-    D^(1/2) A*A D^(1/2).
-    """
-    d = np.asarray(d, dtype=float)
-    if np.any(d <= 0):
-        raise ValueError("source powers must be positive")
-    g = a_set.conj().T @ a_set
-    ds = np.sqrt(d)
-    h = ds[:, None] * g * ds[None, :]
-    lam_k = float(np.linalg.eigvalsh(h)[0])
-    threshold = sigma2 * math.sqrt(d_star) / math.sqrt(l)
-    return SeparationCheck(lam_k > threshold, lam_k - threshold, lam_k, threshold)
-
-
-def separation_closely_spaced(kappa: float, sigma2: float, c_star: float) -> SeparationCheck:
-    """Asymptotic condition 1 - |sinc(kappa/2)| > sigma2 c_star.
-
-    kappa is the scaled spacing M (theta_2 - theta_1); sinc x = sin(x)/x.
-    """
-    x = kappa / 2.0
-    sinc = 1.0 if x == 0 else math.sin(x) / x
-    statistic = 1.0 - abs(sinc)
-    threshold = sigma2 * c_star
-    return SeparationCheck(statistic > threshold, statistic - threshold, statistic, threshold)

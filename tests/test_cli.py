@@ -339,6 +339,23 @@ seed = 0
         ["verify", "--config", _write(tmp_path, ini.replace("l = 8", "l = 64"), "v64.ini")], capsys
     )
     assert code3 == 2 and "invalid [verify]" in err
+    for sigma2 in ("nan", "inf", "0"):
+        bad = ini.replace("trials = 2", f"trials = 2\nsigma2 = {sigma2}")
+        code4, _, err = _run(["verify", "--config", _write(tmp_path, bad, "vs.ini")], capsys)
+        assert code4 == 2 and "invalid [verify]" in err and "sigma2" in err, (sigma2, err)
+
+
+def test_import_does_not_load_quadrature():
+    """The MP CDF is closed form, so `import smoothmusic.cli` leaves
+    scipy.integrate unloaded; a fresh interpreter, so other tests' imports
+    cannot hide a regression."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, smoothmusic.cli; print('scipy.integrate' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_console_script_matches_in_process(tmp_path, capsys):

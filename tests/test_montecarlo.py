@@ -19,6 +19,7 @@ from smoothmusic.montecarlo import (
     ESTIMATORS,
     ExperimentPlan,
     MseTable,
+    _failure_threshold,
     _matched_errors,
     consistency_sweep,
     crb,
@@ -178,6 +179,21 @@ def test_matched_errors_wrap_around_the_circle():
     # the assignment also measures distance on the circle
     err = _matched_errors(np.array([1.0001, math.pi - 1e-3]), [-math.pi + 1e-3, 1.0])
     np.testing.assert_allclose(err, [-0.002, 1e-4], atol=1e-12)
+
+
+def test_sources_across_the_seam_are_as_close_as_across_zero():
+    """Sources 0.1 apart across +-pi get the failure threshold 0.05, and the
+    interval search finds them as well as the same pair rotated onto 0."""
+    seam = (-math.pi + 0.05, math.pi - 0.05)
+    assert _failure_threshold(seam, 64) == pytest.approx(0.05, rel=1e-12)
+    mse = []
+    for doas in (seam, (-0.05, 0.05)):
+        sc = ArrayScenario(m=64, n=20, l=8, doas=doas, snr_db=20.0, seed=1)
+        plan = ExperimentPlan(
+            scenario=sc, sweep="snr_db", values=(20.0,), trials=20, estimators=("music-ss",)
+        )
+        mse.append(max(r.mse for r in run_plan(plan).rows))
+    assert 0.1 < mse[0] / mse[1] < 10.0, f"seam mse {mse[0]} vs rotated {mse[1]}"
 
 
 def test_run_plan_strict_separation_counts_bulk_collisions():

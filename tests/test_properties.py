@@ -5,13 +5,15 @@ through steering_matrix and against the rotation identity it implies, and
 the DoA search against the angle the circle starts at; conjugating the
 snapshots mirrors both spectra; the thin-SVD eigen path is checked against
 a dense eigh of the same covariance; a source count above the rank of the
-covariance must still give finite results; and the Kronecker, Hadamard and
-K x K forms of the smoothed signal covariance agree.
+covariance must still give finite results; the Kronecker, Hadamard and
+K x K forms of the smoothed signal covariance agree; and the closed-form MP
+CDF differentiates to the density and carries the bulk mass min(1, 1/c).
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -27,6 +29,7 @@ from smoothmusic.array_model import (
     synthesize_snapshots,
     wrap_angle,
 )
+from smoothmusic.rmt import MpParams, mp_atom, mp_cdf, mp_density
 from smoothmusic.subspace import (
     EigenSystem,
     Pseudospectrum,
@@ -106,7 +109,7 @@ def test_conjugate_snapshots_mirror_both_spectra(l, k, doas, p, seed):
     # a near-degenerate top-k eigenvalue leaves its eigenvectors ill defined
     assume(np.min(np.abs(np.diff(vals[: k + 1]))) > 1e-3 * vals[0])
     np.testing.assert_allclose(eig_c.eigenvalues, vals, rtol=0, atol=1e-12 * vals[0])
-    weights, _ = gmusic_weights(eig, noise_variance_estimate(eig), eig.c_n)
+    weights = gmusic_weights(eig, noise_variance_estimate(eig), eig.c_n)
     mirror = (-np.arange(p)) % p
     for w in (None, weights):
         want = Pseudospectrum(eig, w).on_circle(-math.pi, p)[mirror]
@@ -170,7 +173,7 @@ def test_find_doas_does_not_depend_on_where_the_circle_starts(doa, spacing, delt
     second = float(wrap_angle(doa + spacing * beamwidth))
     sc = ArrayScenario(m=m, n=20, l=4, doas=(doa, second), snr_db=30.0, seed=seed)
     eig = sample_covariance_eig(hankelize(synthesize_snapshots(sc), sc.l), sc.k)
-    weights, _ = gmusic_weights(eig, noise_variance_estimate(eig), eig.c_n)
+    weights = gmusic_weights(eig, noise_variance_estimate(eig), eig.c_n)
     shifted = SearchWindow(lo=delta - math.pi, hi=delta + math.pi)
     for spectrum in (Pseudospectrum(eig), Pseudospectrum(eig, weights)):
         base = find_doas(spectrum, 2, SearchWindow(), m)
@@ -215,3 +218,22 @@ def test_separation_report_matches_kronecker_and_hadamard_eigenvalues(m, data, s
     for cov in (signal_covariance(sc, signal), signal_covariance_hadamard(sc, signal)):
         want = np.linalg.eigvalsh(0.5 * (cov + cov.conj().T))[::-1][:k]
         np.testing.assert_allclose(lam, want, rtol=0, atol=1e-10 * want[0])
+
+
+@given(
+    c=st.one_of(st.just(1.0), st.floats(0.01, 10.0)),
+    sigma2=st.floats(0.1, 10.0),
+    frac=st.floats(0.01, 0.99),
+)
+def test_mp_cdf_differentiates_to_the_density(c, sigma2, frac):
+    """A central difference of the CDF is the density inside the bulk, and
+    the CDF climbs from the atom at the lower edge to 1 at the upper one."""
+    p = MpParams(sigma2, c)
+    span = p.edge_plus - p.edge_minus
+    x = p.edge_minus + frac * span
+    h = 1e-5 * span
+    slope = (mp_cdf(x + h, p) - mp_cdf(x - h, p)) / (2.0 * h)
+    assert slope == pytest.approx(mp_density(x, p), rel=1e-5)
+    below, above = mp_cdf(np.array([p.edge_minus, np.nextafter(p.edge_plus, 0.0)]), p)
+    assert below == mp_atom(p)
+    assert above - below == pytest.approx(min(1.0, 1.0 / c), abs=1e-12)

@@ -35,14 +35,11 @@ from smoothmusic.subspace import (
     UnderResolvedError,
     find_doas,
     gmusic_pseudospectrum,
-    gmusic_weight,
     gmusic_weights,
     intervals_around,
     noise_variance_estimate,
     sample_covariance_eig,
-    separation_closely_spaced,
     separation_report,
-    separation_widely_spaced,
     spectrum_trace,
     traditional_pseudospectrum,
 )
@@ -129,20 +126,23 @@ def test_traditional_pseudospectrum_projector_identity():
 
 def test_gmusic_weight_exact_rational_case():
     """lambda = 3.75 at sigma2 = 1, c = 0.5 gives attenuation 0.7, weight 10/7."""
-    w = gmusic_weight(3.75, 1.0, 0.5)
-    assert w.separated
-    assert w.value == pytest.approx(10.0 / 7.0, rel=1e-12)
+    edge = MpParams(1.0, 0.5).edge_plus
+    eig = EigenSystem(
+        eigenvalues=np.array([3.75, edge, 0.5 * edge, 0.2]),
+        eigenvectors=np.eye(4, dtype=complex),
+        k=3,
+        c_n=0.5,
+    )
+    weights = gmusic_weights(eig, 1.0, 0.5)
+    assert weights[0] == pytest.approx(10.0 / 7.0, rel=1e-12)
     # the inverse: h at the mapped location is exactly 0.7
     assert h_star(3.75, MpParams(1.0, 0.5)) == pytest.approx(0.7, rel=1e-12)
     # at or below the bulk edge the weight clamps to the traditional value
-    edge = MpParams(1.0, 0.5).edge_plus
-    for lam in (edge, 0.5 * edge):
-        w = gmusic_weight(lam, 1.0, 0.5)
-        assert w == (1.0, False)
+    assert weights[1:].tolist() == [1.0, 1.0]
 
 
 def test_gmusic_weights_vector_and_mask():
-    """Per-eigenvalue weights and the separation mask line up."""
+    """Per-eigenvalue weights line up; exactly 1.0 marks a non-separated one."""
     edge = MpParams(1.0, 0.5).edge_plus
     eig = EigenSystem(
         eigenvalues=np.array([10.0, 3.75, 0.5 * edge, 0.2]),
@@ -150,9 +150,9 @@ def test_gmusic_weights_vector_and_mask():
         k=3,
         c_n=0.5,
     )
-    values, separated = gmusic_weights(eig, 1.0, 0.5)
+    values = gmusic_weights(eig, 1.0, 0.5)
     assert values.shape == (3,)
-    assert separated.tolist() == [True, True, False]
+    assert (values > 1.0).tolist() == [True, True, False]
     assert values[1] == pytest.approx(10.0 / 7.0, rel=1e-12)
     assert values[2] == 1.0
 
@@ -191,11 +191,11 @@ def test_gmusic_strict_separation_error():
         c_n=0.5,
     )
     with pytest.raises(NotSeparatedError) as info:
-        gmusic_pseudospectrum(eig, 1.0, 0.5, 0.1, strict=True)
+        gmusic_weights(eig, 1.0, 0.5, strict=True)
     assert info.value.indices == (0,)
     assert info.value.edge_plus == pytest.approx(p.edge_plus, rel=1e-12)
-    # non-strict clamps instead: equals the traditional value
-    lax = gmusic_pseudospectrum(eig, 1.0, 0.5, 0.1, strict=False)
+    # the pseudo-spectrum clamps instead: equals the traditional value
+    lax = gmusic_pseudospectrum(eig, 1.0, 0.5, 0.1)
     assert lax == pytest.approx(0.75, rel=1e-12)
 
 
@@ -275,7 +275,7 @@ def test_spectrum_trace_whole_circle_has_no_seam():
     """A trace grid whose ends are 2 pi apart is searched as a circle."""
     sc = ArrayScenario(m=32, n=20, l=1, doas=(-math.pi + 1e-3, 1.0), snr_db=30.0, seed=0)
     eig = sample_covariance_eig(hankelize(synthesize_snapshots(sc), sc.l), sc.k)
-    weights, _ = gmusic_weights(eig, noise_variance_estimate(eig), eig.c_n)
+    weights = gmusic_weights(eig, noise_variance_estimate(eig), eig.c_n)
     grid = np.linspace(-math.pi, math.pi, 1024)
     for spectrum in (Pseudospectrum(eig), Pseudospectrum(eig, weights)):
         thetas = sorted(t for t, _ in spectrum_trace(spectrum, grid).minima)
@@ -297,6 +297,12 @@ def test_intervals_around_arithmetic():
     iv = intervals_around((0.0, 0.4), m=20)
     np.testing.assert_allclose(iv.intervals[0], (-0.19, 0.19), atol=1e-12)
     np.testing.assert_allclose(iv.intervals[1], (0.21, 0.59), atol=1e-12)
+    # the spacing is measured on the circle: 0.1 across the seam at +-pi
+    seam = intervals_around((math.pi - 0.05, -math.pi + 0.05), m=64)
+    np.testing.assert_allclose(
+        seam.intervals, [(-math.pi + 0.0025, -math.pi + 0.0975), (math.pi - 0.0975, math.pi - 0.0025)],
+        atol=1e-12,
+    )
     lone = intervals_around((0.5,), m=10)
     np.testing.assert_allclose(lone.intervals[0], (0.5 - math.pi / 10, 0.5 + math.pi / 10), atol=1e-12)
     with pytest.raises(ValueError):
@@ -328,7 +334,7 @@ def test_spectrum_trace_minima_and_validation():
     eig = sample_covariance_eig(hankelize(synthesize_snapshots(sc), l), sc.k)
     grid = np.linspace(-math.pi, math.pi, 2048)
     trad = spectrum_trace(Pseudospectrum(eig), grid)
-    weights, _ = gmusic_weights(eig, noise_variance_estimate(eig), eig.c_n)
+    weights = gmusic_weights(eig, noise_variance_estimate(eig), eig.c_n)
     gm = spectrum_trace(Pseudospectrum(eig, weights), grid)
     for trace, name in ((trad, "traditional"), (gm, "g-music")):
         assert trace.values.shape == grid.shape
@@ -339,39 +345,6 @@ def test_spectrum_trace_minima_and_validation():
             assert depth <= np.min(trace.values) + 1e-6
     # the clipped spectrum stays in [0, 1]; the corrected one is unclipped
     assert np.all(trad.values >= 0.0) and np.all(trad.values <= 1.0)
-
-
-def test_separation_widely_spaced_orthogonal_arithmetic():
-    """Orthogonal steering columns reduce the condition to min source power."""
-    u = 8
-    angles = [2 * math.pi * q / u for q in (0, 2, 5)]
-    a_set = steering_matrix(u, angles)
-    np.testing.assert_allclose(a_set.conj().T @ a_set, np.eye(3), atol=1e-12)
-    powers = np.array([2.0, 1.0, 0.5])
-    check = separation_widely_spaced(a_set, powers, sigma2=0.4, d_star=0.25, l=4)
-    assert check.statistic == pytest.approx(0.5, rel=1e-12)
-    assert check.threshold == pytest.approx(0.4 * 0.5 / 2.0, rel=1e-12)
-    assert check.separated
-    assert check.margin == pytest.approx(0.4, rel=1e-12)
-    # a large noise power flips the verdict
-    flipped = separation_widely_spaced(a_set, powers, sigma2=10.0, d_star=0.25, l=4)
-    assert not flipped.separated
-    with pytest.raises(ValueError):
-        separation_widely_spaced(a_set, np.array([1.0, -1.0, 0.5]), 1.0, 0.25, 4)
-
-
-def test_separation_closely_spaced_arithmetic():
-    """kappa = pi gives statistic 1 - 2/pi; zero spacing never separates."""
-    check = separation_closely_spaced(math.pi, sigma2=0.1, c_star=0.5)
-    assert check.statistic == pytest.approx(1.0 - 2.0 / math.pi, rel=1e-12)
-    assert check.threshold == pytest.approx(0.05, rel=1e-12)
-    assert check.separated
-    # sign of the spacing is immaterial
-    neg = separation_closely_spaced(-math.pi, sigma2=0.1, c_star=0.5)
-    assert neg.statistic == pytest.approx(check.statistic, rel=1e-15)
-    zero = separation_closely_spaced(0.0, sigma2=0.1, c_star=0.5)
-    assert zero.statistic == 0.0
-    assert not zero.separated
 
 
 def test_separation_report_single_source_closed_form():
