@@ -24,18 +24,19 @@ __all__ = [
     "ArrayScenario",
     "SmoothedMatrix",
     "Smoothing",
-    "SnapshotMatrix",
     "block_hankel",
     "complex_gaussian",
     "draw_signal_matrix",
     "haar_columns",
     "hankelize",
     "min_spacing",
+    "observe",
     "signal_covariance",
     "signal_covariance_hadamard",
     "smoothed_signal_part",
     "smoothed_steering",
     "smoothed_steering_set",
+    "source_matrix",
     "steering_derivative",
     "steering_matrix",
     "steering_vector",
@@ -136,14 +137,12 @@ class ArrayScenario(Smoothing):
     def beamwidth(self) -> float:
         return 2.0 * math.pi / self.m
 
-
-@dataclass(frozen=True)
-class SnapshotMatrix:
-    """Synthesized observations Y = A S + V with the two parts retained."""
-
-    entries: np.ndarray
-    signal_part: np.ndarray
-    noise_part: np.ndarray
+    def check_signal(self, signal) -> np.ndarray:
+        """The source matrix as a complex K x N array; any other shape is rejected."""
+        s = np.asarray(signal, dtype=complex)
+        if s.shape != (self.k, self.n):
+            raise ValueError(f"signal has shape {s.shape}, expected {(self.k, self.n)}")
+        return s
 
 
 @dataclass(frozen=True)
@@ -231,40 +230,47 @@ def draw_signal_matrix(k: int, n: int, policy: str, rng: np.random.Generator) ->
     raise ValueError(f"policy {policy!r} does not draw signals")
 
 
-def synthesize_snapshots(
-    scenario: ArrayScenario, signal: Optional[np.ndarray] = None
-) -> SnapshotMatrix:
-    """Generate Y = A S + V for the scenario.
+def source_matrix(
+    scenario: ArrayScenario, signal: Optional[np.ndarray], rng: np.random.Generator
+) -> np.ndarray:
+    """The K x N source matrix S of a scenario.
 
-    The signal matrix is drawn first, then the noise, from a single stream
-    seeded by scenario.seed, so equal scenarios give bitwise-equal output.
-    Under the fixed-matrix policy the caller supplies ``signal`` (K x N,
-    rank K) and the stream is spent on noise only.
+    Under the fixed-matrix policy it is the caller's ``signal``, which must
+    be finite and of full row rank K; a drawing policy draws it from rng
+    and refuses a ``signal``.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(scenario.seed))
-    k, n, m = scenario.k, scenario.n, scenario.m
-    if scenario.signal_policy == "fixed-matrix":
-        if signal is None:
-            raise ValueError("fixed-matrix policy requires a signal matrix")
-        s = np.asarray(signal, dtype=complex)
-        if s.shape != (k, n):
-            raise ValueError(f"signal has shape {s.shape}, expected {(k, n)}")
-        if not np.all(np.isfinite(s.view(float))):
-            raise ValueError("signal matrix contains non-finite entries")
-        if k and np.linalg.matrix_rank(s) != k:
-            raise ValueError("signal matrix must have full row rank k")
-    else:
+    if scenario.signal_policy != "fixed-matrix":
         if signal is not None:
             raise ValueError(f"policy {scenario.signal_policy!r} draws its own signal")
-        s = draw_signal_matrix(k, n, scenario.signal_policy, rng)
-    a = steering_matrix(m, scenario.doas) if k else np.zeros((m, 0), dtype=complex)
-    signal_part = a @ s
-    noise_part = complex_gaussian(rng, (m, n), math.sqrt(scenario.sigma2))
-    return SnapshotMatrix(
-        entries=signal_part + noise_part,
-        signal_part=signal_part,
-        noise_part=noise_part,
+        return draw_signal_matrix(scenario.k, scenario.n, scenario.signal_policy, rng)
+    if signal is None:
+        raise ValueError("fixed-matrix policy requires a signal matrix")
+    s = scenario.check_signal(signal)
+    if not np.all(np.isfinite(s.view(float))):
+        raise ValueError("signal matrix contains non-finite entries")
+    if scenario.k and np.linalg.matrix_rank(s) != scenario.k:
+        raise ValueError("signal matrix must have full row rank k")
+    return s
+
+
+def observe(scenario: ArrayScenario, signal: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """M x N snapshots Y = A S + V, with the noise V drawn from rng."""
+    m = scenario.m
+    return steering_matrix(m, scenario.doas) @ signal + complex_gaussian(
+        rng, (m, scenario.n), math.sqrt(scenario.sigma2)
     )
+
+
+def synthesize_snapshots(scenario: ArrayScenario, signal: Optional[np.ndarray] = None) -> np.ndarray:
+    """Generate the M x N snapshots Y = A S + V of the scenario.
+
+    The source matrix is resolved first (see :func:`source_matrix`), then
+    the noise is drawn, from a single stream seeded by scenario.seed, so
+    equal scenarios give bitwise-equal output.  Under the fixed-matrix
+    policy the stream is spent on noise only.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(scenario.seed))
+    return observe(scenario, source_matrix(scenario, signal, rng), rng)
 
 
 def block_hankel(y: np.ndarray, l: int) -> np.ndarray:
@@ -291,10 +297,10 @@ def block_hankel(y: np.ndarray, l: int) -> np.ndarray:
     return out
 
 
-def hankelize(snapshots: SnapshotMatrix, l: int) -> SmoothedMatrix:
-    """Spatially smooth a snapshot matrix."""
-    m, n = snapshots.entries.shape
-    return SmoothedMatrix(entries=block_hankel(snapshots.entries, l), m=m, n=n, l=l)
+def hankelize(y: np.ndarray, l: int) -> SmoothedMatrix:
+    """Spatially smooth an M x N snapshot matrix."""
+    m, n = y.shape
+    return SmoothedMatrix(entries=block_hankel(y, l), m=m, n=n, l=l)
 
 
 def smoothed_steering(theta: float, m: int, l: int) -> np.ndarray:
@@ -323,9 +329,7 @@ def smoothed_signal_part(scenario: ArrayScenario, signal: np.ndarray) -> np.ndar
     B = A^(L) (S kron I_L) / sqrt(N L); hankelize(A_M S) equals
     B * sqrt(N L) exactly.
     """
-    s = np.asarray(signal, dtype=complex)
-    if s.shape != (scenario.k, scenario.n):
-        raise ValueError(f"signal has shape {s.shape}, expected {(scenario.k, scenario.n)}")
+    s = scenario.check_signal(signal)
     a_set = smoothed_steering_set(scenario.doas, scenario.m, scenario.l)
     if scenario.k == 0:
         return np.zeros((scenario.subarray_size, scenario.virtual_snapshots), dtype=complex)
@@ -346,7 +350,7 @@ def signal_covariance_hadamard(scenario: ArrayScenario, signal: np.ndarray) -> n
     is the elementwise product.  Used as a cross-check of the Kronecker
     construction.
     """
-    s = np.asarray(signal, dtype=complex)
+    s = scenario.check_signal(signal)
     m, l, n = scenario.m, scenario.l, scenario.n
     u = scenario.subarray_size
     if scenario.k == 0:

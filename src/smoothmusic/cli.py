@@ -2,8 +2,8 @@
 
 Four subcommands cover the toolkit's batch workflows::
 
-    smoothmusic spectrum   --config run.ini [--out DIR]
-    smoothmusic montecarlo --config run.ini [--workers 0]
+    smoothmusic spectrum   --config run.ini [--out DIR] [--strict-separation true]
+    smoothmusic montecarlo --config run.ini [--workers 0] [--strict-separation true]
     smoothmusic septable   --config run.ini
     smoothmusic verify     --config run.ini
 
@@ -36,9 +36,7 @@ from . import montecarlo, verify
 from .array_model import ArrayScenario, Smoothing, hankelize, synthesize_snapshots, wrap_angle
 from .rmt import MpParams
 from .subspace import (
-    NotSeparatedError,
     Pseudospectrum,
-    UnderResolvedError,
     gmusic_weights,
     noise_variance_estimate,
     sample_covariance_eig,
@@ -342,18 +340,16 @@ def _db(value: float) -> float:
 # commands (each returns (header, rows))
 
 
-def cmd_spectrum(cfg: dict, scenario: ArrayScenario):
+def cmd_spectrum(cfg: dict, scenario: ArrayScenario, strict: Optional[bool]):
     spec = cfg["spectrum"]
     grid_points = spec["grid_points"]
     if grid_points < 2:
         raise ConfigError(f"grid_points must be >= 2, got {grid_points}")
     if not spec["hi"] > spec["lo"]:
         raise ConfigError(f"empty spectrum window [{spec['lo']}, {spec['hi']}]")
-    snapshots = synthesize_snapshots(scenario)
-    eig = sample_covariance_eig(hankelize(snapshots, scenario.l), scenario.k)
-    weights = gmusic_weights(
-        eig, noise_variance_estimate(eig), eig.c_n, strict=spec["strict_separation"]
-    )
+    eig = sample_covariance_eig(hankelize(synthesize_snapshots(scenario), scenario.l), scenario.k)
+    strict = spec["strict_separation"] if strict is None else strict
+    weights = gmusic_weights(eig, noise_variance_estimate(eig), eig.c_n, strict=strict)
     grid = np.linspace(spec["lo"], spec["hi"], grid_points)
     trad = spectrum_trace(Pseudospectrum(eig), grid)
     gm = spectrum_trace(Pseudospectrum(eig, weights), grid)
@@ -499,24 +495,24 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="INI config file")
         p.add_argument("--out", default=None, help="directory for <command>.csv (default: stdout)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument(
-            "--workers",
-            type=int,
-            default=None,
-            help="worker processes for montecarlo (0 = one per CPU)",
-        )
-        p.add_argument(
-            "--strict-separation",
-            choices=("true", "false"),
-            default=None,
-            help="override the strict_separation config key",
-        )
+        if name == "montecarlo":
+            p.add_argument(
+                "--workers", type=int, default=None, help="worker processes (0 = one per CPU)"
+            )
+        if name in ("spectrum", "montecarlo"):
+            p.add_argument(
+                "--strict-separation",
+                choices=("true", "false"),
+                default=None,
+                help="override the strict_separation config key",
+            )
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    strict = None if args.strict_separation is None else args.strict_separation == "true"
+    flag = getattr(args, "strict_separation", None)
+    strict = None if flag is None else flag == "true"
     try:
         cfg = load_config(args.config, args.command)
         _configure_logging(cfg["output"]["verbosity"])
@@ -526,7 +522,7 @@ def main(argv=None) -> int:
             seed = _resolve_seed(cfg["scenario"]["seed"], args.seed)
             scenario = _build_scenario(cfg, seed)
             if args.command == "spectrum":
-                header, rows = cmd_spectrum(cfg, scenario)
+                header, rows = cmd_spectrum(cfg, scenario, strict)
             elif args.command == "montecarlo":
                 header, rows = cmd_montecarlo(cfg, scenario, args.workers, strict)
             else:
@@ -534,13 +530,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (
-        NotSeparatedError,
-        UnderResolvedError,
-        ValueError,
-        RuntimeError,
-        np.linalg.LinAlgError,
-    ) as exc:
+    except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
         log.error("%s", exc)
         return 1
 

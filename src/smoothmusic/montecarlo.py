@@ -14,12 +14,11 @@ are scheduled across worker processes.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -27,11 +26,10 @@ from scipy.optimize import linear_sum_assignment
 from . import subspace
 from .array_model import (
     ArrayScenario,
-    SmoothedMatrix,
-    block_hankel,
-    complex_gaussian,
-    draw_signal_matrix,
+    hankelize,
     min_spacing,
+    observe,
+    source_matrix,
     steering_derivative,
     steering_matrix,
     wrap_angle,
@@ -147,8 +145,7 @@ class ExperimentPlan:
 
 def point_scenario(plan: ExperimentPlan, value) -> ArrayScenario:
     """Scenario at one sweep point (the swept field replaced by value)."""
-    field = {"snr_db": "snr_db", "l": "l", "m": "m"}[plan.sweep]
-    return dataclasses.replace(plan.scenario, **{field: value})
+    return replace(plan.scenario, **{plan.sweep: value})
 
 
 class MseRow(NamedTuple):
@@ -207,19 +204,26 @@ def _failure_threshold(doas: Sequence[float], m: int) -> float:
     return math.pi / m
 
 
-def _run_trial(task):
+def _drawn_signal(scenario: ArrayScenario, *key, signal=None) -> np.ndarray:
+    """The scenario's source matrix, drawn from the signal stream keyed by
+    (seed, key); under the fixed-matrix policy the caller's ``signal``
+    instead (see :func:`source_matrix`)."""
+    rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, _STREAM_SIGNAL, *key]))
+    return source_matrix(scenario, signal, rng)
+
+
+def _run_trial(task) -> dict:
     """One noise realization: estimate DoAs with every requested estimator.
 
     Module-level so process pools can pickle it.  Returns
-    (point_index, trial_index, {estimator: signed errors or None}).
+    {estimator: signed errors, or None when the estimator failed}.
     """
     scenario, signal, point, trial, estimators, doa_mode, strict = task
-    m, n, k = scenario.m, scenario.n, scenario.k
+    m, k = scenario.m, scenario.k
     rng = np.random.default_rng(
         np.random.SeedSequence([scenario.seed, _STREAM_NOISE, point, trial])
     )
-    noise = complex_gaussian(rng, (m, n), math.sqrt(scenario.sigma2))
-    y = steering_matrix(m, scenario.doas) @ signal + noise
+    y = observe(scenario, signal, rng)
 
     if doa_mode == "intervals":
         policy = subspace.intervals_around(scenario.doas, m)
@@ -228,8 +232,7 @@ def _run_trial(task):
 
     eigs = {}
     for lval in sorted({_smoothing_factor(e, scenario.l) for e in estimators}):
-        sm = SmoothedMatrix(entries=block_hankel(y, lval), m=m, n=n, l=lval)
-        eigs[lval] = subspace.sample_covariance_eig(sm, k)
+        eigs[lval] = subspace.sample_covariance_eig(hankelize(y, lval), k)
 
     weights = {}  # G-MUSIC weights, once per eigensystem
     out = {}
@@ -249,35 +252,32 @@ def _run_trial(task):
             out[est] = None
             continue
         out[est] = _matched_errors(theta_hat, scenario.doas)
-    return point, trial, out
+    return out
 
 
-def _map_tasks(tasks, workers: int):
+def _run_trials(
+    scens, signal_of, trials: int, estimators, doa_mode: str, strict: bool, workers: int
+) -> list:
+    """outcomes[p][t] of :func:`_run_trial` for each scenario p and trial t.
+
+    signal_of(p, t) gives the trial's source matrix.  workers = 0 uses one
+    process per CPU; a pool returns results in task order, like the serial
+    loop, so the outcomes never depend on the worker count.
+    """
+    tasks = [
+        (sc, signal_of(p, t), p, t, estimators, doa_mode, strict)
+        for p, sc in enumerate(scens)
+        for t in range(trials)
+    ]
     if workers == 0:
         workers = os.cpu_count() or 1
     if workers == 1 or len(tasks) <= 1:
-        return [_run_trial(t) for t in tasks]
-    chunk = max(1, len(tasks) // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_trial, tasks, chunksize=chunk))
-
-
-def _plan_signal(plan: ExperimentPlan, signal) -> Optional[np.ndarray]:
-    """Resolve the shared source matrix for a plan (None when fresh per trial)."""
-    k, n = plan.scenario.k, plan.scenario.n
-    if plan.scenario.signal_policy == "fixed-matrix":
-        if signal is None:
-            raise ValueError("fixed-matrix policy requires an explicit signal")
-        s = np.asarray(signal, dtype=complex)
-        if s.shape != (k, n):
-            raise ValueError(f"signal has shape {s.shape}, expected {(k, n)}")
-        return s
-    if signal is not None:
-        raise ValueError(f"policy {plan.scenario.signal_policy!r} draws its own signal")
-    if plan.fresh_signal:
-        return None
-    rng = np.random.default_rng(np.random.SeedSequence([plan.scenario.seed, _STREAM_SIGNAL]))
-    return draw_signal_matrix(k, n, plan.scenario.signal_policy, rng)
+        flat = [_run_trial(task) for task in tasks]
+    else:
+        chunk = max(1, len(tasks) // (workers * 8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            flat = list(pool.map(_run_trial, tasks, chunksize=chunk))
+    return [flat[p * trials : (p + 1) * trials] for p in range(len(scens))]
 
 
 def run_plan(plan: ExperimentPlan, workers: int = 1, signal=None) -> MseTable:
@@ -286,44 +286,30 @@ def run_plan(plan: ExperimentPlan, workers: int = 1, signal=None) -> MseTable:
     workers = 0 uses one process per CPU; any worker count yields the same
     table because trials are keyed by (point, trial) and aggregated in a
     fixed order.  Under the fixed-matrix policy pass the source matrix as
-    ``signal``.
+    ``signal``.  Each point's CRB uses the source matrix of its trial 0.
     """
-    master = plan.scenario.seed
-    s_shared = _plan_signal(plan, signal)
+    # resolved even under fresh_signal, so a stray ``signal`` is refused
+    shared = _drawn_signal(plan.scenario, signal=signal)
     scens = [point_scenario(plan, v) for v in plan.values]
 
-    tasks = []
-    for p, sc in enumerate(scens):
-        for t in range(plan.trials):
-            if s_shared is None:
-                rng = np.random.default_rng(
-                    np.random.SeedSequence([master, _STREAM_SIGNAL, p, t])
-                )
-                s = draw_signal_matrix(sc.k, sc.n, sc.signal_policy, rng)
-            else:
-                s = s_shared
-            tasks.append(
-                (sc, s, p, t, plan.estimators, plan.doa_mode, plan.strict_separation)
-            )
+    def signal_of(p, t):
+        return _drawn_signal(scens[p], p, t) if plan.fresh_signal else shared
 
-    by_key = {}
-    for p, t, out in _map_tasks(tasks, workers):
-        by_key[(p, t)] = out
+    outcomes = _run_trials(
+        scens, signal_of, plan.trials, plan.estimators, plan.doa_mode,
+        plan.strict_separation, workers,
+    )
 
     rows = []
     for p, (value, sc) in enumerate(zip(plan.values, scens)):
         threshold = _failure_threshold(sc.doas, sc.m)
-        crb_signal = s_shared
-        if crb_signal is None:
-            rng = np.random.default_rng(np.random.SeedSequence([master, _STREAM_SIGNAL, p, 0]))
-            crb_signal = draw_signal_matrix(sc.k, sc.n, sc.signal_policy, rng)
-        crb_point = crb(sc, signal=crb_signal)
+        crb_point = crb(sc, signal_of(p, 0))
         for est in plan.estimators:
             sums = np.zeros(sc.k)
             used = 0
             failures = 0
-            for t in range(plan.trials):
-                errs = by_key[(p, t)][est]
+            for out in outcomes[p]:
+                errs = out[est]
                 if errs is None:
                     failures += 1
                     continue
@@ -349,25 +335,17 @@ def run_plan(plan: ExperimentPlan, workers: int = 1, signal=None) -> MseTable:
     return MseTable(sweep=plan.sweep, rows=tuple(rows))
 
 
-def crb(scenario: ArrayScenario, signal=None) -> np.ndarray:
+def crb(scenario: ArrayScenario, signal) -> np.ndarray:
     """Conditional (deterministic-signal) Cramer-Rao bound on each DoA.
 
     CRB = (sigma2 / (2 N)) diag( [Re((D* P_A^perp D) o (S S*/N)^T)]^{-1} )
-    with D the steering derivatives and o the elementwise product.  When
-    ``signal`` is omitted a drawing policy replays the same source matrix
-    that synthesize_snapshots would use for this scenario.
+    with D the steering derivatives, o the elementwise product and S the
+    K x N source matrix ``signal``.
     """
     if scenario.k == 0:
         raise ValueError("CRB needs at least one source")
-    k, n, m = scenario.k, scenario.n, scenario.m
-    if signal is None:
-        if scenario.signal_policy == "fixed-matrix":
-            raise ValueError("fixed-matrix policy requires an explicit signal")
-        rng = np.random.default_rng(np.random.SeedSequence(scenario.seed))
-        signal = draw_signal_matrix(k, n, scenario.signal_policy, rng)
-    s = np.asarray(signal, dtype=complex)
-    if s.shape != (k, n):
-        raise ValueError(f"signal has shape {s.shape}, expected {(k, n)}")
+    n, m = scenario.n, scenario.m
+    s = scenario.check_signal(signal)
     a = steering_matrix(m, scenario.doas)
     d = np.column_stack([steering_derivative(m, t) for t in scenario.doas])
     gram = a.conj().T @ a
@@ -400,14 +378,10 @@ def table1(scenario: ArrayScenario, l_values: Sequence[int], draws: int = 100) -
         raise ValueError("the separation table needs a drawing signal policy")
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
-    k, n = scenario.k, scenario.n
-    signals = []
-    for d in range(draws):
-        rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, _STREAM_SIGNAL, k, n, d]))
-        signals.append(draw_signal_matrix(k, n, scenario.signal_policy, rng))
+    signals = [_drawn_signal(scenario, scenario.k, scenario.n, d) for d in range(draws)]
     rows = []
     for l in l_values:
-        sc = dataclasses.replace(scenario, l=int(l))
+        sc = replace(scenario, l=int(l))
         vals = np.array([subspace.separation_report(sc, s).min_snr_db for s in signals])
         q1, q3 = np.percentile(vals, [25.0, 75.0])
         rows.append(Table1Row(int(l), float(np.median(vals)), float(q3 - q1)))
@@ -460,6 +434,8 @@ def consistency_sweep(
         raise ValueError(f"spacing must be 'absolute' or 'beamwidth', got {spacing!r}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if signal_policy == "fixed-matrix":
+        raise ValueError("consistency sweeps need a drawing signal policy")
 
     scens = []
     for m, n, l in triples:
@@ -482,29 +458,17 @@ def consistency_sweep(
             f"({cs.min():.4g}..{cs.max():.4g}); adjust the (n, l) schedule"
         )
 
-    k = scens[0].k
-    signals = {}
-    for sc in scens:
-        if sc.n not in signals:
-            rng = np.random.default_rng(
-                np.random.SeedSequence([seed, _STREAM_SIGNAL, k, sc.n])
-            )
-            signals[sc.n] = draw_signal_matrix(k, sc.n, signal_policy, rng)
-
-    tasks = []
-    for p, sc in enumerate(scens):
-        for t in range(trials):
-            tasks.append((sc, signals[sc.n], p, t, (estimator,), "intervals", False))
-    by_key = {}
-    for p, t, out in _map_tasks(tasks, workers):
-        by_key[(p, t)] = out
+    signals = [_drawn_signal(sc, sc.k, sc.n) for sc in scens]
+    outcomes = _run_trials(
+        scens, lambda p, t: signals[p], trials, (estimator,), "intervals", False, workers
+    )
 
     rows = []
     for p, sc in enumerate(scens):
         pooled = []
         failures = 0
-        for t in range(trials):
-            errs = by_key[(p, t)][estimator]
+        for out in outcomes[p]:
+            errs = out[estimator]
             if errs is None:
                 failures += 1
                 continue

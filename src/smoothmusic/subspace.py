@@ -70,7 +70,7 @@ class NotSeparatedError(RuntimeError):
 
     def __init__(self, indices, lambda_hat, edge_plus):
         super().__init__(
-            f"sample eigenvalues {list(np.asarray(lambda_hat)[list(indices)])} at indices "
+            f"sample eigenvalues {np.asarray(lambda_hat)[list(indices)].tolist()} at indices "
             f"{list(indices)} do not separate from the bulk edge {edge_plus}"
         )
         self.indices = tuple(indices)
@@ -404,13 +404,12 @@ def find_doas(spectrum_fn, k: int, policy, m: int):
     grid are kept and an :class:`UnderResolvedError` is raised when fewer
     exist; under :class:`KnownIntervals` each interval contributes its
     global minimum.  Each minimum is refined by golden-section search to an
-    absolute tolerance of 1e-4 beamwidths.  Returns angles in ascending
-    order.
+    absolute tolerance of 1e-4 beamwidths.  Returns angles wrapped onto
+    [-pi, pi), in ascending order.
 
     A whole-circle window treats spectrum_fn as 2 pi-periodic: its grid
     counts the seam point once, minima wrap around it, refinement may step
-    across it, and the angles returned are wrapped onto [-pi, pi).  A
-    :class:`Pseudospectrum` is then scanned by FFT.
+    across it.  A :class:`Pseudospectrum` is then scanned by FFT.
     """
     if k < 1:
         raise ValueError(f"need at least one source, got k={k}")
@@ -439,7 +438,8 @@ def find_doas(spectrum_fn, k: int, policy, m: int):
             grid = _grid(lo, hi, m, floor=MIN_INTERVAL_POINTS)
             i = int(np.argmin(np.asarray(spectrum_fn(grid))))
             out.extend(_refine(spectrum_fn, grid, [i], xtol, periodic=False))
-        return np.sort(np.asarray(out))
+        # an interval may cross the seam, so its minimum may lie past +-pi
+        return np.sort(wrap_angle(out))
 
     raise TypeError(f"unknown grid policy {policy!r}")
 
@@ -480,9 +480,7 @@ def separation_report(scenario: ArrayScenario, signal: np.ndarray) -> Separation
     k, n, m, l = scenario.k, scenario.n, scenario.m, scenario.l
     if k == 0:
         raise ValueError("separation analysis needs at least one source")
-    s = np.asarray(signal, dtype=complex)
-    if s.shape != (k, n):
-        raise ValueError(f"signal has shape {s.shape}, expected {(k, n)}")
+    s = scenario.check_signal(signal)
     u = scenario.subarray_size
     p = s @ s.conj().T / n
     a_l = steering_matrix(l, scenario.doas)

@@ -16,6 +16,7 @@ from smoothmusic.array_model import (
     ArrayScenario,
     SmoothedMatrix,
     block_hankel,
+    complex_gaussian,
     draw_signal_matrix,
     hankelize,
     signal_covariance,
@@ -160,6 +161,8 @@ def test_smoothed_signal_part_identity():
         )
     with pytest.raises(ValueError):
         smoothed_signal_part(sc, s[:, :-1])
+    with pytest.raises(ValueError, match="signal has shape"):
+        signal_covariance_hadamard(sc, s[:, :-1])
 
 
 def test_signal_covariance_elementwise_form():
@@ -186,17 +189,27 @@ def test_signal_covariance_elementwise_form():
         assert eigs.min() > -1e-10 * scale
 
 
+def _replay(sc, signal=None):
+    """Y = A S + V rebuilt from the scenario's stream: S first (unless given), then V."""
+    rng = np.random.default_rng(np.random.SeedSequence(sc.seed))
+    if signal is None:
+        signal = draw_signal_matrix(sc.k, sc.n, sc.signal_policy, rng)
+    noise = complex_gaussian(rng, (sc.m, sc.n), math.sqrt(sc.sigma2))
+    return steering_matrix(sc.m, sc.doas) @ signal + noise, noise
+
+
 def test_synthesize_snapshots_deterministic_and_additive():
-    """Equal scenarios give bitwise-equal draws; parts sum to the entries."""
+    """Equal scenarios give bitwise-equal draws: the signal, then the noise,
+    from the scenario's stream, added to A S."""
     sc = ArrayScenario(m=12, n=8, l=4, doas=(0.2, 1.0), snr_db=5.0, seed=42)
     y1 = synthesize_snapshots(sc)
     y2 = synthesize_snapshots(ArrayScenario(m=12, n=8, l=4, doas=(0.2, 1.0), snr_db=5.0, seed=42))
-    np.testing.assert_array_equal(y1.entries, y2.entries)
-    np.testing.assert_array_equal(y1.entries, y1.signal_part + y1.noise_part)
-    assert y1.entries.shape == (12, 8)
+    np.testing.assert_array_equal(y1, y2)
+    np.testing.assert_array_equal(y1, _replay(sc)[0])
+    assert y1.shape == (12, 8)
     # a different seed moves the noise
     y3 = synthesize_snapshots(ArrayScenario(m=12, n=8, l=4, doas=(0.2, 1.0), snr_db=5.0, seed=43))
-    assert not np.array_equal(y1.entries, y3.entries)
+    assert not np.array_equal(y1, y3)
 
 
 def test_synthesize_snapshots_fixed_matrix_policy():
@@ -207,7 +220,7 @@ def test_synthesize_snapshots_fixed_matrix_policy():
     rng = np.random.default_rng(0)
     s = rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6))
     y = synthesize_snapshots(sc, signal=s)
-    np.testing.assert_allclose(y.signal_part, steering_matrix(10, sc.doas) @ s, atol=1e-14)
+    np.testing.assert_array_equal(y, _replay(sc, s)[0])
     with pytest.raises(ValueError):
         synthesize_snapshots(sc)  # signal required
     with pytest.raises(ValueError):
@@ -227,8 +240,9 @@ def test_synthesize_snapshots_fixed_matrix_policy():
 def test_noise_power_matches_snr():
     """Empirical noise power per entry approaches 10^(-snr/10)."""
     sc = ArrayScenario(m=64, n=256, l=4, doas=(0.3,), snr_db=7.0, seed=9)
-    y = synthesize_snapshots(sc)
-    power = float(np.mean(np.abs(y.noise_part) ** 2))
+    y, noise = _replay(sc)
+    np.testing.assert_array_equal(synthesize_snapshots(sc), y)
+    power = float(np.mean(np.abs(noise) ** 2))
     assert power == pytest.approx(sc.sigma2, rel=0.03), (
         f"noise power {power} deviates from sigma2 = {sc.sigma2}"
     )
@@ -301,6 +315,6 @@ def test_hankelize_wrapper_and_smoothed_matrix():
     assert sm.subarray_size == 10
     assert sm.virtual_snapshots == 15
     assert sm.c_n == pytest.approx(10 / 15, rel=1e-15)
-    np.testing.assert_array_equal(sm.entries, block_hankel(y.entries, 3))
+    np.testing.assert_array_equal(sm.entries, block_hankel(y, 3))
     with pytest.raises(ValueError):
         SmoothedMatrix(entries=np.zeros((3, 3)), m=12, n=5, l=3)

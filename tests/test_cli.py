@@ -10,6 +10,7 @@ import csv
 import io
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -64,6 +65,16 @@ def _rows(out):
     reader = csv.reader(io.StringIO(out))
     header = tuple(next(reader))
     return header, list(reader)
+
+
+def _child_env():
+    """This environment without SMOOTHMUSIC_SEED, with the directory that
+    holds the imported package first on PYTHONPATH, so a child interpreter
+    imports the same package without an install."""
+    env = {k: v for k, v in os.environ.items() if k != "SMOOTHMUSIC_SEED"}
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
 
 
 @pytest.fixture(autouse=True)
@@ -276,6 +287,26 @@ def test_runtime_failure_exits_one(tmp_path, capsys):
     code, out, _ = _run(["spectrum", "--config", cfg], capsys)
     assert code == 1
     assert out == ""
+    # the flag overrides the config key on spectrum as on montecarlo
+    lax = _write(tmp_path, ini.replace("strict_separation = true", ""), "lax.ini")
+    assert _run(["spectrum", "--config", lax], capsys)[0] == 0
+    code, out, _ = _run(["spectrum", "--config", lax, "--strict-separation", "true"], capsys)
+    assert code == 1 and out == ""
+
+
+def test_flags_are_rejected_where_they_do_not_apply(tmp_path, capsys):
+    """--workers belongs to montecarlo only, --strict-separation to spectrum
+    and montecarlo; elsewhere argparse exits 2 instead of ignoring them."""
+    cfg = _write(tmp_path, SPECTRUM_INI)
+    for argv in (
+        ["septable", "--config", cfg, "--workers", "2"],
+        ["spectrum", "--config", cfg, "--workers", "2"],
+        ["septable", "--config", cfg, "--strict-separation", "true"],
+    ):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_septable_schema_and_determinism(tmp_path, capsys):
@@ -353,6 +384,7 @@ def test_import_does_not_load_quadrature():
         [sys.executable, "-c", "import sys, smoothmusic.cli; print('scipy.integrate' in sys.modules)"],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
@@ -362,13 +394,12 @@ def test_console_script_matches_in_process(tmp_path, capsys):
     """The installed `smoothmusic` entry point emits the same CSV."""
     cfg = _write(tmp_path, SPECTRUM_INI)
     _, expected, _ = _run(["spectrum", "--config", cfg], capsys)
-    env = {k: v for k, v in os.environ.items() if k != "SMOOTHMUSIC_SEED"}
     proc = subprocess.run(
         [sys.executable, "-m", "smoothmusic.cli", "spectrum", "--config", cfg],
         input="",
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected

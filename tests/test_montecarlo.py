@@ -95,21 +95,11 @@ def test_crb_halves_when_snapshots_double():
     np.testing.assert_allclose(b2, 0.5 * b1, rtol=1e-12)
 
 
-def test_crb_default_signal_replays_scenario_stream():
-    """Without an explicit signal the bound uses the scenario's own draw."""
-    sc = ArrayScenario(m=16, n=8, l=4, doas=(0.1, 1.0), snr_db=10.0, seed=21)
-    rng = np.random.default_rng(np.random.SeedSequence(21))
-    replay = draw_signal_matrix(2, 8, "random-gaussian-normalized", rng)
-    np.testing.assert_allclose(crb(sc), crb(sc, signal=replay), rtol=1e-15)
-
-
 def test_crb_validation():
-    """Sourceless scenarios, missing or misshapen signals are rejected."""
+    """Sourceless scenarios and misshapen signals are rejected."""
     with pytest.raises(ValueError):
-        crb(ArrayScenario(m=8, n=4, l=2, doas=(), snr_db=0.0))
+        crb(ArrayScenario(m=8, n=4, l=2, doas=(), snr_db=0.0), signal=np.ones((0, 4)))
     fixed = ArrayScenario(m=8, n=4, l=2, doas=(0.3,), snr_db=0.0, signal_policy="fixed-matrix")
-    with pytest.raises(ValueError):
-        crb(fixed)
     with pytest.raises(ValueError):
         crb(fixed, signal=np.ones((2, 4)))
 
@@ -215,6 +205,40 @@ def test_run_plan_fresh_signal_changes_draws():
         ExperimentPlan(scenario=sc, sweep="snr_db", values=(5.0,), trials=6, fresh_signal=True)
     )
     assert fixed.rows != fresh.rows
+
+
+def test_run_plan_fresh_signal_crb_uses_trial_zero_draw():
+    """A fresh-signal plan's bound at point p is the bound of the source
+    matrix drawn for its trial 0, from the signal stream [seed, 1, p, 0]."""
+    sc = ArrayScenario(m=32, n=8, l=4, doas=WIDE, snr_db=5.0, seed=6)
+    plan = ExperimentPlan(
+        scenario=sc, sweep="l", values=(2, 4), trials=2, estimators=("music",), fresh_signal=True
+    )
+    table = run_plan(plan)
+    for p, value in enumerate(plan.values):
+        rng = np.random.default_rng(np.random.SeedSequence([sc.seed, 1, p, 0]))
+        signal = draw_signal_matrix(sc.k, sc.n, sc.signal_policy, rng)
+        want = crb(point_scenario(plan, value), signal=signal)
+        assert [table.row(value, "music", j).crb for j in range(sc.k)] == want.tolist()
+
+
+def test_run_plan_rejects_unusable_fixed_signal():
+    """A fixed-matrix plan checks its signal as snapshot synthesis does:
+    shape, finite entries and full row rank k, before any trial runs."""
+    sc = ArrayScenario(m=32, n=8, l=4, doas=WIDE, snr_db=5.0, signal_policy="fixed-matrix")
+    plan = ExperimentPlan(scenario=sc, sweep="snr_db", values=(5.0,), trials=2)
+    s = np.random.default_rng(4).standard_normal((2, 8)) + 0j
+    assert len(run_plan(plan, signal=s).rows) == len(ESTIMATORS) * 2
+    nan = s.copy()
+    nan[1, 3] = np.nan
+    with pytest.raises(ValueError, match="signal matrix contains non-finite"):
+        run_plan(plan, signal=nan)
+    with pytest.raises(ValueError, match="rank"):
+        run_plan(plan, signal=np.vstack([s[0], 2.0 * s[0]]))
+    with pytest.raises(ValueError, match="shape"):
+        run_plan(plan, signal=s[:, :-1])
+    with pytest.raises(ValueError, match="requires"):
+        run_plan(plan)
 
 
 def test_plan_validation():
@@ -349,6 +373,10 @@ def test_consistency_sweep_sizing_policy_enforced():
         consistency_sweep(good, doas, "relative", 10.0, "music-ss", trials=2, seed=0)
     with pytest.raises(ValueError, match="trials"):
         consistency_sweep(good, doas, "beamwidth", 10.0, "music-ss", trials=0, seed=0)
+    with pytest.raises(ValueError, match="drawing signal policy"):  # no way to pass a signal
+        consistency_sweep(
+            good, doas, "beamwidth", 10.0, "music-ss", trials=2, seed=0, signal_policy="fixed-matrix"
+        )
 
 
 def test_consistency_sweep_rows_and_worker_invariance():

@@ -21,7 +21,6 @@ from smoothmusic.array_model import (
     SIGNAL_POLICIES,
     ArrayScenario,
     SmoothedMatrix,
-    SnapshotMatrix,
     draw_signal_matrix,
     hankelize,
     signal_covariance,
@@ -98,13 +97,8 @@ def test_conjugate_snapshots_mirror_both_spectra(l, k, doas, p, seed):
     is the original scan at index -j mod P, for MUSIC and G-MUSIC alike."""
     sc = ArrayScenario(m=24, n=10, l=l, doas=doas[:k], snr_db=20.0, seed=seed)
     snaps = synthesize_snapshots(sc)
-    conj = SnapshotMatrix(
-        entries=snaps.entries.conj(),
-        signal_part=snaps.signal_part.conj(),
-        noise_part=snaps.noise_part.conj(),
-    )
     eig = sample_covariance_eig(hankelize(snaps, l), k)
-    eig_c = sample_covariance_eig(hankelize(conj, l), k)
+    eig_c = sample_covariance_eig(hankelize(snaps.conj(), l), k)
     vals = eig.eigenvalues
     # a near-degenerate top-k eigenvalue leaves its eigenvectors ill defined
     assume(np.min(np.abs(np.diff(vals[: k + 1]))) > 1e-3 * vals[0])

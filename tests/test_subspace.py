@@ -194,6 +194,7 @@ def test_gmusic_strict_separation_error():
         gmusic_weights(eig, 1.0, 0.5, strict=True)
     assert info.value.indices == (0,)
     assert info.value.edge_plus == pytest.approx(p.edge_plus, rel=1e-12)
+    assert f"eigenvalues [{0.9 * p.edge_plus!r}]" in str(info.value), "plain floats"
     # the pseudo-spectrum clamps instead: equals the traditional value
     lax = gmusic_pseudospectrum(eig, 1.0, 0.5, 0.1)
     assert lax == pytest.approx(0.75, rel=1e-12)
@@ -269,6 +270,20 @@ def test_find_doas_whole_circle_has_no_seam():
             got = find_doas(fn, 2, window, m)
             np.testing.assert_allclose(got, sc.doas, atol=0.01, err_msg=f"{window}")
             assert np.all((got >= -math.pi) & (got < math.pi))
+
+
+def test_find_doas_interval_across_the_seam_wraps():
+    """An interval that crosses +-pi returns its minimum wrapped onto
+    [-pi, pi), where the whole-circle search finds the same dip."""
+    m = 32
+    xtol = 1e-4 * (2 * math.pi / m)
+    for seed in (2, 4):
+        sc = ArrayScenario(m=m, n=20, l=4, doas=(math.pi - 1e-4,), snr_db=10.0, seed=seed)
+        spectrum = Pseudospectrum(sample_covariance_eig(hankelize(synthesize_snapshots(sc), sc.l), 1))
+        got = find_doas(spectrum, 1, intervals_around(sc.doas, m), m)
+        assert -math.pi <= got[0] < math.pi, f"seed {seed}: {got[0]} not wrapped"
+        circle = find_doas(spectrum, 1, SearchWindow(), m)
+        assert abs(got[0] - circle[0]) <= 2 * xtol, f"seed {seed}: {got[0]} vs {circle[0]}"
 
 
 def test_spectrum_trace_whole_circle_has_no_seam():
