@@ -24,6 +24,7 @@ import numpy as np
 from .array_model import (
     ArrayScenario,
     SmoothedMatrix,
+    complex_gaussian,
     min_spacing,
     smoothed_steering_set,
     steering_matrix,
@@ -82,23 +83,30 @@ class NotSeparatedError(RuntimeError):
 class EigenSystem:
     """Eigendecomposition of a smoothed sample covariance.
 
-    eigenvalues are descending and nonnegative, one per dimension;
-    eigenvectors[:, i] matches eigenvalues[i]; k is the source count used to
-    split signal and noise.  eigenvectors may hold fewer columns than there
-    are eigenvalues, but always at least k: when the covariance has rank
-    N L < U, :func:`sample_covariance_eig` keeps only the N L vectors of its
-    range and the remaining U - N L eigenvalues are exact zeros.  Readers use
-    the first k columns and the eigenvalues only, never the null space.
+    eigenvalues are descending and nonnegative; eigenvectors[:, i] matches
+    eigenvalues[i]; k is the source count used to split signal and noise;
+    dim, the covariance's size U, is the number of eigenvector rows.
+    :func:`sample_covariance_eig` fills it in one of three ways:
+
+    * dense: all U eigenvalues and eigenvectors;
+    * thin SVD (rank N L < U): all U eigenvalues, the U - N L past the
+      range exact zeros, but only the N L eigenvectors of the range;
+    * Lanczos: only the top k eigenpairs, and noise_variance set to the
+      mean of the U - k noise eigenvalues, computed without them.
+
+    Readers use the first k columns, the top k eigenvalues and
+    :func:`noise_variance_estimate`, never the null space.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     k: int
     c_n: float
+    noise_variance: Optional[float] = None
 
     @property
     def dim(self) -> int:
-        return self.eigenvalues.size
+        return self.eigenvectors.shape[0]
 
 
 @dataclass(frozen=True)
@@ -184,16 +192,91 @@ def intervals_around(doas: Sequence[float], m: int) -> KnownIntervals:
     return KnownIntervals(intervals=tuple((t - half, t + half) for t in doas))
 
 
-def sample_covariance_eig(smoothed: SmoothedMatrix, k: int) -> EigenSystem:
-    """Eigendecomposition of W W* / (N L), eigenvalues descending.
+# Dense eigh against _lanczos_top for the top k eigenpairs of W W*/(N L),
+# N L = 2 U, ms, one BLAS thread, 2-CPU VM.  Each cell is eigh / Lanczos
+# with k sources at 10 dB each / Lanczos on noise alone; * marks a search
+# that ran out of steps and then ran eigh too:
+#
+#      U   k = 2               k = 4               k = 8
+#     65   1.12 / 0.74 / 2.36*  1.10 / 2.63* / 2.77*  1.28 / 2.49* / 2.76*
+#     97   2.18 / 0.97 / 4.68*  2.47 / 1.67 / 5.53*   2.20 / 1.42 / 4.82*
+#    145   7.19 / 1.38 / 12.7*  6.95 / 2.20 / 13.0*   5.84 / 10.5* / 10.5*
+#    289   29.2 / 1.68 / 15.8   30.4 / 2.01 / 14.9    27.7 / 3.80 / 47.7*
+#
+# Steps grow as the top eigenvalues near the noise bulk or each other: 10 to
+# 26 for two sources at 10 to 30 dB, 50 to 120 for noise alone.  By U / 3
+# steps a search has cost about 3/4 of an eigh, so it stops there and eigh
+# runs.  Below U ~ 96 Lanczos saves under 0.4 ms even with strong sources;
+# past k ~ U / 24 sources it runs out of steps at 10 dB.
+EPS = np.finfo(float).eps
+LANCZOS_MIN_DIM = 96
+LANCZOS_DIM_PER_PAIR = 24
+LANCZOS_DIM_PER_STEP = 3
 
-    When k < N L < U, a thin SVD W = V S Z* gives the N L range eigenpairs
-    (s^2 / (N L), V) at a fraction of the cost of a U x U eigensolve; the
-    U - N L null eigenvalues are returned as exact zeros and their
-    eigenvectors are not computed (see :class:`EigenSystem`).  With
-    k >= N L the range holds no noise eigenvalue, so the full eigensolve is
-    kept: its rounding-level null eigenvalues are what the noise estimate
-    then averages.
+
+def _lanczos_top(cov: np.ndarray, k: int):
+    """Top k eigenpairs of a Hermitian matrix, eigenvalues descending, or
+    None when they have not converged within U / LANCZOS_DIM_PER_STEP steps.
+
+    Lanczos with full reorthogonalization from a fixed start vector, in
+    numpy alone: ARPACK (scipy's eigsh) runs on scipy's own BLAS, whose
+    thread pool, left unpinned, fights numpy's for the CPUs on every
+    step.  A Ritz pair (theta, Q s) of step j has residual norm
+    beta_j |s_j|; all k must be within machine precision of the largest
+    Ritz value.  Each check is an eigh of the tridiagonal matrix, so it
+    runs every 4th step.
+    """
+    u = cov.shape[0]
+    steps = u // LANCZOS_DIM_PER_STEP
+    basis = np.empty((u, steps), dtype=complex, order="F")
+    alpha = np.empty(steps)
+    beta = np.empty(steps)
+    # a generic start vector: all ones is orthogonal to every a(2 pi j / U), j != 0
+    q = complex_gaussian(np.random.default_rng(0), u)
+    q /= np.linalg.norm(q)
+    for j in range(steps):
+        basis[:, j] = q
+        span = basis[:, : j + 1]
+        z = cov @ q
+        h = (z.conj() @ span).conj()
+        z -= span @ h
+        z -= span @ (z.conj() @ span).conj()  # twice is enough (Kahan)
+        alpha[j] = h[j].real
+        beta[j] = np.linalg.norm(z)
+        invariant = beta[j] <= EPS * np.max(np.abs(alpha[: j + 1]))
+        if j + 1 >= k and (invariant or (j + 1 - k) % 4 == 0):
+            tri = np.diag(alpha[: j + 1]) + np.diag(beta[:j], 1) + np.diag(beta[:j], -1)
+            theta, s = np.linalg.eigh(tri)
+            if np.all(beta[j] * np.abs(s[-1, -k:]) <= EPS * theta[-1]):
+                return theta[: -k - 1 : -1], span @ s[:, : -k - 1 : -1]
+        if invariant:
+            return None
+        q = z / beta[j]
+    return None
+
+
+def sample_covariance_eig(smoothed: SmoothedMatrix, k: int) -> EigenSystem:
+    """Eigensystem of W W* / (N L), eigenvalues descending.
+
+    Three branches, chosen from the sizes U, N L and k alone:
+
+    * k < N L < U: a thin SVD W = V S Z* gives the N L range eigenpairs
+      (s^2 / (N L), V) at a fraction of the cost of a U x U eigensolve; the
+      U - N L null eigenvalues are returned as exact zeros and their
+      eigenvectors are not computed.
+    * 0 < k < N L, U >= LANCZOS_MIN_DIM and U >= LANCZOS_DIM_PER_PAIR k:
+      Lanczos computes only the top k eigenpairs U_k (from a fixed start
+      vector, so a result never depends on the process), and the noise
+      eigenvalue mean is the residual ||W - U_k U_k* W||_F^2 /
+      (N L (U - k)).  That equals (tr R - sum of the top k) / (U - k) but
+      is a sum of squares, so it stays positive where the trace difference
+      cancels to rounding level.  If Lanczos does not converge within its
+      step budget, the dense branch runs instead.
+    * otherwise a dense eigh of the whole matrix.  With k >= N L the range
+      holds no noise eigenvalue, and its rounding-level null eigenvalues
+      are what the noise estimate then averages.
+
+    See :class:`EigenSystem` for what each branch returns.
     """
     w = smoothed.entries
     if not np.all(np.isfinite(w.view(float))):
@@ -209,6 +292,20 @@ def sample_covariance_eig(smoothed: SmoothedMatrix, k: int) -> EigenSystem:
         return EigenSystem(eigenvalues=vals, eigenvectors=vecs, k=k, c_n=smoothed.c_n)
     cov = w @ w.conj().T / nl
     cov = 0.5 * (cov + cov.conj().T)
+    top = None
+    if 0 < k < nl and u >= LANCZOS_MIN_DIM and u >= LANCZOS_DIM_PER_PAIR * k:
+        top = _lanczos_top(cov, k)
+    if top is not None:
+        vals, vecs = top
+        resid = vecs @ (vecs.conj().T @ w)
+        resid -= w
+        return EigenSystem(
+            eigenvalues=np.clip(vals, 0.0, None),
+            eigenvectors=vecs,
+            k=k,
+            c_n=smoothed.c_n,
+            noise_variance=float(np.vdot(resid, resid).real) / (nl * (u - k)),
+        )
     vals, vecs = np.linalg.eigh(cov)
     vals = vals[::-1].copy()
     vecs = vecs[:, ::-1].copy()
@@ -218,9 +315,16 @@ def sample_covariance_eig(smoothed: SmoothedMatrix, k: int) -> EigenSystem:
 
 
 def noise_variance_estimate(eig: EigenSystem) -> float:
-    """Mean of the noise eigenvalues (all but the top k)."""
+    """Mean of the noise eigenvalues (all but the top k).
+
+    An eigensystem that holds only its top k eigenvalues carries this mean
+    as ``noise_variance`` (see :func:`sample_covariance_eig`); otherwise it
+    is the mean of eigenvalues[k:].
+    """
     if eig.k >= eig.dim:
         raise ValueError("no noise subspace: k equals the dimension")
+    if eig.noise_variance is not None:
+        return eig.noise_variance
     return float(np.mean(eig.eigenvalues[eig.k :]))
 
 

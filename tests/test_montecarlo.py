@@ -4,8 +4,9 @@ The error-bound implementation is checked against a brute-force Fisher
 information matrix assembled by finite differences over every real model
 parameter (angles plus real and imaginary source entries), and against the
 single-source closed form 6 sigma2 / (N p (M^2 - 1)).  Harness tests pin
-worker-count independence bitwise, seeded reproducibility, and the failure
-bookkeeping.
+worker-count independence bitwise, seeded reproducibility, the failure
+bookkeeping, and that every trial reaches the eigen layer through
+subspace.sample_covariance_eig.
 """
 
 import dataclasses
@@ -14,7 +15,13 @@ import math
 import numpy as np
 import pytest
 
-from smoothmusic.array_model import ArrayScenario, draw_signal_matrix
+from smoothmusic import subspace
+from smoothmusic.array_model import (
+    ArrayScenario,
+    draw_signal_matrix,
+    hankelize,
+    synthesize_snapshots,
+)
 from smoothmusic.montecarlo import (
     ESTIMATORS,
     ExperimentPlan,
@@ -147,6 +154,43 @@ def test_run_plan_noiseless_floor():
     for row in run_plan(plan).rows:
         assert row.failures == 0
         assert row.mse < 1e-12, f"{row.estimator} floor {row.mse}"
+
+
+def test_run_plan_noiseless_floor_on_the_lanczos_branch():
+    """At 200 dB the top-k (Lanczos) eigensystem's noise estimate stays
+    positive and near the true noise power, where tr R minus the top k
+    eigenvalues cancels to rounding level and below zero, and every
+    estimator still reaches the search floor."""
+    sc = ArrayScenario(m=112, n=16, l=8, doas=WIDE, snr_db=200.0, seed=0)
+    u = sc.subarray_size
+    assert u >= subspace.LANCZOS_MIN_DIM and sc.n * sc.l >= u
+    eig = subspace.sample_covariance_eig(hankelize(synthesize_snapshots(sc), sc.l), sc.k)
+    assert eig.eigenvalues.shape == (sc.k,), "the top-k branch ran"
+    sigma2_hat = subspace.noise_variance_estimate(eig)
+    assert 0.5 * sc.sigma2 < sigma2_hat < 2.0 * sc.sigma2
+    plan = ExperimentPlan(scenario=sc, sweep="snr_db", values=(200.0,), trials=3)
+    for row in run_plan(plan).rows:
+        assert row.failures == 0
+        assert row.mse < 1e-12, f"{row.estimator} floor {row.mse}"
+
+
+def test_trials_factor_through_sample_covariance_eig(monkeypatch):
+    """Every trial reaches the eigen layer through
+    subspace.sample_covariance_eig, once per distinct smoothing factor: the
+    one function the benchmark's tracer wraps for that layer."""
+    calls = []
+    factor = subspace.sample_covariance_eig
+
+    def counting(smoothed, k):
+        calls.append(smoothed.l)
+        return factor(smoothed, k)
+
+    monkeypatch.setattr(subspace, "sample_covariance_eig", counting)
+    sc = ArrayScenario(m=32, n=8, l=4, doas=WIDE, snr_db=10.0, seed=0)
+    plan = ExperimentPlan(scenario=sc, sweep="snr_db", values=(5.0, 15.0), trials=3)
+    run_plan(plan)
+    # music and gmusic share l = 1, music-ss and gmusic-ss l = 4
+    assert sorted(calls) == [1] * 6 + [4] * 6
 
 
 def test_run_plan_failure_accounting_window_mode():

@@ -21,15 +21,19 @@ from smoothmusic.array_model import (
     SIGNAL_POLICIES,
     ArrayScenario,
     SmoothedMatrix,
+    complex_gaussian,
     draw_signal_matrix,
     hankelize,
     signal_covariance,
     signal_covariance_hadamard,
+    steering_matrix,
     synthesize_snapshots,
     wrap_angle,
 )
 from smoothmusic.rmt import MpParams, mp_atom, mp_cdf, mp_density
 from smoothmusic.subspace import (
+    LANCZOS_DIM_PER_PAIR,
+    LANCZOS_MIN_DIM,
     EigenSystem,
     Pseudospectrum,
     SearchWindow,
@@ -136,6 +140,35 @@ def test_thin_svd_matches_dense_eigh(nl, extra, data, seed):
     top = eig.eigenvectors[:, :k]
     want = vecs[:, :k]
     np.testing.assert_allclose(top @ top.conj().T, want @ want.conj().T, rtol=0, atol=1e-10)
+
+
+@given(u=st.integers(60, 200), data=st.data(), seed=seeds)
+def test_lanczos_top_k_matches_dense_eigh(u, data, seed):
+    """With N L >= U the top-k eigensystem equals a dense eigh of W W*/(N L),
+    on either side of the Lanczos branch bound, also for sources on the DFT
+    grid 2 pi j / U (orthogonal to an all-ones start vector)."""
+    k = data.draw(st.integers(1, u // 12), label="k")
+    nl = u + data.draw(st.integers(0, u), label="extra")
+    on_grid = data.draw(st.lists(st.booleans(), min_size=k, max_size=k), label="on_grid")
+    rng = np.random.default_rng(seed)
+    # distinct even DFT bins, each source on its bin or up to one bin past it
+    bins = 2 * rng.choice(u // 2, k, replace=False) + np.where(on_grid, 0.0, rng.uniform(0, 1, k))
+    s = rng.uniform(3.0, 15.0, k)[:, None] * complex_gaussian(rng, (k, nl))
+    w = steering_matrix(u, 2.0 * math.pi * bins / u) @ s + complex_gaussian(rng, (u, nl))
+    sm = SmoothedMatrix(entries=w, m=u, n=nl, l=1)
+    vals, vecs = np.linalg.eigh(w @ w.conj().T / nl)
+    vals, vecs = vals[::-1], vecs[:, ::-1]
+    # a near-degenerate k-th gap leaves the top-k subspace ill defined
+    assume(vals[k - 1] - vals[k] > 1e-3 * vals[0])
+    eig = sample_covariance_eig(sm, k)
+    lanczos = u >= LANCZOS_MIN_DIM and u >= LANCZOS_DIM_PER_PAIR * k
+    assert eig.eigenvalues.shape == ((k,) if lanczos else (u,))
+    assert eig.dim == u
+    np.testing.assert_allclose(eig.eigenvalues[:k], vals[:k], rtol=1e-12)
+    top = eig.eigenvectors[:, :k]
+    want = vecs[:, :k]
+    np.testing.assert_allclose(top @ top.conj().T, want @ want.conj().T, rtol=0, atol=1e-10)
+    assert noise_variance_estimate(eig) == pytest.approx(np.mean(vals[k:]), rel=1e-10)
 
 
 @given(nl=st.integers(1, 10), data=st.data(), seed=seeds, weighted=st.booleans())
