@@ -38,7 +38,6 @@ from .rmt import MpParams
 from .subspace import (
     Pseudospectrum,
     gmusic_weights,
-    noise_variance_estimate,
     sample_covariance_eig,
     spectrum_trace,
 )
@@ -347,9 +346,14 @@ def cmd_spectrum(cfg: dict, scenario: ArrayScenario, strict: Optional[bool]):
         raise ConfigError(f"grid_points must be >= 2, got {grid_points}")
     if not spec["hi"] > spec["lo"]:
         raise ConfigError(f"empty spectrum window [{spec['lo']}, {spec['hi']}]")
+    try:
+        # both spectra come from the smoothed covariance, and G-MUSIC needs the most
+        montecarlo._check_rank(scenario, ("gmusic-ss",))
+    except ValueError as exc:
+        raise ConfigError(f"invalid [scenario]: {exc}") from exc
     eig = sample_covariance_eig(hankelize(synthesize_snapshots(scenario), scenario.l), scenario.k)
     strict = spec["strict_separation"] if strict is None else strict
-    weights = gmusic_weights(eig, noise_variance_estimate(eig), eig.c_n, strict=strict)
+    weights = gmusic_weights(eig, eig.noise_variance, eig.c_n, strict=strict)
     grid = np.linspace(spec["lo"], spec["hi"], grid_points)
     trad = spectrum_trace(Pseudospectrum(eig), grid)
     gm = spectrum_trace(Pseudospectrum(eig, weights), grid)
@@ -536,7 +540,16 @@ def main(argv=None) -> int:
 
     out_dir = args.out if args.out is not None else cfg["output"]["out_dir"]
     if out_dir is None:
-        _write_csv(sys.stdout, header, rows)
+        try:
+            _write_csv(sys.stdout, header, rows)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader left (e.g. `| head`); as the signal module docs advise, send
+            # what is still buffered to devnull so the flush at exit does not raise too
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return 1
     else:
         try:
             os.makedirs(out_dir, exist_ok=True)

@@ -244,8 +244,7 @@ def _run_trial(task) -> dict:
                 spectrum = subspace.Pseudospectrum(eig)
             else:
                 if lval not in weights:
-                    sigma2_hat = subspace.noise_variance_estimate(eig)
-                    weights[lval] = subspace.gmusic_weights(eig, sigma2_hat, eig.c_n, strict)
+                    weights[lval] = subspace.gmusic_weights(eig, eig.noise_variance, eig.c_n, strict)
                 spectrum = subspace.Pseudospectrum(eig, weights[lval])
             theta_hat = subspace.find_doas(spectrum, k, policy, m)
         except (subspace.UnderResolvedError, subspace.NotSeparatedError):

@@ -45,7 +45,6 @@ __all__ = [
     "gmusic_pseudospectrum",
     "gmusic_weights",
     "intervals_around",
-    "noise_variance_estimate",
     "sample_covariance_eig",
     "separation_report",
     "spectrum_trace",
@@ -81,28 +80,22 @@ class NotSeparatedError(RuntimeError):
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Eigendecomposition of a smoothed sample covariance.
+    """The signal part of a smoothed sample covariance's eigensystem.
 
-    eigenvalues are descending and nonnegative; eigenvectors[:, i] matches
-    eigenvalues[i]; k is the source count used to split signal and noise;
-    dim, the covariance's size U, is the number of eigenvector rows.
-    :func:`sample_covariance_eig` fills it in one of three ways:
-
-    * dense: all U eigenvalues and eigenvectors;
-    * thin SVD (rank N L < U): all U eigenvalues, the U - N L past the
-      range exact zeros, but only the N L eigenvectors of the range;
-    * Lanczos: only the top k eigenpairs, and noise_variance set to the
-      mean of the U - k noise eigenvalues, computed without them.
-
-    Readers use the first k columns, the top k eigenvalues and
-    :func:`noise_variance_estimate`, never the null space.
+    eigenvalues are the top k, descending and nonnegative; eigenvectors is
+    U x k with column i matching eigenvalues[i]; noise_variance is the mean
+    of the other U - k eigenvalues, the plug-in sigma2.  k, the source
+    count, and dim, the covariance's size U, follow from the arrays.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    k: int
     c_n: float
-    noise_variance: Optional[float] = None
+    noise_variance: float
+
+    @property
+    def k(self) -> int:
+        return self.eigenvalues.shape[0]
 
     @property
     def dim(self) -> int:
@@ -144,7 +137,8 @@ class SearchWindow:
     """Grid policy: scan [lo, hi) and keep the k deepest strict local minima.
 
     A window with hi - lo = 2 pi (the default) is the whole circle: its grid
-    is periodic, so a dip at the seam counts like any other.
+    is periodic, so a dip at the seam counts like any other.  A wider window
+    is refused.
     """
 
     lo: float = -math.pi
@@ -153,6 +147,9 @@ class SearchWindow:
     def __post_init__(self):
         if not self.hi > self.lo:
             raise ValueError(f"empty search window [{self.lo}, {self.hi}]")
+        if self.hi - self.lo > 2.0 * math.pi and not self.circle:
+            # past 2 pi a source would be scanned, and found, twice
+            raise ValueError(f"search window [{self.lo}, {self.hi}] is wider than the circle")
 
     @property
     def circle(self) -> bool:
@@ -256,14 +253,12 @@ def _lanczos_top(cov: np.ndarray, k: int):
 
 
 def sample_covariance_eig(smoothed: SmoothedMatrix, k: int) -> EigenSystem:
-    """Eigensystem of W W* / (N L), eigenvalues descending.
-
-    Three branches, chosen from the sizes U, N L and k alone:
+    """Top k eigenpairs of W W* / (N L) and the mean of the other U - k
+    eigenvalues, by one of three branches chosen from U, N L and k alone:
 
     * k < N L < U: a thin SVD W = V S Z* gives the N L range eigenpairs
       (s^2 / (N L), V) at a fraction of the cost of a U x U eigensolve; the
-      U - N L null eigenvalues are returned as exact zeros and their
-      eigenvectors are not computed.
+      U - N L null eigenvalues are exact zeros.
     * 0 < k < N L, U >= LANCZOS_MIN_DIM and U >= LANCZOS_DIM_PER_PAIR k:
       Lanczos computes only the top k eigenpairs U_k (from a fixed start
       vector, so a result never depends on the process), and the noise
@@ -274,9 +269,7 @@ def sample_covariance_eig(smoothed: SmoothedMatrix, k: int) -> EigenSystem:
       step budget, the dense branch runs instead.
     * otherwise a dense eigh of the whole matrix.  With k >= N L the range
       holds no noise eigenvalue, and its rounding-level null eigenvalues
-      are what the noise estimate then averages.
-
-    See :class:`EigenSystem` for what each branch returns.
+      are what the noise mean then averages.
     """
     w = smoothed.entries
     if not np.all(np.isfinite(w.view(float))):
@@ -285,11 +278,15 @@ def sample_covariance_eig(smoothed: SmoothedMatrix, k: int) -> EigenSystem:
     if not 0 <= k < u:
         raise ValueError(f"need 0 <= k < subarray size {u}, got k={k}")
     nl = smoothed.virtual_snapshots
+
+    def top_k(vals, vecs, noise_variance):
+        return EigenSystem(vals[:k], vecs[:, :k], smoothed.c_n, float(noise_variance))
+
     if k < nl < u:
         vecs, sing, _ = np.linalg.svd(w, full_matrices=False)
         vals = np.zeros(u)
         vals[:nl] = sing**2 / nl
-        return EigenSystem(eigenvalues=vals, eigenvectors=vecs, k=k, c_n=smoothed.c_n)
+        return top_k(vals, vecs, np.mean(vals[k:]))
     cov = w @ w.conj().T / nl
     cov = 0.5 * (cov + cov.conj().T)
     top = None
@@ -299,40 +296,19 @@ def sample_covariance_eig(smoothed: SmoothedMatrix, k: int) -> EigenSystem:
         vals, vecs = top
         resid = vecs @ (vecs.conj().T @ w)
         resid -= w
-        return EigenSystem(
-            eigenvalues=np.clip(vals, 0.0, None),
-            eigenvectors=vecs,
-            k=k,
-            c_n=smoothed.c_n,
-            noise_variance=float(np.vdot(resid, resid).real) / (nl * (u - k)),
-        )
+        return top_k(np.clip(vals, 0.0, None), vecs, np.vdot(resid, resid).real / (nl * (u - k)))
     vals, vecs = np.linalg.eigh(cov)
-    vals = vals[::-1].copy()
-    vecs = vecs[:, ::-1].copy()
-    # eigh can return tiny negative values for a PSD input
-    np.clip(vals, 0.0, None, out=vals)
-    return EigenSystem(eigenvalues=vals, eigenvectors=vecs, k=k, c_n=smoothed.c_n)
-
-
-def noise_variance_estimate(eig: EigenSystem) -> float:
-    """Mean of the noise eigenvalues (all but the top k).
-
-    An eigensystem that holds only its top k eigenvalues carries this mean
-    as ``noise_variance`` (see :func:`sample_covariance_eig`); otherwise it
-    is the mean of eigenvalues[k:].
-    """
-    if eig.k >= eig.dim:
-        raise ValueError("no noise subspace: k equals the dimension")
-    if eig.noise_variance is not None:
-        return eig.noise_variance
-    return float(np.mean(eig.eigenvalues[eig.k :]))
+    # eigh is ascending, and can return tiny negative values for a PSD input
+    vals = np.clip(vals[::-1], 0.0, None)
+    # row-major, like the other branches' eigenvectors, not a reversed view
+    return top_k(vals, np.ascontiguousarray(vecs[:, : -k - 1 : -1]), np.mean(vals[k:]))
 
 
 def _signal_projections(eig: EigenSystem, theta) -> np.ndarray:
     """|u_i^* a(theta)|^2 for the k signal eigenvectors, shape (k, ...)."""
     thetas = np.atleast_1d(np.asarray(theta, dtype=float))
     a = steering_matrix(eig.dim, thetas)  # (dim, g)
-    proj = eig.eigenvectors[:, : eig.k].conj().T @ a  # (k, g)
+    proj = eig.eigenvectors.conj().T @ a  # (k, g)
     return np.abs(proj) ** 2
 
 
@@ -344,7 +320,7 @@ def _circle_projections(eig: EigenSystem, lo: float, p: int) -> np.ndarray:
     so any p is exact, not only p >= U.
     """
     dim = eig.dim
-    x = eig.eigenvectors[:, : eig.k] * np.exp(-1j * lo * np.arange(dim))[:, None]
+    x = eig.eigenvectors * np.exp(-1j * lo * np.arange(dim))[:, None]
     if dim > p:
         x = np.pad(x, ((0, -dim % p), (0, 0))).reshape(-1, p, eig.k).sum(axis=0)
     return np.abs(np.fft.fft(x, n=p, axis=0).T) ** 2 / dim
@@ -373,16 +349,15 @@ def gmusic_weights(eig: EigenSystem, sigma2: float, c: float, strict: bool = Fal
     ``strict`` raises :class:`NotSeparatedError` instead.
     """
     p = MpParams(sigma2, c)
-    top = eig.eigenvalues[: eig.k]
     weights = np.ones(eig.k)
     below = []
-    for i, lam in enumerate(top):
+    for i, lam in enumerate(eig.eigenvalues):
         try:
             weights[i] = 1.0 / h_star(lam, p)
         except BelowEdgeError:
             below.append(i)
     if strict and below:
-        raise NotSeparatedError(below, top, p.edge_plus)
+        raise NotSeparatedError(below, eig.eigenvalues, p.edge_plus)
     return weights
 
 
@@ -474,11 +449,11 @@ def _deepest_minima(vals: np.ndarray, k: int, periodic: bool = False) -> np.ndar
 
 def _refine(spectrum_fn, grid: np.ndarray, indices, xtol: float, periodic: bool) -> np.ndarray:
     """Golden-section minimum of spectrum_fn between the grid neighbours of
-    each index.
+    each index, wrapped onto [-pi, pi), as a grid may reach past +-pi.
 
     On a periodic grid (grid[-1] is grid[0] + 2 pi) the left neighbour of
-    point 0 lies one step below it and the angles returned are wrapped onto
-    [-pi, pi); otherwise the brackets are clamped to the grid ends.
+    point 0 lies one step below it; otherwise the brackets are clamped to
+    the grid ends.
     """
     scalar_fn = lambda t: float(spectrum_fn(np.array([t]))[0])
     out = []
@@ -488,7 +463,7 @@ def _refine(spectrum_fn, grid: np.ndarray, indices, xtol: float, periodic: bool)
         else:
             a = grid[max(i - 1, 0)]
         out.append(_golden_min(scalar_fn, a, grid[min(i + 1, grid.size - 1)], xtol))
-    return wrap_angle(out) if periodic else np.asarray(out)
+    return wrap_angle(out)
 
 
 def find_doas(spectrum_fn, k: int, policy, m: int):
@@ -542,8 +517,7 @@ def find_doas(spectrum_fn, k: int, policy, m: int):
             grid = _grid(lo, hi, m, floor=MIN_INTERVAL_POINTS)
             i = int(np.argmin(np.asarray(spectrum_fn(grid))))
             out.extend(_refine(spectrum_fn, grid, [i], xtol, periodic=False))
-        # an interval may cross the seam, so its minimum may lie past +-pi
-        return np.sort(wrap_angle(out))
+        return np.sort(out)
 
     raise TypeError(f"unknown grid policy {policy!r}")
 
@@ -554,10 +528,10 @@ def spectrum_trace(spectrum: Pseudospectrum, grid: np.ndarray) -> SpectrumTrace:
     Values are reported signed; the bias-corrected spectrum may dip below
     zero at a source.  Minima are selected and refined on the signed values
     (see :func:`find_doas` for why refinement must not fold the sign), to
-    1e-4 grid steps.  A grid whose ends are 2 pi apart is searched as a
-    circle, like a whole-circle :class:`SearchWindow`: its last point
-    repeats the first, a dip at the seam counts like any other, and the
-    minima are wrapped onto [-pi, pi).
+    1e-4 grid steps, and wrapped onto [-pi, pi).  A grid whose ends are
+    2 pi apart is searched as a circle, like a whole-circle
+    :class:`SearchWindow`: its last point repeats the first, and a dip at
+    the seam counts like any other.
     """
     grid = np.asarray(grid, dtype=float)
     values = spectrum(grid)

@@ -294,6 +294,17 @@ def test_runtime_failure_exits_one(tmp_path, capsys):
     assert code == 1 and out == ""
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_spectrum_rejects_too_few_virtual_snapshots(tmp_path, capsys, n):
+    """spectrum applies the rank rule plans use: two sources at N L = 2 leave
+    G-MUSIC no noise eigenvalue to estimate sigma2 from, and at N L = 1 MUSIC
+    would read a null vector.  Exit 2 like montecarlo, not a CSV."""
+    ini = f"[scenario]\nm = 16\nn = {n}\nl = 1\ndoas = 0.3, 1.2\nsnr_db = 20\nseed = 0\n\n[spectrum]\n"
+    code, out, err = _run(["spectrum", "--config", _write(tmp_path, ini)], capsys)
+    assert code == 2 and out == ""
+    assert "config error: invalid [scenario]" in err and "gmusic-ss needs N L >= 3" in err
+
+
 def test_flags_are_rejected_where_they_do_not_apply(tmp_path, capsys):
     """--workers belongs to montecarlo only, --strict-separation to spectrum
     and montecarlo; elsewhere argparse exits 2 instead of ignoring them."""
@@ -403,3 +414,22 @@ def test_console_script_matches_in_process(tmp_path, capsys):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected
+
+
+def test_spectrum_into_a_closed_pipe_exits_without_traceback(tmp_path):
+    """A reader that stops after one line (`| head -1`) ends the command with
+    exit 1 and no BrokenPipeError traceback; the CSV is far larger than a
+    64 KiB pipe buffer, so the writer is still writing when the pipe closes."""
+    cfg = _write(tmp_path, SPECTRUM_INI.replace("grid_points = 64", "grid_points = 20000"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "smoothmusic.cli", "spectrum", "--config", cfg],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_child_env(),
+    )
+    assert proc.stdout.readline().startswith(b"theta_rad,")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err

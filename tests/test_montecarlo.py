@@ -166,8 +166,7 @@ def test_run_plan_noiseless_floor_on_the_lanczos_branch():
     assert u >= subspace.LANCZOS_MIN_DIM and sc.n * sc.l >= u
     eig = subspace.sample_covariance_eig(hankelize(synthesize_snapshots(sc), sc.l), sc.k)
     assert eig.eigenvalues.shape == (sc.k,), "the top-k branch ran"
-    sigma2_hat = subspace.noise_variance_estimate(eig)
-    assert 0.5 * sc.sigma2 < sigma2_hat < 2.0 * sc.sigma2
+    assert 0.5 * sc.sigma2 < eig.noise_variance < 2.0 * sc.sigma2
     plan = ExperimentPlan(scenario=sc, sweep="snr_db", values=(200.0,), trials=3)
     for row in run_plan(plan).rows:
         assert row.failures == 0

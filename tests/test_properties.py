@@ -35,11 +35,11 @@ from smoothmusic.subspace import (
     LANCZOS_DIM_PER_PAIR,
     LANCZOS_MIN_DIM,
     EigenSystem,
+    _lanczos_top,
     Pseudospectrum,
     SearchWindow,
     find_doas,
     gmusic_weights,
-    noise_variance_estimate,
     sample_covariance_eig,
     separation_report,
 )
@@ -56,7 +56,8 @@ def _unitary(dim, rng):
 def _spectrum(dim, k, seed, weighted):
     rng = np.random.default_rng(seed)
     vals = np.sort(rng.uniform(0.1, 5.0, dim))[::-1]
-    eig = EigenSystem(eigenvalues=vals, eigenvectors=_unitary(dim, rng), k=k, c_n=0.5)
+    vecs = _unitary(dim, rng)[:, :k]
+    eig = EigenSystem(vals[:k], vecs, c_n=0.5, noise_variance=float(np.mean(vals[k:])))
     return Pseudospectrum(eig, rng.uniform(0.2, 3.0, k) if weighted else None)
 
 
@@ -81,7 +82,7 @@ def test_rotating_eigenvectors_shifts_circle_values(dim, data, seed, weighted):
     eig = spectrum.eig
     phase = np.exp(1j * (2.0 * math.pi * j / p) * np.arange(dim))
     rotated = Pseudospectrum(
-        EigenSystem(eig.eigenvalues, eig.eigenvectors * phase[:, None], k, eig.c_n),
+        EigenSystem(eig.eigenvalues, eig.eigenvectors * phase[:, None], eig.c_n, eig.noise_variance),
         spectrum.weights,
     )
     np.testing.assert_allclose(
@@ -101,13 +102,16 @@ def test_conjugate_snapshots_mirror_both_spectra(l, k, doas, p, seed):
     is the original scan at index -j mod P, for MUSIC and G-MUSIC alike."""
     sc = ArrayScenario(m=24, n=10, l=l, doas=doas[:k], snr_db=20.0, seed=seed)
     snaps = synthesize_snapshots(sc)
-    eig = sample_covariance_eig(hankelize(snaps, l), k)
+    smoothed = hankelize(snaps, l)
+    eig = sample_covariance_eig(smoothed, k)
     eig_c = sample_covariance_eig(hankelize(snaps.conj(), l), k)
-    vals = eig.eigenvalues
+    x = smoothed.entries
+    vals = np.linalg.eigvalsh(x @ x.conj().T / smoothed.virtual_snapshots)[::-1]
     # a near-degenerate top-k eigenvalue leaves its eigenvectors ill defined
     assume(np.min(np.abs(np.diff(vals[: k + 1]))) > 1e-3 * vals[0])
-    np.testing.assert_allclose(eig_c.eigenvalues, vals, rtol=0, atol=1e-12 * vals[0])
-    weights = gmusic_weights(eig, noise_variance_estimate(eig), eig.c_n)
+    np.testing.assert_allclose(eig_c.eigenvalues, eig.eigenvalues, rtol=0, atol=1e-12 * vals[0])
+    assert eig_c.noise_variance == pytest.approx(eig.noise_variance, rel=0, abs=1e-12 * vals[0])
+    weights = gmusic_weights(eig, eig.noise_variance, eig.c_n)
     mirror = (-np.arange(p)) % p
     for w in (None, weights):
         want = Pseudospectrum(eig, w).on_circle(-math.pi, p)[mirror]
@@ -134,12 +138,15 @@ def test_thin_svd_matches_dense_eigh(nl, extra, data, seed):
     vals, vecs = vals[::-1], vecs[:, ::-1]
     # a near-degenerate k-th gap leaves the top-k subspace ill defined
     assume(vals[k - 1] - vals[k] > 1e-3 * vals[0])
-    assert eig.eigenvalues.shape == (u,)
-    np.testing.assert_allclose(eig.eigenvalues, vals, rtol=1e-12, atol=1e-12 * vals[0])
-    assert np.all(eig.eigenvalues[nl:] == 0.0)
-    top = eig.eigenvectors[:, :k]
+    assert eig.eigenvalues.shape == (k,)
+    assert eig.eigenvectors.shape == (u, k)
+    np.testing.assert_allclose(eig.eigenvalues, vals[:k], rtol=1e-12, atol=1e-12 * vals[0])
+    top = eig.eigenvectors
     want = vecs[:, :k]
     np.testing.assert_allclose(top @ top.conj().T, want @ want.conj().T, rtol=0, atol=1e-10)
+    # the U - N L null eigenvalues enter the mean as exact zeros
+    assert isinstance(eig.noise_variance, float)
+    assert eig.noise_variance == pytest.approx(np.mean(vals[k:]), rel=1e-10)
 
 
 @given(u=st.integers(60, 200), data=st.data(), seed=seeds)
@@ -156,19 +163,23 @@ def test_lanczos_top_k_matches_dense_eigh(u, data, seed):
     s = rng.uniform(3.0, 15.0, k)[:, None] * complex_gaussian(rng, (k, nl))
     w = steering_matrix(u, 2.0 * math.pi * bins / u) @ s + complex_gaussian(rng, (u, nl))
     sm = SmoothedMatrix(entries=w, m=u, n=nl, l=1)
-    vals, vecs = np.linalg.eigh(w @ w.conj().T / nl)
+    cov = w @ w.conj().T / nl
+    vals, vecs = np.linalg.eigh(cov)
     vals, vecs = vals[::-1], vecs[:, ::-1]
     # a near-degenerate k-th gap leaves the top-k subspace ill defined
     assume(vals[k - 1] - vals[k] > 1e-3 * vals[0])
     eig = sample_covariance_eig(sm, k)
-    lanczos = u >= LANCZOS_MIN_DIM and u >= LANCZOS_DIM_PER_PAIR * k
-    assert eig.eigenvalues.shape == ((k,) if lanczos else (u,))
-    assert eig.dim == u
-    np.testing.assert_allclose(eig.eigenvalues[:k], vals[:k], rtol=1e-12)
-    top = eig.eigenvectors[:, :k]
+    if u >= LANCZOS_MIN_DIM and u >= LANCZOS_DIM_PER_PAIR * k:
+        # the Lanczos branch converges here instead of handing over to eigh
+        assert _lanczos_top(0.5 * (cov + cov.conj().T), k) is not None
+    assert eig.eigenvalues.shape == (k,)
+    assert eig.eigenvectors.shape == (u, k)
+    np.testing.assert_allclose(eig.eigenvalues, vals[:k], rtol=1e-12)
+    top = eig.eigenvectors
     want = vecs[:, :k]
     np.testing.assert_allclose(top @ top.conj().T, want @ want.conj().T, rtol=0, atol=1e-10)
-    assert noise_variance_estimate(eig) == pytest.approx(np.mean(vals[k:]), rel=1e-10)
+    assert isinstance(eig.noise_variance, float)
+    assert eig.noise_variance == pytest.approx(np.mean(vals[k:]), rel=1e-10)
 
 
 @given(nl=st.integers(1, 10), data=st.data(), seed=seeds, weighted=st.booleans())
@@ -177,9 +188,9 @@ def test_source_count_above_rank_stays_finite(nl, data, seed, weighted):
     u = nl + data.draw(st.integers(2, 30), label="extra")
     k = data.draw(st.integers(nl, u - 1), label="k")
     eig = sample_covariance_eig(_smoothed(u, nl, seed), k)
-    assert eig.eigenvectors.shape[1] >= k
+    assert eig.eigenvalues.shape == (k,) and eig.eigenvectors.shape == (u, k)
     assert np.all(np.isfinite(eig.eigenvalues)) and np.all(np.isfinite(eig.eigenvectors))
-    assert math.isfinite(noise_variance_estimate(eig))
+    assert math.isfinite(eig.noise_variance)
     weights = np.full(k, 2.0) if weighted else None
     spectrum = Pseudospectrum(eig, weights)
     assert np.all(np.isfinite(spectrum.on_circle(-math.pi, 4 * u)))
@@ -200,7 +211,7 @@ def test_find_doas_does_not_depend_on_where_the_circle_starts(doa, spacing, delt
     second = float(wrap_angle(doa + spacing * beamwidth))
     sc = ArrayScenario(m=m, n=20, l=4, doas=(doa, second), snr_db=30.0, seed=seed)
     eig = sample_covariance_eig(hankelize(synthesize_snapshots(sc), sc.l), sc.k)
-    weights = gmusic_weights(eig, noise_variance_estimate(eig), eig.c_n)
+    weights = gmusic_weights(eig, eig.noise_variance, eig.c_n)
     shifted = SearchWindow(lo=delta - math.pi, hi=delta + math.pi)
     for spectrum in (Pseudospectrum(eig), Pseudospectrum(eig, weights)):
         base = find_doas(spectrum, 2, SearchWindow(), m)

@@ -37,7 +37,6 @@ from smoothmusic.subspace import (
     gmusic_pseudospectrum,
     gmusic_weights,
     intervals_around,
-    noise_variance_estimate,
     sample_covariance_eig,
     separation_report,
     spectrum_trace,
@@ -54,7 +53,8 @@ def _unitary(dim, seed):
 
 
 def test_sample_covariance_eig_known_singular_system():
-    """Eigenvalues of W W*/(N L) equal the planted squared singular values."""
+    """The top k eigenvalues of W W*/(N L) equal the planted squared singular
+    values, and the noise variance is the mean of the others."""
     m, n, l = 5, 3, 2  # subarray 4, virtual snapshots 6
     u = _unitary(4, 0)
     v = _unitary(6, 1)[:, :4]
@@ -62,12 +62,15 @@ def test_sample_covariance_eig_known_singular_system():
     w = (u * sing) @ v.conj().T
     sm = SmoothedMatrix(entries=w, m=m, n=n, l=l)
     eig = sample_covariance_eig(sm, k=2)
-    np.testing.assert_allclose(eig.eigenvalues, sing**2 / 6.0, rtol=1e-12)
+    np.testing.assert_allclose(eig.eigenvalues, sing[:2] ** 2 / 6.0, rtol=1e-12)
+    assert eig.eigenvectors.shape == (4, 2)
     assert eig.k == 2
     assert eig.dim == 4
     assert eig.c_n == pytest.approx(4 / 6, rel=1e-15)
+    assert isinstance(eig.noise_variance, float)
+    assert eig.noise_variance == pytest.approx(np.mean(sing[2:] ** 2 / 6.0), rel=1e-12)
     # eigenvectors recover the planted left singular vectors up to phase
-    for i in range(4):
+    for i in range(2):
         overlap = abs(np.vdot(u[:, i], eig.eigenvectors[:, i]))
         assert overlap == pytest.approx(1.0, abs=1e-10), f"vector {i} overlap {overlap}"
     # eigenvalues are descending and nonnegative
@@ -87,29 +90,13 @@ def test_sample_covariance_eig_validation():
         sample_covariance_eig(SmoothedMatrix(entries=entries, m=5, n=3, l=2), 1)
 
 
-def test_noise_variance_estimate():
-    """The estimate is the mean of the trailing eigenvalues."""
-    eig = EigenSystem(
-        eigenvalues=np.array([5.0, 1.0, 0.5, 0.3]),
-        eigenvectors=np.eye(4, dtype=complex),
-        k=1,
-        c_n=0.5,
-    )
-    assert noise_variance_estimate(eig) == pytest.approx(0.6, rel=1e-15)
-    full = EigenSystem(
-        eigenvalues=np.array([5.0, 1.0]), eigenvectors=np.eye(2, dtype=complex), k=2, c_n=0.5
-    )
-    with pytest.raises(ValueError):
-        noise_variance_estimate(full)
-
-
 def test_traditional_pseudospectrum_projector_identity():
     """Values equal a* (I - U_k U_k*) a computed explicitly, clipped to [0, 1]."""
     rng = np.random.default_rng(4)
     dim = 8
     u = _unitary(dim, 12)
     vals = np.sort(rng.uniform(0.1, 5.0, dim))[::-1]
-    eig = EigenSystem(eigenvalues=vals, eigenvectors=u, k=3, c_n=0.4)
+    eig = EigenSystem(vals[:3], u[:, :3], c_n=0.4, noise_variance=float(np.mean(vals[3:])))
     proj = np.eye(dim) - u[:, :3] @ u[:, :3].conj().T
     thetas = np.linspace(-math.pi, math.pi, 41)
     got = traditional_pseudospectrum(eig, thetas)
@@ -120,7 +107,7 @@ def test_traditional_pseudospectrum_projector_identity():
     # scalar in, float out
     assert isinstance(traditional_pseudospectrum(eig, 0.3), float)
     # k = 0 leaves the constant spectrum 1
-    empty = EigenSystem(eigenvalues=vals, eigenvectors=u, k=0, c_n=0.4)
+    empty = EigenSystem(vals[:0], u[:, :0], c_n=0.4, noise_variance=float(np.mean(vals)))
     assert traditional_pseudospectrum(empty, 0.1) == 1.0
 
 
@@ -128,10 +115,10 @@ def test_gmusic_weight_exact_rational_case():
     """lambda = 3.75 at sigma2 = 1, c = 0.5 gives attenuation 0.7, weight 10/7."""
     edge = MpParams(1.0, 0.5).edge_plus
     eig = EigenSystem(
-        eigenvalues=np.array([3.75, edge, 0.5 * edge, 0.2]),
-        eigenvectors=np.eye(4, dtype=complex),
-        k=3,
+        eigenvalues=np.array([3.75, edge, 0.5 * edge]),
+        eigenvectors=np.eye(4, 3, dtype=complex),
         c_n=0.5,
+        noise_variance=0.2,
     )
     weights = gmusic_weights(eig, 1.0, 0.5)
     assert weights[0] == pytest.approx(10.0 / 7.0, rel=1e-12)
@@ -145,10 +132,10 @@ def test_gmusic_weights_vector_and_mask():
     """Per-eigenvalue weights line up; exactly 1.0 marks a non-separated one."""
     edge = MpParams(1.0, 0.5).edge_plus
     eig = EigenSystem(
-        eigenvalues=np.array([10.0, 3.75, 0.5 * edge, 0.2]),
-        eigenvectors=np.eye(4, dtype=complex),
-        k=3,
+        eigenvalues=np.array([10.0, 3.75, 0.5 * edge]),
+        eigenvectors=np.eye(4, 3, dtype=complex),
         c_n=0.5,
+        noise_variance=0.2,
     )
     values = gmusic_weights(eig, 1.0, 0.5)
     assert values.shape == (3,)
@@ -160,10 +147,10 @@ def test_gmusic_weights_vector_and_mask():
 def test_gmusic_pseudospectrum_hand_case_and_overrides():
     """Axis-aligned eigenvectors give an angle-independent closed form."""
     eig = EigenSystem(
-        eigenvalues=np.array([5.0, 1.0, 1.0, 1.0]),
-        eigenvectors=np.eye(4, dtype=complex),
-        k=1,
+        eigenvalues=np.array([5.0]),
+        eigenvectors=np.eye(4, 1, dtype=complex),
         c_n=0.5,
+        noise_variance=1.0,
     )
     # |a(theta)* e_0|^2 = 1/4 for every theta, so eta = 1 - weight/4
     weight = 1.0 / h_star(5.0, MpParams(1.0, 0.5))
@@ -185,10 +172,10 @@ def test_gmusic_strict_separation_error():
     """strict mode raises with diagnostics when a top eigenvalue is in the bulk."""
     p = MpParams(1.0, 0.5)
     eig = EigenSystem(
-        eigenvalues=np.array([0.9 * p.edge_plus, 0.5, 0.4, 0.3]),
-        eigenvectors=np.eye(4, dtype=complex),
-        k=1,
+        eigenvalues=np.array([0.9 * p.edge_plus]),
+        eigenvectors=np.eye(4, 1, dtype=complex),
         c_n=0.5,
+        noise_variance=0.4,
     )
     with pytest.raises(NotSeparatedError) as info:
         gmusic_weights(eig, 1.0, 0.5, strict=True)
@@ -286,11 +273,23 @@ def test_find_doas_interval_across_the_seam_wraps():
         assert abs(got[0] - circle[0]) <= 2 * xtol, f"seed {seed}: {got[0]} vs {circle[0]}"
 
 
+def test_find_doas_sub_window_past_pi_wraps():
+    """A sub-window that reaches past pi returns its minimum wrapped onto
+    [-pi, pi), like the whole-circle search."""
+    m = 32
+    sc = ArrayScenario(m=m, n=20, l=4, doas=(-math.pi + 0.02,), snr_db=20.0, seed=0)
+    spectrum = Pseudospectrum(sample_covariance_eig(hankelize(synthesize_snapshots(sc), sc.l), 1))
+    got = find_doas(spectrum, 1, SearchWindow(lo=2.5, hi=3.5), m)
+    assert -math.pi <= got[0] < math.pi, f"{got[0]} not wrapped"
+    circle = find_doas(spectrum, 1, SearchWindow(), m)
+    assert abs(got[0] - circle[0]) <= 2e-4 * (2 * math.pi / m), f"{got[0]} vs {circle[0]}"
+
+
 def test_spectrum_trace_whole_circle_has_no_seam():
     """A trace grid whose ends are 2 pi apart is searched as a circle."""
     sc = ArrayScenario(m=32, n=20, l=1, doas=(-math.pi + 1e-3, 1.0), snr_db=30.0, seed=0)
     eig = sample_covariance_eig(hankelize(synthesize_snapshots(sc), sc.l), sc.k)
-    weights = gmusic_weights(eig, noise_variance_estimate(eig), eig.c_n)
+    weights = gmusic_weights(eig, eig.noise_variance, eig.c_n)
     grid = np.linspace(-math.pi, math.pi, 1024)
     for spectrum in (Pseudospectrum(eig), Pseudospectrum(eig, weights)):
         thetas = sorted(t for t, _ in spectrum_trace(spectrum, grid).minima)
@@ -305,6 +304,14 @@ def test_grid_policy_validation():
         KnownIntervals(intervals=((0.0, 0.0),))
     with pytest.raises(ValueError):
         KnownIntervals(intervals=((0.0, 0.5), (0.4, 0.9)))
+
+
+def test_search_window_wider_than_the_circle_is_refused():
+    """Past 2 pi a window scans some angles twice, where one source shows up
+    as two dips 2 pi apart; a window of exactly 2 pi is the circle."""
+    with pytest.raises(ValueError, match="wider than the circle"):
+        SearchWindow(lo=-4.0, hi=4.0)
+    assert SearchWindow(lo=-4.0, hi=-4.0 + 2 * math.pi).circle
 
 
 def test_intervals_around_arithmetic():
@@ -336,7 +343,7 @@ def test_noiseless_recovery_both_estimators():
     xtol = 1e-4 * (2 * math.pi / m)
     got = find_doas(lambda th: traditional_pseudospectrum(eig, th), 2, policy, m)
     np.testing.assert_allclose(got, doas, atol=2 * xtol)
-    s2 = noise_variance_estimate(eig)
+    s2 = eig.noise_variance
     got_g = find_doas(lambda th: gmusic_pseudospectrum(eig, s2, eig.c_n, th), 2, policy, m)
     np.testing.assert_allclose(got_g, doas, atol=2 * xtol)
 
@@ -349,7 +356,7 @@ def test_spectrum_trace_minima_and_validation():
     eig = sample_covariance_eig(hankelize(synthesize_snapshots(sc), l), sc.k)
     grid = np.linspace(-math.pi, math.pi, 2048)
     trad = spectrum_trace(Pseudospectrum(eig), grid)
-    weights = gmusic_weights(eig, noise_variance_estimate(eig), eig.c_n)
+    weights = gmusic_weights(eig, eig.noise_variance, eig.c_n)
     gm = spectrum_trace(Pseudospectrum(eig, weights), grid)
     for trace, name in ((trad, "traditional"), (gm, "g-music")):
         assert trace.values.shape == grid.shape
@@ -423,7 +430,7 @@ def test_bias_correction_tightens_closely_spaced_estimates():
         sm = SmoothedMatrix(entries=block_hankel(a @ s + noise, l), m=m, n=n, l=l)
         eig = sample_covariance_eig(sm, 2)
         th_t = find_doas(lambda th: traditional_pseudospectrum(eig, th), 2, policy, m)
-        s2 = noise_variance_estimate(eig)
+        s2 = eig.noise_variance
         th_g = find_doas(lambda th: gmusic_pseudospectrum(eig, s2, eig.c_n, th), 2, policy, m)
         se_trad.extend((th_t - doas) ** 2)
         se_gm.extend((th_g - doas) ** 2)
