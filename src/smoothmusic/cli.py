@@ -37,9 +37,11 @@ from .array_model import ArrayScenario, Smoothing, hankelize, synthesize_snapsho
 from .rmt import MpParams
 from .subspace import (
     Pseudospectrum,
+    SearchWindow,
+    UnderResolvedError,
+    find_doas,
     gmusic_weights,
     sample_covariance_eig,
-    spectrum_trace,
 )
 
 __all__ = ["ConfigError", "main"]
@@ -344,8 +346,10 @@ def cmd_spectrum(cfg: dict, scenario: ArrayScenario, strict: Optional[bool]):
     grid_points = spec["grid_points"]
     if grid_points < 2:
         raise ConfigError(f"grid_points must be >= 2, got {grid_points}")
-    if not spec["hi"] > spec["lo"]:
-        raise ConfigError(f"empty spectrum window [{spec['lo']}, {spec['hi']}]")
+    try:
+        window = SearchWindow(spec["lo"], spec["hi"])
+    except ValueError as exc:
+        raise ConfigError(f"invalid [spectrum]: {exc}") from exc
     try:
         # both spectra come from the smoothed covariance, and G-MUSIC needs the most
         montecarlo._check_rank(scenario, ("gmusic-ss",))
@@ -354,24 +358,28 @@ def cmd_spectrum(cfg: dict, scenario: ArrayScenario, strict: Optional[bool]):
     eig = sample_covariance_eig(hankelize(synthesize_snapshots(scenario), scenario.l), scenario.k)
     strict = spec["strict_separation"] if strict is None else strict
     weights = gmusic_weights(eig, eig.noise_variance, eig.c_n, strict=strict)
-    grid = np.linspace(spec["lo"], spec["hi"], grid_points)
-    trad = spectrum_trace(Pseudospectrum(eig), grid)
-    gm = spectrum_trace(Pseudospectrum(eig, weights), grid)
+    grid = np.linspace(window.lo, window.hi, grid_points)
 
-    def flags(trace):
-        # nearest grid angle on the circle, as minima come back wrapped onto
-        # [-pi, pi); both ends of a 2 pi grid are one angle and both are flagged
+    def column(name, spectrum):
+        # the minima a trial's search finds, whatever the display grid, each
+        # flagged at its nearest grid angle on the circle; both ends of a 2 pi
+        # grid are one angle and both are flagged
+        k, note = scenario.k, ""
+        try:
+            minima = find_doas(spectrum, k, window, scenario.m)
+        except UnderResolvedError as exc:
+            k, note = exc.found, f", found {exc.found} of {k}"
+            minima = find_doas(spectrum, k, window, scenario.m) if k else ()
+        log.info("spectrum %s: minima at [%s] rad%s", name, ", ".join(f"{t:.6g}" for t in minima), note)
         mask = np.zeros(grid.size, dtype=bool)
-        for theta, _depth in trace.minima:
+        for theta in minima:
             dist = np.abs(wrap_angle(grid - theta))
             mask |= dist <= dist.min() + 1e-12
-        return mask
+        return spectrum(grid), mask
 
-    f_t, f_g = flags(trad), flags(gm)
-    rows = [
-        (grid[i], trad.values[i], gm.values[i], bool(f_t[i]), bool(f_g[i]))
-        for i in range(grid.size)
-    ]
+    trad, f_t = column("traditional", Pseudospectrum(eig))
+    gm, f_g = column("gmusic", Pseudospectrum(eig, weights))
+    rows = [(grid[i], trad[i], gm[i], bool(f_t[i]), bool(f_g[i])) for i in range(grid.size)]
     header = ("theta_rad", "eta_traditional", "eta_gmusic", "is_minimum_trad", "is_minimum_gmusic")
     return header, rows
 

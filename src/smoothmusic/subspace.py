@@ -39,7 +39,6 @@ __all__ = [
     "Pseudospectrum",
     "SearchWindow",
     "SeparationReport",
-    "SpectrumTrace",
     "UnderResolvedError",
     "find_doas",
     "gmusic_pseudospectrum",
@@ -47,7 +46,6 @@ __all__ = [
     "intervals_around",
     "sample_covariance_eig",
     "separation_report",
-    "spectrum_trace",
     "traditional_pseudospectrum",
 ]
 
@@ -114,22 +112,11 @@ class SeparationReport:
     c_n: float
 
 
-@dataclass(frozen=True)
-class SpectrumTrace:
-    grid: np.ndarray
-    values: np.ndarray
-    minima: tuple  # (theta, depth) pairs, refined
-
-
 # search grid points per beamwidth 2 pi / m, and the least per interval
 POINTS_PER_BEAMWIDTH = 16
 MIN_INTERVAL_POINTS = 33
 # intervals_around width over the minimum source spacing; < 1 keeps them disjoint
 INTERVAL_FRAC = 0.95
-
-
-def _spans_circle(lo: float, hi: float) -> bool:
-    return math.isclose(hi - lo, 2.0 * math.pi, rel_tol=1e-12)
 
 
 @dataclass(frozen=True)
@@ -153,7 +140,7 @@ class SearchWindow:
 
     @property
     def circle(self) -> bool:
-        return _spans_circle(self.lo, self.hi)
+        return math.isclose(self.hi - self.lo, 2.0 * math.pi, rel_tol=1e-12)
 
 
 @dataclass(frozen=True)
@@ -520,27 +507,6 @@ def find_doas(spectrum_fn, k: int, policy, m: int):
         return np.sort(out)
 
     raise TypeError(f"unknown grid policy {policy!r}")
-
-
-def spectrum_trace(spectrum: Pseudospectrum, grid: np.ndarray) -> SpectrumTrace:
-    """Evaluate one pseudo-spectrum on a grid and locate its k deepest minima.
-
-    Values are reported signed; the bias-corrected spectrum may dip below
-    zero at a source.  Minima are selected and refined on the signed values
-    (see :func:`find_doas` for why refinement must not fold the sign), to
-    1e-4 grid steps, and wrapped onto [-pi, pi).  A grid whose ends are
-    2 pi apart is searched as a circle, like a whole-circle
-    :class:`SearchWindow`: its last point repeats the first, and a dip at
-    the seam counts like any other.
-    """
-    grid = np.asarray(grid, dtype=float)
-    values = spectrum(grid)
-    periodic = grid.size > 1 and _spans_circle(grid[0], grid[-1])
-    take = _deepest_minima(values[:-1] if periodic else values, spectrum.eig.k, periodic)
-    xtol = 1e-4 * (grid[1] - grid[0]) if grid.size > 1 else 1e-8
-    thetas = _refine(spectrum, grid, sorted(take), xtol, periodic)
-    minima = tuple((t, float(spectrum(np.array([t]))[0])) for t in thetas)
-    return SpectrumTrace(grid=grid, values=values, minima=minima)
 
 
 def separation_report(scenario: ArrayScenario, signal: np.ndarray) -> SeparationReport:

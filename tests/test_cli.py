@@ -8,6 +8,7 @@ file:line locations, and byte-identical reruns.
 
 import csv
 import io
+import logging
 import math
 import os
 import pathlib
@@ -49,6 +50,12 @@ estimators = music-ss, gmusic-ss
 """
 
 
+def _spectrum_ini(m, n, l, doas, snr_db, seed, **spectrum):
+    """A spectrum config; keyword arguments become [spectrum] keys."""
+    ini = f"[scenario]\nm = {m}\nn = {n}\nl = {l}\ndoas = {doas}\nsnr_db = {snr_db}\nseed = {seed}\n"
+    return ini + "\n[spectrum]\n" + "".join(f"{key} = {value}\n" for key, value in spectrum.items())
+
+
 def _write(tmp_path, text, name="config.ini"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -80,6 +87,15 @@ def _child_env():
 @pytest.fixture(autouse=True)
 def _no_ambient_seed(monkeypatch):
     monkeypatch.delenv("SMOOTHMUSIC_SEED", raising=False)
+
+
+@pytest.fixture
+def cli_log(caplog):
+    """Records of the CLI's logger, which does not propagate to the root."""
+    logger = logging.getLogger("smoothmusic")
+    logger.addHandler(caplog.handler)
+    yield caplog
+    logger.removeHandler(caplog.handler)
 
 
 def test_spectrum_schema_and_minima_flags(tmp_path, capsys):
@@ -125,6 +141,51 @@ seed = 0
         flagged = [float(r[0]) for r in rows if r[col] == "true"]
         assert flagged[0] == -math.pi and flagged[-1] == math.pi
         assert flagged[1:-1] == pytest.approx([1.0], abs=0.01)
+
+
+def test_spectrum_flags_the_close_pair_a_trial_resolves(tmp_path, capsys, cli_log):
+    """Sources a quarter beamwidth apart at (160, 20, 16) and 31 dB: the
+    1024-point display grid, 6.4 points per beamwidth, cannot split the two
+    dips, but the flags come from a trial's search, which resolves both.  So
+    each column flags one row near each source and no sidelobe."""
+    doas = (0.0, 0.009817477042468103)
+    ini = _spectrum_ini(160, 20, 16, f"{doas[0]!r}, {doas[1]!r}", 31, 1)
+    code, out, _ = _run(["spectrum", "--config", _write(tmp_path, ini)], capsys)
+    assert code == 0
+    _, rows = _rows(out)
+    for col in (3, 4):
+        flagged = [float(r[0]) for r in rows if r[col] == "true"]
+        assert len(flagged) == 2, f"column {col}: {flagged}"
+        for theta in flagged:
+            assert min(abs(theta - doa) for doa in doas) <= math.pi / 160, f"column {col}: {theta}"
+    lines = [r.getMessage() for r in cli_log.records if r.getMessage().startswith("spectrum ")]
+    assert len(lines) == 2 and not any("found" in line for line in lines), lines
+
+
+@pytest.mark.parametrize("snr_db", [0, 10])
+def test_spectrum_under_resolved_window_flags_what_it_finds(tmp_path, capsys, cli_log, snr_db):
+    """A sub-window with one dip for two sources flags that one dip in each
+    column, exits 0, and logs that it found 1 of 2 minima."""
+    ini = _spectrum_ini(16, 20, 4, "0, 0.1", snr_db, 0, lo=-0.5, hi=0.6, grid_points=201)
+    code, out, _ = _run(["spectrum", "--config", _write(tmp_path, ini)], capsys)
+    assert code == 0
+    _, rows = _rows(out)
+    assert len(rows) == 201
+    for col in (3, 4):
+        assert sum(r[col] == "true" for r in rows) == 1, f"column {col}"
+    lines = [r.getMessage() for r in cli_log.records if r.getMessage().startswith("spectrum ")]
+    assert len(lines) == 2 and all(line.endswith("found 1 of 2") for line in lines), lines
+
+
+@pytest.mark.parametrize("lo, hi", [("-4", "4"), ("-inf", "inf")])
+def test_spectrum_window_wider_than_the_circle_is_a_config_error(tmp_path, capsys, lo, hi):
+    """The [spectrum] window follows SearchWindow's rule: one wider than
+    2 pi would scan a source twice and could leave another unflagged, so it
+    exits 2 before any spectrum is computed."""
+    ini = _spectrum_ini(16, 20, 4, "-3.0, 0.5", 20, 0, lo=lo, hi=hi, grid_points=801)
+    code, out, err = _run(["spectrum", "--config", _write(tmp_path, ini)], capsys)
+    assert code == 2 and out == ""
+    assert "config error: invalid [spectrum]" in err and "wider than the circle" in err
 
 
 def test_spectrum_reruns_byte_identical_and_out_dir(tmp_path, capsys):

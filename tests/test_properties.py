@@ -2,7 +2,8 @@
 
 The FFT scan of a whole-circle window is checked against direct evaluation
 through steering_matrix and against the rotation identity it implies, and
-the DoA search against the angle the circle starts at; conjugating the
+the DoA search against the angle the circle starts at, and the CLI's
+spectrum minima against the size of its display grid; conjugating the
 snapshots mirrors both spectra; the thin-SVD eigen path is checked against
 a dense eigh of the same covariance; a source count above the rank of the
 covariance must still give finite results; the Kronecker, Hadamard and
@@ -10,13 +11,17 @@ K x K forms of the smoothed signal covariance agree; and the closed-form MP
 CDF differentiates to the density and carries the bulk mass min(1, 1/c).
 """
 
+import csv
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from smoothmusic import cli
 from smoothmusic.array_model import (
     SIGNAL_POLICIES,
     ArrayScenario,
@@ -218,6 +223,49 @@ def test_find_doas_does_not_depend_on_where_the_circle_starts(doa, spacing, delt
         got = find_doas(spectrum, 2, shifted, m)
         gap = np.abs(wrap_angle(got[:, None] - base[None, :])).min(axis=1)
         assert np.max(gap) <= 2e-4 * beamwidth
+
+
+def _spectrum_flags(config: str, grid_points: int, out_dir: str):
+    """Angles flagged in each column of the CLI's spectrum CSV."""
+    path = os.path.join(out_dir, "spectrum.ini")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{config}\n[spectrum]\ngrid_points = {grid_points}\n\n[output]\nverbosity = quiet\n")
+    assert cli.main(["spectrum", "--config", path, "--out", out_dir]) == 0
+    with open(os.path.join(out_dir, "spectrum.csv"), encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    return [np.array([float(r[0]) for r in rows if r[col] == "true"]) for col in (3, 4)]
+
+
+@given(
+    m=st.integers(8, 24),
+    l=st.integers(1, 8),
+    doa=st.floats(-math.pi, math.pi, exclude_max=True),
+    spacing=st.floats(0.1, 4.0),
+    snr_db=st.floats(-10.0, 40.0),
+    seed=seeds,
+)
+# two dips an eighth of a beamwidth apart: a search on the display grid itself
+# splits them at 1024 points but not at 257, where it flags a sidelobe
+@example(m=9, l=1, doa=1.5, spacing=0.125, snr_db=36.0, seed=1)
+def test_spectrum_flags_do_not_depend_on_grid_points(m, l, doa, spacing, snr_db, seed):
+    """The CLI flags the minima a trial's search finds, each at its nearest
+    display row, so 257 and 1024 grid points flag the same angles to within
+    one coarse grid step, on the circle, for close pairs too."""
+    l = min(l, m // 3)
+    second = float(wrap_angle(doa + spacing * 2.0 * math.pi / m))
+    config = (
+        f"[scenario]\nm = {m}\nn = 20\nl = {l}\ndoas = {doa!r}, {second!r}\n"
+        f"snr_db = {snr_db!r}\nseed = {seed}\n"
+    )
+    with tempfile.TemporaryDirectory() as out_dir:
+        coarse = _spectrum_flags(config, 257, out_dir)
+        fine = _spectrum_flags(config, 1024, out_dir)
+    step = 2.0 * math.pi / 256
+    for a, b in zip(coarse, fine):
+        for x, y in ((a, b), (b, a)):
+            assert x.size and y.size
+            gap = np.abs(wrap_angle(x[:, None] - y[None, :])).min(axis=1)
+            assert np.max(gap) <= step, (x, y)
 
 
 @given(m=st.integers(2, 40), data=st.data(), seed=seeds)

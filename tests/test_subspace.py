@@ -39,7 +39,6 @@ from smoothmusic.subspace import (
     intervals_around,
     sample_covariance_eig,
     separation_report,
-    spectrum_trace,
     traditional_pseudospectrum,
 )
 
@@ -285,17 +284,6 @@ def test_find_doas_sub_window_past_pi_wraps():
     assert abs(got[0] - circle[0]) <= 2e-4 * (2 * math.pi / m), f"{got[0]} vs {circle[0]}"
 
 
-def test_spectrum_trace_whole_circle_has_no_seam():
-    """A trace grid whose ends are 2 pi apart is searched as a circle."""
-    sc = ArrayScenario(m=32, n=20, l=1, doas=(-math.pi + 1e-3, 1.0), snr_db=30.0, seed=0)
-    eig = sample_covariance_eig(hankelize(synthesize_snapshots(sc), sc.l), sc.k)
-    weights = gmusic_weights(eig, eig.noise_variance, eig.c_n)
-    grid = np.linspace(-math.pi, math.pi, 1024)
-    for spectrum in (Pseudospectrum(eig), Pseudospectrum(eig, weights)):
-        thetas = sorted(t for t, _ in spectrum_trace(spectrum, grid).minima)
-        np.testing.assert_allclose(thetas, sc.doas, atol=0.01)
-
-
 def test_grid_policy_validation():
     """Degenerate windows and overlapping intervals are rejected."""
     with pytest.raises(ValueError):
@@ -348,25 +336,17 @@ def test_noiseless_recovery_both_estimators():
     np.testing.assert_allclose(got_g, doas, atol=2 * xtol)
 
 
-def test_spectrum_trace_minima_and_validation():
-    """Traces locate one refined minimum per source on both spectra."""
+def test_find_doas_whole_circle_minima_near_doas_both_spectra():
+    """The whole-circle search puts one refined minimum at each source on
+    both spectra."""
     m, n, l = 32, 16, 8
     doas = (-0.5, 0.7)
     sc = ArrayScenario(m=m, n=n, l=l, doas=doas, snr_db=40.0, seed=6)
     eig = sample_covariance_eig(hankelize(synthesize_snapshots(sc), l), sc.k)
-    grid = np.linspace(-math.pi, math.pi, 2048)
-    trad = spectrum_trace(Pseudospectrum(eig), grid)
     weights = gmusic_weights(eig, eig.noise_variance, eig.c_n)
-    gm = spectrum_trace(Pseudospectrum(eig, weights), grid)
-    for trace, name in ((trad, "traditional"), (gm, "g-music")):
-        assert trace.values.shape == grid.shape
-        assert len(trace.minima) == 2
-        thetas = sorted(t for t, _ in trace.minima)
-        np.testing.assert_allclose(thetas, doas, atol=5e-3, err_msg=name)
-        for theta, depth in trace.minima:
-            assert depth <= np.min(trace.values) + 1e-6
-    # the clipped spectrum stays in [0, 1]; the corrected one is unclipped
-    assert np.all(trad.values >= 0.0) and np.all(trad.values <= 1.0)
+    for spectrum, name in ((Pseudospectrum(eig), "traditional"), (Pseudospectrum(eig, weights), "g-music")):
+        got = find_doas(spectrum, 2, SearchWindow(), m)
+        np.testing.assert_allclose(got, doas, atol=5e-3, err_msg=name)
 
 
 def test_separation_report_single_source_closed_form():
