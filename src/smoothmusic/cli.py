@@ -47,6 +47,8 @@ from .subspace import (
 __all__ = ["ConfigError", "main"]
 
 log = logging.getLogger("smoothmusic")
+_stderr_handler = logging.StreamHandler()
+_stderr_handler.setFormatter(logging.Formatter("%(levelname)s %(message)s"))
 
 COMMANDS = ("spectrum", "montecarlo", "septable", "verify")
 VERBOSITIES = {"quiet": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}
@@ -184,10 +186,6 @@ SCHEMAS = {
     },
 }
 
-# sections whose keys are all optional may be omitted entirely
-_OPTIONAL_SECTIONS = ("spectrum", "output")
-
-
 def _line_of(lines, section: str, key: Optional[str]) -> Optional[int]:
     """1-based line number of a section header or of a key inside it."""
     in_section = False
@@ -239,7 +237,8 @@ def load_config(path: str, command: str) -> dict:
     out = {}
     for section, keys in schema.items():
         if section not in parser:
-            if section in _OPTIONAL_SECTIONS:
+            # a section none of whose keys is required may be omitted
+            if not any(spec.required for spec in keys.values()):
                 out[section] = {name: spec.default for name, spec in keys.items()}
                 continue
             raise ConfigError(f"{path}: missing required section [{section}]")
@@ -410,7 +409,6 @@ def cmd_montecarlo(cfg: dict, scenario: ArrayScenario, workers: Optional[int], s
         plan.trials,
         n_workers,
     )
-    table = montecarlo.run_plan(plan, workers=n_workers)
     rows = [
         (
             r.sweep_value,
@@ -423,7 +421,7 @@ def cmd_montecarlo(cfg: dict, scenario: ArrayScenario, workers: Optional[int], s
             r.crb,
             _db(r.crb),
         )
-        for r in table.rows
+        for r in montecarlo.run_plan(plan, workers=n_workers)
     ]
     header = (
         "sweep_value",
@@ -482,11 +480,11 @@ def cmd_verify(cfg: dict, flag_seed: Optional[int]):
 def _configure_logging(verbosity: str) -> None:
     if verbosity not in VERBOSITIES:
         raise ConfigError(f"verbosity must be one of {sorted(VERBOSITIES)}, got {verbosity!r}")
-    if not log.handlers:
-        handler = logging.StreamHandler(sys.stderr)
-        handler.setFormatter(logging.Formatter("%(levelname)s %(message)s"))
-        log.addHandler(handler)
-        log.propagate = False
+    log.addHandler(_stderr_handler)  # once: a handler already attached is kept
+    log.propagate = False
+    # this call's stderr, which a caller may have redirected since the last call;
+    # assigned, since setStream() would flush the old stream, which may be closed
+    _stderr_handler.stream = sys.stderr
     log.setLevel(VERBOSITIES[verbosity])
 
 

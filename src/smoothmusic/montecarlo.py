@@ -40,7 +40,6 @@ __all__ = [
     "ConsistencyRow",
     "ExperimentPlan",
     "MseRow",
-    "MseTable",
     "Table1Row",
     "consistency_sweep",
     "crb",
@@ -61,6 +60,17 @@ _STREAM_NOISE = 2
 def _smoothing_factor(estimator: str, l: int) -> int:
     """Smoothing factor used by an estimator (the unsmoothed pair uses l=1)."""
     return l if estimator in ("music-ss", "gmusic-ss") else 1
+
+
+def _check_estimators(estimators) -> tuple:
+    """The estimator set, de-duplicated in order; nonempty and all known."""
+    estimators = tuple(dict.fromkeys(estimators))
+    if not estimators:
+        raise ValueError("need at least one estimator")
+    unknown = [e for e in estimators if e not in ESTIMATORS]
+    if unknown:
+        raise ValueError(f"unknown estimators {unknown}; choose from {ESTIMATORS}")
+    return estimators
 
 
 def _check_rank(scenario: ArrayScenario, estimators) -> None:
@@ -88,7 +98,7 @@ class ExperimentPlan:
     sweep : "snr_db" | "l" | "m".
     values : swept values, nonempty.
     trials : noise realizations per sweep point, >= 1.
-    estimators : subset of ESTIMATORS, order preserved in the output table.
+    estimators : subset of ESTIMATORS, order preserved in the output rows.
     doa_mode : "intervals" confines the search to disjoint windows around
         the true DoAs (the estimators the consistency theory defines);
         "window" scans the whole circle for the k deepest minima.
@@ -125,13 +135,8 @@ class ExperimentPlan:
             raise ValueError("sweep values must be nonempty")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        estimators = tuple(dict.fromkeys(self.estimators))
+        estimators = _check_estimators(self.estimators)
         object.__setattr__(self, "estimators", estimators)
-        if not estimators:
-            raise ValueError("need at least one estimator")
-        unknown = [e for e in estimators if e not in ESTIMATORS]
-        if unknown:
-            raise ValueError(f"unknown estimators {unknown}; choose from {ESTIMATORS}")
         if self.scenario.k == 0:
             raise ValueError("MSE experiments need at least one source")
         if self.doa_mode not in DOA_MODES:
@@ -165,24 +170,6 @@ class MseRow(NamedTuple):
     failures: int
     mse: float
     crb: float
-
-
-@dataclass(frozen=True)
-class MseTable:
-    """run_plan output: rows ordered by (sweep point, estimator, source)."""
-
-    sweep: str
-    rows: tuple
-
-    def row(self, sweep_value, estimator: str, source_index: int = 0) -> MseRow:
-        for r in self.rows:
-            if (
-                r.sweep_value == sweep_value
-                and r.estimator == estimator
-                and r.source_index == source_index
-            ):
-                return r
-        raise KeyError(f"no row for ({sweep_value}, {estimator}, {source_index})")
 
 
 def _matched_errors(theta_hat: np.ndarray, doas: Sequence[float]) -> np.ndarray:
@@ -279,11 +266,12 @@ def _run_trials(
     return [flat[p * trials : (p + 1) * trials] for p in range(len(scens))]
 
 
-def run_plan(plan: ExperimentPlan, workers: int = 1, signal=None) -> MseTable:
-    """Execute a plan and aggregate per-(point, estimator, source) MSE rows.
+def run_plan(plan: ExperimentPlan, workers: int = 1, signal=None) -> list:
+    """Execute a plan: one MseRow per (sweep point, estimator, source), in
+    that order, the estimators in the plan's order.
 
     workers = 0 uses one process per CPU; any worker count yields the same
-    table because trials are keyed by (point, trial) and aggregated in a
+    rows because trials are keyed by (point, trial) and aggregated in a
     fixed order.  Under the fixed-matrix policy pass the source matrix as
     ``signal``.  Each point's CRB uses the source matrix of its trial 0.
     """
@@ -331,7 +319,7 @@ def run_plan(plan: ExperimentPlan, workers: int = 1, signal=None) -> MseTable:
                         crb=float(crb_point[j]),
                     )
                 )
-    return MseTable(sweep=plan.sweep, rows=tuple(rows))
+    return rows
 
 
 def crb(scenario: ArrayScenario, signal) -> np.ndarray:
@@ -388,7 +376,7 @@ def table1(scenario: ArrayScenario, l_values: Sequence[int], draws: int = 100) -
 
 
 class ConsistencyRow(NamedTuple):
-    """Median of m * |theta_hat - theta| for one array size."""
+    """Median of m * |theta_hat - theta| for one array size and estimator."""
 
     m: int
     n: int
@@ -404,10 +392,9 @@ def consistency_sweep(
     doas: Sequence[float],
     spacing: str,
     snr_db: float,
-    estimator: str,
+    estimators: Sequence[str],
     trials: int,
     seed: int,
-    signal_policy: str = "random-gaussian-normalized",
     workers: int = 1,
 ) -> list:
     """Scaled-error trend across increasing array sizes at near-constant c_N.
@@ -419,22 +406,24 @@ def consistency_sweep(
     "absolute" uses the doas as given for every m; "beamwidth" interprets
     them in units of 2 pi / m, which holds the spacing-to-beamwidth ratio
     fixed as m grows.  Each size draws its source matrix from a stream
-    keyed by (seed, k, n), so sizes sharing n share the signal; the
-    per-size statistic is the median of m * |error| pooled over sources
-    and non-failed trials.
+    keyed by (seed, k, n), so sizes sharing n share the signal, and every
+    estimator runs on the same trials.  Returns one ConsistencyRow per
+    (size, estimator), in that order, with the per-size statistic the
+    median of m * |error| pooled over sources and non-failed trials.
     """
     triples = [(int(m), int(n), int(l)) for m, n, l in sizes]
+    if not triples:
+        raise ValueError("sizes must be nonempty")
     ms = [m for m, _, _ in triples]
     if any(b <= a for a, b in zip(ms, ms[1:])):
         raise ValueError("sizes must have strictly increasing m")
-    if estimator not in ESTIMATORS:
-        raise ValueError(f"unknown estimator {estimator!r}; choose from {ESTIMATORS}")
+    if len(doas) == 0:
+        raise ValueError("consistency sweeps need at least one source")
+    estimators = _check_estimators(estimators)
     if spacing not in ("absolute", "beamwidth"):
         raise ValueError(f"spacing must be 'absolute' or 'beamwidth', got {spacing!r}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if signal_policy == "fixed-matrix":
-        raise ValueError("consistency sweeps need a drawing signal policy")
 
     scens = []
     for m, n, l in triples:
@@ -442,13 +431,9 @@ def consistency_sweep(
             th = tuple(float(t) for t in doas)
         else:
             th = tuple(float(t) * 2.0 * math.pi / m for t in doas)
-        scens.append(
-            ArrayScenario(
-                m=m, n=n, l=l, doas=th, snr_db=snr_db, signal_policy=signal_policy, seed=seed
-            )
-        )
+        scens.append(ArrayScenario(m=m, n=n, l=l, doas=th, snr_db=snr_db, seed=seed))
     for sc in scens:
-        _check_rank(sc, (estimator,))
+        _check_rank(sc, estimators)
     cs = np.array([sc.c_n for sc in scens])
     target = float(np.mean(cs))
     if np.max(np.abs(cs - target)) > 0.1 * target:
@@ -459,29 +444,30 @@ def consistency_sweep(
 
     signals = [_drawn_signal(sc, sc.k, sc.n) for sc in scens]
     outcomes = _run_trials(
-        scens, lambda p, t: signals[p], trials, (estimator,), "intervals", False, workers
+        scens, lambda p, t: signals[p], trials, estimators, "intervals", False, workers
     )
 
     rows = []
     for p, sc in enumerate(scens):
-        pooled = []
-        failures = 0
-        for out in outcomes[p]:
-            errs = out[estimator]
-            if errs is None:
-                failures += 1
-                continue
-            pooled.extend(sc.m * np.abs(errs))
-        med = float(np.median(pooled)) if pooled else math.nan
-        rows.append(
-            ConsistencyRow(
-                m=sc.m,
-                n=sc.n,
-                l=sc.l,
-                estimator=estimator,
-                median_scaled_error=med,
-                trials=trials,
-                failures=failures,
+        for est in estimators:
+            pooled = []
+            failures = 0
+            for out in outcomes[p]:
+                errs = out[est]
+                if errs is None:
+                    failures += 1
+                    continue
+                pooled.extend(sc.m * np.abs(errs))
+            med = float(np.median(pooled)) if pooled else math.nan
+            rows.append(
+                ConsistencyRow(
+                    m=sc.m,
+                    n=sc.n,
+                    l=sc.l,
+                    estimator=est,
+                    median_scaled_error=med,
+                    trials=trials,
+                    failures=failures,
+                )
             )
-        )
     return rows

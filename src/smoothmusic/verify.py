@@ -57,7 +57,6 @@ class EsdReport:
     eigenvalues: np.ndarray  # pooled over trials, ascending
     params: MpParams
     ks_distance: float
-    trial_max: np.ndarray  # per-trial largest eigenvalue
     exceed_counts: np.ndarray  # per-trial count above (1 + EDGE_TOLERANCE) x+
 
     def __post_init__(self) -> None:
@@ -135,7 +134,6 @@ def esd_vs_mp(m: int, n: int, l: int, sigma2: float, trials: int, seed: int) -> 
     p = MpParams(sigma2, g.c_n)
     inflated = (1.0 + EDGE_TOLERANCE) * p.edge_plus
     pooled = []
-    trial_max = np.empty(trials)
     exceed = np.empty(trials, dtype=int)
     for t in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence([seed, _TAG_ESD, t]))
@@ -144,14 +142,12 @@ def esd_vs_mp(m: int, n: int, l: int, sigma2: float, trials: int, seed: int) -> 
         vals = np.linalg.eigvalsh(0.5 * (cov + cov.conj().T))
         np.clip(vals, 0.0, None, out=vals)
         pooled.append(vals)
-        trial_max[t] = vals[-1]
         exceed[t] = int(np.sum(vals > inflated))
     eigenvalues = np.sort(np.concatenate(pooled))
     return EsdReport(
         eigenvalues=eigenvalues,
         params=p,
         ks_distance=_ks_distance(eigenvalues, p),
-        trial_max=trial_max,
         exceed_counts=exceed,
     )
 

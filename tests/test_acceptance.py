@@ -222,8 +222,8 @@ def test_criterion_5_algebraic_round_trips():
 # criterion 6: estimator ordering at figure level
 
 
-def _mean_mse(table, value, estimator):
-    rows = [r for r in table.rows if r.sweep_value == value and r.estimator == estimator]
+def _mean_mse(rows, value, estimator):
+    rows = [r for r in rows if r.sweep_value == value and r.estimator == estimator]
     return float(np.mean([r.mse for r in rows]))
 
 
@@ -293,23 +293,20 @@ def test_criterion_7_consistency_trends():
     closely: music-ss stays >= 0.8x while gmusic-ss decreases."""
     t0 = time.perf_counter()
     wide_sizes = ((80, 28, 10), (160, 42, 14), (320, 60, 20))
-    wide_meds = {}
-    for est in ("music-ss", "gmusic-ss"):
-        rows = montecarlo.consistency_sweep(
-            wide_sizes, (0.0, 5.0), "beamwidth", 12.0, est, trials=500, seed=7
-        )
-        wide_meds[est] = [r.median_scaled_error for r in rows]
+    ests = ("music-ss", "gmusic-ss")
+    rows = montecarlo.consistency_sweep(
+        wide_sizes, (0.0, 5.0), "beamwidth", 12.0, ests, trials=500, seed=7
+    )
+    wide_meds = {est: [r.median_scaled_error for r in rows if r.estimator == est] for est in ests}
     wide_ok = all(
         a > b for med in wide_meds.values() for a, b in zip(med, med[1:])
     )
 
     close_sizes = ((80, 20, 16), (160, 28, 23), (320, 40, 32))
-    close_meds = {}
-    for est in ("music-ss", "gmusic-ss"):
-        rows = montecarlo.consistency_sweep(
-            close_sizes, (0.0, 0.25), "beamwidth", 32.0, est, trials=500, seed=7
-        )
-        close_meds[est] = [r.median_scaled_error for r in rows]
+    rows = montecarlo.consistency_sweep(
+        close_sizes, (0.0, 0.25), "beamwidth", 32.0, ests, trials=500, seed=7
+    )
+    close_meds = {est: [r.median_scaled_error for r in rows if r.estimator == est] for est in ests}
     g = close_meds["gmusic-ss"]
     gdec_ok = all(a > b for a, b in zip(g, g[1:]))
     mss = close_meds["music-ss"]

@@ -6,6 +6,7 @@ precedence (flag over environment over config), config-error reporting with
 file:line locations, and byte-identical reruns.
 """
 
+import contextlib
 import csv
 import io
 import logging
@@ -120,6 +121,18 @@ def test_spectrum_schema_and_minima_flags(tmp_path, capsys):
         assert len(flagged) == 2, f"column {col}: expected one flag per source"
         for doa in (0.0, 0.98):
             assert min(abs(t - doa) for t in flagged) < 0.08, f"no flag near {doa}"
+
+
+def test_log_lines_go_to_the_stderr_of_each_call(tmp_path):
+    """An in-process run logs to the stderr current at its call, not to the
+    one an earlier run in the same process saw."""
+    cfg = _write(tmp_path, SPECTRUM_INI)
+    buffers = [io.StringIO(), io.StringIO()]
+    for buf in buffers:
+        with contextlib.redirect_stderr(buf), contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["spectrum", "--config", cfg]) == 0
+    for buf in buffers:
+        assert buf.getvalue().count("INFO spectrum ") == 2, buf.getvalue()
 
 
 def test_spectrum_flags_dip_at_the_seam(tmp_path, capsys):
@@ -307,6 +320,20 @@ def test_config_errors_report_file_and_line(tmp_path, capsys):
     code, _, err = _run(["spectrum", "--config", cfg], capsys)
     assert code == 2
     assert f"{cfg}:{line}" in err and "bad value" in err
+
+
+def test_section_without_required_keys_may_be_omitted(tmp_path, capsys):
+    """[spectrum] has no required key, so a spectrum config may leave it out
+    and gets its defaults; [montecarlo] has required keys and may not."""
+    no_section = SPECTRUM_INI.replace("[spectrum]\ngrid_points = 64\n", "")
+    code, out, _ = _run(["spectrum", "--config", _write(tmp_path, no_section)], capsys)
+    assert code == 0
+    header, rows = _rows(out)
+    assert len(rows) == 1024
+    assert float(rows[0][0]) == -math.pi and float(rows[-1][0]) == math.pi
+    no_mc = MONTECARLO_INI[: MONTECARLO_INI.index("[montecarlo]")]
+    code, _, err = _run(["montecarlo", "--config", _write(tmp_path, no_mc, "mc.ini")], capsys)
+    assert code == 2 and "missing required section [montecarlo]" in err
 
 
 def test_config_structural_errors(tmp_path, capsys):

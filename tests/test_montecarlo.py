@@ -25,7 +25,6 @@ from smoothmusic.array_model import (
 from smoothmusic.montecarlo import (
     ESTIMATORS,
     ExperimentPlan,
-    MseTable,
     _failure_threshold,
     _matched_errors,
     consistency_sweep,
@@ -114,36 +113,44 @@ def test_crb_validation():
 WIDE = (0.0, 5 * 2 * math.pi / 32)  # five beamwidths apart on the 32-sensor array
 
 
+def _row(rows, sweep_value, estimator, source_index=0):
+    """The one run_plan row for (sweep point, estimator, source)."""
+    (row,) = [
+        r for r in rows
+        if (r.sweep_value, r.estimator, r.source_index) == (sweep_value, estimator, source_index)
+    ]
+    return row
+
+
 def test_run_plan_worker_count_invariance():
-    """Serial and process-pool execution produce identical tables."""
+    """Serial and process-pool execution produce identical rows."""
     sc = ArrayScenario(m=32, n=8, l=4, doas=WIDE, snr_db=0.0, seed=0)
     plan = ExperimentPlan(scenario=sc, sweep="snr_db", values=(5.0, 15.0), trials=6)
     serial = run_plan(plan, workers=1)
     pooled = run_plan(plan, workers=2)
-    assert serial.rows == pooled.rows, "tables must not depend on the worker count"
-    assert serial.sweep == "snr_db"
+    assert serial == pooled, "rows must not depend on the worker count"
     # and a rerun is bitwise reproducible
     again = run_plan(plan, workers=1)
-    assert serial.rows == again.rows
+    assert serial == again
 
 
 def test_run_plan_row_bookkeeping():
-    """Rows cover every (point, estimator, source); lookups work; CRB attached."""
+    """Rows cover every (point, estimator, source) in that order; CRB attached."""
     sc = ArrayScenario(m=32, n=8, l=4, doas=WIDE, snr_db=0.0, seed=0)
     plan = ExperimentPlan(scenario=sc, sweep="snr_db", values=(5.0, 15.0), trials=4)
-    table = run_plan(plan)
-    assert len(table.rows) == 2 * len(ESTIMATORS) * 2
-    row = table.row(15.0, "music-ss", source_index=1)
+    rows = run_plan(plan)
+    assert [(r.sweep_value, r.estimator, r.source_index) for r in rows] == [
+        (v, est, j) for v in (5.0, 15.0) for est in ESTIMATORS for j in (0, 1)
+    ]
+    row = _row(rows, 15.0, "music-ss", source_index=1)
     assert row.trials == 4
     assert 0 <= row.failures <= 4
     assert row.crb > 0
     assert math.isfinite(row.mse)
-    with pytest.raises(KeyError):
-        table.row(99.0, "music-ss")
     # MSE shrinks from 5 dB to 15 dB for every estimator
     for est in ESTIMATORS:
-        lo = table.row(5.0, est).mse
-        hi = table.row(15.0, est).mse
+        lo = _row(rows, 5.0, est).mse
+        hi = _row(rows, 15.0, est).mse
         assert hi < lo, f"{est}: mse must improve with snr ({hi} vs {lo})"
 
 
@@ -151,7 +158,7 @@ def test_run_plan_noiseless_floor():
     """At vanishing noise every estimator's MSE collapses to the search floor."""
     sc = ArrayScenario(m=32, n=16, l=4, doas=WIDE, snr_db=200.0, seed=0)
     plan = ExperimentPlan(scenario=sc, sweep="snr_db", values=(200.0,), trials=3)
-    for row in run_plan(plan).rows:
+    for row in run_plan(plan):
         assert row.failures == 0
         assert row.mse < 1e-12, f"{row.estimator} floor {row.mse}"
 
@@ -168,7 +175,7 @@ def test_run_plan_noiseless_floor_on_the_lanczos_branch():
     assert eig.eigenvalues.shape == (sc.k,), "the top-k branch ran"
     assert 0.5 * sc.sigma2 < eig.noise_variance < 2.0 * sc.sigma2
     plan = ExperimentPlan(scenario=sc, sweep="snr_db", values=(200.0,), trials=3)
-    for row in run_plan(plan).rows:
+    for row in run_plan(plan):
         assert row.failures == 0
         assert row.mse < 1e-12, f"{row.estimator} floor {row.mse}"
 
@@ -197,10 +204,10 @@ def test_run_plan_failure_accounting_window_mode():
     sc = ArrayScenario(m=32, n=8, l=4, doas=WIDE, snr_db=0.0, seed=0)
     base = dict(scenario=sc, sweep="snr_db", values=(-10.0,), trials=12,
                 doa_mode="window", estimators=("music-ss",))
-    excl = run_plan(ExperimentPlan(**base)).rows[0]
+    excl = run_plan(ExperimentPlan(**base))[0]
     assert excl.failures == 12, "deep-noise window search must fail every trial"
     assert math.isnan(excl.mse), "nothing usable to average"
-    incl = run_plan(ExperimentPlan(**base, include_failures=True)).rows[0]
+    incl = run_plan(ExperimentPlan(**base, include_failures=True))[0]
     assert incl.failures == 12
     assert math.isfinite(incl.mse) and incl.mse > 0.1
 
@@ -225,7 +232,7 @@ def test_sources_across_the_seam_are_as_close_as_across_zero():
         plan = ExperimentPlan(
             scenario=sc, sweep="snr_db", values=(20.0,), trials=20, estimators=("music-ss",)
         )
-        mse.append(max(r.mse for r in run_plan(plan).rows))
+        mse.append(max(r.mse for r in run_plan(plan)))
     assert 0.1 < mse[0] / mse[1] < 10.0, f"seam mse {mse[0]} vs rotated {mse[1]}"
 
 
@@ -235,9 +242,9 @@ def test_run_plan_strict_separation_counts_bulk_collisions():
     plan = ExperimentPlan(
         scenario=sc, sweep="snr_db", values=(-12.0,), trials=10, strict_separation=True
     )
-    table = run_plan(plan)
-    assert table.row(-12.0, "gmusic-ss").failures >= 5, "deep noise must collide with the bulk"
-    assert table.row(-12.0, "music-ss").failures == 0, "strictness only affects corrected spectra"
+    rows = run_plan(plan)
+    assert _row(rows, -12.0, "gmusic-ss").failures >= 5, "deep noise must collide with the bulk"
+    assert _row(rows, -12.0, "music-ss").failures == 0, "strictness only affects corrected spectra"
 
 
 def test_run_plan_fresh_signal_changes_draws():
@@ -247,7 +254,7 @@ def test_run_plan_fresh_signal_changes_draws():
     fresh = run_plan(
         ExperimentPlan(scenario=sc, sweep="snr_db", values=(5.0,), trials=6, fresh_signal=True)
     )
-    assert fixed.rows != fresh.rows
+    assert fixed != fresh
 
 
 def test_run_plan_fresh_signal_crb_uses_trial_zero_draw():
@@ -257,12 +264,12 @@ def test_run_plan_fresh_signal_crb_uses_trial_zero_draw():
     plan = ExperimentPlan(
         scenario=sc, sweep="l", values=(2, 4), trials=2, estimators=("music",), fresh_signal=True
     )
-    table = run_plan(plan)
+    rows = run_plan(plan)
     for p, value in enumerate(plan.values):
         rng = np.random.default_rng(np.random.SeedSequence([sc.seed, 1, p, 0]))
         signal = draw_signal_matrix(sc.k, sc.n, sc.signal_policy, rng)
         want = crb(point_scenario(plan, value), signal=signal)
-        assert [table.row(value, "music", j).crb for j in range(sc.k)] == want.tolist()
+        assert [_row(rows, value, "music", j).crb for j in range(sc.k)] == want.tolist()
 
 
 def test_run_plan_rejects_unusable_fixed_signal():
@@ -271,7 +278,7 @@ def test_run_plan_rejects_unusable_fixed_signal():
     sc = ArrayScenario(m=32, n=8, l=4, doas=WIDE, snr_db=5.0, signal_policy="fixed-matrix")
     plan = ExperimentPlan(scenario=sc, sweep="snr_db", values=(5.0,), trials=2)
     s = np.random.default_rng(4).standard_normal((2, 8)) + 0j
-    assert len(run_plan(plan, signal=s).rows) == len(ESTIMATORS) * 2
+    assert len(run_plan(plan, signal=s)) == len(ESTIMATORS) * 2
     nan = s.copy()
     nan[1, 3] = np.nan
     with pytest.raises(ValueError, match="signal matrix contains non-finite"):
@@ -331,7 +338,7 @@ def test_plan_rejects_estimators_short_of_virtual_snapshots():
     with pytest.raises(ValueError, match="gmusic-ss"):  # the sweep point l = 1 has N L = k
         ExperimentPlan(**{**plan, "sweep": "l", "values": (4, 1)}, estimators=("gmusic-ss",))
     with pytest.raises(ValueError, match="gmusic"):
-        consistency_sweep(((16, 2, 4),), sc.doas, "absolute", 20.0, "gmusic", trials=1, seed=0)
+        consistency_sweep(((16, 2, 4),), sc.doas, "absolute", 20.0, ("gmusic",), trials=1, seed=0)
 
 
 def test_point_scenario_replaces_swept_field():
@@ -353,9 +360,9 @@ def test_mse_ordering_smoothed_vs_plain_when_snapshots_scarce():
         scenario=sc, sweep="snr_db", values=(12.0,), trials=30,
         estimators=("music", "music-ss"),
     )
-    table = run_plan(plan)
-    plain = table.row(12.0, "music").mse
-    smoothed = table.row(12.0, "music-ss").mse
+    rows = run_plan(plan)
+    plain = _row(rows, 12.0, "music").mse
+    smoothed = _row(rows, 12.0, "music-ss").mse
     assert smoothed < plain, (
         f"smoothing should help at N=6 snapshots: {smoothed} vs {plain}"
     )
@@ -372,8 +379,7 @@ def test_high_snr_mse_consistent_with_bound():
         scenario=sc, sweep="snr_db", values=(25.0,), trials=40,
         estimators=("music-ss", "gmusic-ss"),
     )
-    table = run_plan(plan)
-    for row in table.rows:
+    for row in run_plan(plan):
         assert row.failures == 0
         assert 0.7 * row.crb < row.mse < 3.0 * row.crb, (
             f"{row.estimator} src {row.source_index}: mse {row.mse} vs bound {row.crb}"
@@ -399,34 +405,36 @@ def test_table1_structure_and_determinism():
 
 
 def test_consistency_sweep_sizing_policy_enforced():
-    """Drifting c_N, shrinking m and bad arguments are rejected."""
+    """Drifting c_N, shrinking m and bad arguments are rejected before any draw."""
     doas = (0.0, 5.0)
     with pytest.raises(ValueError, match="c_N drifts"):
         consistency_sweep(
-            ((16, 8, 2), (32, 16, 4)), doas, "beamwidth", 10.0, "music-ss", trials=2, seed=0
+            ((16, 8, 2), (32, 16, 4)), doas, "beamwidth", 10.0, ("music-ss",), trials=2, seed=0
         )
     with pytest.raises(ValueError, match="strictly increasing"):
         consistency_sweep(
-            ((32, 10, 16), (32, 10, 16)), doas, "beamwidth", 10.0, "music-ss", trials=2, seed=0
+            ((32, 10, 16), (32, 10, 16)), doas, "beamwidth", 10.0, ("music-ss",), trials=2, seed=0
         )
     good = ((32, 10, 16), (64, 10, 32))
+    with pytest.raises(ValueError, match="sizes must be nonempty"):
+        consistency_sweep((), doas, "beamwidth", 10.0, ("music-ss",), trials=2, seed=0)
+    with pytest.raises(ValueError, match="at least one source"):
+        consistency_sweep(good, (), "beamwidth", 10.0, ("music-ss",), trials=2, seed=0)
     with pytest.raises(ValueError, match="estimator"):
-        consistency_sweep(good, doas, "beamwidth", 10.0, "bogus", trials=2, seed=0)
+        consistency_sweep(good, doas, "beamwidth", 10.0, ("bogus",), trials=2, seed=0)
+    with pytest.raises(ValueError, match="estimator"):
+        consistency_sweep(good, doas, "beamwidth", 10.0, (), trials=2, seed=0)
     with pytest.raises(ValueError, match="spacing"):
-        consistency_sweep(good, doas, "relative", 10.0, "music-ss", trials=2, seed=0)
+        consistency_sweep(good, doas, "relative", 10.0, ("music-ss",), trials=2, seed=0)
     with pytest.raises(ValueError, match="trials"):
-        consistency_sweep(good, doas, "beamwidth", 10.0, "music-ss", trials=0, seed=0)
-    with pytest.raises(ValueError, match="drawing signal policy"):  # no way to pass a signal
-        consistency_sweep(
-            good, doas, "beamwidth", 10.0, "music-ss", trials=2, seed=0, signal_policy="fixed-matrix"
-        )
+        consistency_sweep(good, doas, "beamwidth", 10.0, ("music-ss",), trials=0, seed=0)
 
 
 def test_consistency_sweep_rows_and_worker_invariance():
     """Scaled-error rows carry the sizing triples; workers don't change them."""
     sizes = ((32, 10, 16), (64, 10, 32))
     rows = consistency_sweep(
-        sizes, (0.0, 5.0), "beamwidth", 10.0, "music-ss", trials=8, seed=0
+        sizes, (0.0, 5.0), "beamwidth", 10.0, ("music-ss",), trials=8, seed=0
     )
     assert [(r.m, r.n, r.l) for r in rows] == [(32, 10, 16), (64, 10, 32)]
     for r in rows:
@@ -435,11 +443,25 @@ def test_consistency_sweep_rows_and_worker_invariance():
         assert 0 <= r.failures <= 8
         assert math.isfinite(r.median_scaled_error) and r.median_scaled_error > 0
     pooled = consistency_sweep(
-        sizes, (0.0, 5.0), "beamwidth", 10.0, "music-ss", trials=8, seed=0, workers=2
+        sizes, (0.0, 5.0), "beamwidth", 10.0, ("music-ss",), trials=8, seed=0, workers=2
     )
     assert rows == pooled
     # absolute spacing keeps the angles fixed as m grows
     rows_abs = consistency_sweep(
-        sizes, (0.0, 0.98), "absolute", 10.0, "music-ss", trials=4, seed=0
+        sizes, (0.0, 0.98), "absolute", 10.0, ("music-ss",), trials=4, seed=0
     )
     assert [(r.m, r.n) for r in rows_abs] == [(32, 10), (64, 10)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_consistency_sweep_estimator_set_equals_single_estimator_sweeps(workers):
+    """Estimators in one sweep share each trial's noise and eigensystem, so
+    their rows equal those of one sweep per estimator, ordered by (size,
+    estimator); ("gmusic", "gmusic-ss") also asks for two smoothing factors."""
+    sizes = ((32, 10, 4), (64, 20, 4))
+    for ests in (("music-ss", "gmusic-ss"), ("gmusic-ss", "gmusic")):
+        args = (sizes, (0.0, 5.0), "beamwidth", 10.0)
+        both = consistency_sweep(*args, ests, trials=8, seed=3, workers=workers)
+        singles = [consistency_sweep(*args, (e,), trials=8, seed=3) for e in ests]
+        assert both == [row for per_size in zip(*singles) for row in per_size]
+        assert all(math.isfinite(r.median_scaled_error) for r in both)

@@ -31,9 +31,7 @@ def test_esd_report_structure_and_ks():
     assert np.all(np.diff(rep.eigenvalues) >= 0)
     assert rep.params.sigma2 == 1.0
     assert rep.params.c == pytest.approx(145 / 320, rel=1e-15)
-    assert rep.trial_max.shape == (10,)
     assert rep.exceed_counts.shape == (10,)
-    assert np.all(rep.trial_max > 0)
     assert 0.0 <= rep.confinement_fraction <= 1.0
     assert rep.ks_distance < 0.03, (
         f"KS distance {rep.ks_distance} too large for a matched law"
