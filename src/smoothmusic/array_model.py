@@ -44,7 +44,7 @@ __all__ = [
     "wrap_angle",
 ]
 
-SIGNAL_POLICIES = ("fixed-matrix", "random-gaussian-normalized", "identity-covariance")
+SIGNAL_POLICIES = ("random-gaussian-normalized", "identity-covariance")
 
 
 def _check_smoothing(m: int, l: int) -> None:
@@ -92,7 +92,8 @@ class ArrayScenario(Smoothing):
     m, n, l : sensors, snapshots, smoothing factor (see :class:`Smoothing`).
     doas : tuple of source angles in [-pi, pi), pairwise distinct.
     snr_db : 10 log10(1 / sigma2) with sigma2 the per-entry noise power.
-    signal_policy : one of SIGNAL_POLICIES.
+    signal_policy : one of SIGNAL_POLICIES, how a source matrix is drawn
+        when the caller passes none.
     seed : master seed for snapshot synthesis.
     """
 
@@ -105,7 +106,9 @@ class ArrayScenario(Smoothing):
         object.__setattr__(self, "doas", tuple(float(t) for t in self.doas))
         super().__post_init__()
         if self.signal_policy not in SIGNAL_POLICIES:
-            raise ValueError(f"unknown signal policy {self.signal_policy!r}")
+            raise ValueError(
+                f"unknown signal_policy {self.signal_policy!r}; choose from {SIGNAL_POLICIES}"
+            )
         k = len(self.doas)
         if k >= self.subarray_size:
             raise ValueError(
@@ -216,7 +219,7 @@ def haar_columns(dim: int, k: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def draw_signal_matrix(k: int, n: int, policy: str, rng: np.random.Generator) -> np.ndarray:
-    """Draw a K x N source matrix under one of the random signal policies."""
+    """Draw a K x N source matrix under one of SIGNAL_POLICIES."""
     if policy == "random-gaussian-normalized":
         s = complex_gaussian(rng, (k, n))
         if k:
@@ -227,7 +230,7 @@ def draw_signal_matrix(k: int, n: int, policy: str, rng: np.random.Generator) ->
         if k > n:
             raise ValueError(f"identity-covariance needs k <= n, got k={k}, n={n}")
         return math.sqrt(n) * haar_columns(n, k, rng).conj().T
-    raise ValueError(f"policy {policy!r} does not draw signals")
+    raise ValueError(f"unknown signal policy {policy!r}")
 
 
 def source_matrix(
@@ -235,16 +238,12 @@ def source_matrix(
 ) -> np.ndarray:
     """The K x N source matrix S of a scenario.
 
-    Under the fixed-matrix policy it is the caller's ``signal``, which must
-    be finite and of full row rank K; a drawing policy draws it from rng
-    and refuses a ``signal``.
+    A caller's ``signal`` is the fixed signal, under either policy; it must
+    be finite and of full row rank K.  Without one, S is drawn from rng
+    under the scenario's policy.
     """
-    if scenario.signal_policy != "fixed-matrix":
-        if signal is not None:
-            raise ValueError(f"policy {scenario.signal_policy!r} draws its own signal")
-        return draw_signal_matrix(scenario.k, scenario.n, scenario.signal_policy, rng)
     if signal is None:
-        raise ValueError("fixed-matrix policy requires a signal matrix")
+        return draw_signal_matrix(scenario.k, scenario.n, scenario.signal_policy, rng)
     s = scenario.check_signal(signal)
     if not np.all(np.isfinite(s.view(float))):
         raise ValueError("signal matrix contains non-finite entries")
@@ -266,8 +265,8 @@ def synthesize_snapshots(scenario: ArrayScenario, signal: Optional[np.ndarray] =
 
     The source matrix is resolved first (see :func:`source_matrix`), then
     the noise is drawn, from a single stream seeded by scenario.seed, so
-    equal scenarios give bitwise-equal output.  Under the fixed-matrix
-    policy the stream is spent on noise only.
+    equal scenarios give bitwise-equal output.  With a caller's ``signal``
+    the stream is spent on noise only.
     """
     rng = np.random.default_rng(np.random.SeedSequence(scenario.seed))
     return observe(scenario, source_matrix(scenario, signal, rng), rng)

@@ -64,6 +64,8 @@ def _smoothing_factor(estimator: str, l: int) -> int:
 
 def _check_estimators(estimators) -> tuple:
     """The estimator set, de-duplicated in order; nonempty and all known."""
+    if isinstance(estimators, str):
+        raise ValueError(f"estimators must be a sequence of names, got the string {estimators!r}")
     estimators = tuple(dict.fromkeys(estimators))
     if not estimators:
         raise ValueError("need at least one estimator")
@@ -105,7 +107,7 @@ class ExperimentPlan:
     include_failures : fold wild-estimate trials into the MSE instead of
         only the failure count.
     fresh_signal : redraw the source matrix every trial instead of holding
-        one realization fixed across the sweep.
+        one realization (or the caller's signal) fixed across the sweep.
     strict_separation : raise-and-count trials whose top eigenvalues are
         not separated from the bulk (G-MUSIC variants only).
     """
@@ -141,8 +143,6 @@ class ExperimentPlan:
             raise ValueError("MSE experiments need at least one source")
         if self.doa_mode not in DOA_MODES:
             raise ValueError(f"doa_mode must be one of {DOA_MODES}, got {self.doa_mode!r}")
-        if self.fresh_signal and self.scenario.signal_policy == "fixed-matrix":
-            raise ValueError("fresh_signal needs a drawing signal policy")
         for v in values:
             # fail fast on invalid sweep points
             _check_rank(point_scenario(self, v), estimators)
@@ -192,9 +192,8 @@ def _failure_threshold(doas: Sequence[float], m: int) -> float:
 
 
 def _drawn_signal(scenario: ArrayScenario, *key, signal=None) -> np.ndarray:
-    """The scenario's source matrix, drawn from the signal stream keyed by
-    (seed, key); under the fixed-matrix policy the caller's ``signal``
-    instead (see :func:`source_matrix`)."""
+    """The caller's ``signal``, or else the scenario's source matrix drawn
+    from the signal stream keyed by (seed, key) (see :func:`source_matrix`)."""
     rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, _STREAM_SIGNAL, *key]))
     return source_matrix(scenario, signal, rng)
 
@@ -221,18 +220,15 @@ def _run_trial(task) -> dict:
     for lval in sorted({_smoothing_factor(e, scenario.l) for e in estimators}):
         eigs[lval] = subspace.sample_covariance_eig(hankelize(y, lval), k)
 
-    weights = {}  # G-MUSIC weights, once per eigensystem
     out = {}
     for est in estimators:
-        lval = _smoothing_factor(est, scenario.l)
-        eig = eigs[lval]
+        eig = eigs[_smoothing_factor(est, scenario.l)]
         try:
             if est in ("music", "music-ss"):
                 spectrum = subspace.Pseudospectrum(eig)
             else:
-                if lval not in weights:
-                    weights[lval] = subspace.gmusic_weights(eig, eig.noise_variance, eig.c_n, strict)
-                spectrum = subspace.Pseudospectrum(eig, weights[lval])
+                weights = subspace.gmusic_weights(eig, eig.noise_variance, eig.c_n, strict)
+                spectrum = subspace.Pseudospectrum(eig, weights)
             theta_hat = subspace.find_doas(spectrum, k, policy, m)
         except (subspace.UnderResolvedError, subspace.NotSeparatedError):
             out[est] = None
@@ -272,11 +268,12 @@ def run_plan(plan: ExperimentPlan, workers: int = 1, signal=None) -> list:
 
     workers = 0 uses one process per CPU; any worker count yields the same
     rows because trials are keyed by (point, trial) and aggregated in a
-    fixed order.  Under the fixed-matrix policy pass the source matrix as
-    ``signal``.  Each point's CRB uses the source matrix of its trial 0.
+    fixed order.  A ``signal`` is the source matrix of every trial; without
+    one it is drawn.  Each point's CRB uses the source matrix of its trial 0.
     """
-    # resolved even under fresh_signal, so a stray ``signal`` is refused
-    shared = _drawn_signal(plan.scenario, signal=signal)
+    if plan.fresh_signal and signal is not None:
+        raise ValueError("a fresh_signal plan draws its own signals; pass no signal")
+    shared = None if plan.fresh_signal else _drawn_signal(plan.scenario, signal=signal)
     scens = [point_scenario(plan, v) for v in plan.values]
 
     def signal_of(p, t):
@@ -361,8 +358,6 @@ def table1(scenario: ArrayScenario, l_values: Sequence[int], draws: int = 100) -
     median and interquartile range of separation_report.min_snr_db are
     reported.
     """
-    if scenario.signal_policy == "fixed-matrix":
-        raise ValueError("the separation table needs a drawing signal policy")
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
     signals = [_drawn_signal(scenario, scenario.k, scenario.n, d) for d in range(draws)]

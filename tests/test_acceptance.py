@@ -196,10 +196,7 @@ def test_criterion_5_algebraic_round_trips():
             ))))
 
     rng = np.random.default_rng(5)
-    sc = ArrayScenario(
-        m=160, n=20, l=16, doas=(0.0, math.pi / 320), snr_db=10.0,
-        signal_policy="fixed-matrix",
-    )
+    sc = ArrayScenario(m=160, n=20, l=16, doas=(0.0, math.pi / 320), snr_db=10.0)
     signal = rng.standard_normal((2, 20)) + 1j * rng.standard_normal((2, 20))
     worst_cov = float(np.max(np.abs(
         signal_covariance(sc, signal) - signal_covariance_hadamard(sc, signal)

@@ -7,12 +7,14 @@ form of the signal covariance are each checked against an independently
 assembled construction.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from smoothmusic.array_model import (
+    SIGNAL_POLICIES,
     ArrayScenario,
     SmoothedMatrix,
     block_hankel,
@@ -149,7 +151,7 @@ def test_smoothed_signal_part_identity():
         (24, 5, 9, (-1.0, -0.2, 1.4)),
         (10, 3, 2, (0.5,)),
     ]:
-        sc = ArrayScenario(m=m, n=n, l=l, doas=doas, snr_db=10.0, signal_policy="fixed-matrix")
+        sc = ArrayScenario(m=m, n=n, l=l, doas=doas, snr_db=10.0)
         k = len(doas)
         s = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
         noiseless = steering_matrix(m, doas) @ s
@@ -174,7 +176,7 @@ def test_signal_covariance_elementwise_form():
         (12, 4, 2, (0.25,)),
         (160, 20, 16, (0.0, math.pi / 320)),
     ]:
-        sc = ArrayScenario(m=m, n=n, l=l, doas=doas, snr_db=20.0, signal_policy="fixed-matrix")
+        sc = ArrayScenario(m=m, n=n, l=l, doas=doas, snr_db=20.0)
         k = len(doas)
         s = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
         kron = signal_covariance(sc, s)
@@ -213,16 +215,14 @@ def test_synthesize_snapshots_deterministic_and_additive():
 
 
 def test_synthesize_snapshots_fixed_matrix_policy():
-    """fixed-matrix uses the provided signal and validates it."""
-    sc = ArrayScenario(
-        m=10, n=6, l=3, doas=(0.1, 0.9), snr_db=10.0, signal_policy="fixed-matrix", seed=1
-    )
+    """A passed signal is used as given, under either policy, and validated."""
+    sc = ArrayScenario(m=10, n=6, l=3, doas=(0.1, 0.9), snr_db=10.0, seed=1)
     rng = np.random.default_rng(0)
     s = rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6))
     y = synthesize_snapshots(sc, signal=s)
     np.testing.assert_array_equal(y, _replay(sc, s)[0])
-    with pytest.raises(ValueError):
-        synthesize_snapshots(sc)  # signal required
+    sc_id = dataclasses.replace(sc, signal_policy="identity-covariance")
+    np.testing.assert_array_equal(synthesize_snapshots(sc_id, signal=s), _replay(sc_id, s)[0])
     with pytest.raises(ValueError):
         synthesize_snapshots(sc, signal=s[:, :-1])  # wrong shape
     with pytest.raises(ValueError):
@@ -231,10 +231,6 @@ def test_synthesize_snapshots_fixed_matrix_policy():
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
         synthesize_snapshots(sc, signal=bad)
-    # drawing policies refuse an explicit signal
-    sc_draw = ArrayScenario(m=10, n=6, l=3, doas=(0.1, 0.9), snr_db=10.0)
-    with pytest.raises(ValueError):
-        synthesize_snapshots(sc_draw, signal=s)
 
 
 def test_noise_power_matches_snr():
@@ -249,7 +245,11 @@ def test_noise_power_matches_snr():
 
 
 def test_signal_policies():
-    """Each drawing policy realizes its advertised second-order structure."""
+    """Each policy draws a K x N matrix and realizes its advertised
+    second-order structure."""
+    for policy in SIGNAL_POLICIES:
+        s = draw_signal_matrix(3, 12, policy, np.random.default_rng(16))
+        assert s.shape == (3, 12), policy
     rng = np.random.default_rng(17)
     s = draw_signal_matrix(3, 40, "random-gaussian-normalized", rng)
     assert s.shape == (3, 40)
@@ -262,8 +262,6 @@ def test_signal_policies():
 
     with pytest.raises(ValueError):
         draw_signal_matrix(5, 3, "identity-covariance", rng)  # needs k <= n
-    with pytest.raises(ValueError):
-        draw_signal_matrix(2, 8, "fixed-matrix", rng)  # not a drawing policy
     with pytest.raises(ValueError):
         draw_signal_matrix(2, 8, "no-such-policy", rng)
 

@@ -434,6 +434,10 @@ draws = 5
         assert float(r[2]) >= 0.0
     _, again, _ = _run(["septable", "--config", cfg], capsys)
     assert again == out
+    # a sourceless table cannot be asked for: the doas parser refuses an empty list
+    cfg = _write(tmp_path, ini.replace("doas = 0.3, 1.2", "doas = ,"), "sourceless.ini")
+    code, out, err = _run(["septable", "--config", cfg], capsys)
+    assert code == 2 and out == "" and "bad value for 'doas'" in err
 
 
 def test_verify_schema(tmp_path, capsys):

@@ -68,9 +68,7 @@ def test_crb_matches_brute_force_fisher_information():
     doas = (-0.7, 0.5)
     m, n = 8, 4
     signal = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
-    sc = ArrayScenario(
-        m=m, n=n, l=2, doas=doas, snr_db=10.0, signal_policy="fixed-matrix"
-    )
+    sc = ArrayScenario(m=m, n=n, l=2, doas=doas, snr_db=10.0)
     fim = _fim_brute_force(m, doas, signal, sc.sigma2)
     oracle = np.diagonal(np.linalg.inv(fim))[:2]
     got = crb(sc, signal=signal)
@@ -82,7 +80,7 @@ def test_crb_single_source_closed_form():
     rng = np.random.default_rng(9)
     for m, n, snr in [(16, 8, 10.0), (64, 5, 0.0), (9, 3, 23.0)]:
         signal = rng.standard_normal((1, n)) + 1j * rng.standard_normal((1, n))
-        sc = ArrayScenario(m=m, n=n, l=2, doas=(0.4,), snr_db=snr, signal_policy="fixed-matrix")
+        sc = ArrayScenario(m=m, n=n, l=2, doas=(0.4,), snr_db=snr)
         p = float(np.sum(np.abs(signal) ** 2) / n)
         expected = 6.0 * sc.sigma2 / (n * p * (m**2 - 1))
         got = crb(sc, signal=signal)
@@ -94,7 +92,7 @@ def test_crb_halves_when_snapshots_double():
     """Duplicating the snapshot block (same per-snapshot power) halves the bound."""
     rng = np.random.default_rng(10)
     signal = rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6))
-    sc1 = ArrayScenario(m=12, n=6, l=3, doas=(-0.2, 0.9), snr_db=5.0, signal_policy="fixed-matrix")
+    sc1 = ArrayScenario(m=12, n=6, l=3, doas=(-0.2, 0.9), snr_db=5.0)
     sc2 = dataclasses.replace(sc1, n=12)
     b1 = crb(sc1, signal=signal)
     b2 = crb(sc2, signal=np.hstack([signal, signal]))
@@ -105,9 +103,9 @@ def test_crb_validation():
     """Sourceless scenarios and misshapen signals are rejected."""
     with pytest.raises(ValueError):
         crb(ArrayScenario(m=8, n=4, l=2, doas=(), snr_db=0.0), signal=np.ones((0, 4)))
-    fixed = ArrayScenario(m=8, n=4, l=2, doas=(0.3,), snr_db=0.0, signal_policy="fixed-matrix")
+    one = ArrayScenario(m=8, n=4, l=2, doas=(0.3,), snr_db=0.0)
     with pytest.raises(ValueError):
-        crb(fixed, signal=np.ones((2, 4)))
+        crb(one, signal=np.ones((2, 4)))
 
 
 WIDE = (0.0, 5 * 2 * math.pi / 32)  # five beamwidths apart on the 32-sensor array
@@ -273,9 +271,10 @@ def test_run_plan_fresh_signal_crb_uses_trial_zero_draw():
 
 
 def test_run_plan_rejects_unusable_fixed_signal():
-    """A fixed-matrix plan checks its signal as snapshot synthesis does:
-    shape, finite entries and full row rank k, before any trial runs."""
-    sc = ArrayScenario(m=32, n=8, l=4, doas=WIDE, snr_db=5.0, signal_policy="fixed-matrix")
+    """A plan's passed signal is checked as snapshot synthesis checks it:
+    shape, finite entries and full row rank k, before any trial runs; a
+    fresh_signal plan, which draws its own, refuses one."""
+    sc = ArrayScenario(m=32, n=8, l=4, doas=WIDE, snr_db=5.0)
     plan = ExperimentPlan(scenario=sc, sweep="snr_db", values=(5.0,), trials=2)
     s = np.random.default_rng(4).standard_normal((2, 8)) + 0j
     assert len(run_plan(plan, signal=s)) == len(ESTIMATORS) * 2
@@ -287,8 +286,8 @@ def test_run_plan_rejects_unusable_fixed_signal():
         run_plan(plan, signal=np.vstack([s[0], 2.0 * s[0]]))
     with pytest.raises(ValueError, match="shape"):
         run_plan(plan, signal=s[:, :-1])
-    with pytest.raises(ValueError, match="requires"):
-        run_plan(plan)
+    with pytest.raises(ValueError, match="fresh_signal"):
+        run_plan(dataclasses.replace(plan, fresh_signal=True), signal=s)
 
 
 def test_plan_validation():
@@ -314,9 +313,8 @@ def test_plan_validation():
         ExperimentPlan(**{**good, "sweep": "l", "values": (32,)})
     with pytest.raises(ValueError):  # sourceless scenario
         ExperimentPlan(**{**good, "scenario": dataclasses.replace(sc, doas=())})
-    fixed = dataclasses.replace(sc, signal_policy="fixed-matrix")
-    with pytest.raises(ValueError):  # fresh_signal needs a drawing policy
-        ExperimentPlan(**{**good, "scenario": fixed, "fresh_signal": True})
+    with pytest.raises(ValueError, match="sequence of names"):  # not one name per letter
+        ExperimentPlan(**{**good, "estimators": "music"})
     # estimator de-duplication preserves order
     plan = ExperimentPlan(**{**good, "estimators": ("gmusic-ss", "music", "gmusic-ss")})
     assert plan.estimators == ("gmusic-ss", "music")
@@ -400,8 +398,6 @@ def test_table1_structure_and_determinism():
     assert rows != other_seed
     with pytest.raises(ValueError):
         table1(sc, (2, 4), draws=0)
-    with pytest.raises(ValueError):
-        table1(dataclasses.replace(sc, signal_policy="fixed-matrix"), (2,), draws=2)
 
 
 def test_consistency_sweep_sizing_policy_enforced():
@@ -424,6 +420,8 @@ def test_consistency_sweep_sizing_policy_enforced():
         consistency_sweep(good, doas, "beamwidth", 10.0, ("bogus",), trials=2, seed=0)
     with pytest.raises(ValueError, match="estimator"):
         consistency_sweep(good, doas, "beamwidth", 10.0, (), trials=2, seed=0)
+    with pytest.raises(ValueError, match="sequence of names"):
+        consistency_sweep(good, doas, "beamwidth", 10.0, "music-ss", trials=2, seed=0)
     with pytest.raises(ValueError, match="spacing"):
         consistency_sweep(good, doas, "relative", 10.0, ("music-ss",), trials=2, seed=0)
     with pytest.raises(ValueError, match="trials"):

@@ -292,7 +292,7 @@ def test_separation_report_matches_kronecker_and_hadamard_eigenvalues(m, data, s
     U x U signal covariances, also for n < k, where some of them are 0."""
     l = data.draw(st.integers(1, m - 1), label="l")
     k = data.draw(st.integers(1, min(3, m - l)), label="k")
-    policy = data.draw(st.sampled_from(SIGNAL_POLICIES[1:]), label="policy")
+    policy = data.draw(st.sampled_from(SIGNAL_POLICIES), label="policy")
     n = data.draw(st.integers(k if policy == "identity-covariance" else 1, 8), label="n")
     doas = data.draw(
         st.lists(st.floats(-math.pi, math.pi, exclude_max=True), min_size=k, max_size=k, unique=True),
