@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import numpy.random  # numpy loads it lazily; import it here, not inside a command
 from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+import numpy.ma  # np.percentile loads it lazily; import it here, not inside a command
 
 from . import subspace
 from .array_model import (
@@ -174,12 +174,24 @@ class MseRow(NamedTuple):
 
 def _matched_errors(theta_hat: np.ndarray, doas: Sequence[float]) -> np.ndarray:
     """Signed estimate errors on the circle, in [-pi, pi), after nearest
-    assignment to the true DoAs."""
+    assignment to the true DoAs.
+
+    For points on a circle with arc-length cost, some cyclic shift of the two
+    sorted orders is an optimal assignment (Karp & Li, "Two special cases of
+    the assignment problem", 1975).  So both sets are sorted, the K shifts
+    tried, and the first with the least total |error| kept.
+    """
     truth = np.asarray(doas, dtype=float)
-    diff = wrap_angle(theta_hat[:, None] - truth[None, :])
-    rows, cols = linear_sum_assignment(np.abs(diff))
-    errors = np.empty(truth.size)
-    errors[cols] = diff[rows, cols]
+    k = truth.size
+    # sorted by position on the circle, cut at angle 0
+    by_truth = np.argsort(np.mod(truth, 2.0 * math.pi))
+    est = theta_hat[np.argsort(np.mod(theta_hat, 2.0 * math.pi))]
+    shifts = np.arange(k)
+    # shifted[s, i] = est[(i + s) % k], matched to the i-th true DoA in order
+    shifted = est[(shifts[:, None] + shifts) % k]
+    diff = wrap_angle(shifted - truth[by_truth])
+    errors = np.empty(k)
+    errors[by_truth] = diff[np.argmin(np.sum(np.abs(diff), axis=1))]
     return errors
 
 

@@ -154,36 +154,52 @@ def _check_off_support(z: complex, p: MpParams) -> complex:
     return z
 
 
+def _stieltjes(z, p: MpParams, sqrt):
+    """m(z) for z off the support, with ``sqrt`` the principal square root of
+    z's arithmetic (cmath for complex z, numpy for real z > edge_plus)."""
+    s2, c = p.sigma2, p.c
+    # discriminant factors through the bulk edges; the product of principal
+    # square roots below is the branch with sqrt ~ z at infinity
+    g = sqrt(z - p.edge_minus) * sqrt(z - p.edge_plus)
+    return (-(z - s2 * (1.0 - c)) + g) / (2.0 * s2 * c * z)
+
+
+def _stieltjes_tilde(z, m, p: MpParams):
+    """Companion transform from m = m(z)."""
+    return p.c * m + (p.c - 1.0) / z
+
+
 def mp_stieltjes(z, p: MpParams) -> complex:
     """Stieltjes transform m(z) of the MP law, closed-form quadratic branch.
 
     The branch is fixed by m(z) ~ -1/z at infinity and Im m(z) > 0 for
     Im z > 0; it satisfies m = 1 / (-z + sigma2 / (1 + sigma2 c m)).
     """
-    z = _check_off_support(z, p)
-    s2, c = p.sigma2, p.c
-    # discriminant factors through the bulk edges; the product of principal
-    # square roots below is the branch with sqrt ~ z at infinity
-    g = cmath.sqrt(z - p.edge_minus) * cmath.sqrt(z - p.edge_plus)
-    return (-(z - s2 * (1.0 - c)) + g) / (2.0 * s2 * c * z)
+    return _stieltjes(_check_off_support(z, p), p, cmath.sqrt)
 
 
 def mp_stieltjes_tilde(z, p: MpParams) -> complex:
     """Stieltjes transform of the companion law c * mu + (1 - c) * delta_0."""
     z = _check_off_support(z, p)
-    return p.c * mp_stieltjes(z, p) + (p.c - 1.0) / z
+    return _stieltjes_tilde(z, _stieltjes(z, p, cmath.sqrt), p)
 
 
-def w_star(z: float, p: MpParams) -> float:
+def w_star(z, p: MpParams):
     """w(z) = 1 / (z m(z) mtilde(z)) for real z above the bulk edge.
 
+    Takes a scalar or an array; every entry must be real and above
+    edge_plus.  There m(z) is real, so it is computed in real arithmetic.
     Increasing on (edge_plus, inf) with w(edge_plus) = sigma2 sqrt(c).
     """
-    if not (np.isreal(z) and float(np.real(z)) > p.edge_plus):
+    z_arr = np.asarray(z)
+    if not (np.all(np.isreal(z_arr)) and np.all(np.real(z_arr) > p.edge_plus)):
         raise DomainError(f"w_star requires real z > edge_plus = {p.edge_plus}, got {z!r}")
-    z = float(np.real(z))
-    w = 1.0 / (z * mp_stieltjes(z, p) * mp_stieltjes_tilde(z, p))
-    return float(w.real)
+    x = np.real(z_arr).astype(float)
+    m = _stieltjes(x, p, np.sqrt)
+    w = 1.0 / (x * m * _stieltjes_tilde(x, m, p))
+    if np.ndim(z) == 0:
+        return float(w)
+    return w
 
 
 def phi_star(w: float, p: MpParams) -> float:

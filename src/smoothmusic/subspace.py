@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+import numpy.fft  # numpy loads it lazily; import it here, not inside a command
 
 from .array_model import (
     ArrayScenario,

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .array_model import Smoothing, block_hankel, complex_gaussian, haar_columns
 from .rmt import (
@@ -265,9 +264,10 @@ def determinant_root_check(p: MpParams, lambdas: Sequence[float]) -> np.ndarray:
 
     s(x) = prod_k (1 - lambda_k / w(x)) vanishes exactly where w(x) equals
     a planted eigenvalue, i.e. at x = phi(lambda_k) for the detached ones.
-    Roots are located by a dense sign scan plus Brent refinement and
-    returned in ascending order; eigenvalues at or below the detachability
-    threshold contribute none.
+    Roots are located by a dense sign scan, refined by bisecting every
+    bracket at once down to adjacent floats (the end with the smaller |s|
+    is kept), and returned in ascending order; eigenvalues at or below the
+    detachability threshold contribute none.
     """
     lams = np.atleast_1d(np.asarray(lambdas, dtype=float))
     if np.any(lams <= 0):
@@ -276,18 +276,24 @@ def determinant_root_check(p: MpParams, lambdas: Sequence[float]) -> np.ndarray:
     lo = p.edge_plus * (1.0 + 1e-9) + 1e-300
     hi = 4.0 * (float(np.max(lams)) + p.edge_plus + p.sigma2 * (1.0 + p.c) + 1.0)
 
-    def s(x: float) -> float:
-        w = w_star(x, p)
-        return float(np.prod(1.0 - lams / w))
+    def s(x: np.ndarray) -> np.ndarray:
+        return np.prod(1.0 - lams / w_star(x, p)[:, None], axis=1)
 
     grid = np.linspace(lo, hi, 8193)
-    vals = np.array([s(x) for x in grid])
-    roots = []
-    for i in np.flatnonzero(np.signbit(vals[:-1]) != np.signbit(vals[1:])):
-        roots.append(brentq(s, grid[i], grid[i + 1], xtol=1e-13, rtol=8.9e-16))
-    exact = vals == 0.0
-    roots.extend(grid[exact])
-    roots = np.sort(np.asarray(roots))
+    vals = s(grid)
+    cross = np.flatnonzero(np.signbit(vals[:-1]) != np.signbit(vals[1:]))
+    a, b = grid[cross], grid[cross + 1]
+    a_sign = np.signbit(vals[cross])
+    while True:
+        mid = 0.5 * (a + b)
+        inside = (a < mid) & (mid < b)
+        if not inside.any():
+            break
+        left = np.signbit(s(mid)) == a_sign
+        a = np.where(inside & left, mid, a)
+        b = np.where(inside & ~left, mid, b)
+    ends = np.abs(s(np.concatenate([a, b]))).reshape(2, -1)
+    roots = np.sort(np.concatenate([np.where(ends[0] <= ends[1], a, b), grid[vals == 0.0]]))
     if roots.size != detached.size:
         raise RuntimeError(
             f"found {roots.size} determinant roots, expected {detached.size}; "

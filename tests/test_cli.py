@@ -480,17 +480,69 @@ seed = 0
 
 
 def test_import_does_not_load_quadrature():
-    """The MP CDF is closed form, so `import smoothmusic.cli` leaves
-    scipy.integrate unloaded; a fresh interpreter, so other tests' imports
-    cannot hide a regression."""
+    """The package needs numpy alone, so `import smoothmusic.cli` loads no
+    scipy module at all (scipy.integrate, scipy.optimize or any other); a
+    fresh interpreter, so other tests' imports cannot hide a regression."""
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, smoothmusic.cli; print('scipy.integrate' in sys.modules)"],
+        [
+            sys.executable,
+            "-c",
+            "import sys, smoothmusic.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])",
+        ],
         capture_output=True,
         text=True,
         env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
+
+
+# run one command in a fresh interpreter; print its exit code and the numpy
+# and scipy modules that first loaded while cli.main ran
+_NEW_MODULES_DURING_RUN = """\
+import contextlib, io, sys
+import smoothmusic.cli as cli
+argv = sys.argv[1:]
+cli.load_config(argv[2], argv[0])
+before = set(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(argv)
+new = set(sys.modules) - before
+print(code, *sorted(m for m in new if m.split(".")[0] in ("numpy", "scipy")))
+"""
+
+
+@pytest.mark.parametrize(
+    "command, ini, flags",
+    [
+        ("spectrum", SPECTRUM_INI, []),
+        ("montecarlo", MONTECARLO_INI + "doa_mode = intervals\n", ["--workers", "1"]),
+        ("montecarlo", MONTECARLO_INI + "doa_mode = window\n", ["--workers", "1"]),
+        (
+            "septable",
+            MONTECARLO_INI[: MONTECARLO_INI.index("[montecarlo]")]
+            + "[septable]\nl_values = 2, 4\ndraws = 3\n",
+            [],
+        ),
+        ("verify", "[verify]\nm = 32\nn = 8\nl = 4\ntrials = 2\nseed = 0\n", []),
+    ],
+    ids=["spectrum", "montecarlo-intervals", "montecarlo-window", "septable", "verify"],
+)
+def test_command_loads_no_numpy_or_scipy_module_while_it_runs(tmp_path, command, ini, flags):
+    """Every numpy submodule a command uses is imported with the package, so
+    none first loads inside the command's run, which the benchmark times
+    apart from start-up; a fresh interpreter, so other tests' imports cannot
+    hide a late import."""
+    cfg = _write(tmp_path, ini)
+    proc = subprocess.run(
+        [sys.executable, "-c", _NEW_MODULES_DURING_RUN, command, "--config", cfg, *flags],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"], proc.stdout
 
 
 def test_console_script_matches_in_process(tmp_path, capsys):

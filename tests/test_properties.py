@@ -7,18 +7,21 @@ spectrum minima against the size of its display grid; conjugating the
 snapshots mirrors both spectra; the thin-SVD eigen path is checked against
 a dense eigh of the same covariance; a source count above the rank of the
 covariance must still give finite results; the Kronecker, Hadamard and
-K x K forms of the smoothed signal covariance agree; and the closed-form MP
-CDF differentiates to the density and carries the bulk mass min(1, 1/c).
+K x K forms of the smoothed signal covariance agree; the closed-form MP
+CDF differentiates to the density and carries the bulk mass min(1, 1/c);
+and the cyclic-shift matching of estimates to DoAs is a least-cost
+assignment on the circle, checked against every permutation.
 """
 
 import csv
+import itertools
 import math
 import os
 import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from smoothmusic import cli
@@ -29,12 +32,14 @@ from smoothmusic.array_model import (
     complex_gaussian,
     draw_signal_matrix,
     hankelize,
+    min_spacing,
     signal_covariance,
     signal_covariance_hadamard,
     steering_matrix,
     synthesize_snapshots,
     wrap_angle,
 )
+from smoothmusic.montecarlo import _matched_errors
 from smoothmusic.rmt import MpParams, mp_atom, mp_cdf, mp_density
 from smoothmusic.subspace import (
     LANCZOS_DIM_PER_PAIR,
@@ -323,3 +328,34 @@ def test_mp_cdf_differentiates_to_the_density(c, sigma2, frac):
     below, above = mp_cdf(np.array([p.edge_minus, np.nextafter(p.edge_plus, 0.0)]), p)
     assert below == mp_atom(p)
     assert above - below == pytest.approx(min(1.0, 1.0 / c), abs=1e-12)
+
+
+@settings(max_examples=300)
+@given(
+    k=st.integers(1, 6),
+    scale=st.sampled_from([1e-3, 0.3, math.pi]),
+    center=st.sampled_from([0.0, math.pi]),
+    turns=st.booleans(),
+    seed=seeds,
+)
+def test_matched_errors_is_a_least_cost_assignment(k, scale, center, turns, seed):
+    """The matched errors are those of one assignment, its total circular
+    cost is the least over all k! assignments, and when every error of a
+    least-cost assignment is below half the source spacing they are its
+    errors bit for bit.  center = pi puts the sources across the seam;
+    turns adds whole turns to the estimates, which name the same angles."""
+    rng = np.random.default_rng(seed)
+    truth = wrap_angle(center + rng.uniform(-1.0, 1.0, k))
+    assume(np.unique(truth).size == k)
+    est = wrap_angle(rng.permutation(truth) + scale * rng.standard_normal(k))
+    if turns:
+        est = est + 2.0 * math.pi * rng.integers(-2, 3, k)
+    errors = _matched_errors(est, truth)
+    by_perm = [wrap_angle(est[list(perm)] - truth) for perm in itertools.permutations(range(k))]
+    costs = [float(np.sum(np.abs(e))) for e in by_perm]
+    best = by_perm[int(np.argmin(costs))]
+    assert any(np.array_equal(errors, e) for e in by_perm)
+    assert float(np.sum(np.abs(errors))) == pytest.approx(min(costs), rel=1e-12, abs=1e-15)
+    half = 0.5 * min_spacing(truth) if k > 1 else math.inf
+    if np.all(np.abs(best) < half):
+        np.testing.assert_array_equal(errors, best)

@@ -259,6 +259,28 @@ def test_w_star_edge_behavior_and_domain():
             w_star(bad, p)
 
 
+def test_w_star_on_arrays():
+    """An array of z gives the scalar calls' values bit for bit, and the
+    complex resolvent product to 1e-14; a scalar gives a float; one entry at
+    or below the edge refuses the whole array."""
+    for sigma2, c in PARAM_GRID:
+        p = MpParams(sigma2, c)
+        zs = p.edge_plus * np.array([1.0 + 1e-9, 1.0 + 1e-6, 1.01, 1.5, 3.0, 10.0, 1e4])
+        ws = w_star(zs, p)
+        assert isinstance(ws, np.ndarray) and ws.shape == zs.shape
+        scalars = [w_star(z, p) for z in zs]
+        assert all(type(w) is float for w in scalars)
+        np.testing.assert_array_equal(ws, scalars)
+        resolvent = [(1.0 / (z * mp_stieltjes(z, p) * mp_stieltjes_tilde(z, p))).real for z in zs]
+        np.testing.assert_allclose(ws, resolvent, rtol=1e-14, atol=0)
+        assert w_star(zs[:0], p).shape == (0,)
+        for bad in (p.edge_plus, 0.5 * p.edge_plus, math.nan):
+            with pytest.raises(DomainError):
+                w_star(np.append(zs, bad), p)
+        with pytest.raises(DomainError):
+            w_star(zs + 1e-3j, p)
+
+
 def test_phi_round_trips():
     """phi and its inverse are mutually inverse on their stated domains."""
     for sigma2, c in PARAM_GRID:

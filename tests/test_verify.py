@@ -143,6 +143,9 @@ def test_determinant_roots_exact_values():
     p = MpParams(1.0, 0.5)
     roots = determinant_root_check(p, (1.5, 2.0))
     np.testing.assert_allclose(roots, [10.0 / 3.0, 3.75], atol=1e-8)
+    # refined down to adjacent floats, not just to a tolerance
+    exact = np.array([10.0 / 3.0, 3.75])
+    assert np.all(np.abs(roots - exact) <= 2.0 * np.spacing(exact)), roots - exact
     # input order is immaterial
     np.testing.assert_allclose(determinant_root_check(p, (2.0, 1.5)), roots, atol=1e-12)
     # a sub-threshold eigenvalue contributes no root
