@@ -13,7 +13,7 @@ length-(M - L + 1) sliding subarray views of snapshot n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -29,7 +29,6 @@ __all__ = [
     "complex_gaussian",
     "draw_signal_matrix",
     "haar_columns",
-    "hankelize",
     "min_spacing",
     "observe",
     "signal_covariance",
@@ -46,6 +45,11 @@ __all__ = [
 ]
 
 SIGNAL_POLICIES = ("random-gaussian-normalized", "identity-covariance")
+
+
+def _check_integer(name: str, value) -> None:
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_smoothing(m: int, l: int) -> None:
@@ -67,6 +71,8 @@ class Smoothing:
     l: int
 
     def __post_init__(self) -> None:
+        for name in ("m", "n", "l"):
+            _check_integer(name, getattr(self, name))
         if self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n}")
         _check_smoothing(self.m, self.l)
@@ -126,6 +132,7 @@ class ArrayScenario(Smoothing):
             )
         if not math.isfinite(self.snr_db):
             raise ValueError(f"snr_db must be finite, got {self.snr_db}")
+        _check_integer("seed", self.seed)
         if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
 
@@ -149,17 +156,23 @@ class ArrayScenario(Smoothing):
         return s
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SmoothedMatrix(Smoothing):
-    """Block-Hankel matrix of a snapshot matrix, with its defining sizes."""
+    """Smoothed M x N snapshots Y: m, n = Y.shape, entries W = block_hankel(Y, l).
+    Snapshots go by keyword, as the inherited field order puts l first."""
 
-    entries: np.ndarray
+    m: int = field(init=False)
+    n: int = field(init=False)
+    snapshots: np.ndarray
+    entries: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        if np.ndim(self.snapshots) != 2:
+            raise ValueError(f"snapshots must be 2-d, got shape {np.shape(self.snapshots)}")
+        object.__setattr__(self, "m", self.snapshots.shape[0])
+        object.__setattr__(self, "n", self.snapshots.shape[1])
         super().__post_init__()
-        expected = (self.subarray_size, self.virtual_snapshots)
-        if self.entries.shape != expected:
-            raise ValueError(f"smoothed entries have shape {self.entries.shape}, expected {expected}")
+        object.__setattr__(self, "entries", block_hankel(self.snapshots, self.l))
 
 
 def steering_vector(m: int, theta: float) -> np.ndarray:
@@ -297,12 +310,6 @@ def block_hankel(y: np.ndarray, l: int) -> np.ndarray:
     return out
 
 
-def hankelize(y: np.ndarray, l: int) -> SmoothedMatrix:
-    """Spatially smooth an M x N snapshot matrix."""
-    m, n = y.shape
-    return SmoothedMatrix(entries=block_hankel(y, l), m=m, n=n, l=l)
-
-
 def smoothed_steering(theta: float, m: int, l: int) -> np.ndarray:
     """Rank-one smoothed steering block.
 
@@ -326,8 +333,8 @@ def smoothed_steering_set(doas, m: int, l: int) -> np.ndarray:
 def smoothed_signal_part(scenario: ArrayScenario, signal: np.ndarray) -> np.ndarray:
     """Deterministic part B of the normalized smoothed matrix.
 
-    B = A^(L) (S kron I_L) / sqrt(N L); hankelize(A_M S) equals
-    B * sqrt(N L) exactly.
+    B = A^(L) (S kron I_L) / sqrt(N L); the entries of
+    SmoothedMatrix(snapshots=A_M S, l=L) equal B * sqrt(N L) exactly.
     """
     s = scenario.check_signal(signal)
     a_set = smoothed_steering_set(scenario.doas, scenario.m, scenario.l)

@@ -33,7 +33,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import montecarlo, verify
-from .array_model import ArrayScenario, Smoothing, hankelize, synthesize_snapshots, wrap_angle
+from .array_model import ArrayScenario, SmoothedMatrix, Smoothing, synthesize_snapshots, wrap_angle
 from .rmt import MpParams
 from .subspace import (
     Pseudospectrum,
@@ -346,7 +346,8 @@ def cmd_spectrum(cfg: dict, scenario: ArrayScenario, strict: Optional[bool]):
         montecarlo._check_rank(scenario, ("gmusic-ss",))
     except ValueError as exc:
         raise ConfigError(f"invalid [scenario]: {exc}") from exc
-    eig = sample_covariance_eig(hankelize(synthesize_snapshots(scenario), scenario.l), scenario.k)
+    smoothed = SmoothedMatrix(snapshots=synthesize_snapshots(scenario), l=scenario.l)
+    eig = sample_covariance_eig(smoothed, scenario.k)
     strict = spec["strict_separation"] if strict is None else strict
     weights = gmusic_weights(eig, eig.noise_variance, eig.c_n, strict=strict)
     grid = np.linspace(window.lo, window.hi, grid_points)

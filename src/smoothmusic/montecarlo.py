@@ -26,7 +26,7 @@ import numpy.ma  # np.percentile loads it lazily; import it here, not inside a c
 from . import subspace
 from .array_model import (
     ArrayScenario,
-    hankelize,
+    SmoothedMatrix,
     min_spacing,
     observe,
     source_matrix,
@@ -230,7 +230,7 @@ def _run_trial(task) -> dict:
 
     eigs = {}
     for lval in sorted({_smoothing_factor(e, scenario.l) for e in estimators}):
-        eigs[lval] = subspace.sample_covariance_eig(hankelize(y, lval), k)
+        eigs[lval] = subspace.sample_covariance_eig(SmoothedMatrix(snapshots=y, l=lval), k)
 
     out = {}
     for est in estimators:
@@ -375,10 +375,10 @@ def table1(scenario: ArrayScenario, l_values: Sequence[int], draws: int = 100) -
     signals = [_drawn_signal(scenario, scenario.k, scenario.n, d) for d in range(draws)]
     rows = []
     for l in l_values:
-        sc = replace(scenario, l=int(l))
+        sc = replace(scenario, l=l)
         vals = np.array([subspace.separation_report(sc, s).min_snr_db for s in signals])
         q1, q3 = np.percentile(vals, [25.0, 75.0])
-        rows.append(Table1Row(int(l), float(np.median(vals)), float(q3 - q1)))
+        rows.append(Table1Row(l, float(np.median(vals)), float(q3 - q1)))
     return rows
 
 
@@ -418,7 +418,7 @@ def consistency_sweep(
     (size, estimator), in that order, with the per-size statistic the
     median of m * |error| pooled over sources and non-failed trials.
     """
-    triples = [(int(m), int(n), int(l)) for m, n, l in sizes]
+    triples = [(m, n, l) for m, n, l in sizes]
     if not triples:
         raise ValueError("sizes must be nonempty")
     ms = [m for m, _, _ in triples]

@@ -259,9 +259,9 @@ def sample_covariance_eig(smoothed: SmoothedMatrix, k: int) -> EigenSystem:
       holds no noise eigenvalue, and its rounding-level null eigenvalues
       are what the noise mean then averages.
     """
-    w = smoothed.entries
-    if not np.all(np.isfinite(w.view(float))):
+    if not np.all(np.isfinite(smoothed.snapshots)):  # W holds every entry of Y
         raise ValueError("smoothed matrix contains non-finite entries")
+    w = smoothed.entries
     u = smoothed.subarray_size
     if not 0 <= k < u:
         raise ValueError(f"need 0 <= k < subarray size {u}, got k={k}")

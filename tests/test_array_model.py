@@ -17,10 +17,10 @@ from smoothmusic.array_model import (
     SIGNAL_POLICIES,
     ArrayScenario,
     SmoothedMatrix,
+    Smoothing,
     block_hankel,
     complex_gaussian,
     draw_signal_matrix,
-    hankelize,
     signal_covariance,
     signal_covariance_hadamard,
     smoothed_signal_part,
@@ -144,7 +144,7 @@ def test_smoothed_steering_set_shape():
 
 
 def test_smoothed_signal_part_identity():
-    """hankelize(A S) equals sqrt(N L) times the deterministic part, exactly."""
+    """The smoothed A S equals sqrt(N L) times the deterministic part, exactly."""
     rng = np.random.default_rng(3)
     for m, n, l, doas in [
         (16, 6, 4, (0.0, 0.8)),
@@ -298,21 +298,38 @@ def test_scenario_validation_and_properties():
         ArrayScenario(**{**base, "snr_db": math.nan})
     with pytest.raises(ValueError):
         ArrayScenario(**{**base, "seed": -1})
+    # sizes and seeds are integers, checked rather than truncated
+    for name, value in (("m", 16.5), ("n", 8.0), ("l", 2.5), ("seed", 1.5)):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            ArrayScenario(**{**base, name: value})
+    with pytest.raises(ValueError, match="^m must be an integer"):
+        Smoothing(m=16.5, n=10, l=2)
+    numpy_ints = ArrayScenario(**{**base, "m": np.int64(16), "l": np.int32(4), "seed": np.uint8(1)})
+    assert numpy_ints.subarray_size == 13
     with pytest.raises(ValueError):
         ArrayScenario(**{**base, "signal_policy": "bogus"})
     with pytest.raises(ValueError):
         ArrayScenario(m=16, n=1, l=4, doas=(0.1, 0.9), snr_db=0.0, signal_policy="identity-covariance")
 
 
-def test_hankelize_wrapper_and_smoothed_matrix():
-    """hankelize records the defining sizes; mismatched entries are rejected."""
+def test_smoothed_matrix_from_snapshots():
+    """SmoothedMatrix takes l and, by keyword only, the snapshots; m and n
+    are the snapshots' shape and the entries their block-Hankel matrix."""
     sc = ArrayScenario(m=12, n=5, l=3, doas=(0.4,), snr_db=10.0, seed=2)
     y = synthesize_snapshots(sc)
-    sm = hankelize(y, 3)
+    sm = SmoothedMatrix(snapshots=y, l=3)
+    assert sm.snapshots is y
     assert (sm.m, sm.n, sm.l) == (12, 5, 3)
     assert sm.subarray_size == 10
     assert sm.virtual_snapshots == 15
     assert sm.c_n == pytest.approx(10 / 15, rel=1e-15)
     np.testing.assert_array_equal(sm.entries, block_hankel(y, 3))
-    with pytest.raises(ValueError):
-        SmoothedMatrix(entries=np.zeros((3, 3)), m=12, n=5, l=3)
+    assert [f.name for f in dataclasses.fields(SmoothedMatrix) if f.init] == ["l", "snapshots"]
+    with pytest.raises(TypeError):
+        SmoothedMatrix(y, 3)  # the field order would bind y to l
+    with pytest.raises(TypeError):
+        SmoothedMatrix(snapshots=y, l=3, m=12)
+    with pytest.raises(ValueError, match=r"shape \(12,\)"):
+        SmoothedMatrix(snapshots=y[:, 0], l=3)
+    with pytest.raises(ValueError, match="1 <= l < m"):
+        SmoothedMatrix(snapshots=y, l=12)

@@ -18,8 +18,8 @@ import pytest
 from smoothmusic import subspace
 from smoothmusic.array_model import (
     ArrayScenario,
+    SmoothedMatrix,
     draw_signal_matrix,
-    hankelize,
     synthesize_snapshots,
 )
 from smoothmusic.montecarlo import (
@@ -169,7 +169,8 @@ def test_run_plan_noiseless_floor_on_the_lanczos_branch():
     sc = ArrayScenario(m=112, n=16, l=8, doas=WIDE, snr_db=200.0, seed=0)
     u = sc.subarray_size
     assert u >= subspace.LANCZOS_MIN_DIM and sc.n * sc.l >= u
-    eig = subspace.sample_covariance_eig(hankelize(synthesize_snapshots(sc), sc.l), sc.k)
+    smoothed = SmoothedMatrix(snapshots=synthesize_snapshots(sc), l=sc.l)
+    eig = subspace.sample_covariance_eig(smoothed, sc.k)
     assert eig.eigenvalues.shape == (sc.k,), "the top-k branch ran"
     assert 0.5 * sc.sigma2 < eig.noise_variance < 2.0 * sc.sigma2
     plan = ExperimentPlan(scenario=sc, sweep="snr_db", values=(200.0,), trials=3)
@@ -181,20 +182,25 @@ def test_run_plan_noiseless_floor_on_the_lanczos_branch():
 def test_trials_factor_through_sample_covariance_eig(monkeypatch):
     """Every trial reaches the eigen layer through
     subspace.sample_covariance_eig, once per distinct smoothing factor: the
-    one function the benchmark's tracer wraps for that layer."""
+    one function the benchmark's tracer wraps for that layer.  Both
+    smoothing factors of a trial smooth the same snapshot array."""
     calls = []
     factor = subspace.sample_covariance_eig
 
     def counting(smoothed, k):
-        calls.append(smoothed.l)
+        calls.append((smoothed.l, smoothed.snapshots))
         return factor(smoothed, k)
 
     monkeypatch.setattr(subspace, "sample_covariance_eig", counting)
     sc = ArrayScenario(m=32, n=8, l=4, doas=WIDE, snr_db=10.0, seed=0)
     plan = ExperimentPlan(scenario=sc, sweep="snr_db", values=(5.0, 15.0), trials=3)
     run_plan(plan)
-    # music and gmusic share l = 1, music-ss and gmusic-ss l = 4
-    assert sorted(calls) == [1] * 6 + [4] * 6
+    # music and gmusic share l = 1, music-ss and gmusic-ss l = 4; a serial
+    # run takes the trials in order, each l = 1 call before its l = 4 one
+    assert [l for l, _ in calls] == [1, 4] * 6
+    for (_, y1), (_, y4) in zip(calls[::2], calls[1::2]):
+        assert y1 is y4
+    assert len({id(y) for _, y in calls}) == 6
 
 
 def test_run_plan_failure_accounting_window_mode():
@@ -398,6 +404,8 @@ def test_table1_structure_and_determinism():
     assert rows != other_seed
     with pytest.raises(ValueError):
         table1(sc, (2, 4), draws=0)
+    with pytest.raises(ValueError, match="l must be an integer"):
+        table1(sc, (2.5,), draws=6)
 
 
 def test_consistency_sweep_sizing_policy_enforced():
@@ -410,6 +418,10 @@ def test_consistency_sweep_sizing_policy_enforced():
     with pytest.raises(ValueError, match="strictly increasing"):
         consistency_sweep(
             ((32, 10, 16), (32, 10, 16)), doas, "beamwidth", 10.0, ("music-ss",), trials=2, seed=0
+        )
+    with pytest.raises(ValueError, match="m must be an integer"):
+        consistency_sweep(
+            ((16.5, 10, 2), (32, 10, 4)), doas, "absolute", 10.0, ("music-ss",), trials=2, seed=0
         )
     good = ((32, 10, 16), (64, 10, 32))
     with pytest.raises(ValueError, match="sizes must be nonempty"):

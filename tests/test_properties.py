@@ -31,7 +31,6 @@ from smoothmusic.array_model import (
     SmoothedMatrix,
     complex_gaussian,
     draw_signal_matrix,
-    hankelize,
     min_spacing,
     signal_covariance,
     signal_covariance_hadamard,
@@ -112,9 +111,9 @@ def test_conjugate_snapshots_mirror_both_spectra(l, k, doas, p, seed):
     is the original scan at index -j mod P, for MUSIC and G-MUSIC alike."""
     sc = ArrayScenario(m=24, n=10, l=l, doas=doas[:k], snr_db=20.0, seed=seed)
     snaps = synthesize_snapshots(sc)
-    smoothed = hankelize(snaps, l)
+    smoothed = SmoothedMatrix(snapshots=snaps, l=l)
     eig = sample_covariance_eig(smoothed, k)
-    eig_c = sample_covariance_eig(hankelize(snaps.conj(), l), k)
+    eig_c = sample_covariance_eig(SmoothedMatrix(snapshots=snaps.conj(), l=l), k)
     x = smoothed.entries
     vals = np.linalg.eigvalsh(x @ x.conj().T / smoothed.virtual_snapshots)[::-1]
     # a near-degenerate top-k eigenvalue leaves its eigenvectors ill defined
@@ -132,8 +131,8 @@ def test_conjugate_snapshots_mirror_both_spectra(l, k, doas, p, seed):
 def _smoothed(u, nl, seed):
     rng = np.random.default_rng(seed)
     w = (rng.standard_normal((u, nl)) + 1j * rng.standard_normal((u, nl))) / math.sqrt(2.0)
-    # m, n, l with m - l + 1 = u and n l = nl: n = nl, l = 1
-    return SmoothedMatrix(entries=w, m=u, n=nl, l=1)
+    # unsmoothed: the U x N L matrix W is its own smoothed matrix
+    return SmoothedMatrix(snapshots=w, l=1)
 
 
 @given(nl=st.integers(2, 20), extra=st.integers(1, 30), data=st.data(), seed=seeds)
@@ -172,7 +171,7 @@ def test_lanczos_top_k_matches_dense_eigh(u, data, seed):
     bins = 2 * rng.choice(u // 2, k, replace=False) + np.where(on_grid, 0.0, rng.uniform(0, 1, k))
     s = rng.uniform(3.0, 15.0, k)[:, None] * complex_gaussian(rng, (k, nl))
     w = steering_matrix(u, 2.0 * math.pi * bins / u) @ s + complex_gaussian(rng, (u, nl))
-    sm = SmoothedMatrix(entries=w, m=u, n=nl, l=1)
+    sm = SmoothedMatrix(snapshots=w, l=1)
     cov = w @ w.conj().T / nl
     vals, vecs = np.linalg.eigh(cov)
     vals, vecs = vals[::-1], vecs[:, ::-1]
@@ -220,7 +219,7 @@ def test_find_doas_does_not_depend_on_where_the_circle_starts(doa, spacing, delt
     beamwidth = 2.0 * math.pi / m
     second = float(wrap_angle(doa + spacing * beamwidth))
     sc = ArrayScenario(m=m, n=20, l=4, doas=(doa, second), snr_db=30.0, seed=seed)
-    eig = sample_covariance_eig(hankelize(synthesize_snapshots(sc), sc.l), sc.k)
+    eig = sample_covariance_eig(SmoothedMatrix(snapshots=synthesize_snapshots(sc), l=sc.l), sc.k)
     weights = gmusic_weights(eig, eig.noise_variance, eig.c_n)
     shifted = SearchWindow(lo=delta - math.pi, hi=delta + math.pi)
     for spectrum in (Pseudospectrum(eig), Pseudospectrum(eig, weights)):

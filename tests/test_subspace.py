@@ -16,9 +16,7 @@ import pytest
 from smoothmusic.array_model import (
     ArrayScenario,
     SmoothedMatrix,
-    block_hankel,
     draw_signal_matrix,
-    hankelize,
     smoothed_steering_set,
     steering_matrix,
     steering_vector,
@@ -54,12 +52,11 @@ def _unitary(dim, seed):
 def test_sample_covariance_eig_known_singular_system():
     """The top k eigenvalues of W W*/(N L) equal the planted squared singular
     values, and the noise variance is the mean of the others."""
-    m, n, l = 5, 3, 2  # subarray 4, virtual snapshots 6
     u = _unitary(4, 0)
     v = _unitary(6, 1)[:, :4]
     sing = np.array([3.0, 2.0, 1.0, 0.5])
     w = (u * sing) @ v.conj().T
-    sm = SmoothedMatrix(entries=w, m=m, n=n, l=l)
+    sm = SmoothedMatrix(snapshots=w, l=1)  # unsmoothed: subarray 4, virtual snapshots 6
     eig = sample_covariance_eig(sm, k=2)
     np.testing.assert_allclose(eig.eigenvalues, sing[:2] ** 2 / 6.0, rtol=1e-12)
     assert eig.eigenvectors.shape == (4, 2)
@@ -78,15 +75,21 @@ def test_sample_covariance_eig_known_singular_system():
 
 
 def test_sample_covariance_eig_validation():
-    """k bounds and non-finite entries are rejected."""
-    sm = SmoothedMatrix(entries=np.zeros((4, 6), dtype=complex), m=5, n=3, l=2)
+    """k bounds and non-finite snapshots are rejected."""
+    sm = SmoothedMatrix(snapshots=np.zeros((4, 6), dtype=complex), l=1)
     for bad_k in (-1, 4, 5):
         with pytest.raises(ValueError):
             sample_covariance_eig(sm, bad_k)
-    entries = np.zeros((4, 6), dtype=complex)
-    entries[0, 0] = np.nan
-    with pytest.raises(ValueError):
-        sample_covariance_eig(SmoothedMatrix(entries=entries, m=5, n=3, l=2), 1)
+    snapshots = np.zeros((4, 6), dtype=complex)
+    snapshots[0, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        sample_covariance_eig(SmoothedMatrix(snapshots=snapshots, l=1), 1)
+    # real snapshots of any width are checked by value, also with an odd column count
+    y = np.arange(40).reshape(8, 5)
+    want = sample_covariance_eig(SmoothedMatrix(snapshots=y.astype(complex), l=2), 1).eigenvalues
+    for dtype in (np.float32, np.int32, np.int64):
+        got = sample_covariance_eig(SmoothedMatrix(snapshots=y.astype(dtype), l=2), 1).eigenvalues
+        np.testing.assert_allclose(got, want, rtol=1e-5)
 
 
 def test_traditional_pseudospectrum_projector_identity():
@@ -249,7 +252,7 @@ def test_find_doas_whole_circle_has_no_seam():
     """
     m = 32
     sc = ArrayScenario(m=m, n=20, l=1, doas=(-math.pi + 1e-3, 1.0), snr_db=30.0, seed=0)
-    eig = sample_covariance_eig(hankelize(synthesize_snapshots(sc), sc.l), sc.k)
+    eig = sample_covariance_eig(SmoothedMatrix(snapshots=synthesize_snapshots(sc), l=sc.l), sc.k)
     direct = lambda th: traditional_pseudospectrum(eig, th)
     for fn in (direct, Pseudospectrum(eig)):  # direct scan, FFT scan
         for window in (SearchWindow(), SearchWindow(lo=0.0, hi=2 * math.pi)):
@@ -265,7 +268,8 @@ def test_find_doas_interval_across_the_seam_wraps():
     xtol = 1e-4 * (2 * math.pi / m)
     for seed in (2, 4):
         sc = ArrayScenario(m=m, n=20, l=4, doas=(math.pi - 1e-4,), snr_db=10.0, seed=seed)
-        spectrum = Pseudospectrum(sample_covariance_eig(hankelize(synthesize_snapshots(sc), sc.l), 1))
+        smoothed = SmoothedMatrix(snapshots=synthesize_snapshots(sc), l=sc.l)
+        spectrum = Pseudospectrum(sample_covariance_eig(smoothed, 1))
         got = find_doas(spectrum, 1, intervals_around(sc.doas, m), m)
         assert -math.pi <= got[0] < math.pi, f"seed {seed}: {got[0]} not wrapped"
         circle = find_doas(spectrum, 1, SearchWindow(), m)
@@ -277,7 +281,8 @@ def test_find_doas_sub_window_past_pi_wraps():
     [-pi, pi), like the whole-circle search."""
     m = 32
     sc = ArrayScenario(m=m, n=20, l=4, doas=(-math.pi + 0.02,), snr_db=20.0, seed=0)
-    spectrum = Pseudospectrum(sample_covariance_eig(hankelize(synthesize_snapshots(sc), sc.l), 1))
+    smoothed = SmoothedMatrix(snapshots=synthesize_snapshots(sc), l=sc.l)
+    spectrum = Pseudospectrum(sample_covariance_eig(smoothed, 1))
     got = find_doas(spectrum, 1, SearchWindow(lo=2.5, hi=3.5), m)
     assert -math.pi <= got[0] < math.pi, f"{got[0]} not wrapped"
     circle = find_doas(spectrum, 1, SearchWindow(), m)
@@ -324,7 +329,7 @@ def test_noiseless_recovery_both_estimators():
     m, n, l = 32, 12, 8
     doas = (-0.9, 0.7)
     sc = ArrayScenario(m=m, n=n, l=l, doas=doas, snr_db=300.0, seed=3)
-    eig = sample_covariance_eig(hankelize(synthesize_snapshots(sc), l), sc.k)
+    eig = sample_covariance_eig(SmoothedMatrix(snapshots=synthesize_snapshots(sc), l=l), sc.k)
     for theta in doas:
         assert traditional_pseudospectrum(eig, theta) < 1e-10
     policy = intervals_around(doas, m)
@@ -342,7 +347,7 @@ def test_find_doas_whole_circle_minima_near_doas_both_spectra():
     m, n, l = 32, 16, 8
     doas = (-0.5, 0.7)
     sc = ArrayScenario(m=m, n=n, l=l, doas=doas, snr_db=40.0, seed=6)
-    eig = sample_covariance_eig(hankelize(synthesize_snapshots(sc), l), sc.k)
+    eig = sample_covariance_eig(SmoothedMatrix(snapshots=synthesize_snapshots(sc), l=l), sc.k)
     weights = gmusic_weights(eig, eig.noise_variance, eig.c_n)
     for spectrum, name in ((Pseudospectrum(eig), "traditional"), (Pseudospectrum(eig, weights), "g-music")):
         got = find_doas(spectrum, 2, SearchWindow(), m)
@@ -407,7 +412,7 @@ def test_bias_correction_tightens_closely_spaced_estimates():
     for t in range(120):
         rng = np.random.default_rng(np.random.SeedSequence([99, 2, t]))
         noise = sigma * (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / math.sqrt(2)
-        sm = SmoothedMatrix(entries=block_hankel(a @ s + noise, l), m=m, n=n, l=l)
+        sm = SmoothedMatrix(snapshots=a @ s + noise, l=l)
         eig = sample_covariance_eig(sm, 2)
         th_t = find_doas(lambda th: traditional_pseudospectrum(eig, th), 2, policy, m)
         s2 = eig.noise_variance
