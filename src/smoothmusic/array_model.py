@@ -156,15 +156,20 @@ class ArrayScenario(Smoothing):
         return s
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True, kw_only=True, eq=False)
 class SmoothedMatrix(Smoothing):
     """Smoothed M x N snapshots Y: m, n = Y.shape, entries W = block_hankel(Y, l).
-    Snapshots go by keyword, as the inherited field order puts l first."""
+    Snapshots go by keyword, as the inherited field order puts l first.
+    Instances compare and hash by identity: arrays have no one truth value,
+    and the inherited (m, n, l) comparison would call any two of one shape equal."""
 
     m: int = field(init=False)
     n: int = field(init=False)
     snapshots: np.ndarray
     entries: np.ndarray = field(init=False, repr=False)
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __post_init__(self) -> None:
         if np.ndim(self.snapshots) != 2:

@@ -23,6 +23,7 @@ import argparse
 import configparser
 import csv
 import dataclasses
+import inspect
 import logging
 import math
 import os
@@ -114,11 +115,16 @@ def _list_of(parse: Callable) -> Callable:
     return inner
 
 
+# an optional key left out of the file is left out of the library call, so
+# the library's own default applies; only keys the CLI alone reads have one here
+_LIBRARY_DEFAULT = object()
+
+
 @dataclass(frozen=True)
 class Key:
     parse: Callable
     required: bool = True
-    default: object = None
+    default: object = _LIBRARY_DEFAULT
 
 
 _SCENARIO_SCHEMA = {
@@ -127,7 +133,7 @@ _SCENARIO_SCHEMA = {
     "l": Key(_parse_int),
     "doas": Key(_list_of(_parse_angle)),
     "snr_db": Key(_parse_float),
-    "signal_policy": Key(_parse_str, required=False, default="random-gaussian-normalized"),
+    "signal_policy": Key(_parse_str, required=False),
     "seed": Key(_parse_int, required=False, default=0),
 }
 
@@ -141,9 +147,9 @@ SCHEMAS = {
         "scenario": _SCENARIO_SCHEMA,
         "spectrum": {
             "grid_points": Key(_parse_int, required=False, default=1024),
-            "lo": Key(_parse_angle, required=False, default=-math.pi),
-            "hi": Key(_parse_angle, required=False, default=math.pi),
-            "strict_separation": Key(_parse_bool, required=False, default=False),
+            "lo": Key(_parse_angle, required=False),
+            "hi": Key(_parse_angle, required=False),
+            "strict_separation": Key(_parse_bool, required=False),
         },
         "output": _OUTPUT_SCHEMA,
     },
@@ -153,12 +159,12 @@ SCHEMAS = {
             "sweep": Key(_parse_str),
             "values": Key(_list_of(_parse_float)),
             "trials": Key(_parse_int),
-            "estimators": Key(_list_of(_parse_str), required=False, default=montecarlo.ESTIMATORS),
-            "doa_mode": Key(_parse_str, required=False, default="intervals"),
-            "include_failures": Key(_parse_bool, required=False, default=False),
-            "fresh_signal": Key(_parse_bool, required=False, default=False),
-            "strict_separation": Key(_parse_bool, required=False, default=False),
-            "workers": Key(_parse_int, required=False, default=1),
+            "estimators": Key(_list_of(_parse_str), required=False),
+            "doa_mode": Key(_parse_str, required=False),
+            "include_failures": Key(_parse_bool, required=False),
+            "fresh_signal": Key(_parse_bool, required=False),
+            "strict_separation": Key(_parse_bool, required=False),
+            "workers": Key(_parse_int, required=False),
         },
         "output": _OUTPUT_SCHEMA,
     },
@@ -166,7 +172,7 @@ SCHEMAS = {
         "scenario": _SCENARIO_SCHEMA,
         "septable": {
             "l_values": Key(_list_of(_parse_int)),
-            "draws": Key(_parse_int, required=False, default=100),
+            "draws": Key(_parse_int, required=False),
         },
         "output": _OUTPUT_SCHEMA,
     },
@@ -176,7 +182,7 @@ SCHEMAS = {
             "n": Key(_parse_int),
             "l": Key(_parse_int),
             "sigma2": Key(_parse_float, required=False, default=1.0),
-            "trials": Key(_parse_int, required=False, default=100),
+            "trials": Key(_parse_int, required=False),
             "seed": Key(_parse_int, required=False, default=0),
         },
         "output": _OUTPUT_SCHEMA,
@@ -233,13 +239,10 @@ def load_config(path: str, command: str) -> dict:
 
     out = {}
     for section, keys in schema.items():
-        if section not in parser:
-            # a section none of whose keys is required may be omitted
-            if not any(spec.required for spec in keys.values()):
-                out[section] = {name: spec.default for name, spec in keys.items()}
-                continue
+        # a section none of whose keys is required may be omitted
+        if section not in parser and any(spec.required for spec in keys.values()):
             raise ConfigError(f"{path}: missing required section [{section}]")
-        got = parser[section]
+        got = parser[section] if section in parser else {}
         for name in got:
             if name not in keys:
                 raise ConfigError(
@@ -260,7 +263,7 @@ def load_config(path: str, command: str) -> dict:
                     f"{_where(path, lines, section, None)}: missing required key "
                     f"{name!r} in [{section}]"
                 )
-            else:
+            elif spec.default is not _LIBRARY_DEFAULT:
                 values[name] = spec.default
         out[section] = values
     return out
@@ -283,20 +286,18 @@ def _resolve_seed(config_seed: int, flag_seed: Optional[int]) -> int:
     return seed
 
 
-def _build_scenario(cfg: dict, seed: int) -> ArrayScenario:
-    sc = cfg["scenario"]
+def _build_scenario(section: dict, seed: int) -> ArrayScenario:
     try:
-        return ArrayScenario(
-            m=sc["m"],
-            n=sc["n"],
-            l=sc["l"],
-            doas=sc["doas"],
-            snr_db=sc["snr_db"],
-            signal_policy=sc["signal_policy"],
-            seed=seed,
-        )
+        return ArrayScenario(**section, seed=seed)
     except ValueError as exc:
         raise ConfigError(f"invalid [scenario]: {exc}") from exc
+
+
+def _used(fn, given: dict) -> dict:
+    """The keyword values fn runs with when called with ``given``: those, and
+    fn's own defaults for the parameters ``given`` leaves out."""
+    params = inspect.signature(fn).parameters.values()
+    return {p.name: p.default for p in params if p.default is not p.empty} | given
 
 
 # ---------------------------------------------------------------------------
@@ -332,24 +333,24 @@ def _db(value: float) -> float:
 # commands (each returns (header, rows))
 
 
-def cmd_spectrum(cfg: dict, scenario: ArrayScenario, strict: Optional[bool]):
-    spec = cfg["spectrum"]
-    grid_points = spec["grid_points"]
+def cmd_spectrum(cfg: dict, scenario: ArrayScenario):
+    spec = dict(cfg["spectrum"])
+    grid_points = spec.pop("grid_points")
+    strict = {"strict": spec.pop("strict_separation")} if "strict_separation" in spec else {}
     if grid_points < 2:
         raise ConfigError(f"grid_points must be >= 2, got {grid_points}")
     try:
-        window = SearchWindow(spec["lo"], spec["hi"])
+        window = SearchWindow(**spec)
     except ValueError as exc:
         raise ConfigError(f"invalid [spectrum]: {exc}") from exc
     try:
-        # both spectra come from the smoothed covariance, and G-MUSIC needs the most
+        # both spectra are the smoothed pair's, and the corrected one needs the most
         montecarlo._check_rank(scenario, ("gmusic-ss",))
     except ValueError as exc:
         raise ConfigError(f"invalid [scenario]: {exc}") from exc
     smoothed = SmoothedMatrix(snapshots=synthesize_snapshots(scenario), l=scenario.l)
     eig = sample_covariance_eig(smoothed, scenario.k)
-    strict = spec["strict_separation"] if strict is None else strict
-    weights = gmusic_weights(eig, eig.noise_variance, eig.c_n, strict=strict)
+    weights = gmusic_weights(eig, eig.noise_variance, eig.c_n, **strict)
     grid = np.linspace(window.lo, window.hi, grid_points)
 
     def column(name, spectrum):
@@ -376,31 +377,22 @@ def cmd_spectrum(cfg: dict, scenario: ArrayScenario, strict: Optional[bool]):
     return header, rows
 
 
-def cmd_montecarlo(cfg: dict, scenario: ArrayScenario, workers: Optional[int], strict: Optional[bool]):
-    mc = cfg["montecarlo"]
+def cmd_montecarlo(cfg: dict, scenario: ArrayScenario):
+    mc = dict(cfg["montecarlo"])
+    run = {"workers": mc.pop("workers")} if "workers" in mc else {}
     try:
-        plan = montecarlo.ExperimentPlan(
-            scenario=scenario,
-            sweep=mc["sweep"],
-            values=mc["values"],
-            trials=mc["trials"],
-            estimators=mc["estimators"],
-            doa_mode=mc["doa_mode"],
-            include_failures=mc["include_failures"],
-            fresh_signal=mc["fresh_signal"],
-            strict_separation=mc["strict_separation"] if strict is None else strict,
-        )
+        plan = montecarlo.ExperimentPlan(scenario=scenario, **mc)
     except ValueError as exc:
         raise ConfigError(f"invalid [montecarlo]: {exc}") from exc
-    n_workers = mc["workers"] if workers is None else workers
-    if n_workers < 0:
-        raise ConfigError(f"workers must be >= 0, got {n_workers}")
+    workers = _used(montecarlo.run_plan, run)["workers"]
+    if workers < 0:
+        raise ConfigError(f"workers must be >= 0, got {workers}")
     log.info(
         "montecarlo: sweep %s over %d points, %d trials/point, workers=%d",
         plan.sweep,
         len(plan.values),
         plan.trials,
-        n_workers,
+        workers,
     )
     rows = [
         (
@@ -414,7 +406,7 @@ def cmd_montecarlo(cfg: dict, scenario: ArrayScenario, workers: Optional[int], s
             r.crb,
             _db(r.crb),
         )
-        for r in montecarlo.run_plan(plan, workers=n_workers)
+        for r in montecarlo.run_plan(plan, **run)
     ]
     header = (
         "sweep_value",
@@ -432,34 +424,32 @@ def cmd_montecarlo(cfg: dict, scenario: ArrayScenario, workers: Optional[int], s
 
 def cmd_septable(cfg: dict, scenario: ArrayScenario):
     sp = cfg["septable"]
-    if sp["draws"] < 1:
-        raise ConfigError(f"draws must be >= 1, got {sp['draws']}")
+    draws = _used(montecarlo.table1, sp)["draws"]
+    if draws < 1:
+        raise ConfigError(f"draws must be >= 1, got {draws}")
     for l in sp["l_values"]:
         try:
             dataclasses.replace(scenario, l=l)
         except ValueError as exc:
             raise ConfigError(f"invalid l value {l}: {exc}") from exc
-    log.info("septable: %d smoothing factors, %d draws each", len(sp["l_values"]), sp["draws"])
-    rows = montecarlo.table1(scenario, sp["l_values"], draws=sp["draws"])
+    log.info("septable: %d smoothing factors, %d draws each", len(sp["l_values"]), draws)
+    rows = montecarlo.table1(scenario, **sp)
     header = ("L", "min_snr_db_median", "min_snr_db_iqr")
     return header, [(r.l, r.min_snr_db_median, r.min_snr_db_iqr) for r in rows]
 
 
 def cmd_verify(cfg: dict, flag_seed: Optional[int]):
-    vc = cfg["verify"]
-    seed = _resolve_seed(vc["seed"], flag_seed)
-    if vc["trials"] < 2:
-        raise ConfigError(f"trials must be >= 2, got {vc['trials']}")
+    vc = dict(cfg["verify"])
+    seed = _resolve_seed(vc.pop("seed"), flag_seed)
+    trials = _used(verify.run_verification_suite, vc)["trials"]
+    if trials < 2:
+        raise ConfigError(f"trials must be >= 2, got {trials}")
     try:
         MpParams(vc["sigma2"], Smoothing(m=vc["m"], n=vc["n"], l=vc["l"]).c_n)
     except ValueError as exc:
         raise ConfigError(f"invalid [verify]: {exc}") from exc
-    log.info(
-        "verify: M=%d N=%d L=%d sigma2=%g, %d trials", vc["m"], vc["n"], vc["l"], vc["sigma2"], vc["trials"]
-    )
-    rows = verify.run_verification_suite(
-        vc["m"], vc["n"], vc["l"], vc["sigma2"], trials=vc["trials"], seed=seed
-    )
+    log.info("verify: M=%d N=%d L=%d sigma2=%g, %d trials", vc["m"], vc["n"], vc["l"], vc["sigma2"], trials)
+    rows = verify.run_verification_suite(**vc, seed=seed)
     header = ("check", "m", "n", "l", "statistic", "threshold", "pass")
     return header, [tuple(r) for r in rows]
 
@@ -512,20 +502,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    flag = getattr(args, "strict_separation", None)
-    strict = None if flag is None else flag == "true"
+    # a flag overrides its key in the command's own section
+    flags = {"workers": getattr(args, "workers", None)}
+    if getattr(args, "strict_separation", None) is not None:
+        flags["strict_separation"] = args.strict_separation == "true"
     try:
         cfg = load_config(args.config, args.command)
         _configure_logging(cfg["output"]["verbosity"])
+        cfg[args.command].update((key, v) for key, v in flags.items() if v is not None)
         if args.command == "verify":
             header, rows = cmd_verify(cfg, args.seed)
         else:
-            seed = _resolve_seed(cfg["scenario"]["seed"], args.seed)
-            scenario = _build_scenario(cfg, seed)
+            seed = _resolve_seed(cfg["scenario"].pop("seed"), args.seed)
+            scenario = _build_scenario(cfg["scenario"], seed)
             if args.command == "spectrum":
-                header, rows = cmd_spectrum(cfg, scenario, strict)
+                header, rows = cmd_spectrum(cfg, scenario)
             elif args.command == "montecarlo":
-                header, rows = cmd_montecarlo(cfg, scenario, args.workers, strict)
+                header, rows = cmd_montecarlo(cfg, scenario)
             else:
                 header, rows = cmd_septable(cfg, scenario)
     except ConfigError as exc:

@@ -48,7 +48,22 @@ __all__ = [
     "table1",
 ]
 
-ESTIMATORS = ("music", "gmusic", "music-ss", "gmusic-ss")
+
+class Estimator(NamedTuple):
+    """What fixes an estimator: whether it reads the smoothed covariance at
+    l = L (else at l = 1), and whether it applies the G-MUSIC weights
+    1/h(lambda_hat) (else it is traditional MUSIC)."""
+
+    smoothed: bool
+    corrected: bool
+
+
+ESTIMATORS = {
+    "music": Estimator(smoothed=False, corrected=False),
+    "gmusic": Estimator(smoothed=False, corrected=True),
+    "music-ss": Estimator(smoothed=True, corrected=False),
+    "gmusic-ss": Estimator(smoothed=True, corrected=True),
+}
 SWEEPS = ("snr_db", "l", "m")
 DOA_MODES = ("intervals", "window")
 
@@ -59,7 +74,7 @@ _STREAM_NOISE = 2
 
 def _smoothing_factor(estimator: str, l: int) -> int:
     """Smoothing factor used by an estimator (the unsmoothed pair uses l=1)."""
-    return l if estimator in ("music-ss", "gmusic-ss") else 1
+    return l if ESTIMATORS[estimator].smoothed else 1
 
 
 def _check_estimators(estimators) -> tuple:
@@ -71,7 +86,7 @@ def _check_estimators(estimators) -> tuple:
         raise ValueError("need at least one estimator")
     unknown = [e for e in estimators if e not in ESTIMATORS]
     if unknown:
-        raise ValueError(f"unknown estimators {unknown}; choose from {ESTIMATORS}")
+        raise ValueError(f"unknown estimators {unknown}; choose from {tuple(ESTIMATORS)}")
     return estimators
 
 
@@ -83,7 +98,7 @@ def _check_rank(scenario: ArrayScenario, estimators) -> None:
     """
     for est in estimators:
         nl = scenario.n * _smoothing_factor(est, scenario.l)
-        need = scenario.k + 1 if est in ("gmusic", "gmusic-ss") else scenario.k
+        need = scenario.k + 1 if ESTIMATORS[est].corrected else scenario.k
         if nl < need:
             raise ValueError(
                 f"{est} needs N L >= {need} virtual snapshots for k={scenario.k} sources, got N L={nl}"
@@ -116,7 +131,7 @@ class ExperimentPlan:
     sweep: str
     values: tuple
     trials: int
-    estimators: tuple = ESTIMATORS
+    estimators: tuple = tuple(ESTIMATORS)
     doa_mode: str = "intervals"
     include_failures: bool = False
     fresh_signal: bool = False
@@ -236,12 +251,10 @@ def _run_trial(task) -> dict:
     for est in estimators:
         eig = eigs[_smoothing_factor(est, scenario.l)]
         try:
-            if est in ("music", "music-ss"):
-                spectrum = subspace.Pseudospectrum(eig)
-            else:
+            weights = None
+            if ESTIMATORS[est].corrected:
                 weights = subspace.gmusic_weights(eig, eig.noise_variance, eig.c_n, strict)
-                spectrum = subspace.Pseudospectrum(eig, weights)
-            theta_hat = subspace.find_doas(spectrum, k, policy, m)
+            theta_hat = subspace.find_doas(subspace.Pseudospectrum(eig, weights), k, policy, m)
         except (subspace.UnderResolvedError, subspace.NotSeparatedError):
             out[est] = None
             continue
@@ -258,6 +271,8 @@ def _run_trials(
     process per CPU; a pool returns results in task order, like the serial
     loop, so the outcomes never depend on the worker count.
     """
+    if workers < 0:
+        raise ValueError(f"workers must be >= 0, got {workers}")
     tasks = [
         (sc, signal_of(p, t), p, t, estimators, doa_mode, strict)
         for p, sc in enumerate(scens)

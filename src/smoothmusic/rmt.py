@@ -28,7 +28,6 @@ __all__ = [
     "h_star",
     "mp_atom",
     "mp_cdf",
-    "mp_density",
     "mp_stieltjes",
     "mp_stieltjes_tilde",
     "phi_inverse",
@@ -89,23 +88,6 @@ class SpikePrediction(NamedTuple):
 def mp_atom(p: MpParams) -> float:
     """Mass of the atom at zero, max(0, 1 - 1/c)."""
     return max(0.0, 1.0 - 1.0 / p.c)
-
-
-def mp_density(x, p: MpParams):
-    """Density of the absolutely continuous part of the MP law.
-
-    Vanishes outside [edge_minus, edge_plus]; the atom at zero (present for
-    c > 1) is reported separately by :func:`mp_atom`.
-    """
-    x_arr = np.asarray(x, dtype=float)
-    lo, hi = p.edge_minus, p.edge_plus
-    out = np.zeros_like(x_arr)
-    inside = (x_arr > 0) & (x_arr >= lo) & (x_arr <= hi)
-    xi = x_arr[inside]
-    out[inside] = np.sqrt((xi - lo) * (hi - xi)) / (2.0 * math.pi * p.sigma2 * p.c * xi)
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
 
 
 def mp_cdf(x, p: MpParams):

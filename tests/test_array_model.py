@@ -333,3 +333,14 @@ def test_smoothed_matrix_from_snapshots():
         SmoothedMatrix(snapshots=y[:, 0], l=3)
     with pytest.raises(ValueError, match="1 <= l < m"):
         SmoothedMatrix(snapshots=y, l=12)
+
+
+def test_smoothed_matrix_compares_and_hashes_by_identity():
+    """Two matrices built from equal snapshots are distinct objects: they
+    compare unequal without raising on their array fields, each equals
+    itself, and both hash."""
+    y = synthesize_snapshots(ArrayScenario(m=12, n=5, l=3, doas=(0.4,), snr_db=10.0, seed=2))
+    a, b = SmoothedMatrix(snapshots=y, l=3), SmoothedMatrix(snapshots=y.copy(), l=3)
+    assert a != b and not a == b
+    assert a == a
+    assert hash(a) == hash(a) and len({a, b}) == 2

@@ -8,6 +8,8 @@ file:line locations, and byte-identical reruns.
 
 import contextlib
 import csv
+import functools
+import inspect
 import io
 import logging
 import math
@@ -18,7 +20,7 @@ import sys
 
 import pytest
 
-from smoothmusic import cli
+from smoothmusic import cli, montecarlo, verify
 
 
 SPECTRUM_INI = """\
@@ -97,6 +99,87 @@ def cli_log(caplog):
     logger.addHandler(caplog.handler)
     yield caplog
     logger.removeHandler(caplog.handler)
+
+
+@pytest.fixture
+def library_calls(monkeypatch):
+    """The keyword arguments of every call a command makes to the library
+    functions it configures, by function name; each call still runs."""
+    calls = {}
+
+    def record(owner, name):
+        real = getattr(owner, name)
+
+        @functools.wraps(real)
+        def recorded(*args, **kwargs):
+            calls.setdefault(name, []).append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, recorded)
+
+    for name in ("ExperimentPlan", "run_plan", "table1"):
+        record(montecarlo, name)
+    record(verify, "run_verification_suite")
+    for name in ("ArrayScenario", "SearchWindow", "gmusic_weights"):
+        record(cli, name)
+    return calls
+
+
+def _default(fn, name):
+    return inspect.signature(fn).parameters[name].default
+
+
+def test_library_receives_only_the_optional_keys_a_file_or_flag_sets(
+    tmp_path, capsys, cli_log, library_calls
+):
+    """An optional key left out of the file is left out of the library call,
+    so the library's default applies, and the log names that default; a key
+    the file or a flag sets is passed."""
+    scenario = {"m", "n", "l", "doas", "snr_db", "seed"}
+
+    def run(command, ini, *flags):
+        library_calls.clear()
+        cli_log.clear()
+        code, _, err = _run([command, "--config", _write(tmp_path, ini), *flags], capsys)
+        assert code == 0, err
+        return {name: kwargs for name, (kwargs,) in library_calls.items()}
+
+    called = run("spectrum", SPECTRUM_INI)
+    assert set(called["ArrayScenario"]) == scenario
+    assert called["SearchWindow"] == {} and called["gmusic_weights"] == {}
+    ini = SPECTRUM_INI.replace("seed = 3", "seed = 3\nsignal_policy = identity-covariance")
+    called = run("spectrum", ini + "lo = -3\nhi = 3\nstrict_separation = false\n")
+    assert called["ArrayScenario"]["signal_policy"] == "identity-covariance"
+    assert called["SearchWindow"] == {"lo": -3.0, "hi": 3.0}
+    assert called["gmusic_weights"] == {"strict": False}
+    assert run("spectrum", SPECTRUM_INI, "--strict-separation", "true")["gmusic_weights"] == {"strict": True}
+
+    bare = MONTECARLO_INI.replace("estimators = music-ss, gmusic-ss\n", "").replace("trials = 3", "trials = 1")
+    called = run("montecarlo", bare)
+    assert set(called["ExperimentPlan"]) == {"scenario", "sweep", "values", "trials"}
+    assert called["run_plan"] == {}
+    assert f"workers={_default(montecarlo.run_plan, 'workers')}" in cli_log.text
+    full = bare + (
+        "estimators = music\ndoa_mode = window\ninclude_failures = true\n"
+        "fresh_signal = true\nstrict_separation = true\nworkers = 1\n"
+    )
+    called = run("montecarlo", full, "--workers", "2", "--strict-separation", "false")
+    assert {k: v for k, v in called["ExperimentPlan"].items() if k not in ("scenario", "values")} == {
+        "sweep": "snr_db", "trials": 1, "estimators": ("music",), "doa_mode": "window",
+        "include_failures": True, "fresh_signal": True, "strict_separation": False,
+    }
+    assert called["run_plan"] == {"workers": 2} and "workers=2" in cli_log.text
+
+    septable = MONTECARLO_INI[: MONTECARLO_INI.index("[montecarlo]")] + "[septable]\nl_values = 2, 4\n"
+    assert run("septable", septable)["table1"] == {"l_values": (2, 4)}
+    assert f"{_default(montecarlo.table1, 'draws')} draws each" in cli_log.text
+    assert run("septable", septable + "draws = 3\n")["table1"] == {"l_values": (2, 4), "draws": 3}
+
+    called = run("verify", "[verify]\nm = 32\nn = 8\nl = 4\n")
+    assert called["run_verification_suite"] == {"m": 32, "n": 8, "l": 4, "sigma2": 1.0, "seed": 0}
+    assert f"{_default(verify.run_verification_suite, 'trials')} trials" in cli_log.text
+    called = run("verify", "[verify]\nm = 32\nn = 8\nl = 4\ntrials = 2\n")
+    assert called["run_verification_suite"]["trials"] == 2
 
 
 def test_spectrum_schema_and_minima_flags(tmp_path, capsys):

@@ -132,6 +132,17 @@ def test_run_plan_worker_count_invariance():
     assert serial == again
 
 
+def test_negative_worker_count_is_refused():
+    """workers < 0 is refused before any trial runs, also by a one-task plan
+    that would never start a pool, and by consistency sweeps."""
+    sc = ArrayScenario(m=32, n=8, l=4, doas=WIDE, snr_db=0.0, seed=0)
+    plan = ExperimentPlan(scenario=sc, sweep="snr_db", values=(5.0,), trials=1)
+    with pytest.raises(ValueError, match="workers must be >= 0, got -1"):
+        run_plan(plan, workers=-1)
+    with pytest.raises(ValueError, match="workers must be >= 0, got -3"):
+        consistency_sweep(((32, 8, 4),), WIDE, "absolute", 0.0, ("music",), trials=2, seed=0, workers=-3)
+
+
 def test_run_plan_row_bookkeeping():
     """Rows cover every (point, estimator, source) in that order; CRB attached."""
     sc = ArrayScenario(m=32, n=8, l=4, doas=WIDE, snr_db=0.0, seed=0)
@@ -327,20 +338,31 @@ def test_plan_validation():
 
 
 def test_plan_rejects_estimators_short_of_virtual_snapshots():
-    """G-MUSIC needs k < N L (a noise eigenvalue in the range); MUSIC k <= N L.
+    """Each estimator's rank need follows its row of ESTIMATORS: a smoothed
+    one has N L = n l virtual snapshots, the others N L = n; MUSIC needs
+    k <= N L, and a corrected (G-MUSIC) one k < N L, a noise eigenvalue in
+    the range.
 
     At N L = k the G-MUSIC noise estimate would average rounding-level null
     eigenvalues, so its rows would silently equal MUSIC's.
     """
-    sc = ArrayScenario(m=16, n=2, l=4, doas=(0.0, 1.0), snr_db=20.0, seed=0)
-    plan = dict(scenario=sc, sweep="snr_db", values=(20.0,), trials=1)
-    ExperimentPlan(**plan, estimators=("music", "music-ss", "gmusic-ss"))
-    with pytest.raises(ValueError, match="gmusic"):  # N L = n = k
-        ExperimentPlan(**plan, estimators=("gmusic",))
-    with pytest.raises(ValueError, match="music"):  # N L = 1 < k
-        ExperimentPlan(**{**plan, "scenario": dataclasses.replace(sc, n=1)}, estimators=("music",))
+    doas = (0.0, 1.0)
+    plan = dict(sweep="snr_db", values=(20.0,), trials=1)
+    for name, (smoothed, corrected) in ESTIMATORS.items():
+        need = len(doas) + 1 if corrected else len(doas)
+
+        def scenario(nl):
+            # n = 1 leaves only l to supply a smoothed estimator's N L; l = 4
+            # would supply an unsmoothed one's, were it read
+            n, l = (1, nl) if smoothed else (nl, 4)
+            return ArrayScenario(m=16, n=n, l=l, doas=doas, snr_db=20.0, seed=0)
+
+        ExperimentPlan(scenario=scenario(need), **plan, estimators=(name,))
+        with pytest.raises(ValueError, match=f"^{name} needs N L >= {need} .* got N L={need - 1}$"):
+            ExperimentPlan(scenario=scenario(need - 1), **plan, estimators=(name,))
+    sc = ArrayScenario(m=16, n=2, l=4, doas=doas, snr_db=20.0, seed=0)
     with pytest.raises(ValueError, match="gmusic-ss"):  # the sweep point l = 1 has N L = k
-        ExperimentPlan(**{**plan, "sweep": "l", "values": (4, 1)}, estimators=("gmusic-ss",))
+        ExperimentPlan(scenario=sc, sweep="l", values=(4, 1), trials=1, estimators=("gmusic-ss",))
     with pytest.raises(ValueError, match="gmusic"):
         consistency_sweep(((16, 2, 4),), sc.doas, "absolute", 20.0, ("gmusic",), trials=1, seed=0)
 

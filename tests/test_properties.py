@@ -39,7 +39,7 @@ from smoothmusic.array_model import (
     wrap_angle,
 )
 from smoothmusic.montecarlo import _matched_errors
-from smoothmusic.rmt import MpParams, mp_atom, mp_cdf, mp_density
+from smoothmusic.rmt import MpParams, mp_atom, mp_cdf
 from smoothmusic.subspace import (
     LANCZOS_DIM_PER_PAIR,
     LANCZOS_MIN_DIM,
@@ -52,6 +52,8 @@ from smoothmusic.subspace import (
     sample_covariance_eig,
     separation_report,
 )
+
+from test_rmt import mp_density
 
 seeds = st.integers(0, 2**32 - 1)
 

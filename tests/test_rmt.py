@@ -22,7 +22,6 @@ from smoothmusic.rmt import (
     h_star,
     mp_atom,
     mp_cdf,
-    mp_density,
     mp_stieltjes,
     mp_stieltjes_tilde,
     phi_inverse,
@@ -30,6 +29,25 @@ from smoothmusic.rmt import (
     spike_forward,
     w_star,
 )
+
+
+def mp_density(x, p: MpParams):
+    """Density of the absolutely continuous part of the MP law, the oracle of
+    :func:`mp_cdf`.
+
+    Vanishes outside [edge_minus, edge_plus]; the atom at zero (present for
+    c > 1) is reported separately by :func:`mp_atom`.
+    """
+    x_arr = np.asarray(x, dtype=float)
+    lo, hi = p.edge_minus, p.edge_plus
+    out = np.zeros_like(x_arr)
+    inside = (x_arr > 0) & (x_arr >= lo) & (x_arr <= hi)
+    xi = x_arr[inside]
+    out[inside] = np.sqrt((xi - lo) * (hi - xi)) / (2.0 * math.pi * p.sigma2 * p.c * xi)
+    if np.ndim(x) == 0:
+        return float(out)
+    return out
+
 
 # parameter grid spanning c < 1, c = 1 and c > 1 at different noise scales
 PARAM_GRID = [(1.0, 0.5), (2.0, 0.25), (1.0, 1.0), (0.5, 2.0), (3.0, 0.04)]
