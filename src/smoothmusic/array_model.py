@@ -98,7 +98,8 @@ class ArrayScenario(Smoothing):
     ------
     m, n, l : sensors, snapshots, smoothing factor (see :class:`Smoothing`).
     doas : tuple of source angles in [-pi, pi), pairwise distinct.
-    snr_db : 10 log10(1 / sigma2) with sigma2 the per-entry noise power.
+    snr_db : 10 log10(1 / sigma2) with sigma2 the per-entry noise power,
+        which must be a positive finite float (|snr_db| up to ~3000 dB).
     signal_policy : one of SIGNAL_POLICIES, how a source matrix is drawn
         when the caller passes none.
     seed : master seed for snapshot synthesis.
@@ -130,8 +131,12 @@ class ArrayScenario(Smoothing):
             raise ValueError(
                 f"identity-covariance needs k <= n for rank k, got k={k}, n={self.n}"
             )
-        if not math.isfinite(self.snr_db):
-            raise ValueError(f"snr_db must be finite, got {self.snr_db}")
+        try:
+            sigma2 = self.sigma2
+        except OverflowError:
+            sigma2 = math.inf
+        if not 0.0 < sigma2 < math.inf:
+            raise ValueError(f"snr_db must give a positive finite sigma2, got {self.snr_db}")
         _check_integer("seed", self.seed)
         if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")

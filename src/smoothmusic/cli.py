@@ -34,8 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import montecarlo, verify
-from .array_model import ArrayScenario, SmoothedMatrix, Smoothing, synthesize_snapshots, wrap_angle
-from .rmt import MpParams
+from .array_model import ArrayScenario, SmoothedMatrix, synthesize_snapshots, wrap_angle
 from .subspace import (
     Pseudospectrum,
     SearchWindow,
@@ -442,10 +441,8 @@ def cmd_verify(cfg: dict, flag_seed: Optional[int]):
     vc = dict(cfg["verify"])
     seed = _resolve_seed(vc.pop("seed"), flag_seed)
     trials = _used(verify.run_verification_suite, vc)["trials"]
-    if trials < 2:
-        raise ConfigError(f"trials must be >= 2, got {trials}")
     try:
-        MpParams(vc["sigma2"], Smoothing(m=vc["m"], n=vc["n"], l=vc["l"]).c_n)
+        verify._check_suite(vc["m"], vc["n"], vc["l"], vc["sigma2"], trials)
     except ValueError as exc:
         raise ConfigError(f"invalid [verify]: {exc}") from exc
     log.info("verify: M=%d N=%d L=%d sigma2=%g, %d trials", vc["m"], vc["n"], vc["l"], vc["sigma2"], trials)

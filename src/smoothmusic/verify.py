@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -302,6 +302,15 @@ def determinant_root_check(p: MpParams, lambdas: Sequence[float]) -> np.ndarray:
     return roots
 
 
+def _check_suite(m: int, n: int, l: int, sigma2: float, trials: int) -> MpParams:
+    """The suite's MP parameters, refusing bad arguments before any draw:
+    sizes and sigma2 as Smoothing and MpParams do, and trials < 2, under
+    which the hankel-vs-iid row would compare quartiles of one sample."""
+    if trials < 2:
+        raise ValueError(f"trials must be >= 2, got {trials}")
+    return MpParams(sigma2, Smoothing(m=m, n=n, l=l).c_n)
+
+
 def run_verification_suite(
     m: int,
     n: int,
@@ -319,7 +328,7 @@ def run_verification_suite(
     four-times-larger array (same c_N) with a similarly reduced internal
     trial count.
     """
-    p = MpParams(sigma2, Smoothing(m=m, n=n, l=l).c_n)
+    p = _check_suite(m, n, l, sigma2, trials)
     rows = []
 
     esd = esd_vs_mp(m, n, l, sigma2, trials=max(trials // 2, 2), seed=seed)

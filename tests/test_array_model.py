@@ -294,8 +294,11 @@ def test_scenario_validation_and_properties():
         ArrayScenario(**{**base, "doas": (0.1, math.pi)})  # out of range
     with pytest.raises(ValueError):
         ArrayScenario(**{**base, "doas": tuple(np.linspace(-1, 1, 13))})  # k >= m - l + 1
-    with pytest.raises(ValueError):
-        ArrayScenario(**{**base, "snr_db": math.nan})
+    # sigma2 = 10**(-snr_db/10) must be a positive finite float: nan, an
+    # overflow and an underflow to 0 are all refused
+    for snr_db in (math.nan, -4000.0, 4000.0):
+        with pytest.raises(ValueError, match="snr_db"):
+            ArrayScenario(**{**base, "snr_db": snr_db})
     with pytest.raises(ValueError):
         ArrayScenario(**{**base, "seed": -1})
     # sizes and seeds are integers, checked rather than truncated

@@ -360,6 +360,31 @@ def test_montecarlo_non_finite_integer_sweep_value_is_config_error(tmp_path, cap
     assert "config error: invalid [montecarlo]" in err and value in err
 
 
+@pytest.mark.parametrize("snr_db", ["-4000", "4000"])
+@pytest.mark.parametrize(
+    "command, section",
+    [
+        ("spectrum", "[spectrum]\n"),
+        ("montecarlo", "[montecarlo]\nsweep = l\nvalues = 4\ntrials = 1\nestimators = music-ss\n"),
+        ("septable", "[septable]\nl_values = 4\ndraws = 1\n"),
+    ],
+    ids=["spectrum", "montecarlo", "septable"],
+)
+def test_snr_db_out_of_float_range_is_config_error(tmp_path, capsys, command, section, snr_db):
+    """An snr_db whose noise power 10**(-snr_db/10) overflows, or underflows
+    to 0, exits 2 naming snr_db on every scenario command instead of raising
+    out of main; so does the same value in an snr_db sweep."""
+    ini = _spectrum_ini(32, 8, 4, "0, 0.98", snr_db, 0).replace("[spectrum]\n", section)
+    code, out, err = _run([command, "--config", _write(tmp_path, ini)], capsys)
+    assert code == 2 and out == ""
+    assert "config error: invalid [scenario]" in err and "snr_db" in err
+    if command == "montecarlo":
+        sweep = MONTECARLO_INI.replace("values = 5, 15", f"values = 5, {snr_db}")
+        code, out, err = _run([command, "--config", _write(tmp_path, sweep)], capsys)
+        assert code == 2 and out == ""
+        assert "config error: invalid [montecarlo]" in err and "snr_db" in err
+
+
 def test_seed_precedence_flag_env_config(tmp_path, capsys, monkeypatch):
     """--seed beats SMOOTHMUSIC_SEED beats the config seed."""
     cfg3 = _write(tmp_path, SPECTRUM_INI, "seed3.ini")

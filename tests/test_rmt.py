@@ -8,7 +8,6 @@ product vs quadratic-formula inverse); and a central-difference derivative
 for the eigenvector-attenuation identity.
 """
 
-import cmath
 import math
 
 import numpy as np

@@ -9,6 +9,7 @@ would land on a crossing instead of the vertex).
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,12 +18,13 @@ from smoothmusic.array_model import (
     ArrayScenario,
     SmoothedMatrix,
     draw_signal_matrix,
-    smoothed_steering_set,
+    signal_covariance,
+    signal_covariance_hadamard,
     steering_matrix,
     steering_vector,
     synthesize_snapshots,
 )
-from smoothmusic import subspace
+from smoothmusic import montecarlo
 from smoothmusic.rmt import MpParams, h_star
 from smoothmusic.subspace import (
     EigenSystem,
@@ -373,16 +375,19 @@ def test_separation_report_single_source_closed_form():
     assert rep.c_n == pytest.approx(sc.c_n, rel=1e-15)
 
 
-def test_separation_report_cross_check_is_live(monkeypatch):
-    """A Kronecker steering set 1e-6 off the K x K form is a RuntimeError."""
-    sc = ArrayScenario(m=24, n=10, l=6, doas=(0.1, 0.5), snr_db=10.0)
-    s = draw_signal_matrix(2, 10, sc.signal_policy, np.random.default_rng(7))
-    separation_report(sc, s)
-    monkeypatch.setattr(
-        subspace, "smoothed_steering_set", lambda *a: (1.0 + 1e-6) * smoothed_steering_set(*a)
-    )
-    with pytest.raises(RuntimeError, match="disagree"):
-        separation_report(sc, s)
+def test_separation_report_matches_dense_forms_at_table_size():
+    """At the separation table's own size, (160, 20) with the paper's L grid,
+    the K x K eigenvalues are the top-k eigenvalues of both U x U signal
+    covariances, for a few draws of the table's signal stream."""
+    sc = ArrayScenario(m=160, n=20, l=2, doas=(0.0, math.pi / 320), snr_db=0.0, seed=1)
+    for d in range(3):
+        signal = montecarlo._drawn_signal(sc, sc.k, sc.n, d)
+        for l in (2, 4, 8, 16, 32, 64, 96, 128):
+            at_l = replace(sc, l=l)
+            lam = separation_report(at_l, signal).lambda_signal
+            for cov in (signal_covariance(at_l, signal), signal_covariance_hadamard(at_l, signal)):
+                want = np.linalg.eigvalsh(cov)[::-1][: sc.k]
+                np.testing.assert_allclose(lam, want, rtol=0, atol=1e-10 * want[0], err_msg=f"l={l}")
 
 
 def test_separation_report_validation():

@@ -15,7 +15,6 @@ from smoothmusic import verify
 from smoothmusic.array_model import Smoothing, block_hankel, complex_gaussian
 from smoothmusic.rmt import MpParams, mp_cdf, mp_stieltjes, mp_stieltjes_tilde, phi_star
 from smoothmusic.verify import (
-    EsdReport,
     determinant_root_check,
     esd_vs_mp,
     quadratic_form_check,
@@ -211,6 +210,14 @@ def test_quadratic_form_check_matches_direct_co_resolvent(m, n, l, sigma2, z):
     for seed in range(3):
         got = quadratic_form_check(m, n, l, sigma2, z, seed=seed)
         np.testing.assert_allclose(got, _direct_residuals(m, n, l, sigma2, z, seed), rtol=1e-10, atol=0)
+
+
+def test_run_verification_suite_refuses_fewer_than_two_trials(monkeypatch):
+    """trials < 2 is a ValueError before the first draw, as the CLI's exit 2 is."""
+    monkeypatch.setattr(verify, "esd_vs_mp", lambda *a, **kw: pytest.fail("drew before checking"))
+    for trials in (0, 1):
+        with pytest.raises(ValueError, match="trials must be >= 2"):
+            run_verification_suite(32, 8, 4, 1.0, trials=trials)
 
 
 def test_run_verification_suite_all_rows_pass():
