@@ -7,7 +7,8 @@ element-spacing layer exists here.
 
 Spatial smoothing turns the M x N snapshot matrix into the block-Hankel
 matrix of size (M - L + 1) x (N L) whose column block n stacks the L
-length-(M - L + 1) sliding subarray views of snapshot n.
+length-(M - L + 1) sliding subarray views of snapshot n.  Its Gram matrix
+W W* is formed from Y Y* alone (:func:`smoothed_gram`), without W.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ __all__ = [
     "observe",
     "signal_covariance",
     "signal_covariance_hadamard",
+    "smoothed_gram",
     "smoothed_signal_part",
     "smoothed_steering",
     "smoothed_steering_set",
@@ -163,15 +165,16 @@ class ArrayScenario(Smoothing):
 
 @dataclass(frozen=True, kw_only=True, eq=False)
 class SmoothedMatrix(Smoothing):
-    """Smoothed M x N snapshots Y: m, n = Y.shape, entries W = block_hankel(Y, l).
+    """Smoothed M x N snapshots Y: m, n = Y.shape, smoothing factor l.
     Snapshots go by keyword, as the inherited field order puts l first.
+    The block-Hankel matrix W is not stored: ``entries`` builds it on each
+    read, and W W* comes from Y alone (:func:`smoothed_gram`).
     Instances compare and hash by identity: arrays have no one truth value,
     and the inherited (m, n, l) comparison would call any two of one shape equal."""
 
     m: int = field(init=False)
     n: int = field(init=False)
     snapshots: np.ndarray
-    entries: np.ndarray = field(init=False, repr=False)
 
     __eq__ = object.__eq__
     __hash__ = object.__hash__
@@ -182,7 +185,11 @@ class SmoothedMatrix(Smoothing):
         object.__setattr__(self, "m", self.snapshots.shape[0])
         object.__setattr__(self, "n", self.snapshots.shape[1])
         super().__post_init__()
-        object.__setattr__(self, "entries", block_hankel(self.snapshots, self.l))
+
+    @property
+    def entries(self) -> np.ndarray:
+        """W = block_hankel(snapshots, l), built anew on every read."""
+        return block_hankel(self.snapshots, self.l)
 
 
 def steering_vector(m: int, theta: float) -> np.ndarray:
@@ -317,6 +324,32 @@ def block_hankel(y: np.ndarray, l: int) -> np.ndarray:
         # l = 1 keeps the window view contiguous, so no copy happened above;
         # materialize one so the result never aliases (or write-locks) the input
         out = out.copy()
+    return out
+
+
+def smoothed_gram(y: np.ndarray, l: int) -> np.ndarray:
+    """W W* for W = block_hankel(y, l), without building W.
+
+    W W* = sum_{t < l} Y_t Y_t* over the row slices Y_t = y[t : t + m - l + 1]
+    (forward spatial smoothing), so R[i, j] = sum_{t < l} C[i + t, j + t]
+    with C = y y*.  Prefix sums down each diagonal of C, subtracted l apart,
+    give every entry in O(m^2) after the O(m^2 n) product, whatever l is.
+    l = 1 returns y y* itself.
+    """
+    y = np.asarray(y)
+    if y.ndim != 2:
+        raise ValueError(f"expected an m x n matrix, got ndim={y.ndim}")
+    m = y.shape[0]
+    _check_smoothing(m, l)
+    gram = y @ y.conj().T
+    if l == 1:
+        return gram
+    # in place, row by row: gram[i, j] becomes sum_{s <= min(i, j)} C[i - s, j - s]
+    for i in range(1, m):
+        gram[i, 1:] += gram[i - 1, :-1]
+    u = m - l + 1
+    out = gram[l - 1 :, l - 1 :].copy()
+    out[1:, 1:] -= gram[: u - 1, : u - 1]
     return out
 
 

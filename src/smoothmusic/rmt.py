@@ -126,6 +126,8 @@ def mp_cdf(x, p: MpParams):
 
 def _check_off_support(z: complex, p: MpParams) -> complex:
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"z = {z} is not finite")
     if z == 0:
         raise DomainError("z = 0 is excluded (atom of the MP law)")
     if z.imag == 0.0 and p.edge_minus <= z.real <= p.edge_plus:

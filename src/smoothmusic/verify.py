@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .array_model import Smoothing, block_hankel, complex_gaussian, haar_columns
+from .array_model import Smoothing, block_hankel, complex_gaussian, haar_columns, smoothed_gram
 from .rmt import (
     MpParams,
     h_star,
@@ -103,10 +103,21 @@ class VerifyRow(NamedTuple):
     passed: bool
 
 
-def _smoothed_noise(g: Smoothing, sigma2: float, rng: np.random.Generator) -> np.ndarray:
-    """Z = V^(L) / sqrt(N L): normalized block-Hankel of an iid noise block."""
-    v = complex_gaussian(rng, (g.m, g.n), math.sqrt(sigma2))
-    return block_hankel(v, g.l) / math.sqrt(g.virtual_snapshots)
+def _noise_block(g: Smoothing, sigma2: float, rng: np.random.Generator) -> np.ndarray:
+    """An iid M x N noise block V of per-entry power sigma2."""
+    return complex_gaussian(rng, (g.m, g.n), math.sqrt(sigma2))
+
+
+def _hankel_matvec(v: np.ndarray, l: int, x: np.ndarray) -> np.ndarray:
+    """W x for W = block_hankel(v, l), without building W: the sum over the
+    row slices V_t = v[t : t + m - l + 1] of V_t x_t, where x_t = x[t::l]
+    holds the entries of x that meet column t of each block."""
+    u = v.shape[0] - l + 1
+    xs = x.reshape(v.shape[1], l, *x.shape[1:])  # xs[j, t] = x[t + j l]
+    out = v[:u] @ xs[:, 0]
+    for t in range(1, l):
+        out += v[t : t + u] @ xs[:, t]
+    return out
 
 
 def _ks_distance(sample: np.ndarray, p: MpParams) -> float:
@@ -136,8 +147,7 @@ def esd_vs_mp(m: int, n: int, l: int, sigma2: float, trials: int, seed: int) -> 
     exceed = np.empty(trials, dtype=int)
     for t in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence([seed, _TAG_ESD, t]))
-        z = _smoothed_noise(g, sigma2, rng)
-        cov = z @ z.conj().T
+        cov = smoothed_gram(_noise_block(g, sigma2, rng), l) / g.virtual_snapshots
         vals = np.linalg.eigvalsh(0.5 * (cov + cov.conj().T))
         np.clip(vals, 0.0, None, out=vals)
         pooled.append(vals)
@@ -159,13 +169,14 @@ def quadratic_form_check(
     For one smoothed noise draw Z and independent unit vectors a, b this
     returns |a*(Q - m(z) I) b|, |a~*(Q~ - m~(z) I) b~| and |a* Q Z b~|,
     where Q = (Z Z* - z I)^{-1} and Q~ = (Z* Z - z I)^{-1}.  All three
-    shrink as the sizes grow at fixed c_N.  Real z inside the support is
-    rejected by the Stieltjes-transform domain check.
+    shrink as the sizes grow at fixed c_N.  Real z inside the support, and
+    z = 0 or not finite, is rejected by the Stieltjes-transform domain check.
 
     Only Z Z* - z I is factored, once for the two right-hand sides b and
     Z b~: the push-through identity Z* Q Z = I + z Q~ gives
-    a~* Q~ b~ = ((Z a~)* Q Z b~ - a~* b~) / z, and z != 0 is part of the
-    domain check.
+    a~* Q~ b~ = ((Z a~)* Q Z b~ - a~* b~) / z.  Z itself is never built:
+    Z Z* comes from the raw noise block V (:func:`smoothed_gram`), and
+    Z a~ and Z b~ are sums over the row slices of V.
     """
     g = Smoothing(m=m, n=n, l=l)
     p = MpParams(sigma2, g.c_n)
@@ -173,21 +184,33 @@ def quadratic_form_check(
     mtval = mp_stieltjes_tilde(z, p)
     u_dim, v_dim = g.subarray_size, g.virtual_snapshots
     rng = np.random.default_rng(np.random.SeedSequence([seed, _TAG_QUAD]))
-    zmat = _smoothed_noise(g, sigma2, rng)
+    v = _noise_block(g, sigma2, rng)
 
     def unit(dim):
-        v = complex_gaussian(rng, dim)
-        return v / np.linalg.norm(v)
+        x = complex_gaussian(rng, dim)
+        return x / np.linalg.norm(x)
 
     a, b = unit(u_dim), unit(u_dim)
     at, bt = unit(v_dim), unit(v_dim)
-    gram = zmat @ zmat.conj().T - z * np.eye(u_dim)
-    q_b, q_zbt = np.linalg.solve(gram, np.column_stack([b, zmat @ bt])).T
+    gram = smoothed_gram(v, l) / v_dim
+    gram[np.diag_indices(u_dim)] -= z
+    z_at, z_bt = _hankel_matvec(v, l, np.column_stack([at, bt])).T / math.sqrt(v_dim)
+    q_b, q_zbt = np.linalg.solve(gram, np.column_stack([b, z_bt])).T
     resolvent = abs(a.conj() @ q_b - mval * (a.conj() @ b))
     overlap = at.conj() @ bt
-    co_resolvent = abs(((zmat @ at).conj() @ q_zbt - overlap) / z - mtval * overlap)
+    co_resolvent = abs((z_at.conj() @ q_zbt - overlap) / z - mtval * overlap)
     mixed = abs(a.conj() @ q_zbt)
     return QuadraticFormResiduals(float(resolvent), float(co_resolvent), float(mixed))
+
+
+def _positive_finite(values, what: str) -> np.ndarray:
+    """values as a 1-d float array, refused unless every entry is positive and
+    finite; the message lists the entries that are not."""
+    arr = np.atleast_1d(np.asarray(values, dtype=float))
+    bad = arr[~(np.isfinite(arr) & (arr > 0))]
+    if bad.size:
+        raise ValueError(f"{what} must be positive and finite, got {bad.tolist()}")
+    return arr
 
 
 def spike_experiment(
@@ -208,11 +231,9 @@ def spike_experiment(
     complex Gaussian matrix of matching entry variance, which the theory
     predicts to be statistically indistinguishable.
     """
-    lams = np.sort(np.asarray(planted_lambdas, dtype=float))[::-1].copy()
+    lams = np.sort(_positive_finite(planted_lambdas, "planted eigenvalues"))[::-1].copy()
     if lams.size == 0:
         raise ValueError("need at least one planted eigenvalue")
-    if np.any(lams <= 0):
-        raise ValueError("planted eigenvalues must be positive")
     if np.unique(lams).size != lams.size:
         raise ValueError("planted eigenvalues must be distinct (multiplicity-1 assumption)")
     if noise not in ("hankel", "iid"):
@@ -239,7 +260,7 @@ def spike_experiment(
         vt = haar_columns(v_dim, k, rng)
         b = (u * np.sqrt(lams)) @ vt.conj().T
         if noise == "hankel":
-            zmat = _smoothed_noise(g, sigma2, rng)
+            zmat = block_hankel(_noise_block(g, sigma2, rng), l) / math.sqrt(v_dim)
         else:
             zmat = complex_gaussian(rng, (u_dim, v_dim), math.sqrt(sigma2)) / math.sqrt(v_dim)
         x = b + zmat
@@ -269,9 +290,7 @@ def determinant_root_check(p: MpParams, lambdas: Sequence[float]) -> np.ndarray:
     is kept), and returned in ascending order; eigenvalues at or below the
     detachability threshold contribute none.
     """
-    lams = np.atleast_1d(np.asarray(lambdas, dtype=float))
-    if np.any(lams <= 0):
-        raise ValueError("eigenvalues must be positive")
+    lams = _positive_finite(lambdas, "eigenvalues")
     detached = lams[lams > p.spike_threshold]
     lo = p.edge_plus * (1.0 + 1e-9) + 1e-300
     hi = 4.0 * (float(np.max(lams)) + p.edge_plus + p.sigma2 * (1.0 + p.c) + 1.0)

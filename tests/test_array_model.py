@@ -23,6 +23,7 @@ from smoothmusic.array_model import (
     draw_signal_matrix,
     signal_covariance,
     signal_covariance_hadamard,
+    smoothed_gram,
     smoothed_signal_part,
     smoothed_steering,
     smoothed_steering_set,
@@ -91,7 +92,8 @@ def test_block_hankel_index_definition():
 
 
 def test_block_hankel_degenerate_and_errors():
-    """l = 1 copies the input; vectors act as single snapshots; bad l rejected."""
+    """l = 1 copies the input; vectors act as single snapshots; bad l rejected,
+    also by smoothed_gram."""
     rng = np.random.default_rng(11)
     y = rng.standard_normal((6, 4))
     w = block_hankel(y, 1)
@@ -107,10 +109,15 @@ def test_block_hankel_degenerate_and_errors():
             assert wv[i, t] == v[i + t]
 
     for bad_l in (0, 6, 7, -1):
-        with pytest.raises(ValueError):
-            block_hankel(y, bad_l)
+        for smooth in (block_hankel, smoothed_gram):
+            with pytest.raises(ValueError):
+                smooth(y, bad_l)
     with pytest.raises(ValueError):
         block_hankel(np.zeros((2, 2, 2)), 1)
+    # the Gram matrix takes an m x n matrix only
+    for bad in (v, np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError, match="m x n matrix"):
+            smoothed_gram(bad, 1)
 
 
 def test_smoothed_steering_dual_construction():

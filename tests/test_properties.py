@@ -5,7 +5,9 @@ through steering_matrix and against the rotation identity it implies, and
 the DoA search against the angle the circle starts at, and the CLI's
 spectrum minima against the size of its display grid; conjugating the
 snapshots mirrors both spectra; the thin-SVD eigen path is checked against
-a dense eigh of the same covariance; a source count above the rank of the
+a dense eigh of the same covariance; the smoothed Gram matrix, the
+row-slice noise residual and the row-slice matvec match their forms
+through the block-Hankel matrix W; a source count above the rank of the
 covariance must still give finite results; the Kronecker, Hadamard and
 K x K forms of the smoothed signal covariance agree; the closed-form MP
 CDF differentiates to the density and carries the bulk mass min(1, 1/c);
@@ -29,22 +31,27 @@ from smoothmusic.array_model import (
     SIGNAL_POLICIES,
     ArrayScenario,
     SmoothedMatrix,
+    block_hankel,
     complex_gaussian,
     draw_signal_matrix,
+    haar_columns,
     min_spacing,
     signal_covariance,
     signal_covariance_hadamard,
+    smoothed_gram,
     steering_matrix,
     synthesize_snapshots,
     wrap_angle,
 )
 from smoothmusic.montecarlo import _matched_errors
 from smoothmusic.rmt import MpParams, mp_atom, mp_cdf
+from smoothmusic.verify import _hankel_matvec
 from smoothmusic.subspace import (
     LANCZOS_DIM_PER_PAIR,
     LANCZOS_MIN_DIM,
     EigenSystem,
     _lanczos_top,
+    _slice_residual,
     Pseudospectrum,
     SearchWindow,
     find_doas,
@@ -272,6 +279,43 @@ def test_spectrum_flags_do_not_depend_on_grid_points(m, l, doa, spacing, snr_db,
             assert x.size and y.size
             gap = np.abs(wrap_angle(x[:, None] - y[None, :])).min(axis=1)
             assert np.max(gap) <= step, (x, y)
+
+
+@st.composite
+def smoothing_shapes(draw):
+    """(m, n, l) with 1 <= l < m, from the unsmoothed l = 1 to l = m - 1."""
+    m = draw(st.integers(2, 64), label="m")
+    return m, draw(st.integers(1, 12), label="n"), draw(st.integers(1, m - 1), label="l")
+
+
+@given(shape=smoothing_shapes(), seed=seeds)
+@example(shape=(17, 5, 1), seed=0)
+@example(shape=(17, 5, 16), seed=0)
+@example(shape=(40, 1, 13), seed=0)
+def test_gram_residual_and_matvec_match_their_w_forms(shape, seed):
+    """smoothed_gram(y, l) is W W*, the Lanczos noise residual summed over
+    Y's row slices is ||W - V V* W||_F^2, and verify's row-slice matvec is
+    W x, all to rounding level, for W = block_hankel(y, l)."""
+    m, n, l = shape
+    rng = np.random.default_rng(seed)
+    y = 10.0 ** rng.uniform(-3, 3) * complex_gaussian(rng, (m, n))
+    w = block_hankel(y, l)
+    want = w @ w.conj().T
+    got = smoothed_gram(y, l)
+    assert got.shape == want.shape == (m - l + 1, m - l + 1)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    k = rng.integers(1, m - l + 1)
+    vecs = haar_columns(m - l + 1, k, rng)
+    resid = w - vecs @ (vecs.conj().T @ w)
+    direct = np.vdot(resid, resid).real
+    assert abs(_slice_residual(y, l, vecs) - direct) <= 1e-13 * np.vdot(w, w).real
+
+    x = complex_gaussian(rng, (n * l, 2))
+    got_wx = _hankel_matvec(y, l, x)
+    assert np.linalg.norm(got_wx - w @ x) <= 1e-13 * np.linalg.norm(w) * np.linalg.norm(x)
+    one = _hankel_matvec(y, l, x[:, 0])
+    assert np.linalg.norm(one - w @ x[:, 0]) <= 1e-13 * np.linalg.norm(w) * np.linalg.norm(x)
 
 
 @given(m=st.integers(2, 40), data=st.data(), seed=seeds)

@@ -230,6 +230,16 @@ def test_stieltjes_domain_errors():
                 mp_stieltjes_tilde(z, p)
 
 
+@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf, complex(0, math.nan), complex(math.inf, 1.0)])
+def test_stieltjes_refuses_non_finite_z(z):
+    """A NaN or infinite z is off every support only nominally: it is refused,
+    never passed on as a NaN transform."""
+    p = MpParams(1.0, 0.5)
+    for transform in (mp_stieltjes, mp_stieltjes_tilde):
+        with pytest.raises(DomainError, match="not finite"):
+            transform(z, p)
+
+
 def test_tilde_transform_is_companion_law():
     """The co-resolvent transform equals the MP transform of the companion law.
 

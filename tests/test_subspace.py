@@ -94,6 +94,18 @@ def test_sample_covariance_eig_validation():
         np.testing.assert_allclose(got, want, rtol=1e-5)
 
 
+@pytest.mark.usefixtures("forbid_block_hankel")
+@pytest.mark.parametrize("m, n, l", [(160, 20, 16), (32, 16, 4), (24, 30, 1)])
+def test_gram_branches_never_build_the_smoothed_matrix(m, n, l):
+    """The Lanczos branch (U = 145) and the dense branch, smoothed and not,
+    read W W* from Y Y* and sum the Lanczos residual over Y's row slices:
+    block_hankel, the U x N L copy, is never called."""
+    sc = ArrayScenario(m=m, n=n, l=l, doas=(0.0, 0.4), snr_db=20.0, seed=0)
+    eig = sample_covariance_eig(SmoothedMatrix(snapshots=synthesize_snapshots(sc), l=l), sc.k)
+    assert sc.virtual_snapshots >= sc.subarray_size
+    assert 0.5 * sc.sigma2 < eig.noise_variance < 2.0 * sc.sigma2
+
+
 def test_traditional_pseudospectrum_projector_identity():
     """Values equal a* (I - U_k U_k*) a computed explicitly, clipped to [0, 1]."""
     rng = np.random.default_rng(4)

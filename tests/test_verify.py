@@ -7,13 +7,14 @@ against thresholds measured with headroom at these exact seeds.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from smoothmusic import verify
 from smoothmusic.array_model import Smoothing, block_hankel, complex_gaussian
-from smoothmusic.rmt import MpParams, mp_cdf, mp_stieltjes, mp_stieltjes_tilde, phi_star
+from smoothmusic.rmt import DomainError, MpParams, mp_cdf, mp_stieltjes, mp_stieltjes_tilde, phi_star
 from smoothmusic.verify import (
     determinant_root_check,
     esd_vs_mp,
@@ -133,6 +134,20 @@ def test_spike_experiment_validation():
         spike_experiment(4, 2, 2, 1.0, tuple(range(1, 5)), trials=2, seed=0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_planted_eigenvalues_are_refused_by_name(bad):
+    """A NaN or infinite planted eigenvalue is a ValueError that lists it,
+    before any draw or scan: not all-NaN rows, not a bulk-edge error."""
+    p = MpParams(1.0, 0.5)
+    shown = re.escape(str([bad]))
+    with pytest.raises(ValueError, match=rf"planted eigenvalues must be positive and finite, got {shown}"):
+        spike_experiment(40, 10, 4, 1.0, (2.0, bad), trials=2, seed=0)
+    with pytest.raises(ValueError, match=rf"eigenvalues must be positive and finite, got {shown}"):
+        determinant_root_check(p, (2.0, bad))
+    with pytest.raises(ValueError, match=r"got \[0\.0\]"):
+        determinant_root_check(p, (0.0, 2.0))
+
+
 def test_determinant_roots_exact_values():
     """Roots of the limiting determinant sit at phi of the planted eigenvalues.
 
@@ -210,6 +225,23 @@ def test_quadratic_form_check_matches_direct_co_resolvent(m, n, l, sigma2, z):
     for seed in range(3):
         got = quadratic_form_check(m, n, l, sigma2, z, seed=seed)
         np.testing.assert_allclose(got, _direct_residuals(m, n, l, sigma2, z, seed), rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("z", [math.nan, math.inf, complex(0, math.nan)])
+def test_quadratic_form_check_refuses_non_finite_z(z):
+    """A non-finite z is a DomainError, not NaN residuals after a warning."""
+    with pytest.raises(DomainError, match="not finite"):
+        quadratic_form_check(40, 10, 4, 1.0, z, seed=0)
+
+
+@pytest.mark.usefixtures("forbid_block_hankel")
+def test_verify_gram_paths_never_build_the_smoothed_matrix():
+    """quadratic_form_check's Z Z*, Z a~ and Z b~, and esd_vs_mp's Z Z*, come
+    from the raw noise block: block_hankel, the U x N L copy, is never
+    called."""
+    p = MpParams(1.0, Smoothing(m=160, n=20, l=16).c_n)
+    assert all(r >= 0 for r in quadratic_form_check(160, 20, 16, 1.0, 1.5 * p.edge_plus, seed=0))
+    esd_vs_mp(40, 10, 4, 1.0, trials=2, seed=0)
 
 
 def test_run_verification_suite_refuses_fewer_than_two_trials(monkeypatch):
