@@ -7,8 +7,10 @@ element-spacing layer exists here.
 
 Spatial smoothing turns the M x N snapshot matrix into the block-Hankel
 matrix of size (M - L + 1) x (N L) whose column block n stacks the L
-length-(M - L + 1) sliding subarray views of snapshot n.  Its Gram matrix
-W W* is formed from Y Y* alone (:func:`smoothed_gram`), without W.
+length-(M - L + 1) sliding subarray views of snapshot n.
+:class:`SmoothedMatrix` is the one block-Hankel operator: it forms W W*,
+W x and the residual of W off a subspace from the row slices of Y, and
+builds W itself only when its entries are read.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ __all__ = [
     "observe",
     "signal_covariance",
     "signal_covariance_hadamard",
-    "smoothed_gram",
     "smoothed_signal_part",
     "smoothed_steering",
     "smoothed_steering_set",
@@ -52,6 +53,12 @@ SIGNAL_POLICIES = ("random-gaussian-normalized", "identity-covariance")
 def _check_integer(name: str, value) -> None:
     if not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_steering_dimension(m: int) -> None:
+    _check_integer("m", m)
+    if m < 1:
+        raise ValueError(f"steering dimension must be positive, got {m}")
 
 
 def _check_smoothing(m: int, l: int) -> None:
@@ -156,10 +163,12 @@ class ArrayScenario(Smoothing):
         return 2.0 * math.pi / self.m
 
     def check_signal(self, signal) -> np.ndarray:
-        """The source matrix as a complex K x N array; any other shape is rejected."""
+        """The source matrix as a finite complex K x N array; anything else is rejected."""
         s = np.asarray(signal, dtype=complex)
         if s.shape != (self.k, self.n):
             raise ValueError(f"signal has shape {s.shape}, expected {(self.k, self.n)}")
+        if not np.all(np.isfinite(s)):
+            raise ValueError("signal matrix contains non-finite entries")
         return s
 
 
@@ -168,7 +177,8 @@ class SmoothedMatrix(Smoothing):
     """Smoothed M x N snapshots Y: m, n = Y.shape, smoothing factor l.
     Snapshots go by keyword, as the inherited field order puts l first.
     The block-Hankel matrix W is not stored: ``entries`` builds it on each
-    read, and W W* comes from Y alone (:func:`smoothed_gram`).
+    read, while ``gram``, ``matvec`` and ``residual`` work on the row slices
+    Y_t = Y[t : t + U], t < l, whose columns are W's, grouped by t.
     Instances compare and hash by identity: arrays have no one truth value,
     and the inherited (m, n, l) comparison would call any two of one shape equal."""
 
@@ -191,19 +201,59 @@ class SmoothedMatrix(Smoothing):
         """W = block_hankel(snapshots, l), built anew on every read."""
         return block_hankel(self.snapshots, self.l)
 
+    def gram(self) -> np.ndarray:
+        """W W* = sum_t Y_t Y_t* (forward spatial smoothing), without W.
+
+        R[i, j] = sum_{t < l} C[i + t, j + t] with C = Y Y*.  Prefix sums
+        down each diagonal of C, subtracted l apart, give every entry in
+        O(m^2) after the O(m^2 n) product, whatever l is.  l = 1 returns
+        Y Y* itself.
+        """
+        y, l = self.snapshots, self.l
+        gram = y @ y.conj().T
+        if l == 1:
+            return gram
+        # in place, row by row: gram[i, j] becomes sum_{s <= min(i, j)} C[i - s, j - s]
+        for i in range(1, self.m):
+            gram[i, 1:] += gram[i - 1, :-1]
+        u = self.subarray_size
+        out = gram[l - 1 :, l - 1 :].copy()
+        out[1:, 1:] -= gram[: u - 1, : u - 1]
+        return out
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """W x for a length-(n l) x or an (n l) x p block of them: the sum of
+        Y_t x_t, where x_t = x[t::l] holds the entries of x that meet
+        column t of each block."""
+        y, l, u = self.snapshots, self.l, self.subarray_size
+        xs = x.reshape(self.n, l, *x.shape[1:])  # xs[j, t] = x[t + j l]
+        out = y[:u] @ xs[:, 0]
+        for t in range(1, l):
+            out += y[t : t + u] @ xs[:, t]
+        return out
+
+    def residual(self, vecs: np.ndarray) -> float:
+        """||W - V V* W||_F^2 for orthonormal columns V: the sum of
+        ||Y_t - V (V* Y_t)||_F^2."""
+        y, u = self.snapshots, self.subarray_size
+        total = 0.0
+        for t in range(self.l):
+            resid = vecs @ (vecs.conj().T @ y[t : t + u])
+            resid -= y[t : t + u]
+            total += np.vdot(resid, resid).real
+        return total
+
 
 def steering_vector(m: int, theta: float) -> np.ndarray:
     """Unit-norm steering vector of an m-sensor ULA at electrical angle theta."""
-    if m < 1:
-        raise ValueError(f"steering dimension must be positive, got {m}")
+    _check_steering_dimension(m)
     return np.exp(1j * np.arange(m) * theta) / math.sqrt(m)
 
 
 def steering_matrix(m: int, doas) -> np.ndarray:
     """m x K matrix whose columns are steering vectors at the given angles."""
     doas = np.atleast_1d(np.asarray(doas, dtype=float))
-    if m < 1:
-        raise ValueError(f"steering dimension must be positive, got {m}")
+    _check_steering_dimension(m)
     return np.exp(1j * np.outer(np.arange(m), doas)) / math.sqrt(m)
 
 
@@ -228,8 +278,7 @@ def min_spacing(doas) -> float:
 
 def steering_derivative(m: int, theta: float) -> np.ndarray:
     """Derivative of steering_vector(m, theta) with respect to theta."""
-    if m < 1:
-        raise ValueError(f"steering dimension must be positive, got {m}")
+    _check_steering_dimension(m)
     j = np.arange(m)
     return 1j * j * np.exp(1j * j * theta) / math.sqrt(m)
 
@@ -276,8 +325,6 @@ def source_matrix(
     if signal is None:
         return draw_signal_matrix(scenario.k, scenario.n, scenario.signal_policy, rng)
     s = scenario.check_signal(signal)
-    if not np.all(np.isfinite(s.view(float))):
-        raise ValueError("signal matrix contains non-finite entries")
     if scenario.k and np.linalg.matrix_rank(s) != scenario.k:
         raise ValueError("signal matrix must have full row rank k")
     return s
@@ -324,32 +371,6 @@ def block_hankel(y: np.ndarray, l: int) -> np.ndarray:
         # l = 1 keeps the window view contiguous, so no copy happened above;
         # materialize one so the result never aliases (or write-locks) the input
         out = out.copy()
-    return out
-
-
-def smoothed_gram(y: np.ndarray, l: int) -> np.ndarray:
-    """W W* for W = block_hankel(y, l), without building W.
-
-    W W* = sum_{t < l} Y_t Y_t* over the row slices Y_t = y[t : t + m - l + 1]
-    (forward spatial smoothing), so R[i, j] = sum_{t < l} C[i + t, j + t]
-    with C = y y*.  Prefix sums down each diagonal of C, subtracted l apart,
-    give every entry in O(m^2) after the O(m^2 n) product, whatever l is.
-    l = 1 returns y y* itself.
-    """
-    y = np.asarray(y)
-    if y.ndim != 2:
-        raise ValueError(f"expected an m x n matrix, got ndim={y.ndim}")
-    m = y.shape[0]
-    _check_smoothing(m, l)
-    gram = y @ y.conj().T
-    if l == 1:
-        return gram
-    # in place, row by row: gram[i, j] becomes sum_{s <= min(i, j)} C[i - s, j - s]
-    for i in range(1, m):
-        gram[i, 1:] += gram[i - 1, :-1]
-    u = m - l + 1
-    out = gram[l - 1 :, l - 1 :].copy()
-    out[1:, 1:] -= gram[: u - 1, : u - 1]
     return out
 
 

@@ -27,7 +27,6 @@ from .array_model import (
     SmoothedMatrix,
     complex_gaussian,
     min_spacing,
-    smoothed_gram,
     steering_matrix,
     wrap_angle,
 )
@@ -240,19 +239,6 @@ def _lanczos_top(cov: np.ndarray, k: int):
     return None
 
 
-def _slice_residual(y: np.ndarray, l: int, vecs: np.ndarray) -> float:
-    """||W - V V* W||_F^2 for W = block_hankel(y, l), without building W:
-    the sum over the row slices Y_t = y[t : t + U] of ||Y_t - V (V* Y_t)||_F^2,
-    whose columns are W's, grouped by t."""
-    u = y.shape[0] - l + 1
-    total = 0.0
-    for t in range(l):
-        resid = vecs @ (vecs.conj().T @ y[t : t + u])
-        resid -= y[t : t + u]
-        total += np.vdot(resid, resid).real
-    return total
-
-
 def sample_covariance_eig(smoothed: SmoothedMatrix, k: int) -> EigenSystem:
     """Top k eigenpairs of W W* / (N L) and the mean of the other U - k
     eigenvalues, by one of three branches chosen from U, N L and k alone:
@@ -264,7 +250,7 @@ def sample_covariance_eig(smoothed: SmoothedMatrix, k: int) -> EigenSystem:
       Lanczos computes only the top k eigenpairs U_k (from a fixed start
       vector, so a result never depends on the process), and the noise
       eigenvalue mean is the residual ||W - U_k U_k* W||_F^2 /
-      (N L (U - k)), summed over the row slices of Y.  That equals
+      (N L (U - k)) (:meth:`SmoothedMatrix.residual`).  That equals
       (tr R - sum of the top k) / (U - k) but is a sum of squares, so it
       stays positive where the trace difference cancels to rounding level.
       If Lanczos does not converge within its step budget, the dense
@@ -273,10 +259,9 @@ def sample_covariance_eig(smoothed: SmoothedMatrix, k: int) -> EigenSystem:
       holds no noise eigenvalue, and its rounding-level null eigenvalues
       are what the noise mean then averages.
 
-    The last two read W W* from Y Y* (:func:`smoothed_gram`), never W.
+    The last two read W W* from Y Y* (:meth:`SmoothedMatrix.gram`), never W.
     """
-    y = smoothed.snapshots
-    if not np.all(np.isfinite(y)):  # W holds every entry of Y
+    if not np.all(np.isfinite(smoothed.snapshots)):  # W holds every entry of Y
         raise ValueError("smoothed matrix contains non-finite entries")
     u = smoothed.subarray_size
     if not 0 <= k < u:
@@ -291,14 +276,14 @@ def sample_covariance_eig(smoothed: SmoothedMatrix, k: int) -> EigenSystem:
         vals = np.zeros(u)
         vals[:nl] = sing**2 / nl
         return top_k(vals, vecs, np.mean(vals[k:]))
-    cov = smoothed_gram(y, smoothed.l) / nl
+    cov = smoothed.gram() / nl
     cov = 0.5 * (cov + cov.conj().T)
     top = None
     if 0 < k < nl and u >= LANCZOS_MIN_DIM and u >= LANCZOS_DIM_PER_PAIR * k:
         top = _lanczos_top(cov, k)
     if top is not None:
         vals, vecs = top
-        resid = _slice_residual(y, smoothed.l, vecs)
+        resid = smoothed.residual(vecs)
         return top_k(np.clip(vals, 0.0, None), vecs, resid / (nl * (u - k)))
     vals, vecs = np.linalg.eigh(cov)
     # eigh is ascending, and can return tiny negative values for a PSD input

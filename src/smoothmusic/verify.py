@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .array_model import Smoothing, block_hankel, complex_gaussian, haar_columns, smoothed_gram
+from .array_model import SmoothedMatrix, Smoothing, block_hankel, complex_gaussian, haar_columns
 from .rmt import (
     MpParams,
     h_star,
@@ -108,18 +108,6 @@ def _noise_block(g: Smoothing, sigma2: float, rng: np.random.Generator) -> np.nd
     return complex_gaussian(rng, (g.m, g.n), math.sqrt(sigma2))
 
 
-def _hankel_matvec(v: np.ndarray, l: int, x: np.ndarray) -> np.ndarray:
-    """W x for W = block_hankel(v, l), without building W: the sum over the
-    row slices V_t = v[t : t + m - l + 1] of V_t x_t, where x_t = x[t::l]
-    holds the entries of x that meet column t of each block."""
-    u = v.shape[0] - l + 1
-    xs = x.reshape(v.shape[1], l, *x.shape[1:])  # xs[j, t] = x[t + j l]
-    out = v[:u] @ xs[:, 0]
-    for t in range(1, l):
-        out += v[t : t + u] @ xs[:, t]
-    return out
-
-
 def _ks_distance(sample: np.ndarray, p: MpParams) -> float:
     """Kolmogorov-Smirnov distance of a sample to the MP distribution."""
     x = np.sort(np.asarray(sample, dtype=float))
@@ -147,7 +135,8 @@ def esd_vs_mp(m: int, n: int, l: int, sigma2: float, trials: int, seed: int) -> 
     exceed = np.empty(trials, dtype=int)
     for t in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence([seed, _TAG_ESD, t]))
-        cov = smoothed_gram(_noise_block(g, sigma2, rng), l) / g.virtual_snapshots
+        noise = SmoothedMatrix(snapshots=_noise_block(g, sigma2, rng), l=l)
+        cov = noise.gram() / g.virtual_snapshots
         vals = np.linalg.eigvalsh(0.5 * (cov + cov.conj().T))
         np.clip(vals, 0.0, None, out=vals)
         pooled.append(vals)
@@ -175,8 +164,8 @@ def quadratic_form_check(
     Only Z Z* - z I is factored, once for the two right-hand sides b and
     Z b~: the push-through identity Z* Q Z = I + z Q~ gives
     a~* Q~ b~ = ((Z a~)* Q Z b~ - a~* b~) / z.  Z itself is never built:
-    Z Z* comes from the raw noise block V (:func:`smoothed_gram`), and
-    Z a~ and Z b~ are sums over the row slices of V.
+    Z Z* and the products Z a~ and Z b~ come from the raw noise block V
+    (:class:`SmoothedMatrix`).
     """
     g = Smoothing(m=m, n=n, l=l)
     p = MpParams(sigma2, g.c_n)
@@ -184,7 +173,7 @@ def quadratic_form_check(
     mtval = mp_stieltjes_tilde(z, p)
     u_dim, v_dim = g.subarray_size, g.virtual_snapshots
     rng = np.random.default_rng(np.random.SeedSequence([seed, _TAG_QUAD]))
-    v = _noise_block(g, sigma2, rng)
+    noise = SmoothedMatrix(snapshots=_noise_block(g, sigma2, rng), l=l)
 
     def unit(dim):
         x = complex_gaussian(rng, dim)
@@ -192,9 +181,9 @@ def quadratic_form_check(
 
     a, b = unit(u_dim), unit(u_dim)
     at, bt = unit(v_dim), unit(v_dim)
-    gram = smoothed_gram(v, l) / v_dim
+    gram = noise.gram() / v_dim
     gram[np.diag_indices(u_dim)] -= z
-    z_at, z_bt = _hankel_matvec(v, l, np.column_stack([at, bt])).T / math.sqrt(v_dim)
+    z_at, z_bt = noise.matvec(np.column_stack([at, bt])).T / math.sqrt(v_dim)
     q_b, q_zbt = np.linalg.solve(gram, np.column_stack([b, z_bt])).T
     resolvent = abs(a.conj() @ q_b - mval * (a.conj() @ b))
     overlap = at.conj() @ bt

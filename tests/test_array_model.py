@@ -23,7 +23,6 @@ from smoothmusic.array_model import (
     draw_signal_matrix,
     signal_covariance,
     signal_covariance_hadamard,
-    smoothed_gram,
     smoothed_signal_part,
     smoothed_steering,
     smoothed_steering_set,
@@ -46,6 +45,9 @@ def test_steering_vector_entries_and_norm():
             assert np.linalg.norm(a) == pytest.approx(1.0, rel=1e-14)
     with pytest.raises(ValueError):
         steering_vector(0, 0.3)
+    # a non-integer size would silently round up to a longer, non-unit vector
+    with pytest.raises(ValueError, match="m must be an integer"):
+        steering_vector(2.5, 0.3)
 
 
 def test_steering_matrix_columns():
@@ -59,6 +61,8 @@ def test_steering_matrix_columns():
     assert steering_matrix(10, 0.4).shape == (10, 1)
     with pytest.raises(ValueError):
         steering_matrix(0, doas)
+    with pytest.raises(ValueError, match="m must be an integer"):
+        steering_matrix(2.5, doas)
 
 
 def test_steering_derivative_central_difference():
@@ -71,6 +75,8 @@ def test_steering_derivative_central_difference():
             np.testing.assert_allclose(d, oracle, atol=1e-6 * m)
     with pytest.raises(ValueError):
         steering_derivative(0, 0.0)
+    with pytest.raises(ValueError, match="m must be an integer"):
+        steering_derivative(2.5, 0.0)
 
 
 def test_block_hankel_index_definition():
@@ -92,8 +98,7 @@ def test_block_hankel_index_definition():
 
 
 def test_block_hankel_degenerate_and_errors():
-    """l = 1 copies the input; vectors act as single snapshots; bad l rejected,
-    also by smoothed_gram."""
+    """l = 1 copies the input; vectors act as single snapshots; bad l rejected."""
     rng = np.random.default_rng(11)
     y = rng.standard_normal((6, 4))
     w = block_hankel(y, 1)
@@ -109,15 +114,10 @@ def test_block_hankel_degenerate_and_errors():
             assert wv[i, t] == v[i + t]
 
     for bad_l in (0, 6, 7, -1):
-        for smooth in (block_hankel, smoothed_gram):
-            with pytest.raises(ValueError):
-                smooth(y, bad_l)
+        with pytest.raises(ValueError):
+            block_hankel(y, bad_l)
     with pytest.raises(ValueError):
         block_hankel(np.zeros((2, 2, 2)), 1)
-    # the Gram matrix takes an m x n matrix only
-    for bad in (v, np.zeros((2, 2, 2))):
-        with pytest.raises(ValueError, match="m x n matrix"):
-            smoothed_gram(bad, 1)
 
 
 def test_smoothed_steering_dual_construction():
@@ -230,6 +230,8 @@ def test_synthesize_snapshots_fixed_matrix_policy():
     np.testing.assert_array_equal(y, _replay(sc, s)[0])
     sc_id = dataclasses.replace(sc, signal_policy="identity-covariance")
     np.testing.assert_array_equal(synthesize_snapshots(sc_id, signal=s), _replay(sc_id, s)[0])
+    # a non-contiguous view of the same matrix is the same signal
+    np.testing.assert_array_equal(synthesize_snapshots(sc, signal=s.T.copy().T), y)
     with pytest.raises(ValueError):
         synthesize_snapshots(sc, signal=s[:, :-1])  # wrong shape
     with pytest.raises(ValueError):

@@ -100,12 +100,14 @@ def test_crb_halves_when_snapshots_double():
 
 
 def test_crb_validation():
-    """Sourceless scenarios and misshapen signals are rejected."""
+    """Sourceless scenarios and misshapen or non-finite signals are rejected."""
     with pytest.raises(ValueError):
         crb(ArrayScenario(m=8, n=4, l=2, doas=(), snr_db=0.0), signal=np.ones((0, 4)))
     one = ArrayScenario(m=8, n=4, l=2, doas=(0.3,), snr_db=0.0)
     with pytest.raises(ValueError):
         crb(one, signal=np.ones((2, 4)))
+    with pytest.raises(ValueError, match="non-finite"):
+        crb(one, signal=np.array([[1.0, np.nan, 1.0, 1.0]]))
 
 
 WIDE = (0.0, 5 * 2 * math.pi / 32)  # five beamwidths apart on the 32-sensor array

@@ -38,20 +38,17 @@ from smoothmusic.array_model import (
     min_spacing,
     signal_covariance,
     signal_covariance_hadamard,
-    smoothed_gram,
     steering_matrix,
     synthesize_snapshots,
     wrap_angle,
 )
 from smoothmusic.montecarlo import _matched_errors
 from smoothmusic.rmt import MpParams, mp_atom, mp_cdf
-from smoothmusic.verify import _hankel_matvec
 from smoothmusic.subspace import (
     LANCZOS_DIM_PER_PAIR,
     LANCZOS_MIN_DIM,
     EigenSystem,
     _lanczos_top,
-    _slice_residual,
     Pseudospectrum,
     SearchWindow,
     find_doas,
@@ -293,15 +290,16 @@ def smoothing_shapes(draw):
 @example(shape=(17, 5, 16), seed=0)
 @example(shape=(40, 1, 13), seed=0)
 def test_gram_residual_and_matvec_match_their_w_forms(shape, seed):
-    """smoothed_gram(y, l) is W W*, the Lanczos noise residual summed over
-    Y's row slices is ||W - V V* W||_F^2, and verify's row-slice matvec is
-    W x, all to rounding level, for W = block_hankel(y, l)."""
+    """SmoothedMatrix's gram() is W W*, its residual(V), summed over Y's row
+    slices, is ||W - V V* W||_F^2, and its row-slice matvec(x) is W x, all
+    to rounding level, for W = block_hankel(y, l)."""
     m, n, l = shape
     rng = np.random.default_rng(seed)
     y = 10.0 ** rng.uniform(-3, 3) * complex_gaussian(rng, (m, n))
+    smoothed = SmoothedMatrix(snapshots=y, l=l)
     w = block_hankel(y, l)
     want = w @ w.conj().T
-    got = smoothed_gram(y, l)
+    got = smoothed.gram()
     assert got.shape == want.shape == (m - l + 1, m - l + 1)
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
@@ -309,12 +307,12 @@ def test_gram_residual_and_matvec_match_their_w_forms(shape, seed):
     vecs = haar_columns(m - l + 1, k, rng)
     resid = w - vecs @ (vecs.conj().T @ w)
     direct = np.vdot(resid, resid).real
-    assert abs(_slice_residual(y, l, vecs) - direct) <= 1e-13 * np.vdot(w, w).real
+    assert abs(smoothed.residual(vecs) - direct) <= 1e-13 * np.vdot(w, w).real
 
     x = complex_gaussian(rng, (n * l, 2))
-    got_wx = _hankel_matvec(y, l, x)
+    got_wx = smoothed.matvec(x)
     assert np.linalg.norm(got_wx - w @ x) <= 1e-13 * np.linalg.norm(w) * np.linalg.norm(x)
-    one = _hankel_matvec(y, l, x[:, 0])
+    one = smoothed.matvec(x[:, 0])
     assert np.linalg.norm(one - w @ x[:, 0]) <= 1e-13 * np.linalg.norm(w) * np.linalg.norm(x)
 
 

@@ -403,10 +403,13 @@ def test_separation_report_matches_dense_forms_at_table_size():
 
 
 def test_separation_report_validation():
-    """A sourceless scenario cannot be analyzed."""
+    """A sourceless scenario or a non-finite signal cannot be analyzed."""
     sc = ArrayScenario(m=12, n=6, l=3, doas=(), snr_db=10.0)
     with pytest.raises(ValueError):
         separation_report(sc, np.zeros((0, 6)))
+    one = ArrayScenario(m=12, n=6, l=3, doas=(0.4,), snr_db=10.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        separation_report(one, np.full((1, 6), np.nan))
 
 
 def test_bias_correction_tightens_closely_spaced_estimates():

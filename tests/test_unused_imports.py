@@ -1,10 +1,13 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses or exports one it
+does not define.
 
 A static scan with ``ast``: every name an ``import`` statement binds in
 ``src/smoothmusic/*.py`` must occur as a name somewhere else in that module.
 Exempt are ``from __future__`` imports, the commented side-effect imports of
 numpy submodules that numpy would otherwise load lazily inside a command, and
-``__init__.py``, whose imports are the package's re-exports.
+``__init__.py``, whose imports are the package's re-exports.  Every entry of
+a module's ``__all__``, ``__init__.py``'s included, must be bound at its top
+level, so a deleted name cannot linger there.
 """
 
 import ast
@@ -31,9 +34,35 @@ def _unused_imports(path):
     return sorted(f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used)
 
 
+def _stale_exports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    bound, exported = set(), None
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {t.id for t in targets if isinstance(t, ast.Name)}
+            bound |= names
+            if "__all__" in names:
+                exported = [(e.value, e.lineno) for e in node.value.elts]
+    if exported is None:
+        return [f"{path.name}: no __all__"]
+    return sorted(f"{path.name}:{line}: {name}" for name, line in exported if name not in bound)
+
+
+PACKAGE = pathlib.Path(smoothmusic.__file__).parent
+
+
 def test_no_module_imports_a_name_it_never_uses():
-    package = pathlib.Path(smoothmusic.__file__).parent
-    modules = sorted(p for p in package.glob("*.py") if p.name != "__init__.py")
-    assert modules, f"no modules found under {package}"
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert modules, f"no modules found under {PACKAGE}"
     unused = [entry for path in modules for entry in _unused_imports(path)]
     assert unused == [], "unused imports:\n" + "\n".join(unused)
+
+
+def test_every_all_entry_is_a_top_level_binding():
+    stale = [entry for path in sorted(PACKAGE.glob("*.py")) for entry in _stale_exports(path)]
+    assert stale == [], "__all__ names no top-level binding:\n" + "\n".join(stale)
