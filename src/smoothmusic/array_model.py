@@ -36,13 +36,9 @@ __all__ = [
     "observe",
     "signal_covariance",
     "signal_covariance_hadamard",
-    "smoothed_signal_part",
-    "smoothed_steering",
-    "smoothed_steering_set",
     "source_matrix",
     "steering_derivative",
     "steering_matrix",
-    "steering_vector",
     "synthesize_snapshots",
     "wrap_angle",
 ]
@@ -53,6 +49,12 @@ SIGNAL_POLICIES = ("random-gaussian-normalized", "identity-covariance")
 def _check_integer(name: str, value) -> None:
     if not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_count(name: str, value, least: int) -> None:
+    _check_integer(name, value)
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 def _check_steering_dimension(m: int) -> None:
@@ -190,8 +192,9 @@ class SmoothedMatrix(Smoothing):
     __hash__ = object.__hash__
 
     def __post_init__(self) -> None:
-        if np.ndim(self.snapshots) != 2:
-            raise ValueError(f"snapshots must be 2-d, got shape {np.shape(self.snapshots)}")
+        object.__setattr__(self, "snapshots", np.asarray(self.snapshots))
+        if self.snapshots.ndim != 2:
+            raise ValueError(f"snapshots must be 2-d, got shape {self.snapshots.shape}")
         object.__setattr__(self, "m", self.snapshots.shape[0])
         object.__setattr__(self, "n", self.snapshots.shape[1])
         super().__post_init__()
@@ -244,12 +247,6 @@ class SmoothedMatrix(Smoothing):
         return total
 
 
-def steering_vector(m: int, theta: float) -> np.ndarray:
-    """Unit-norm steering vector of an m-sensor ULA at electrical angle theta."""
-    _check_steering_dimension(m)
-    return np.exp(1j * np.arange(m) * theta) / math.sqrt(m)
-
-
 def steering_matrix(m: int, doas) -> np.ndarray:
     """m x K matrix whose columns are steering vectors at the given angles."""
     doas = np.atleast_1d(np.asarray(doas, dtype=float))
@@ -277,7 +274,7 @@ def min_spacing(doas) -> float:
 
 
 def steering_derivative(m: int, theta: float) -> np.ndarray:
-    """Derivative of steering_vector(m, theta) with respect to theta."""
+    """Derivative of the steering vector a_m(theta) with respect to theta."""
     _check_steering_dimension(m)
     j = np.arange(m)
     return 1j * j * np.exp(1j * j * theta) / math.sqrt(m)
@@ -374,58 +371,23 @@ def block_hankel(y: np.ndarray, l: int) -> np.ndarray:
     return out
 
 
-def smoothed_steering(theta: float, m: int, l: int) -> np.ndarray:
-    """Rank-one smoothed steering block.
-
-    Equals sqrt(l (m - l + 1) / m) * outer(a_{m-l+1}(theta), a_l(theta))
-    (no conjugation), which is exactly block_hankel(a_m(theta), l).
-    """
-    _check_smoothing(m, l)
-    scale = math.sqrt(l * (m - l + 1) / m)
-    return scale * np.outer(steering_vector(m - l + 1, theta), steering_vector(l, theta))
-
-
-def smoothed_steering_set(doas, m: int, l: int) -> np.ndarray:
-    """Concatenated smoothed steering blocks, shape (m - l + 1, K l)."""
-    _check_smoothing(m, l)
-    doas = tuple(doas)
-    if not doas:
-        return np.zeros((m - l + 1, 0), dtype=complex)
-    return np.hstack([smoothed_steering(t, m, l) for t in doas])
-
-
-def smoothed_signal_part(scenario: ArrayScenario, signal: np.ndarray) -> np.ndarray:
-    """Deterministic part B of the normalized smoothed matrix.
-
-    B = A^(L) (S kron I_L) / sqrt(N L); the entries of
-    SmoothedMatrix(snapshots=A_M S, l=L) equal B * sqrt(N L) exactly.
-    """
-    s = scenario.check_signal(signal)
-    a_set = smoothed_steering_set(scenario.doas, scenario.m, scenario.l)
-    if scenario.k == 0:
-        return np.zeros((scenario.subarray_size, scenario.virtual_snapshots), dtype=complex)
-    mixing = np.kron(s, np.eye(scenario.l))
-    return a_set @ mixing / math.sqrt(scenario.virtual_snapshots)
-
-
 def signal_covariance(scenario: ArrayScenario, signal: np.ndarray) -> np.ndarray:
-    """(1/L) A^(L) (S S*/N kron I_L) A^(L)*, via the Kronecker construction."""
-    b = smoothed_signal_part(scenario, signal)
-    return b @ b.conj().T
+    """(1/L) A^(L) (S S*/N kron I_L) A^(L)*, which is W W* / (N L) for the
+    block-Hankel matrix W of the noiseless snapshots A S."""
+    noiseless = steering_matrix(scenario.m, scenario.doas) @ scenario.check_signal(signal)
+    return SmoothedMatrix(snapshots=noiseless, l=scenario.l).gram() / scenario.virtual_snapshots
 
 
 def signal_covariance_hadamard(scenario: ArrayScenario, signal: np.ndarray) -> np.ndarray:
     """Same matrix through the Hadamard identity.
 
     ((M-L+1)/M) * A_{M-L+1} (S S*/N o A_L^T conj(A_L)) A_{M-L+1}^*, where o
-    is the elementwise product.  Used as a cross-check of the Kronecker
-    construction.
+    is the elementwise product.  Used as a cross-check of
+    :func:`signal_covariance`.
     """
     s = scenario.check_signal(signal)
     m, l, n = scenario.m, scenario.l, scenario.n
     u = scenario.subarray_size
-    if scenario.k == 0:
-        return np.zeros((u, u), dtype=complex)
     p = s @ s.conj().T / n
     a_l = steering_matrix(l, scenario.doas)
     a_u = steering_matrix(u, scenario.doas)

@@ -27,6 +27,7 @@ from . import subspace
 from .array_model import (
     ArrayScenario,
     SmoothedMatrix,
+    _check_count,
     min_spacing,
     observe,
     source_matrix,
@@ -150,8 +151,7 @@ class ExperimentPlan:
         object.__setattr__(self, "values", values)
         if not values:
             raise ValueError("sweep values must be nonempty")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        _check_count("trials", self.trials, 1)
         estimators = _check_estimators(self.estimators)
         object.__setattr__(self, "estimators", estimators)
         if self.scenario.k == 0:
@@ -271,8 +271,7 @@ def _run_trials(
     process per CPU; a pool returns results in task order, like the serial
     loop, so the outcomes never depend on the worker count.
     """
-    if workers < 0:
-        raise ValueError(f"workers must be >= 0, got {workers}")
+    _check_count("workers", workers, 0)
     tasks = [
         (sc, signal_of(p, t), p, t, estimators, doa_mode, strict)
         for p, sc in enumerate(scens)
@@ -385,8 +384,7 @@ def table1(scenario: ArrayScenario, l_values: Sequence[int], draws: int = 100) -
     median and interquartile range of separation_report.min_snr_db are
     reported.
     """
-    if draws < 1:
-        raise ValueError(f"draws must be >= 1, got {draws}")
+    _check_count("draws", draws, 1)
     signals = [_drawn_signal(scenario, scenario.k, scenario.n, d) for d in range(draws)]
     rows = []
     for l in l_values:
@@ -444,8 +442,7 @@ def consistency_sweep(
     estimators = _check_estimators(estimators)
     if spacing not in ("absolute", "beamwidth"):
         raise ValueError(f"spacing must be 'absolute' or 'beamwidth', got {spacing!r}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_count("trials", trials, 1)
 
     scens = []
     for m, n, l in triples:

@@ -153,6 +153,8 @@ class KnownIntervals:
         ivs = tuple((float(a), float(b)) for a, b in self.intervals)
         object.__setattr__(self, "intervals", ivs)
         for a, b in ivs:
+            if not (math.isfinite(a) and math.isfinite(b)):
+                raise ValueError(f"interval [{a}, {b}] is not finite")
             if not b > a:
                 raise ValueError(f"empty interval [{a}, {b}]")
         for (a0, b0), (a1, b1) in zip(ivs, ivs[1:]):

@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .array_model import SmoothedMatrix, Smoothing, block_hankel, complex_gaussian, haar_columns
+from .array_model import SmoothedMatrix, Smoothing, _check_count, complex_gaussian, haar_columns
 from .rmt import (
     MpParams,
     h_star,
@@ -126,8 +126,7 @@ def esd_vs_mp(m: int, n: int, l: int, sigma2: float, trials: int, seed: int) -> 
     the MP(sigma2, c_N) distribution (atom at zero included when c_N > 1),
     and counts per-trial eigenvalues beyond (1 + EDGE_TOLERANCE) x+.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_count("trials", trials, 1)
     g = Smoothing(m=m, n=n, l=l)
     p = MpParams(sigma2, g.c_n)
     inflated = (1.0 + EDGE_TOLERANCE) * p.edge_plus
@@ -227,8 +226,7 @@ def spike_experiment(
         raise ValueError("planted eigenvalues must be distinct (multiplicity-1 assumption)")
     if noise not in ("hankel", "iid"):
         raise ValueError(f"noise must be 'hankel' or 'iid', got {noise!r}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_count("trials", trials, 1)
     g = Smoothing(m=m, n=n, l=l)
     p = MpParams(sigma2, g.c_n)
     u_dim, v_dim = g.subarray_size, g.virtual_snapshots
@@ -249,7 +247,8 @@ def spike_experiment(
         vt = haar_columns(v_dim, k, rng)
         b = (u * np.sqrt(lams)) @ vt.conj().T
         if noise == "hankel":
-            zmat = block_hankel(_noise_block(g, sigma2, rng), l) / math.sqrt(v_dim)
+            noise_part = SmoothedMatrix(snapshots=_noise_block(g, sigma2, rng), l=l)
+            zmat = noise_part.entries / math.sqrt(v_dim)
         else:
             zmat = complex_gaussian(rng, (u_dim, v_dim), math.sqrt(sigma2)) / math.sqrt(v_dim)
         x = b + zmat
@@ -314,8 +313,7 @@ def _check_suite(m: int, n: int, l: int, sigma2: float, trials: int) -> MpParams
     """The suite's MP parameters, refusing bad arguments before any draw:
     sizes and sigma2 as Smoothing and MpParams do, and trials < 2, under
     which the hankel-vs-iid row would compare quartiles of one sample."""
-    if trials < 2:
-        raise ValueError(f"trials must be >= 2, got {trials}")
+    _check_count("trials", trials, 2)
     return MpParams(sigma2, Smoothing(m=m, n=n, l=l).c_n)
 
 

@@ -18,16 +18,10 @@ import numpy as np
 import pytest
 
 from smoothmusic import cli, montecarlo, verify
-from smoothmusic.array_model import (
-    ArrayScenario,
-    block_hankel,
-    signal_covariance,
-    signal_covariance_hadamard,
-    smoothed_steering,
-    steering_vector,
-)
+from smoothmusic.array_model import ArrayScenario, block_hankel, signal_covariance_hadamard
 from smoothmusic.montecarlo import ExperimentPlan, run_plan
 from smoothmusic.rmt import MpParams, h_star, phi_inverse, phi_star, spike_forward, w_star
+from reference import signal_covariance_kronecker, smoothed_steering, steering_vector
 
 
 def _report(number, slug, clauses):
@@ -199,7 +193,7 @@ def test_criterion_5_algebraic_round_trips():
     sc = ArrayScenario(m=160, n=20, l=16, doas=(0.0, math.pi / 320), snr_db=10.0)
     signal = rng.standard_normal((2, 20)) + 1j * rng.standard_normal((2, 20))
     worst_cov = float(np.max(np.abs(
-        signal_covariance(sc, signal) - signal_covariance_hadamard(sc, signal)
+        signal_covariance_kronecker(sc, signal) - signal_covariance_hadamard(sc, signal)
     )))
 
     ok = _report(5, "algebraic-round-trips", [

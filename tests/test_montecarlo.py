@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from smoothmusic import subspace
+from smoothmusic import subspace, verify
 from smoothmusic.array_model import (
     ArrayScenario,
     SmoothedMatrix,
@@ -143,6 +143,31 @@ def test_negative_worker_count_is_refused():
         run_plan(plan, workers=-1)
     with pytest.raises(ValueError, match="workers must be >= 0, got -3"):
         consistency_sweep(((32, 8, 4),), WIDE, "absolute", 0.0, ("music",), trials=2, seed=0, workers=-3)
+
+
+def _plan(sc, trials):
+    return ExperimentPlan(scenario=sc, sweep="snr_db", values=(5.0,), trials=trials)
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("trials", lambda sc: _plan(sc, 2.5)),
+        ("workers", lambda sc: run_plan(_plan(sc, 1), workers=1.5)),
+        ("draws", lambda sc: table1(sc, (2,), draws=2.5)),
+        ("trials", lambda sc: consistency_sweep(((32, 8, 4),), WIDE, "absolute", 0.0, ("music",), 2.5, 0)),
+        ("trials", lambda sc: verify.run_verification_suite(32, 8, 4, 1.0, trials=2.5)),
+        ("trials", lambda sc: verify.esd_vs_mp(32, 8, 4, 1.0, trials=2.5, seed=0)),
+        ("trials", lambda sc: verify.spike_experiment(32, 8, 4, 1.0, (5.0,), trials=2.5, seed=0)),
+    ],
+    ids=["plan", "run_plan", "table1", "consistency_sweep", "suite", "esd_vs_mp", "spike_experiment"],
+)
+def test_fractional_counts_are_refused_by_name(name, call):
+    """A trial, draw or worker count must be an integer: 2.5 is refused
+    with the count's name, not failed on inside range or SeedSequence."""
+    sc = ArrayScenario(m=32, n=8, l=4, doas=WIDE, snr_db=0.0, seed=0)
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        call(sc)
 
 
 def test_run_plan_row_bookkeeping():

@@ -8,10 +8,10 @@ snapshots mirrors both spectra; the thin-SVD eigen path is checked against
 a dense eigh of the same covariance; the smoothed Gram matrix, the
 row-slice noise residual and the row-slice matvec match their forms
 through the block-Hankel matrix W; a source count above the rank of the
-covariance must still give finite results; the Kronecker, Hadamard and
-K x K forms of the smoothed signal covariance agree; the closed-form MP
-CDF differentiates to the density and carries the bulk mass min(1, 1/c);
-and the cyclic-shift matching of estimates to DoAs is a least-cost
+covariance must still give finite results; the Kronecker form of the
+smoothed signal covariance (the tests' reference) agrees with the Gram,
+Hadamard and K x K forms; the closed-form MP CDF differentiates to the
+density and carries the bulk mass min(1, 1/c); and the cyclic-shift matching of estimates to DoAs is a least-cost
 assignment on the circle, checked against every permutation.
 """
 
@@ -56,6 +56,7 @@ from smoothmusic.subspace import (
     sample_covariance_eig,
     separation_report,
 )
+from reference import signal_covariance_kronecker
 
 from test_rmt import mp_density
 
@@ -318,7 +319,8 @@ def test_gram_residual_and_matvec_match_their_w_forms(shape, seed):
 
 @given(m=st.integers(2, 40), data=st.data(), seed=seeds)
 def test_signal_covariance_kronecker_and_hadamard_forms_agree(m, data, seed):
-    """(1/L) A^(L) (P kron I_L) A^(L)* equals (U/M) A_U (P o A_L^T conj A_L) A_U*."""
+    """(1/L) A^(L) (P kron I_L) A^(L)* equals both package forms: W W* / (N L)
+    for the noiseless snapshots A S, and (U/M) A_U (P o A_L^T conj A_L) A_U*."""
     l = data.draw(st.integers(1, m - 1), label="l")
     k = data.draw(st.integers(1, m - l), label="k")
     n = data.draw(st.integers(1, 12), label="n")
@@ -328,16 +330,16 @@ def test_signal_covariance_kronecker_and_hadamard_forms_agree(m, data, seed):
     )
     sc = ArrayScenario(m=m, n=n, l=l, doas=doas, snr_db=0.0)
     signal = draw_signal_matrix(k, n, sc.signal_policy, np.random.default_rng(seed))
-    kron = signal_covariance(sc, signal)
-    np.testing.assert_allclose(
-        signal_covariance_hadamard(sc, signal), kron, rtol=0, atol=1e-12 * np.max(np.abs(kron))
-    )
+    kron = signal_covariance_kronecker(sc, signal)
+    for form in (signal_covariance, signal_covariance_hadamard):
+        np.testing.assert_allclose(form(sc, signal), kron, rtol=0, atol=1e-12 * np.max(np.abs(kron)))
 
 
 @given(m=st.integers(3, 48), data=st.data(), seed=seeds)
 def test_separation_report_matches_kronecker_and_hadamard_eigenvalues(m, data, seed):
-    """The K x K separation eigenvalues are the top-k eigenvalues of both
-    U x U signal covariances, also for n < k, where some of them are 0."""
+    """The K x K separation eigenvalues are the top-k eigenvalues of the
+    U x U signal covariances, the Kronecker reference and both package
+    forms, also for n < k, where some of them are 0."""
     l = data.draw(st.integers(1, m - 1), label="l")
     k = data.draw(st.integers(1, min(3, m - l)), label="k")
     policy = data.draw(st.sampled_from(SIGNAL_POLICIES), label="policy")
@@ -349,7 +351,8 @@ def test_separation_report_matches_kronecker_and_hadamard_eigenvalues(m, data, s
     sc = ArrayScenario(m=m, n=n, l=l, doas=doas, snr_db=0.0, signal_policy=policy)
     signal = draw_signal_matrix(k, n, policy, np.random.default_rng(seed))
     lam = separation_report(sc, signal).lambda_signal
-    for cov in (signal_covariance(sc, signal), signal_covariance_hadamard(sc, signal)):
+    for form in (signal_covariance_kronecker, signal_covariance, signal_covariance_hadamard):
+        cov = form(sc, signal)
         want = np.linalg.eigvalsh(0.5 * (cov + cov.conj().T))[::-1][:k]
         np.testing.assert_allclose(lam, want, rtol=0, atol=1e-10 * want[0])
 

@@ -21,9 +21,9 @@ from smoothmusic.array_model import (
     signal_covariance,
     signal_covariance_hadamard,
     steering_matrix,
-    steering_vector,
     synthesize_snapshots,
 )
+from reference import steering_vector
 from smoothmusic import montecarlo
 from smoothmusic.rmt import MpParams, h_star
 from smoothmusic.subspace import (
@@ -304,13 +304,15 @@ def test_find_doas_sub_window_past_pi_wraps():
 
 
 def test_grid_policy_validation():
-    """Degenerate windows and overlapping intervals are rejected."""
+    """Degenerate windows and overlapping or unbounded intervals are rejected."""
     with pytest.raises(ValueError):
         SearchWindow(lo=1.0, hi=1.0)
     with pytest.raises(ValueError):
         KnownIntervals(intervals=((0.0, 0.0),))
     with pytest.raises(ValueError):
         KnownIntervals(intervals=((0.0, 0.5), (0.4, 0.9)))
+    with pytest.raises(ValueError, match="not finite"):
+        KnownIntervals(intervals=((0.0, math.inf),))
 
 
 def test_search_window_wider_than_the_circle_is_refused():
