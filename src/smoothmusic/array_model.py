@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 import numpy.random  # numpy loads it lazily; import it here, not inside a command
@@ -36,7 +35,6 @@ __all__ = [
     "observe",
     "signal_covariance",
     "signal_covariance_hadamard",
-    "source_matrix",
     "steering_derivative",
     "steering_matrix",
     "synthesize_snapshots",
@@ -111,8 +109,7 @@ class ArrayScenario(Smoothing):
     doas : tuple of source angles in [-pi, pi), pairwise distinct.
     snr_db : 10 log10(1 / sigma2) with sigma2 the per-entry noise power,
         which must be a positive finite float (|snr_db| up to ~3000 dB).
-    signal_policy : one of SIGNAL_POLICIES, how a source matrix is drawn
-        when the caller passes none.
+    signal_policy : one of SIGNAL_POLICIES, how the source matrix is drawn.
     seed : master seed for snapshot synthesis.
     """
 
@@ -159,10 +156,6 @@ class ArrayScenario(Smoothing):
     @property
     def sigma2(self) -> float:
         return 10.0 ** (-self.snr_db / 10.0)
-
-    @property
-    def beamwidth(self) -> float:
-        return 2.0 * math.pi / self.m
 
     def check_signal(self, signal) -> np.ndarray:
         """The source matrix as a finite complex K x N array; anything else is rejected."""
@@ -310,23 +303,6 @@ def draw_signal_matrix(k: int, n: int, policy: str, rng: np.random.Generator) ->
     raise ValueError(f"unknown signal policy {policy!r}")
 
 
-def source_matrix(
-    scenario: ArrayScenario, signal: Optional[np.ndarray], rng: np.random.Generator
-) -> np.ndarray:
-    """The K x N source matrix S of a scenario.
-
-    A caller's ``signal`` is the fixed signal, under either policy; it must
-    be finite and of full row rank K.  Without one, S is drawn from rng
-    under the scenario's policy.
-    """
-    if signal is None:
-        return draw_signal_matrix(scenario.k, scenario.n, scenario.signal_policy, rng)
-    s = scenario.check_signal(signal)
-    if scenario.k and np.linalg.matrix_rank(s) != scenario.k:
-        raise ValueError("signal matrix must have full row rank k")
-    return s
-
-
 def observe(scenario: ArrayScenario, signal: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """M x N snapshots Y = A S + V, with the noise V drawn from rng."""
     m = scenario.m
@@ -335,16 +311,16 @@ def observe(scenario: ArrayScenario, signal: np.ndarray, rng: np.random.Generato
     )
 
 
-def synthesize_snapshots(scenario: ArrayScenario, signal: Optional[np.ndarray] = None) -> np.ndarray:
+def synthesize_snapshots(scenario: ArrayScenario) -> np.ndarray:
     """Generate the M x N snapshots Y = A S + V of the scenario.
 
-    The source matrix is resolved first (see :func:`source_matrix`), then
-    the noise is drawn, from a single stream seeded by scenario.seed, so
-    equal scenarios give bitwise-equal output.  With a caller's ``signal``
-    the stream is spent on noise only.
+    The source matrix is drawn under the scenario's policy, then the noise,
+    from a single stream seeded by scenario.seed, so equal scenarios give
+    bitwise-equal output.
     """
     rng = np.random.default_rng(np.random.SeedSequence(scenario.seed))
-    return observe(scenario, source_matrix(scenario, signal, rng), rng)
+    signal = draw_signal_matrix(scenario.k, scenario.n, scenario.signal_policy, rng)
+    return observe(scenario, signal, rng)
 
 
 def block_hankel(y: np.ndarray, l: int) -> np.ndarray:

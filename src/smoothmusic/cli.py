@@ -202,7 +202,7 @@ def _line_of(lines, section: str, key: Optional[str]) -> Optional[int]:
             continue
         if in_section and key is not None:
             head = stripped.split("=", 1)[0].split(":", 1)[0].strip()
-            if head == key:
+            if head.lower() == key:
                 return i
     return None
 

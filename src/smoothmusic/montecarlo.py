@@ -28,9 +28,9 @@ from .array_model import (
     ArrayScenario,
     SmoothedMatrix,
     _check_count,
+    draw_signal_matrix,
     min_spacing,
     observe,
-    source_matrix,
     steering_derivative,
     steering_matrix,
     wrap_angle,
@@ -123,7 +123,7 @@ class ExperimentPlan:
     include_failures : fold wild-estimate trials into the MSE instead of
         only the failure count.
     fresh_signal : redraw the source matrix every trial instead of holding
-        one realization (or the caller's signal) fixed across the sweep.
+        one realization fixed across the sweep.
     strict_separation : raise-and-count trials whose top eigenvalues are
         not separated from the bulk (G-MUSIC variants only).
     """
@@ -218,11 +218,11 @@ def _failure_threshold(doas: Sequence[float], m: int) -> float:
     return math.pi / m
 
 
-def _drawn_signal(scenario: ArrayScenario, *key, signal=None) -> np.ndarray:
-    """The caller's ``signal``, or else the scenario's source matrix drawn
-    from the signal stream keyed by (seed, key) (see :func:`source_matrix`)."""
+def _drawn_signal(scenario: ArrayScenario, *key) -> np.ndarray:
+    """The scenario's source matrix, drawn under its policy from the signal
+    stream keyed by (seed, key)."""
     rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, _STREAM_SIGNAL, *key]))
-    return source_matrix(scenario, signal, rng)
+    return draw_signal_matrix(scenario.k, scenario.n, scenario.signal_policy, rng)
 
 
 def _run_trial(task) -> dict:
@@ -288,18 +288,15 @@ def _run_trials(
     return [flat[p * trials : (p + 1) * trials] for p in range(len(scens))]
 
 
-def run_plan(plan: ExperimentPlan, workers: int = 1, signal=None) -> list:
+def run_plan(plan: ExperimentPlan, workers: int = 1) -> list:
     """Execute a plan: one MseRow per (sweep point, estimator, source), in
     that order, the estimators in the plan's order.
 
     workers = 0 uses one process per CPU; any worker count yields the same
     rows because trials are keyed by (point, trial) and aggregated in a
-    fixed order.  A ``signal`` is the source matrix of every trial; without
-    one it is drawn.  Each point's CRB uses the source matrix of its trial 0.
+    fixed order.  Each point's CRB uses the source matrix of its trial 0.
     """
-    if plan.fresh_signal and signal is not None:
-        raise ValueError("a fresh_signal plan draws its own signals; pass no signal")
-    shared = None if plan.fresh_signal else _drawn_signal(plan.scenario, signal=signal)
+    shared = None if plan.fresh_signal else _drawn_signal(plan.scenario)
     scens = [point_scenario(plan, v) for v in plan.values]
 
     def signal_of(p, t):
@@ -410,7 +407,6 @@ class ConsistencyRow(NamedTuple):
 def consistency_sweep(
     sizes: Sequence[Sequence[int]],
     doas: Sequence[float],
-    spacing: str,
     snr_db: float,
     estimators: Sequence[str],
     trials: int,
@@ -422,10 +418,9 @@ def consistency_sweep(
     sizes is the sizing policy: (m, n, l) triples with m strictly
     increasing and n, l chosen by the caller so that c_N = (m - l + 1)/(n l)
     stays within 10% of the sweep mean (enforced; e.g. l proportional to m
-    with n fixed, or l fixed with n proportional to m).  spacing =
-    "absolute" uses the doas as given for every m; "beamwidth" interprets
-    them in units of 2 pi / m, which holds the spacing-to-beamwidth ratio
-    fixed as m grows.  Each size draws its source matrix from a stream
+    with n fixed, or l fixed with n proportional to m).  The doas are in
+    beamwidths, units of 2 pi / m, which holds the spacing-to-beamwidth
+    ratio fixed as m grows.  Each size draws its source matrix from a stream
     keyed by (seed, k, n), so sizes sharing n share the signal, and every
     estimator runs on the same trials.  Returns one ConsistencyRow per
     (size, estimator), in that order, with the per-size statistic the
@@ -440,16 +435,11 @@ def consistency_sweep(
     if len(doas) == 0:
         raise ValueError("consistency sweeps need at least one source")
     estimators = _check_estimators(estimators)
-    if spacing not in ("absolute", "beamwidth"):
-        raise ValueError(f"spacing must be 'absolute' or 'beamwidth', got {spacing!r}")
     _check_count("trials", trials, 1)
 
     scens = []
     for m, n, l in triples:
-        if spacing == "absolute":
-            th = tuple(float(t) for t in doas)
-        else:
-            th = tuple(float(t) * 2.0 * math.pi / m for t in doas)
+        th = [float(t) * 2.0 * math.pi / m for t in doas]
         scens.append(ArrayScenario(m=m, n=n, l=l, doas=th, snr_db=snr_db, seed=seed))
     for sc in scens:
         _check_rank(sc, estimators)

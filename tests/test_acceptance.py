@@ -286,7 +286,7 @@ def test_criterion_7_consistency_trends():
     wide_sizes = ((80, 28, 10), (160, 42, 14), (320, 60, 20))
     ests = ("music-ss", "gmusic-ss")
     rows = montecarlo.consistency_sweep(
-        wide_sizes, (0.0, 5.0), "beamwidth", 12.0, ests, trials=500, seed=7
+        wide_sizes, (0.0, 5.0), 12.0, ests, trials=500, seed=7
     )
     wide_meds = {est: [r.median_scaled_error for r in rows if r.estimator == est] for est in ests}
     wide_ok = all(
@@ -295,7 +295,7 @@ def test_criterion_7_consistency_trends():
 
     close_sizes = ((80, 20, 16), (160, 28, 23), (320, 40, 32))
     rows = montecarlo.consistency_sweep(
-        close_sizes, (0.0, 0.25), "beamwidth", 32.0, ests, trials=500, seed=7
+        close_sizes, (0.0, 0.25), 32.0, ests, trials=500, seed=7
     )
     close_meds = {est: [r.median_scaled_error for r in rows if r.estimator == est] for est in ests}
     g = close_meds["gmusic-ss"]

@@ -195,11 +195,10 @@ def test_signal_covariance_elementwise_form():
         assert eigs.min() > -1e-10 * scale
 
 
-def _replay(sc, signal=None):
-    """Y = A S + V rebuilt from the scenario's stream: S first (unless given), then V."""
+def _replay(sc):
+    """Y = A S + V rebuilt from the scenario's stream: S first, then V."""
     rng = np.random.default_rng(np.random.SeedSequence(sc.seed))
-    if signal is None:
-        signal = draw_signal_matrix(sc.k, sc.n, sc.signal_policy, rng)
+    signal = draw_signal_matrix(sc.k, sc.n, sc.signal_policy, rng)
     noise = complex_gaussian(rng, (sc.m, sc.n), math.sqrt(sc.sigma2))
     return steering_matrix(sc.m, sc.doas) @ signal + noise, noise
 
@@ -213,30 +212,11 @@ def test_synthesize_snapshots_deterministic_and_additive():
     np.testing.assert_array_equal(y1, y2)
     np.testing.assert_array_equal(y1, _replay(sc)[0])
     assert y1.shape == (12, 8)
+    sc_id = dataclasses.replace(sc, signal_policy="identity-covariance")
+    np.testing.assert_array_equal(synthesize_snapshots(sc_id), _replay(sc_id)[0])
     # a different seed moves the noise
     y3 = synthesize_snapshots(ArrayScenario(m=12, n=8, l=4, doas=(0.2, 1.0), snr_db=5.0, seed=43))
     assert not np.array_equal(y1, y3)
-
-
-def test_synthesize_snapshots_fixed_matrix_policy():
-    """A passed signal is used as given, under either policy, and validated."""
-    sc = ArrayScenario(m=10, n=6, l=3, doas=(0.1, 0.9), snr_db=10.0, seed=1)
-    rng = np.random.default_rng(0)
-    s = rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6))
-    y = synthesize_snapshots(sc, signal=s)
-    np.testing.assert_array_equal(y, _replay(sc, s)[0])
-    sc_id = dataclasses.replace(sc, signal_policy="identity-covariance")
-    np.testing.assert_array_equal(synthesize_snapshots(sc_id, signal=s), _replay(sc_id, s)[0])
-    # a non-contiguous view of the same matrix is the same signal
-    np.testing.assert_array_equal(synthesize_snapshots(sc, signal=s.T.copy().T), y)
-    with pytest.raises(ValueError):
-        synthesize_snapshots(sc, signal=s[:, :-1])  # wrong shape
-    with pytest.raises(ValueError):
-        synthesize_snapshots(sc, signal=np.vstack([s[0], s[0]]))  # rank deficient
-    bad = s.copy()
-    bad[0, 0] = np.nan
-    with pytest.raises(ValueError):
-        synthesize_snapshots(sc, signal=bad)
 
 
 def test_noise_power_matches_snr():
@@ -285,7 +265,6 @@ def test_scenario_validation_and_properties():
     assert sc.virtual_snapshots == 320
     assert sc.c_n == pytest.approx(145 / 320, rel=1e-15)
     assert sc.sigma2 == pytest.approx(0.1, rel=1e-12)
-    assert sc.beamwidth == pytest.approx(2 * math.pi / 160, rel=1e-15)
 
     base = dict(m=16, n=8, l=4, doas=(0.1, 0.9), snr_db=0.0)
     with pytest.raises(ValueError):

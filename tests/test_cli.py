@@ -415,19 +415,22 @@ def test_config_errors_report_file_and_line(tmp_path, capsys):
     assert code == 2
     assert f"{cfg}:{line}" in err and "unknown section" in err
 
-    bad_key = SPECTRUM_INI.replace("seed = 3", "seed = 3\ntypo_key = 5")
-    cfg = _write(tmp_path, bad_key, "bad_key.ini")
-    line = bad_key.splitlines().index("typo_key = 5") + 1
-    code, _, err = _run(["spectrum", "--config", cfg], capsys)
-    assert code == 2
-    assert f"{cfg}:{line}" in err and "unknown key" in err and "typo_key" in err
+    # configparser lowercases keys, so a mixed-case key is found by its lowercase name
+    for key in ("typo_key", "Typo_Key"):
+        bad_key = SPECTRUM_INI.replace("seed = 3", f"seed = 3\n{key} = 5")
+        cfg = _write(tmp_path, bad_key, "bad_key.ini")
+        line = bad_key.splitlines().index(f"{key} = 5") + 1
+        code, _, err = _run(["spectrum", "--config", cfg], capsys)
+        assert code == 2
+        assert f"{cfg}:{line}" in err and "unknown key" in err and "typo_key" in err
 
-    bad_value = SPECTRUM_INI.replace("m = 32", "m = thirty-two")
-    cfg = _write(tmp_path, bad_value, "bad_value.ini")
-    line = bad_value.splitlines().index("m = thirty-two") + 1
-    code, _, err = _run(["spectrum", "--config", cfg], capsys)
-    assert code == 2
-    assert f"{cfg}:{line}" in err and "bad value" in err
+    for key in ("m", "M"):
+        bad_value = SPECTRUM_INI.replace("m = 32", f"{key} = thirty-two")
+        cfg = _write(tmp_path, bad_value, "bad_value.ini")
+        line = bad_value.splitlines().index(f"{key} = thirty-two") + 1
+        code, _, err = _run(["spectrum", "--config", cfg], capsys)
+        assert code == 2
+        assert f"{cfg}:{line}" in err and "bad value" in err
 
 
 def test_section_without_required_keys_may_be_omitted(tmp_path, capsys):
