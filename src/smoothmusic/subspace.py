@@ -10,14 +10,17 @@ A :class:`Pseudospectrum` fixes one spectrum from an eigensystem and its
 weights.  On a whole-circle search window it is evaluated by FFT: on the
 grid theta_j = lo + 2 pi j / P every projection u_k* a(theta_j) is one
 zero-padded length-P DFT of the eigenvector, so a P-point scan costs k FFTs
-instead of a U x P steering matrix.  Any other angles are evaluated directly.
+instead of a U x P steering matrix.  Any other uniform grid (a sub-window,
+a per-source interval) is one chirp-z transform per eigenvector.  Refinement
+advances the golden-section searches of all dips in lockstep, one direct
+evaluation of all their angles per step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 import numpy.fft  # numpy loads it lazily; import it here, not inside a command
@@ -145,7 +148,12 @@ class SearchWindow:
 
 @dataclass(frozen=True)
 class KnownIntervals:
-    """Grid policy: one global minimum per known disjoint interval."""
+    """Grid policy: one global minimum per known interval.
+
+    The intervals must be disjoint on the circle, where an angle and the
+    same angle 2 pi away are one direction: otherwise one source could be
+    the minimum of two intervals.  They may touch, and come in any order.
+    """
 
     intervals: tuple
 
@@ -157,9 +165,18 @@ class KnownIntervals:
                 raise ValueError(f"interval [{a}, {b}] is not finite")
             if not b > a:
                 raise ValueError(f"empty interval [{a}, {b}]")
-        for (a0, b0), (a1, b1) in zip(ivs, ivs[1:]):
-            if a1 < b0:
-                raise ValueError("intervals must be disjoint and sorted")
+            if b - a > 2.0 * math.pi:
+                raise ValueError(f"interval [{a}, {b}] is wider than the circle")
+        # each interval ends before the next one starts, in the order of the
+        # wrapped starts; the last wraps round to the first, a turn later.
+        # Compared as b - a' <= 2 pi (turns apart), which is exact when that is 0
+        lo, hi = np.array(ivs, dtype=float).reshape(-1, 2).T
+        turns = np.floor((lo + math.pi) / (2.0 * math.pi))
+        order = np.argsort(lo - 2.0 * math.pi * turns, kind="stable")
+        after = np.roll(order, -1)
+        apart = turns[order] - turns[after] + (np.arange(order.size) == order.size - 1)
+        if np.any(hi[order] - lo[after] > 2.0 * math.pi * apart):
+            raise ValueError(f"intervals {ivs} overlap on the circle")
 
 
 def intervals_around(doas: Sequence[float], m: int) -> KnownIntervals:
@@ -316,6 +333,28 @@ def _circle_projections(eig: EigenSystem, lo: float, p: int) -> np.ndarray:
     return np.abs(np.fft.fft(x, n=p, axis=0).T) ** 2 / dim
 
 
+def _grid_projections(eig: EigenSystem, lo: float, step: float, p: int) -> np.ndarray:
+    """|u_i^* a(lo + j step)|^2 for j = 0..p-1, shape (k, p), by chirp-z.
+
+    With n j = (n^2 + j^2 - (j - n)^2) / 2, u^* a(theta_j) is
+    e^{i step j^2 / 2} / sqrt(U) times sum_n y_n c_{j-n}, where
+    y_n = conj(u_n) e^{i (lo n + step n^2 / 2)} and c_t = e^{-i step t^2 / 2}:
+    one linear convolution, by FFT, of length >= U + p - 1 (Bluestein).  The
+    leading factor has modulus 1 and drops out of |.|^2.
+    """
+    dim = eig.dim
+    nfft = 1 << (dim + p - 2).bit_length()
+    t = np.arange(max(dim, p), dtype=float)
+    chirp = np.exp(-0.5j * step * t**2)  # c_t = c_{-t}
+    kernel = np.zeros(nfft, dtype=complex)
+    kernel[:p] = chirp[:p]
+    kernel[nfft - dim + 1 :] = chirp[dim - 1 : 0 : -1]  # t = -(dim - 1) .. -1
+    n = t[:dim]
+    y = eig.eigenvectors.conj() * (np.exp(1j * lo * n) / chirp[:dim])[:, None]
+    conv = np.fft.ifft(np.fft.fft(y, n=nfft, axis=0) * np.fft.fft(kernel)[:, None], axis=0)
+    return np.abs(conv[:p].T) ** 2 / dim
+
+
 def _spectrum_values(proj2: np.ndarray, weights: Optional[np.ndarray]) -> np.ndarray:
     """1 - sum_k w_k proj2_k; weights None is the traditional form, clipped to [0, 1]."""
     if weights is None:
@@ -379,7 +418,8 @@ class Pseudospectrum:
     weights None is the traditional (MUSIC) spectrum; otherwise the G-MUSIC
     spectrum with those spike weights, computed once, e.g. by
     :func:`gmusic_weights`.  Calling it evaluates angles directly;
-    :meth:`on_circle` evaluates a uniform grid around the whole circle by FFT.
+    :meth:`on_circle` evaluates a uniform grid around the whole circle by FFT,
+    and :meth:`on_grid` any other uniform grid by chirp-z.
     """
 
     eig: EigenSystem
@@ -394,9 +434,15 @@ class Pseudospectrum:
         """Values at lo + 2 pi j / p, j = 0..p-1."""
         return _spectrum_values(_circle_projections(self.eig, lo, p), self.weights)
 
+    def on_grid(self, lo: float, step: float, p: int) -> np.ndarray:
+        """Values at lo + j step, j = 0..p-1."""
+        return _spectrum_values(_grid_projections(self.eig, lo, step, p), self.weights)
 
-def _golden_min(f: Callable[[float], float], a: float, b: float, xtol: float) -> float:
-    """Golden-section minimum of f on [a, b] to absolute x tolerance."""
+
+def _golden_min(a: float, b: float, xtol: float):
+    """Golden-section minimum on [a, b] to absolute x tolerance, as a
+    generator: it yields each angle to evaluate, is sent the value there,
+    and returns the midpoint of the last bracket."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     invphi2 = invphi * invphi
     h = b - a
@@ -404,17 +450,18 @@ def _golden_min(f: Callable[[float], float], a: float, b: float, xtol: float) ->
         return 0.5 * (a + b)
     x1 = a + invphi2 * h
     x2 = a + invphi * h
-    f1, f2 = f(x1), f(x2)
+    f1 = yield x1
+    f2 = yield x2
     while h > xtol:
         h *= invphi
         if f1 < f2:
             b, x2, f2 = x2, x1, f1
             x1 = a + invphi2 * h
-            f1 = f(x1)
+            f1 = yield x1
         else:
             a, x1, f1 = x1, x2, f2
             x2 = a + invphi * h
-            f2 = f(x2)
+            f2 = yield x2
     return 0.5 * (a + b)
 
 
@@ -422,6 +469,16 @@ def _grid(lo: float, hi: float, m: int, floor: int = 0) -> np.ndarray:
     beamwidth = 2.0 * math.pi / m
     npts = int(math.ceil((hi - lo) / beamwidth * POINTS_PER_BEAMWIDTH)) + 1
     return np.linspace(lo, hi, max(npts, floor, 5))
+
+
+def _scan(spectrum_fn, grid: np.ndarray, circle: bool) -> np.ndarray:
+    """spectrum_fn on a _grid; a circle grid's last point repeats its first
+    and is left out.  A Pseudospectrum scans by FFT or chirp-z."""
+    if not isinstance(spectrum_fn, Pseudospectrum):
+        return np.asarray(spectrum_fn(grid[:-1] if circle else grid))
+    if circle:
+        return spectrum_fn.on_circle(grid[0], grid.size - 1)
+    return spectrum_fn.on_grid(grid[0], (grid[-1] - grid[0]) / (grid.size - 1), grid.size)
 
 
 def _deepest_minima(vals: np.ndarray, k: int, periodic: bool = False) -> np.ndarray:
@@ -437,22 +494,41 @@ def _deepest_minima(vals: np.ndarray, k: int, periodic: bool = False) -> np.ndar
     return idx[np.argsort(vals[idx], kind="stable")][:k]
 
 
-def _refine(spectrum_fn, grid: np.ndarray, indices, xtol: float, periodic: bool) -> np.ndarray:
-    """Golden-section minimum of spectrum_fn between the grid neighbours of
-    each index, wrapped onto [-pi, pi), as a grid may reach past +-pi.
+def _bracket(grid: np.ndarray, i: int, periodic: bool) -> tuple:
+    """The grid neighbours of point i.  On a periodic grid (grid[-1] is
+    grid[0] + 2 pi) the left neighbour of point 0 lies one step below it;
+    otherwise the bracket is clamped to the grid ends."""
+    if periodic:
+        a = grid[i - 1] if i else 2.0 * grid[0] - grid[1]
+    else:
+        a = grid[max(i - 1, 0)]
+    return a, grid[min(i + 1, grid.size - 1)]
 
-    On a periodic grid (grid[-1] is grid[0] + 2 pi) the left neighbour of
-    point 0 lies one step below it; otherwise the brackets are clamped to
-    the grid ends.
+
+def _refine(spectrum_fn, brackets, xtol: float) -> np.ndarray:
+    """Golden-section minimum of spectrum_fn in each (a, b) bracket, wrapped
+    onto [-pi, pi), as a bracket may reach past +-pi.
+
+    The searches advance together: each step is one spectrum_fn call on the
+    next angle of every search still running.
     """
-    scalar_fn = lambda t: float(spectrum_fn(np.array([t]))[0])
-    out = []
-    for i in indices:
-        if periodic:
-            a = grid[i - 1] if i else 2.0 * grid[0] - grid[1]
-        else:
-            a = grid[max(i - 1, 0)]
-        out.append(_golden_min(scalar_fn, a, grid[min(i + 1, grid.size - 1)], xtol))
+    searches = [_golden_min(a, b, xtol) for a, b in brackets]
+    out = np.empty(len(searches))
+    pending = {}  # search index -> its next angle
+    for i, search in enumerate(searches):
+        try:
+            pending[i] = next(search)
+        except StopIteration as done:
+            out[i] = done.value
+    while pending:
+        vals = spectrum_fn(np.array(list(pending.values())))
+        angles = {}
+        for i, val in zip(pending, vals):
+            try:
+                angles[i] = searches[i].send(float(val))
+            except StopIteration as done:
+                out[i] = done.value
+        pending = angles
     return wrap_angle(out)
 
 
@@ -472,13 +548,17 @@ def find_doas(spectrum_fn, k: int, policy, m: int):
     Under a :class:`SearchWindow` the k deepest strict local minima on the
     grid are kept and an :class:`UnderResolvedError` is raised when fewer
     exist; under :class:`KnownIntervals` each interval contributes its
-    global minimum.  Each minimum is refined by golden-section search to an
-    absolute tolerance of 1e-4 beamwidths.  Returns angles wrapped onto
+    global minimum.  Each minimum is refined by golden-section search
+    between its grid neighbours to an absolute tolerance of 1e-4
+    beamwidths; the searches of all minima run in lockstep, so each step is
+    one spectrum_fn call on up to k angles.  Returns angles wrapped onto
     [-pi, pi), in ascending order.
 
     A whole-circle window treats spectrum_fn as 2 pi-periodic: its grid
     counts the seam point once, minima wrap around it, refinement may step
-    across it.  A :class:`Pseudospectrum` is then scanned by FFT.
+    across it.  A :class:`Pseudospectrum` scans that grid by FFT, and a
+    sub-window's or an interval's grid by chirp-z; refinement evaluates it
+    directly.
     """
     if k < 1:
         raise ValueError(f"need at least one source, got k={k}")
@@ -486,28 +566,22 @@ def find_doas(spectrum_fn, k: int, policy, m: int):
 
     if isinstance(policy, SearchWindow):
         grid = _grid(policy.lo, policy.hi, m)
-        if not policy.circle:
-            vals = np.asarray(spectrum_fn(grid))
-        elif isinstance(spectrum_fn, Pseudospectrum):
-            vals = spectrum_fn.on_circle(policy.lo, grid.size - 1)
-        else:
-            vals = np.asarray(spectrum_fn(grid[:-1]))  # grid[-1] repeats grid[0]
-        deepest = _deepest_minima(vals, k, periodic=policy.circle)
+        deepest = _deepest_minima(_scan(spectrum_fn, grid, policy.circle), k, policy.circle)
         if deepest.size < k:
             raise UnderResolvedError(needed=k, found=int(deepest.size))
-        return np.sort(_refine(spectrum_fn, grid, deepest, xtol, policy.circle))
+        brackets = [_bracket(grid, i, policy.circle) for i in deepest]
+        return np.sort(_refine(spectrum_fn, brackets, xtol))
 
     if isinstance(policy, KnownIntervals):
         if len(policy.intervals) != k:
             raise ValueError(
                 f"need one interval per source, got {len(policy.intervals)} for k={k}"
             )
-        out = []
+        brackets = []
         for lo, hi in policy.intervals:
             grid = _grid(lo, hi, m, floor=MIN_INTERVAL_POINTS)
-            i = int(np.argmin(np.asarray(spectrum_fn(grid))))
-            out.extend(_refine(spectrum_fn, grid, [i], xtol, periodic=False))
-        return np.sort(out)
+            brackets.append(_bracket(grid, int(np.argmin(_scan(spectrum_fn, grid, False))), False))
+        return np.sort(_refine(spectrum_fn, brackets, xtol))
 
     raise TypeError(f"unknown grid policy {policy!r}")
 

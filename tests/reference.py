@@ -7,9 +7,14 @@ forms the same matrix as the Gram of the noiseless snapshots' block-Hankel
 matrix (``array_model.signal_covariance``) and through the Hadamard
 identity (``array_model.signal_covariance_hadamard``); the tests hold both
 against this independent construction.
+
+``golden_min`` is the scalar golden-section search that the package's
+lockstep refinement (``subspace._refine``) must reproduce bit for bit, one
+call of f per angle.
 """
 
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -60,3 +65,26 @@ def signal_covariance_kronecker(scenario: ArrayScenario, signal: np.ndarray) -> 
     """(1/L) A^(L) (S S*/N kron I_L) A^(L)*, via the Kronecker construction."""
     b = smoothed_signal_part(scenario, signal)
     return b @ b.conj().T
+
+
+def golden_min(f: Callable[[float], float], a: float, b: float, xtol: float) -> float:
+    """Golden-section minimum of f on [a, b] to absolute x tolerance."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    invphi2 = invphi * invphi
+    h = b - a
+    if h <= xtol:
+        return 0.5 * (a + b)
+    x1 = a + invphi2 * h
+    x2 = a + invphi * h
+    f1, f2 = f(x1), f(x2)
+    while h > xtol:
+        h *= invphi
+        if f1 < f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = a + invphi2 * h
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + invphi * h
+            f2 = f(x2)
+    return 0.5 * (a + b)

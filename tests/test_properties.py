@@ -1,8 +1,9 @@
 """Property tests for the signal model and the spectral and eigen layers.
 
-The FFT scan of a whole-circle window is checked against direct evaluation
-through steering_matrix and against the rotation identity it implies, and
-the DoA search against the angle the circle starts at, and the CLI's
+The FFT scan of a whole-circle window and the chirp-z scan of any other
+uniform grid are checked against direct evaluation through steering_matrix,
+the FFT scan against the rotation identity it implies, the DoA search
+against the angle the circle starts at and against a direct scan, and the CLI's
 spectrum minima against the size of its display grid; conjugating the
 snapshots mirrors both spectra; the thin-SVD eigen path is checked against
 a dense eigh of the same covariance; the smoothed Gram matrix, the
@@ -51,8 +52,10 @@ from smoothmusic.subspace import (
     _lanczos_top,
     Pseudospectrum,
     SearchWindow,
+    UnderResolvedError,
     find_doas,
     gmusic_weights,
+    intervals_around,
     sample_covariance_eig,
     separation_report,
 )
@@ -86,6 +89,53 @@ def test_circle_fft_matches_direct_evaluation(dim, data, seed, weighted):
     spectrum = _spectrum(dim, k, seed, weighted)
     grid = lo + 2.0 * math.pi * np.arange(p) / p
     np.testing.assert_allclose(spectrum.on_circle(lo, p), spectrum(grid), rtol=0, atol=1e-12)
+
+
+@given(dim=st.integers(2, 40), data=st.data(), seed=seeds, weighted=st.booleans())
+def test_chirp_z_grid_matches_direct_evaluation(dim, data, seed, weighted):
+    """on_grid equals the direct steering-matrix values on lo + j step, for
+    p below and above U, a start past +-pi, and widths from about one
+    interval up to just under 2 pi."""
+    k = data.draw(st.integers(1, dim - 1), label="k")
+    p = data.draw(st.integers(1, 6 * dim), label="p")
+    lo = data.draw(st.floats(-2 * math.pi, 2 * math.pi), label="lo")
+    width = data.draw(st.floats(0.01, 2 * math.pi, exclude_max=True), label="width")
+    step = width / max(p - 1, 1)
+    spectrum = _spectrum(dim, k, seed, weighted)
+    grid = np.linspace(lo, lo + (p - 1) * step, p)
+    np.testing.assert_allclose(spectrum.on_grid(lo, step, p), spectrum(grid), rtol=0, atol=1e-12)
+
+
+@given(
+    doa=st.floats(-math.pi, math.pi, exclude_max=True),
+    spacing=st.floats(0.5, 8.0),
+    offset=st.floats(0.0, 1.0),
+    seed=seeds,
+)
+def test_find_doas_chirp_z_scan_matches_direct_scan(doa, spacing, offset, seed):
+    """find_doas on a Pseudospectrum (chirp-z grids) and on a plain callable
+    around it (direct grids) return the same angles, to the refinement
+    tolerance, per source interval and on a sub-window holding both DoAs."""
+    m = 32
+    beamwidth = 2.0 * math.pi / m
+    xtol = 1e-4 * beamwidth
+    second = float(wrap_angle(doa + spacing * beamwidth))
+    sc = ArrayScenario(m=m, n=20, l=4, doas=(doa, second), snr_db=30.0, seed=seed)
+    eig = sample_covariance_eig(SmoothedMatrix(snapshots=synthesize_snapshots(sc), l=sc.l), sc.k)
+    weights = gmusic_weights(eig, eig.noise_variance, eig.c_n)
+    lo = doa - (0.5 + offset) * beamwidth
+    window = SearchWindow(lo=lo, hi=lo + (spacing + 1.5) * beamwidth)
+    for spectrum in (Pseudospectrum(eig), Pseudospectrum(eig, weights)):
+        direct = lambda t: spectrum(t)
+        for policy in (intervals_around(sc.doas, m), window):
+            try:
+                want = find_doas(direct, 2, policy, m)
+            except UnderResolvedError:
+                with pytest.raises(UnderResolvedError):
+                    find_doas(spectrum, 2, policy, m)
+                continue
+            got = find_doas(spectrum, 2, policy, m)
+            assert np.max(np.abs(wrap_angle(got - want))) <= xtol, f"{policy}"
 
 
 @given(dim=st.integers(2, 40), data=st.data(), seed=seeds, weighted=st.booleans())

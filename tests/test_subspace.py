@@ -5,7 +5,9 @@ singular system; the corrected-spectrum weights against hand-computed
 rational values; and the dip search against synthetic spectra whose vertex
 and zero crossings are placed far apart, which pins the contract that
 selection and refinement act on signed values (a modulus-folding search
-would land on a crossing instead of the vertex).
+would land on a crossing instead of the vertex).  The lockstep refinement
+must equal one scalar golden-section search per dip (``reference``) bit for
+bit, and interval policies are checked on the circle.
 """
 
 import math
@@ -13,26 +15,33 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from smoothmusic.array_model import (
     ArrayScenario,
     SmoothedMatrix,
     draw_signal_matrix,
+    min_spacing,
     signal_covariance,
     signal_covariance_hadamard,
     steering_matrix,
     synthesize_snapshots,
+    wrap_angle,
 )
-from reference import steering_vector
+from reference import golden_min, steering_vector
 from smoothmusic import montecarlo
 from smoothmusic.rmt import MpParams, h_star
 from smoothmusic.subspace import (
     EigenSystem,
+    MIN_INTERVAL_POINTS,
     KnownIntervals,
     NotSeparatedError,
     Pseudospectrum,
     SearchWindow,
     UnderResolvedError,
+    _grid,
+    _refine,
     find_doas,
     gmusic_pseudospectrum,
     gmusic_weights,
@@ -315,6 +324,36 @@ def test_grid_policy_validation():
         KnownIntervals(intervals=((0.0, math.inf),))
 
 
+# the dips of cos(3 theta - 1.5) in [-pi, pi), ascending
+_COS3_DIPS = [0.5 + math.pi - 2.0 * math.pi, 0.5 - math.pi / 3.0, 0.5 + math.pi / 3.0]
+
+
+def test_known_intervals_must_be_disjoint_on_the_circle():
+    """Intervals are compared after wrapping: -3.25 is 3.033 on the circle,
+    inside (3.0, 3.2), where both intervals would return the one source at
+    3.1.  One interval wider than 2 pi overlaps itself.  Intervals written a
+    turn apart, in any order, or touching stay valid."""
+    with pytest.raises(ValueError, match="overlap on the circle"):
+        KnownIntervals(intervals=((-3.25, -3.0), (3.0, 3.2)))
+    with pytest.raises(ValueError, match="overlap on the circle"):
+        KnownIntervals(intervals=((-3.0, 3.0), (3.1, 3.4)))  # 3.4 is -2.883
+    with pytest.raises(ValueError, match="wider than the circle"):
+        KnownIntervals(intervals=((-4.0, 4.0),))
+    for ivs in (
+        ((-0.34, 0.34), (6.66, 7.34)),
+        ((6.66, 7.34), (-0.34, 0.34)),
+        ((0.0, 0.5), (0.5, 0.9)),
+        ((-math.pi, math.pi),),
+        ((3.0, 3.5), (-2.7, -1.0)),  # 3.5 is -2.783
+    ):
+        assert KnownIntervals(intervals=ivs).intervals == ivs
+
+    # one source per interval, each found once, wherever the turn is written
+    fn = lambda th: np.cos(3.0 * np.asarray(th) - 1.5)
+    policy = KnownIntervals(intervals=((1.3, 1.8), (3.4, 3.9), (5.5, 6.0)))
+    np.testing.assert_allclose(find_doas(fn, 3, policy, 64), _COS3_DIPS, atol=1e-5)
+
+
 def test_search_window_wider_than_the_circle_is_refused():
     """Past 2 pi a window scans some angles twice, where one source shows up
     as two dips 2 pi apart; a window of exactly 2 pi is the circle."""
@@ -338,6 +377,79 @@ def test_intervals_around_arithmetic():
     np.testing.assert_allclose(lone.intervals[0], (0.5 - math.pi / 10, 0.5 + math.pi / 10), atol=1e-12)
     with pytest.raises(ValueError):
         intervals_around((), m=10)
+
+
+@given(
+    doas=st.lists(st.floats(-math.pi, math.pi, exclude_max=True), min_size=1, max_size=6, unique=True),
+    m=st.integers(2, 1024),
+)
+@example(doas=[math.pi - 0.05, -math.pi + 0.05], m=64)
+@example(doas=[-math.pi, 0.0], m=64)
+def test_intervals_around_distinct_doas_are_never_refused(doas, m):
+    """The intervals around distinct DoAs in [-pi, pi) are disjoint on the
+    circle, also across the seam.  DoAs closer than 1e-12 are left out: their
+    intervals' 5e-14 gap nears the rounding of 2 pi, and at one ulp apart
+    the intervals themselves round to points."""
+    assume(len(doas) == 1 or min_spacing(doas) > 1e-12)
+    assert len(intervals_around(doas, m).intervals) == len(doas)
+
+
+def _trig_poly(seed):
+    """A random trigonometric polynomial, evaluated one angle at a time, so a
+    value never depends on how many angles one call asks for."""
+    rng = np.random.default_rng(seed)
+    terms = list(zip(range(1, 7), rng.standard_normal(6), rng.uniform(0.0, 2.0 * math.pi, 6)))
+
+    def fn(theta):
+        return np.array([sum(c * math.cos(j * t + phi) for j, c, phi in terms) for t in theta])
+
+    return fn
+
+
+@given(
+    brackets=st.lists(st.tuples(st.floats(-4.0, 4.0), st.floats(-1.0, 5.0)), min_size=1, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(brackets=[(0.5, -1.0)], seed=0)
+@example(brackets=[(-3.0, 4.0), (0.5, -0.5), (1.0, 2.0)], seed=1)
+def test_lockstep_refine_equals_golden_section_per_dip(brackets, seed):
+    """_refine advances all searches together and returns, bit for bit, the
+    wrapped result of one scalar golden-section search per bracket.  Widths
+    xtol 10^e differ, so the searches take different step counts; e <= 0 is
+    a bracket within xtol, returned at once."""
+    xtol = 1e-4 * (2.0 * math.pi / 64)
+    brackets = [(a, a + xtol * 10.0**e) for a, e in brackets]
+    fn = _trig_poly(seed)
+    scalar = lambda t: float(fn(np.array([t]))[0])
+    want = wrap_angle([golden_min(scalar, a, b, xtol) for a, b in brackets])
+    got = _refine(fn, brackets, xtol)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_find_doas_refines_intervals_in_lockstep():
+    """With k = 3 intervals a plain callable sees its 3 grids, then one call
+    per golden-section step of the longest search, each on at most 3 angles,
+    not 3 separate searches of 2 + steps calls each."""
+    sizes = []
+
+    def fn(theta):
+        theta = np.asarray(theta)
+        sizes.append(theta.size)
+        return np.cos(3.0 * theta - 1.5)
+
+    m = 64
+    policy = KnownIntervals(intervals=((-2.9, -2.4), (-0.8, -0.3), (1.3, 1.8)))
+    np.testing.assert_allclose(find_doas(fn, 3, policy, m), _COS3_DIPS, atol=1e-5)
+    grids = [_grid(lo, hi, m, floor=MIN_INTERVAL_POINTS).size for lo, hi in policy.intervals]
+    assert sizes[:3] == grids
+    xtol = 1e-4 * (2.0 * math.pi / m)
+    h, steps = max(2.0 * (hi - lo) / (n - 1) for (lo, hi), n in zip(policy.intervals, grids)), 0
+    while h > xtol:
+        h *= (math.sqrt(5.0) - 1.0) / 2.0
+        steps += 1
+    refine = sizes[3:]
+    assert 0 < len(refine) <= 2 + steps
+    assert max(refine) <= 3
 
 
 def test_noiseless_recovery_both_estimators():
