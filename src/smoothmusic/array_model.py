@@ -55,12 +55,6 @@ def _check_count(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
-def _check_steering_dimension(m: int) -> None:
-    _check_integer("m", m)
-    if m < 1:
-        raise ValueError(f"steering dimension must be positive, got {m}")
-
-
 def _check_smoothing(m: int, l: int) -> None:
     if not 1 <= l < m:
         raise ValueError(f"smoothing factor must satisfy 1 <= l < m, got l={l}, m={m}")
@@ -80,10 +74,9 @@ class Smoothing:
     l: int
 
     def __post_init__(self) -> None:
-        for name in ("m", "n", "l"):
-            _check_integer(name, getattr(self, name))
-        if self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n}")
+        _check_integer("m", self.m)
+        _check_count("n", self.n, 1)
+        _check_integer("l", self.l)
         _check_smoothing(self.m, self.l)
 
     @property
@@ -145,9 +138,7 @@ class ArrayScenario(Smoothing):
             sigma2 = math.inf
         if not 0.0 < sigma2 < math.inf:
             raise ValueError(f"snr_db must give a positive finite sigma2, got {self.snr_db}")
-        _check_integer("seed", self.seed)
-        if self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
+        _check_count("seed", self.seed, 0)
 
     @property
     def k(self) -> int:
@@ -243,7 +234,7 @@ class SmoothedMatrix(Smoothing):
 def steering_matrix(m: int, doas) -> np.ndarray:
     """m x K matrix whose columns are steering vectors at the given angles."""
     doas = np.atleast_1d(np.asarray(doas, dtype=float))
-    _check_steering_dimension(m)
+    _check_count("m", m, 1)
     return np.exp(1j * np.outer(np.arange(m), doas)) / math.sqrt(m)
 
 
@@ -268,7 +259,7 @@ def min_spacing(doas) -> float:
 
 def steering_derivative(m: int, theta: float) -> np.ndarray:
     """Derivative of the steering vector a_m(theta) with respect to theta."""
-    _check_steering_dimension(m)
+    _check_count("m", m, 1)
     j = np.arange(m)
     return 1j * j * np.exp(1j * j * theta) / math.sqrt(m)
 

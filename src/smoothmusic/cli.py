@@ -21,20 +21,20 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
-import dataclasses
 import inspect
 import logging
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import montecarlo, verify
-from .array_model import ArrayScenario, SmoothedMatrix, synthesize_snapshots, wrap_angle
+from .array_model import ArrayScenario, SmoothedMatrix, _check_count, synthesize_snapshots, wrap_angle
 from .subspace import (
     Pseudospectrum,
     SearchWindow,
@@ -285,11 +285,13 @@ def _resolve_seed(config_seed: int, flag_seed: Optional[int]) -> int:
     return seed
 
 
-def _build_scenario(section: dict, seed: int) -> ArrayScenario:
+@contextlib.contextmanager
+def _invalid(section: str):
+    """The library's refusal of a value from [section], as a config error."""
     try:
-        return ArrayScenario(**section, seed=seed)
+        yield
     except ValueError as exc:
-        raise ConfigError(f"invalid [scenario]: {exc}") from exc
+        raise ConfigError(f"invalid [{section}]: {exc}") from exc
 
 
 def _used(fn, given: dict) -> dict:
@@ -336,17 +338,12 @@ def cmd_spectrum(cfg: dict, scenario: ArrayScenario):
     spec = dict(cfg["spectrum"])
     grid_points = spec.pop("grid_points")
     strict = {"strict": spec.pop("strict_separation")} if "strict_separation" in spec else {}
-    if grid_points < 2:
-        raise ConfigError(f"grid_points must be >= 2, got {grid_points}")
-    try:
+    with _invalid("spectrum"):
+        _check_count("grid_points", grid_points, 2)
         window = SearchWindow(**spec)
-    except ValueError as exc:
-        raise ConfigError(f"invalid [spectrum]: {exc}") from exc
-    try:
+    with _invalid("scenario"):
         # both spectra are the smoothed pair's, and the corrected one needs the most
         montecarlo._check_rank(scenario, ("gmusic-ss",))
-    except ValueError as exc:
-        raise ConfigError(f"invalid [scenario]: {exc}") from exc
     smoothed = SmoothedMatrix(snapshots=synthesize_snapshots(scenario), l=scenario.l)
     eig = sample_covariance_eig(smoothed, scenario.k)
     weights = gmusic_weights(eig, eig.noise_variance, eig.c_n, **strict)
@@ -379,13 +376,10 @@ def cmd_spectrum(cfg: dict, scenario: ArrayScenario):
 def cmd_montecarlo(cfg: dict, scenario: ArrayScenario):
     mc = dict(cfg["montecarlo"])
     run = {"workers": mc.pop("workers")} if "workers" in mc else {}
-    try:
-        plan = montecarlo.ExperimentPlan(scenario=scenario, **mc)
-    except ValueError as exc:
-        raise ConfigError(f"invalid [montecarlo]: {exc}") from exc
     workers = _used(montecarlo.run_plan, run)["workers"]
-    if workers < 0:
-        raise ConfigError(f"workers must be >= 0, got {workers}")
+    with _invalid("montecarlo"):
+        plan = montecarlo.ExperimentPlan(scenario=scenario, **mc)
+        _check_count("workers", workers, 0)
     log.info(
         "montecarlo: sweep %s over %d points, %d trials/point, workers=%d",
         plan.sweep,
@@ -424,31 +418,29 @@ def cmd_montecarlo(cfg: dict, scenario: ArrayScenario):
 def cmd_septable(cfg: dict, scenario: ArrayScenario):
     sp = cfg["septable"]
     draws = _used(montecarlo.table1, sp)["draws"]
-    if draws < 1:
-        raise ConfigError(f"draws must be >= 1, got {draws}")
-    for l in sp["l_values"]:
-        try:
-            dataclasses.replace(scenario, l=l)
-        except ValueError as exc:
-            raise ConfigError(f"invalid l value {l}: {exc}") from exc
+    with _invalid("septable"):
+        _check_count("draws", draws, 1)
+        for l in sp["l_values"]:
+            replace(scenario, l=l)
     log.info("septable: %d smoothing factors, %d draws each", len(sp["l_values"]), draws)
     rows = montecarlo.table1(scenario, **sp)
     header = ("L", "min_snr_db_median", "min_snr_db_iqr")
     return header, [(r.l, r.min_snr_db_median, r.min_snr_db_iqr) for r in rows]
 
 
-def cmd_verify(cfg: dict, flag_seed: Optional[int]):
-    vc = dict(cfg["verify"])
-    seed = _resolve_seed(vc.pop("seed"), flag_seed)
+def cmd_verify(cfg: dict, seed: int):
+    vc = cfg["verify"]
     trials = _used(verify.run_verification_suite, vc)["trials"]
-    try:
+    with _invalid("verify"):
         verify._check_suite(vc["m"], vc["n"], vc["l"], vc["sigma2"], trials)
-    except ValueError as exc:
-        raise ConfigError(f"invalid [verify]: {exc}") from exc
     log.info("verify: M=%d N=%d L=%d sigma2=%g, %d trials", vc["m"], vc["n"], vc["l"], vc["sigma2"], trials)
     rows = verify.run_verification_suite(**vc, seed=seed)
     header = ("check", "m", "n", "l", "statistic", "threshold", "pass")
     return header, [tuple(r) for r in rows]
+
+
+# the commands that run on the [scenario] section's ArrayScenario
+_SCENARIO_COMMANDS = {"spectrum": cmd_spectrum, "montecarlo": cmd_montecarlo, "septable": cmd_septable}
 
 
 # ---------------------------------------------------------------------------
@@ -507,17 +499,14 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, args.command)
         _configure_logging(cfg["output"]["verbosity"])
         cfg[args.command].update((key, v) for key, v in flags.items() if v is not None)
+        section = "verify" if args.command == "verify" else "scenario"
+        seed = _resolve_seed(cfg[section].pop("seed"), args.seed)
         if args.command == "verify":
-            header, rows = cmd_verify(cfg, args.seed)
+            header, rows = cmd_verify(cfg, seed)
         else:
-            seed = _resolve_seed(cfg["scenario"].pop("seed"), args.seed)
-            scenario = _build_scenario(cfg["scenario"], seed)
-            if args.command == "spectrum":
-                header, rows = cmd_spectrum(cfg, scenario)
-            elif args.command == "montecarlo":
-                header, rows = cmd_montecarlo(cfg, scenario)
-            else:
-                header, rows = cmd_septable(cfg, scenario)
+            with _invalid("scenario"):
+                scenario = ArrayScenario(**cfg["scenario"], seed=seed)
+            header, rows = _SCENARIO_COMMANDS[args.command](cfg, scenario)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

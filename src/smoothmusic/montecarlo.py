@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -44,7 +44,6 @@ __all__ = [
     "Table1Row",
     "consistency_sweep",
     "crb",
-    "point_scenario",
     "run_plan",
     "table1",
 ]
@@ -126,6 +125,7 @@ class ExperimentPlan:
         one realization fixed across the sweep.
     strict_separation : raise-and-count trials whose top eigenvalues are
         not separated from the bulk (G-MUSIC variants only).
+    scenarios : derived, one per value: the template with the swept field replaced.
     """
 
     scenario: ArrayScenario
@@ -137,6 +137,7 @@ class ExperimentPlan:
     include_failures: bool = False
     fresh_signal: bool = False
     strict_separation: bool = False
+    scenarios: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.sweep not in SWEEPS:
@@ -158,14 +159,12 @@ class ExperimentPlan:
             raise ValueError("MSE experiments need at least one source")
         if self.doa_mode not in DOA_MODES:
             raise ValueError(f"doa_mode must be one of {DOA_MODES}, got {self.doa_mode!r}")
-        for v in values:
-            # fail fast on invalid sweep points
-            _check_rank(point_scenario(self, v), estimators)
-
-
-def point_scenario(plan: ExperimentPlan, value) -> ArrayScenario:
-    """Scenario at one sweep point (the swept field replaced by value)."""
-    return replace(plan.scenario, **{plan.sweep: value})
+        scenarios = tuple(replace(self.scenario, **{self.sweep: v}) for v in values)
+        for sc in scenarios:  # fail fast on a point its trials could not run
+            _check_rank(sc, estimators)
+            if self.doa_mode == "intervals":
+                subspace.intervals_around(sc.doas, sc.m)
+        object.__setattr__(self, "scenarios", scenarios)
 
 
 class MseRow(NamedTuple):
@@ -297,18 +296,17 @@ def run_plan(plan: ExperimentPlan, workers: int = 1) -> list:
     fixed order.  Each point's CRB uses the source matrix of its trial 0.
     """
     shared = None if plan.fresh_signal else _drawn_signal(plan.scenario)
-    scens = [point_scenario(plan, v) for v in plan.values]
 
     def signal_of(p, t):
-        return _drawn_signal(scens[p], p, t) if plan.fresh_signal else shared
+        return _drawn_signal(plan.scenarios[p], p, t) if plan.fresh_signal else shared
 
     outcomes = _run_trials(
-        scens, signal_of, plan.trials, plan.estimators, plan.doa_mode,
+        plan.scenarios, signal_of, plan.trials, plan.estimators, plan.doa_mode,
         plan.strict_separation, workers,
     )
 
     rows = []
-    for p, (value, sc) in enumerate(zip(plan.values, scens)):
+    for p, (value, sc) in enumerate(zip(plan.values, plan.scenarios)):
         threshold = _failure_threshold(sc.doas, sc.m)
         crb_point = crb(sc, signal_of(p, 0))
         for est in plan.estimators:
@@ -443,6 +441,7 @@ def consistency_sweep(
         scens.append(ArrayScenario(m=m, n=n, l=l, doas=th, snr_db=snr_db, seed=seed))
     for sc in scens:
         _check_rank(sc, estimators)
+        subspace.intervals_around(sc.doas, sc.m)
     cs = np.array([sc.c_n for sc in scens])
     target = float(np.mean(cs))
     if np.max(np.abs(cs - target)) > 0.1 * target:

@@ -28,6 +28,7 @@ import numpy.fft  # numpy loads it lazily; import it here, not inside a command
 from .array_model import (
     ArrayScenario,
     SmoothedMatrix,
+    _check_count,
     complex_gaussian,
     min_spacing,
     steering_matrix,
@@ -128,18 +129,20 @@ class SearchWindow:
 
     A window with hi - lo = 2 pi (the default) is the whole circle: its grid
     is periodic, so a dip at the seam counts like any other.  A wider window
-    is refused.
+    is refused, and so is a bound that is not finite.
     """
 
     lo: float = -math.pi
     hi: float = math.pi
 
     def __post_init__(self):
-        if not self.hi > self.lo:
-            raise ValueError(f"empty search window [{self.lo}, {self.hi}]")
         if self.hi - self.lo > 2.0 * math.pi and not self.circle:
             # past 2 pi a source would be scanned, and found, twice
             raise ValueError(f"search window [{self.lo}, {self.hi}] is wider than the circle")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError(f"search window [{self.lo}, {self.hi}] is not finite")
+        if not self.hi > self.lo:
+            raise ValueError(f"empty search window [{self.lo}, {self.hi}]")
 
     @property
     def circle(self) -> bool:
@@ -183,8 +186,11 @@ def intervals_around(doas: Sequence[float], m: int) -> KnownIntervals:
     """Disjoint intervals centered on known DoAs.
 
     Half-width is INTERVAL_FRAC / 2 times the minimum source spacing on the
-    circle; a lone source gets half a beamwidth.
+    circle; a lone source gets half a beamwidth.  Finite DoAs too close for
+    the intervals to part in floating point (or one direction written
+    twice) are refused by name.
     """
+    _check_count("m", m, 1)
     doas = sorted(float(t) for t in doas)
     if not doas:
         raise ValueError("need at least one doa")
@@ -192,7 +198,17 @@ def intervals_around(doas: Sequence[float], m: int) -> KnownIntervals:
         half = math.pi / m
     else:
         half = 0.5 * INTERVAL_FRAC * min_spacing(doas)
-    return KnownIntervals(intervals=tuple((t - half, t + half) for t in doas))
+    try:
+        return KnownIntervals(intervals=tuple((t - half, t + half) for t in doas))
+    except ValueError:
+        if len(doas) == 1 or not all(map(math.isfinite, doas)):
+            raise
+    # name the closest pair on the circle; the last gap is the one across the seam
+    t = wrap_angle(doas)
+    order = np.argsort(t, kind="stable")
+    i = int(np.argmin(np.diff(t[order], append=t[order[0]] + 2.0 * math.pi)))
+    a, b = doas[order[i]], doas[order[(i + 1) % len(doas)]]
+    raise ValueError(f"doas {a!r} and {b!r} are too close to search apart")
 
 
 # Dense eigh against _lanczos_top for the top k eigenpairs of W W*/(N L),
@@ -560,8 +576,8 @@ def find_doas(spectrum_fn, k: int, policy, m: int):
     sub-window's or an interval's grid by chirp-z; refinement evaluates it
     directly.
     """
-    if k < 1:
-        raise ValueError(f"need at least one source, got k={k}")
+    _check_count("k", k, 1)
+    _check_count("m", m, 1)
     xtol = 1e-4 * (2.0 * math.pi / m)
 
     if isinstance(policy, SearchWindow):

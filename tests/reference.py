@@ -18,12 +18,12 @@ from typing import Callable
 
 import numpy as np
 
-from smoothmusic.array_model import ArrayScenario, _check_smoothing, _check_steering_dimension
+from smoothmusic.array_model import ArrayScenario, _check_count, _check_smoothing
 
 
 def steering_vector(m: int, theta: float) -> np.ndarray:
     """Unit-norm steering vector of an m-sensor ULA at electrical angle theta."""
-    _check_steering_dimension(m)
+    _check_count("m", m, 1)
     return np.exp(1j * np.arange(m) * theta) / math.sqrt(m)
 
 

@@ -52,6 +52,20 @@ trials = 3
 estimators = music-ss, gmusic-ss
 """
 
+SEPTABLE_INI = """\
+[scenario]
+m = 32
+n = 8
+l = 2
+doas = 0, 0.98
+snr_db = 10
+seed = 0
+
+[septable]
+l_values = 2, 4
+draws = 2
+"""
+
 
 def _spectrum_ini(m, n, l, doas, snr_db, seed, **spectrum):
     """A spectrum config; keyword arguments become [spectrum] keys."""
@@ -502,6 +516,36 @@ def test_spectrum_rejects_too_few_virtual_snapshots(tmp_path, capsys, n):
     code, out, err = _run(["spectrum", "--config", _write(tmp_path, ini)], capsys)
     assert code == 2 and out == ""
     assert "config error: invalid [scenario]" in err and "gmusic-ss needs N L >= 3" in err
+
+
+@pytest.mark.parametrize(
+    "command, ini, flags, message",
+    [
+        ("montecarlo", MONTECARLO_INI, ["--workers", "-1"], "workers must be >= 0, got -1"),
+        ("montecarlo", MONTECARLO_INI + "workers = -1\n", [], "workers must be >= 0, got -1"),
+        ("septable", SEPTABLE_INI.replace("draws = 2", "draws = 0"), [], "draws must be >= 1, got 0"),
+        ("septable", SEPTABLE_INI.replace("l_values = 2, 4", "l_values = 2, 64"), [], "l=64, m=32"),
+        ("spectrum", SPECTRUM_INI.replace("grid_points = 64", "grid_points = 1"), [], "grid_points"),
+        ("spectrum", SPECTRUM_INI + "lo = nan\n", [], "window [nan, 3.141592653589793] is not"),
+        (
+            "montecarlo",
+            MONTECARLO_INI.replace("doas = 0, 0.9817477", "doas = 1.0, 1.0000000000000002"),
+            [],
+            "doas 1.0 and 1.0000000000000002 are too close to search apart",
+        ),
+    ],
+    ids=["workers-flag", "workers-key", "draws", "l-values", "grid-points", "window-nan", "close-doas"],
+)
+def test_library_refusal_is_a_config_error(tmp_path, capsys, command, ini, flags, message):
+    """A value the library refuses exits 2 with the library's message under
+    invalid [<command>], before any CSV is written.  Two DoAs too close for
+    search intervals are a plan's refusal, so [montecarlo] too."""
+    out_dir = tmp_path / "out"
+    argv = [command, "--config", _write(tmp_path, ini), "--out", str(out_dir), *flags]
+    code, out, err = _run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"config error: invalid [{command}]: ") and message in err, err
+    assert not (out_dir / f"{command}.csv").exists()
 
 
 def test_flags_are_rejected_where_they_do_not_apply(tmp_path, capsys):

@@ -29,7 +29,6 @@ from smoothmusic.montecarlo import (
     _matched_errors,
     consistency_sweep,
     crb,
-    point_scenario,
     run_plan,
     table1,
 )
@@ -319,7 +318,7 @@ def test_run_plan_fresh_signal_crb_uses_trial_zero_draw(fresh):
         key = [sc.seed, 1, p, 0] if fresh else [sc.seed, 1]
         rng = np.random.default_rng(np.random.SeedSequence(key))
         signal = draw_signal_matrix(sc.k, sc.n, sc.signal_policy, rng)
-        want = crb(point_scenario(plan, value), signal=signal)
+        want = crb(dataclasses.replace(sc, l=value), signal=signal)
         assert [_row(rows, value, "music", j).crb for j in range(sc.k)] == want.tolist()
 
 
@@ -348,6 +347,12 @@ def test_plan_validation():
         ExperimentPlan(**{**good, "scenario": dataclasses.replace(sc, doas=())})
     with pytest.raises(ValueError, match="sequence of names"):  # not one name per letter
         ExperimentPlan(**{**good, "estimators": "music"})
+    # DoAs one ulp apart: search intervals around them round to points, which
+    # only the whole-circle search can do without
+    close = dataclasses.replace(sc, doas=(1.0, math.nextafter(1.0, 2.0)))
+    with pytest.raises(ValueError, match="^doas 1.0 and 1.0000000000000002 are too close"):
+        ExperimentPlan(**{**good, "scenario": close})
+    ExperimentPlan(**{**good, "scenario": close, "doa_mode": "window"})
     # estimator de-duplication preserves order
     plan = ExperimentPlan(**{**good, "estimators": ("gmusic-ss", "music", "gmusic-ss")})
     assert plan.estimators == ("gmusic-ss", "music")
@@ -383,15 +388,20 @@ def test_plan_rejects_estimators_short_of_virtual_snapshots():
         consistency_sweep(((16, 2, 4),), sc.doas, 20.0, ("gmusic",), trials=1, seed=0)
 
 
-def test_point_scenario_replaces_swept_field():
-    """Each sweep kind substitutes its own scenario field."""
+def test_plan_scenarios_replace_swept_field():
+    """Each sweep kind substitutes its own scenario field, one scenario per
+    value in order; the derived scenarios take no part in comparison."""
     sc = ArrayScenario(m=32, n=8, l=4, doas=WIDE, snr_db=0.0, seed=0)
     plan = ExperimentPlan(scenario=sc, sweep="snr_db", values=(7.5,), trials=1)
-    assert point_scenario(plan, 7.5).snr_db == 7.5
+    assert plan.scenarios == (dataclasses.replace(sc, snr_db=7.5),)
     plan = ExperimentPlan(scenario=sc, sweep="l", values=(2, 8), trials=1)
-    assert point_scenario(plan, 8).l == 8
+    assert [p.l for p in plan.scenarios] == [2, 8]
     plan = ExperimentPlan(scenario=sc, sweep="m", values=(64,), trials=1)
-    assert point_scenario(plan, 64).m == 64
+    assert plan.scenarios[0].m == 64 and plan.scenarios[0].l == 4
+    assert plan == ExperimentPlan(scenario=sc, sweep="m", values=(64,), trials=1)
+    assert "scenarios" not in repr(plan)
+    with pytest.raises(TypeError):
+        ExperimentPlan(scenario=sc, sweep="m", values=(64,), trials=1, scenarios=())
 
 
 def test_mse_ordering_smoothed_vs_plain_when_snapshots_scarce():
@@ -464,6 +474,8 @@ def test_consistency_sweep_sizing_policy_enforced():
     good = ((32, 10, 16), (64, 10, 32))
     with pytest.raises(ValueError, match="sizes must be nonempty"):
         consistency_sweep((), doas, 10.0, ("music-ss",), trials=2, seed=0)
+    with pytest.raises(ValueError, match="too close to search apart"):  # one ulp apart in beamwidths
+        consistency_sweep(good, (3.0, math.nextafter(3.0, 4.0)), 10.0, ("music-ss",), trials=2, seed=0)
     with pytest.raises(ValueError, match="at least one source"):
         consistency_sweep(good, (), 10.0, ("music-ss",), trials=2, seed=0)
     with pytest.raises(ValueError, match="estimator"):

@@ -11,6 +11,7 @@ bit, and interval policies are checked on the circle.
 """
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -362,6 +363,36 @@ def test_search_window_wider_than_the_circle_is_refused():
     assert SearchWindow(lo=-4.0, hi=-4.0 + 2 * math.pi).circle
 
 
+@pytest.mark.parametrize(
+    "lo, hi", [(math.nan, math.pi), (-math.pi, math.nan), (math.inf, math.inf), (-math.inf, -math.inf)]
+)
+def test_search_window_non_finite_bound_is_refused_by_name(lo, hi):
+    """A nan bound, or two infinite ones with no width between them, is named
+    as not finite rather than taken for an empty window.  A window that
+    reaches to infinity is wider than the circle."""
+    with pytest.raises(ValueError, match=r"^search window \[.*\] is not finite$"):
+        SearchWindow(lo=lo, hi=hi)
+    with pytest.raises(ValueError, match="wider than the circle"):
+        SearchWindow(lo=-math.inf, hi=0.0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: find_doas(np.cos, 1, SearchWindow(), 0), "m must be >= 1, got 0"),
+        (lambda: find_doas(np.cos, 1.5, SearchWindow(), 16), "k must be an integer, got 1.5"),
+        (lambda: intervals_around((1.0,), 0), "m must be >= 1, got 0"),
+        (lambda: intervals_around((1.0,), 2.5), "m must be an integer, got 2.5"),
+    ],
+    ids=["find_doas-m0", "find_doas-k1.5", "intervals_around-m0", "intervals_around-m2.5"],
+)
+def test_search_refuses_bad_counts(call, message):
+    """The search's source count k and array size m go through the one count
+    rule: refused by name, not a ZeroDivisionError or a slicing TypeError."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def test_intervals_around_arithmetic():
     """Half-width is 0.475 of the minimum spacing; lone sources get a half beam."""
     iv = intervals_around((0.0, 0.4), m=20)
@@ -377,21 +408,47 @@ def test_intervals_around_arithmetic():
     np.testing.assert_allclose(lone.intervals[0], (0.5 - math.pi / 10, 0.5 + math.pi / 10), atol=1e-12)
     with pytest.raises(ValueError):
         intervals_around((), m=10)
+    with pytest.raises(ValueError, match=r"^doas 1\.0 and 1\.0 are too close to search apart$"):
+        intervals_around((1.0, 1.0), m=64)
+    with pytest.raises(ValueError, match="doas 0.0 and 6.283185307179586 are too close"):
+        intervals_around((0.0, 2.0 * math.pi), m=64)  # one direction
 
 
 @given(
     doas=st.lists(st.floats(-math.pi, math.pi, exclude_max=True), min_size=1, max_size=6, unique=True),
     m=st.integers(2, 1024),
+    ulps=st.one_of(st.none(), st.integers(1, 8), st.integers(1, 10**5)),
 )
-@example(doas=[math.pi - 0.05, -math.pi + 0.05], m=64)
-@example(doas=[-math.pi, 0.0], m=64)
-def test_intervals_around_distinct_doas_are_never_refused(doas, m):
+@example(doas=[math.pi - 0.05, -math.pi + 0.05], m=64, ulps=None)
+@example(doas=[-math.pi, 0.0], m=64, ulps=None)
+@example(doas=[1.0], m=64, ulps=1)
+@example(doas=[math.nextafter(math.pi, 0.0), 0.0], m=64, ulps=1)  # the neighbour is -pi
+def test_intervals_around_distinct_doas_are_never_refused(doas, m, ulps):
     """The intervals around distinct DoAs in [-pi, pi) are disjoint on the
-    circle, also across the seam.  DoAs closer than 1e-12 are left out: their
-    intervals' 5e-14 gap nears the rounding of 2 pi, and at one ulp apart
-    the intervals themselves round to points."""
-    assume(len(doas) == 1 or min_spacing(doas) > 1e-12)
-    assert len(intervals_around(doas, m).intervals) == len(doas)
+    circle, also across the seam.  ulps adds a neighbour that many ulps past
+    the first DoA, wrapped.  DoAs 1e-12 or more apart are never refused.
+    Closer ones may be: their intervals' gap nears the rounding of 2 pi, and
+    at one ulp apart the intervals themselves round to points.  Then the
+    refusal names the closest pair."""
+    if ulps is not None:
+        doas = doas + [float(wrap_angle(doas[0] + ulps * math.ulp(doas[0])))]
+        assume(len(set(doas)) == len(doas))
+    if len(doas) == 1 or min_spacing(doas) > 1e-12:
+        assert len(intervals_around(doas, m).intervals) == len(doas)
+        return
+    try:
+        ivs = intervals_around(doas, m).intervals
+    except ValueError as exc:
+        named = re.fullmatch(r"doas (\S+) and (\S+) are too close to search apart", str(exc))
+        assert named, exc
+        pair = [float(t) for t in named.groups()]
+        assert set(pair) <= set(doas) and min_spacing(pair) == min_spacing(doas)
+        return
+    # nonempty, and in the order of the sorted DoAs each ends before the
+    # next starts, the last before the first one turn later
+    assert all(b > a for a, b in ivs)
+    assert all(b <= a for (_, b), (a, _) in zip(ivs, ivs[1:]))
+    assert ivs[-1][1] - ivs[0][0] <= 2.0 * math.pi
 
 
 def _trig_poly(seed):
