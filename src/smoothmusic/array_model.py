@@ -45,7 +45,8 @@ SIGNAL_POLICIES = ("random-gaussian-normalized", "identity-covariance")
 
 
 def _check_integer(name: str, value) -> None:
-    if not isinstance(value, (int, np.integer)):
+    # bool subclasses int, but True is no count
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
@@ -56,6 +57,7 @@ def _check_count(name: str, value, least: int) -> None:
 
 
 def _check_smoothing(m: int, l: int) -> None:
+    _check_integer("l", l)
     if not 1 <= l < m:
         raise ValueError(f"smoothing factor must satisfy 1 <= l < m, got l={l}, m={m}")
 
@@ -76,7 +78,6 @@ class Smoothing:
     def __post_init__(self) -> None:
         _check_integer("m", self.m)
         _check_count("n", self.n, 1)
-        _check_integer("l", self.l)
         _check_smoothing(self.m, self.l)
 
     @property

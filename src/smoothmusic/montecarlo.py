@@ -380,10 +380,10 @@ def table1(scenario: ArrayScenario, l_values: Sequence[int], draws: int = 100) -
     reported.
     """
     _check_count("draws", draws, 1)
+    scenarios = [replace(scenario, l=l) for l in l_values]
     signals = [_drawn_signal(scenario, scenario.k, scenario.n, d) for d in range(draws)]
     rows = []
-    for l in l_values:
-        sc = replace(scenario, l=l)
+    for l, sc in zip(l_values, scenarios):
         vals = np.array([subspace.separation_report(sc, s).min_snr_db for s in signals])
         q1, q3 = np.percentile(vals, [25.0, 75.0])
         rows.append(Table1Row(l, float(np.median(vals)), float(q3 - q1)))

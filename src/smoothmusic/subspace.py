@@ -213,24 +213,28 @@ def intervals_around(doas: Sequence[float], m: int) -> KnownIntervals:
 
 # Dense eigh against _lanczos_top for the top k eigenpairs of W W*/(N L),
 # N L = 2 U, ms, one BLAS thread, 2-CPU VM.  Each cell is eigh / Lanczos
-# with k sources at 10 dB each / Lanczos on noise alone; * marks a search
-# that ran out of steps and then ran eigh too:
+# with k sources at 10 dB each / Lanczos on noise alone / Lanczos with k
+# planted spikes at 0.5 to 0.9 of the threshold sigma2 sqrt(c_N); * marks a
+# search that handed over to eigh, which then ran too:
 #
-#      U   k = 2               k = 4               k = 8
-#     65   1.12 / 0.74 / 2.36*  1.10 / 2.63* / 2.77*  1.28 / 2.49* / 2.76*
-#     97   2.18 / 0.97 / 4.68*  2.47 / 1.67 / 5.53*   2.20 / 1.42 / 4.82*
-#    145   7.19 / 1.38 / 12.7*  6.95 / 2.20 / 13.0*   5.84 / 10.5* / 10.5*
-#    289   29.2 / 1.68 / 15.8   30.4 / 2.01 / 14.9    27.7 / 3.80 / 47.7*
+#    U  k = 2                        k = 4                        k = 8
+#   65  1.00 / 1.04 / 2.19* / 2.11*  1.04 / 1.42 / 2.07* / 1.55*  0.77 / 1.51* / 1.52* / 1.90*
+#   97  2.22 / 0.96 / 3.78* / 4.13*  2.28 / 1.38 / 3.50* / 3.62*  2.26 / 1.69 / 4.02* / 3.95*
+#  145  6.03 / 1.33 / 7.48 / 7.39    5.92 / 1.70 / 8.80* / 9.01*  6.08 / 2.08 / 9.12* / 8.90*
+#  289  33.2 / 2.19 / 16.9 / 17.0    34.1 / 3.08 / 21.1 / 19.9    33.8 / 3.90 / 27.1 / 24.4
 #
-# Steps grow as the top eigenvalues near the noise bulk or each other: 10 to
-# 26 for two sources at 10 to 30 dB, 50 to 120 for noise alone.  By U / 3
-# steps a search has cost about 3/4 of an eigh, so it stops there and eigh
-# runs.  Below U ~ 96 Lanczos saves under 0.4 ms even with strong sources;
-# past k ~ U / 24 sources it runs out of steps at 10 dB.
+# Steps grow as the top eigenvalues near the noise bulk or each other: 9 to
+# 32 for sources at 10 to 31 dB, 50 to 110 on noise alone or below the
+# threshold, where one spike at U = 145 takes 49 to 65.  A search costs one
+# eigh by about U / 2.4 steps at every U here.  The budget of U / 2 steps
+# is what that one spike needs: a search that will not converge in it hands
+# over from U / 4 steps on (_lanczos_top), at 1.5 to 1.8 eigh from U = 97.
+# Below U ~ 96 Lanczos saves nothing even with 10 dB sources; up to
+# k = U / 24 sources converge within 32 steps.
 EPS = np.finfo(float).eps
 LANCZOS_MIN_DIM = 96
 LANCZOS_DIM_PER_PAIR = 24
-LANCZOS_DIM_PER_STEP = 3
+LANCZOS_DIM_PER_STEP = 2
 
 
 def _lanczos_top(cov: np.ndarray, k: int):
@@ -243,7 +247,11 @@ def _lanczos_top(cov: np.ndarray, k: int):
     step.  A Ritz pair (theta, Q s) of step j has residual norm
     beta_j |s_j|; all k must be within machine precision of the largest
     Ritz value.  Each check is an eigh of the tridiagonal matrix, so it
-    runs every 4th step.
+    runs every 4th step.  From half the budget on, a check also gives up
+    when the largest residual, falling at its rate since the last check,
+    would still miss machine precision at the last step: a search that
+    has stalled in the noise bulk then costs little more than the eigh
+    that follows it.
     """
     u = cov.shape[0]
     steps = u // LANCZOS_DIM_PER_STEP
@@ -253,6 +261,7 @@ def _lanczos_top(cov: np.ndarray, k: int):
     # a generic start vector: all ones is orthogonal to every a(2 pi j / U), j != 0
     q = complex_gaussian(np.random.default_rng(0), u)
     q /= np.linalg.norm(q)
+    last = math.inf  # the largest residual at the previous check
     for j in range(steps):
         basis[:, j] = q
         span = basis[:, : j + 1]
@@ -266,12 +275,39 @@ def _lanczos_top(cov: np.ndarray, k: int):
         if j + 1 >= k and (invariant or (j + 1 - k) % 4 == 0):
             tri = np.diag(alpha[: j + 1]) + np.diag(beta[:j], 1) + np.diag(beta[:j], -1)
             theta, s = np.linalg.eigh(tri)
-            if np.all(beta[j] * np.abs(s[-1, -k:]) <= EPS * theta[-1]):
+            resid = float(np.max(beta[j] * np.abs(s[-1, -k:])))
+            if resid <= EPS * theta[-1]:
                 return theta[: -k - 1 : -1], span @ s[:, : -k - 1 : -1]
+            fall = min(resid / last, 1.0) ** ((steps - j - 1) / 4)
+            if 2 * (j + 1) >= steps and resid * fall > EPS * theta[-1]:
+                return None
+            last = resid
         if invariant:
             return None
         q = z / beta[j]
     return None
+
+
+def _top_eigenpairs(cov: np.ndarray, k: int, rank: int):
+    """The one top-k eigen search: the top k eigenpairs of the Hermitian
+    part of cov, a PSD matrix of rank at most ``rank``, as (eigenvalues
+    descending, U x k row-major eigenvectors, rest), where rest holds the
+    other U - k eigenvalues, descending, when a dense eigh found them, and
+    is None when Lanczos did.
+
+    Lanczos runs when 0 < k < rank, U >= LANCZOS_MIN_DIM and
+    U >= LANCZOS_DIM_PER_PAIR k; a dense eigh runs otherwise, and when
+    Lanczos hands over unconverged.
+    """
+    cov = 0.5 * (cov + cov.conj().T)
+    u = cov.shape[0]
+    if 0 < k < rank and u >= LANCZOS_MIN_DIM and u >= LANCZOS_DIM_PER_PAIR * k:
+        top = _lanczos_top(cov, k)
+        if top is not None:
+            return top + (None,)
+    vals, vecs = np.linalg.eigh(cov)
+    # eigh is ascending; take a row-major copy, not a reversed view
+    return vals[: -k - 1 : -1], np.ascontiguousarray(vecs[:, : -k - 1 : -1]), vals[-k - 1 :: -1]
 
 
 def sample_covariance_eig(smoothed: SmoothedMatrix, k: int) -> EigenSystem:
@@ -288,13 +324,14 @@ def sample_covariance_eig(smoothed: SmoothedMatrix, k: int) -> EigenSystem:
       (N L (U - k)) (:meth:`SmoothedMatrix.residual`).  That equals
       (tr R - sum of the top k) / (U - k) but is a sum of squares, so it
       stays positive where the trace difference cancels to rounding level.
-      If Lanczos does not converge within its step budget, the dense
-      branch runs instead.
+      If Lanczos hands over unconverged (out of steps, or stalled in the
+      noise bulk), the dense branch runs instead.
     * otherwise a dense eigh of the whole matrix.  With k >= N L the range
       holds no noise eigenvalue, and its rounding-level null eigenvalues
       are what the noise mean then averages.
 
-    The last two read W W* from Y Y* (:meth:`SmoothedMatrix.gram`), never W.
+    The last two are :func:`_top_eigenpairs` on W W* / (N L), read from
+    Y Y* (:meth:`SmoothedMatrix.gram`), never from W.
     """
     if not np.all(np.isfinite(smoothed.snapshots)):  # W holds every entry of Y
         raise ValueError("smoothed matrix contains non-finite entries")
@@ -311,20 +348,12 @@ def sample_covariance_eig(smoothed: SmoothedMatrix, k: int) -> EigenSystem:
         vals = np.zeros(u)
         vals[:nl] = sing**2 / nl
         return top_k(vals, vecs, np.mean(vals[k:]))
-    cov = smoothed.gram() / nl
-    cov = 0.5 * (cov + cov.conj().T)
-    top = None
-    if 0 < k < nl and u >= LANCZOS_MIN_DIM and u >= LANCZOS_DIM_PER_PAIR * k:
-        top = _lanczos_top(cov, k)
-    if top is not None:
-        vals, vecs = top
-        resid = smoothed.residual(vecs)
-        return top_k(np.clip(vals, 0.0, None), vecs, resid / (nl * (u - k)))
-    vals, vecs = np.linalg.eigh(cov)
-    # eigh is ascending, and can return tiny negative values for a PSD input
-    vals = np.clip(vals[::-1], 0.0, None)
-    # row-major, like the other branches' eigenvectors, not a reversed view
-    return top_k(vals, np.ascontiguousarray(vecs[:, : -k - 1 : -1]), np.mean(vals[k:]))
+    vals, vecs, rest = _top_eigenpairs(smoothed.gram() / nl, k, nl)
+    # eigh can return tiny negative values for a PSD input
+    vals = np.clip(vals, 0.0, None)
+    if rest is None:
+        return top_k(vals, vecs, smoothed.residual(vecs) / (nl * (u - k)))
+    return top_k(vals, vecs, np.mean(np.clip(rest, 0.0, None)))
 
 
 def _signal_projections(eig: EigenSystem, theta) -> np.ndarray:

@@ -28,6 +28,7 @@ from .rmt import (
     spike_forward,
     w_star,
 )
+from .subspace import _top_eigenpairs
 
 __all__ = [
     "EsdReport",
@@ -218,6 +219,13 @@ def spike_experiment(
     "hankel" uses the normalized block-Hankel ensemble; "iid" uses an iid
     complex Gaussian matrix of matching entry variance, which the theory
     predicts to be statistically indistinguishable.
+
+    Neither X nor Z = W / sqrt(N L) is built: with B = U Lam^1/2 V*, X X*
+    is Z Z* + C U* + U C* + U Lam U* for C = Z V Lam^1/2, where W W* and W V come
+    from the raw noise block (:class:`SmoothedMatrix`; the iid block is a
+    U x N L one with l = 1).  Only its top k eigenpairs are computed
+    (``subspace._top_eigenpairs``, the search that the trials' eigensystem
+    uses).
     """
     lams = np.sort(_positive_finite(planted_lambdas, "planted eigenvalues"))[::-1].copy()
     if lams.size == 0:
@@ -239,23 +247,17 @@ def spike_experiment(
     detached = np.array([pr.detached for pr in preds], dtype=bool)
     h = np.array([h_star(r, p) if d else math.nan for r, d in zip(rho, detached)])
 
+    noise_shape = g if noise == "hankel" else Smoothing(m=u_dim, n=v_dim, l=1)
     lambda_hat = np.empty((trials, k))
     projections = np.empty((trials, k))
     for t in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence([seed, _TAG_SPIKE, t]))
         u = haar_columns(u_dim, k, rng)
         vt = haar_columns(v_dim, k, rng)
-        b = (u * np.sqrt(lams)) @ vt.conj().T
-        if noise == "hankel":
-            noise_part = SmoothedMatrix(snapshots=_noise_block(g, sigma2, rng), l=l)
-            zmat = noise_part.entries / math.sqrt(v_dim)
-        else:
-            zmat = complex_gaussian(rng, (u_dim, v_dim), math.sqrt(sigma2)) / math.sqrt(v_dim)
-        x = b + zmat
-        cov = x @ x.conj().T
-        vals, vecs = np.linalg.eigh(0.5 * (cov + cov.conj().T))
-        lambda_hat[t] = vals[::-1][:k]
-        top = vecs[:, ::-1][:, :k]
+        w = SmoothedMatrix(snapshots=_noise_block(noise_shape, sigma2, rng), l=noise_shape.l)
+        uc = u @ (w.matvec(vt) * np.sqrt(lams / v_dim)).conj().T  # U C*
+        cov = w.gram() / v_dim + uc + uc.conj().T + (u * lams) @ u.conj().T
+        lambda_hat[t], top, _ = _top_eigenpairs(cov, k, v_dim)
         projections[t] = np.abs(np.sum(u.conj() * top, axis=0)) ** 2
     return SpikeExperiment(
         planted=lams,

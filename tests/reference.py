@@ -11,6 +11,11 @@ against this independent construction.
 ``golden_min`` is the scalar golden-section search that the package's
 lockstep refinement (``subspace._refine``) must reproduce bit for bit, one
 call of f per angle.
+
+``spike_dense`` is the planted-spike trial built the direct way: the noise
+matrix Z as entries, X = B + Z, and a full eigh of X X*.  The package forms
+X X* from Z's Gram and products and reads only the top pairs
+(``verify.spike_experiment``); the tests hold it against this.
 """
 
 import math
@@ -18,7 +23,16 @@ from typing import Callable
 
 import numpy as np
 
-from smoothmusic.array_model import ArrayScenario, _check_count, _check_smoothing
+from smoothmusic import verify
+from smoothmusic.array_model import (
+    ArrayScenario,
+    Smoothing,
+    _check_count,
+    _check_smoothing,
+    block_hankel,
+    complex_gaussian,
+    haar_columns,
+)
 
 
 def steering_vector(m: int, theta: float) -> np.ndarray:
@@ -88,3 +102,32 @@ def golden_min(f: Callable[[float], float], a: float, b: float, xtol: float) -> 
             x2 = a + invphi * h
             f2 = f(x2)
     return 0.5 * (a + b)
+
+
+def spike_dense(
+    m: int, n: int, l: int, sigma2: float, planted, trials: int, seed: int, noise: str
+):
+    """lambda_hat and projections of verify.spike_experiment's trials, from
+    its draws (u, v, then the noise block) through X = B + W / sqrt(N L) and
+    eigh(X X*), W the block-Hankel matrix of the M x N noise block (noise
+    "hankel") or a U x N L iid draw (noise "iid")."""
+    g = Smoothing(m=m, n=n, l=l)
+    u_dim, v_dim = g.subarray_size, g.virtual_snapshots
+    lams = np.sort(np.asarray(planted, dtype=float))[::-1]
+    k = lams.size
+    lambda_hat = np.empty((trials, k))
+    projections = np.empty((trials, k))
+    for t in range(trials):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, verify._TAG_SPIKE, t]))
+        u = haar_columns(u_dim, k, rng)
+        vt = haar_columns(v_dim, k, rng)
+        b = (u * np.sqrt(lams)) @ vt.conj().T
+        if noise == "hankel":
+            w = block_hankel(complex_gaussian(rng, (m, n), math.sqrt(sigma2)), l)
+        else:
+            w = complex_gaussian(rng, (u_dim, v_dim), math.sqrt(sigma2))
+        x = b + w / math.sqrt(v_dim)
+        vals, vecs = np.linalg.eigh(x @ x.conj().T)
+        lambda_hat[t] = vals[::-1][:k]
+        projections[t] = np.abs(np.sum(u.conj() * vecs[:, ::-1][:, :k], axis=0)) ** 2
+    return lambda_hat, projections

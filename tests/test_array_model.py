@@ -113,6 +113,9 @@ def test_block_hankel_degenerate_and_errors():
     for bad_l in (0, 6, 7, -1):
         with pytest.raises(ValueError):
             block_hankel(y, bad_l)
+    # Smoothing's integer rule, not numpy's TypeError from the window view
+    with pytest.raises(ValueError, match="^l must be an integer, got 2.5"):
+        block_hankel(np.ones((4, 2)), 2.5)
     with pytest.raises(ValueError):
         block_hankel(np.zeros((2, 2, 2)), 1)
 
@@ -287,11 +290,16 @@ def test_scenario_validation_and_properties():
     with pytest.raises(ValueError):
         ArrayScenario(**{**base, "seed": -1})
     # sizes and seeds are integers, checked rather than truncated
-    for name, value in (("m", 16.5), ("n", 8.0), ("l", 2.5), ("seed", 1.5)):
+    for name, value in (("m", 16.5), ("n", 8.0), ("l", 2.5), ("seed", 1.5), ("seed", False)):
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             ArrayScenario(**{**base, name: value})
     with pytest.raises(ValueError, match="^m must be an integer"):
         Smoothing(m=16.5, n=10, l=2)
+    # bool subclasses int, but would read as a count of 1
+    with pytest.raises(ValueError, match="^n must be an integer, got True"):
+        Smoothing(m=4, n=True, l=True)
+    with pytest.raises(ValueError, match="^l must be an integer, got True"):
+        Smoothing(m=4, n=1, l=True)
     numpy_ints = ArrayScenario(**{**base, "m": np.int64(16), "l": np.int32(4), "seed": np.uint8(1)})
     assert numpy_ints.subarray_size == 13
     with pytest.raises(ValueError):

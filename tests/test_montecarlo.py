@@ -158,6 +158,7 @@ def _plan(sc, trials):
     "name, call",
     [
         ("trials", lambda sc: _plan(sc, 2.5)),
+        ("trials", lambda sc: _plan(sc, True)),  # bool subclasses int
         ("workers", lambda sc: run_plan(_plan(sc, 1), workers=1.5)),
         ("draws", lambda sc: table1(sc, (2,), draws=2.5)),
         ("trials", lambda sc: consistency_sweep(((32, 8, 4),), WIDE, 0.0, ("music",), 2.5, 0)),
@@ -165,7 +166,10 @@ def _plan(sc, trials):
         ("trials", lambda sc: verify.esd_vs_mp(32, 8, 4, 1.0, trials=2.5, seed=0)),
         ("trials", lambda sc: verify.spike_experiment(32, 8, 4, 1.0, (5.0,), trials=2.5, seed=0)),
     ],
-    ids=["plan", "run_plan", "table1", "consistency_sweep", "suite", "esd_vs_mp", "spike_experiment"],
+    ids=[
+        "plan", "plan-bool", "run_plan", "table1", "consistency_sweep", "suite", "esd_vs_mp",
+        "spike_experiment",
+    ],
 )
 def test_fractional_counts_are_refused_by_name(name, call):
     """A trial, draw or worker count must be an integer: 2.5 is refused
@@ -454,6 +458,15 @@ def test_table1_structure_and_determinism():
         table1(sc, (2, 4), draws=0)
     with pytest.raises(ValueError, match="l must be an integer"):
         table1(sc, (2.5,), draws=6)
+
+
+def test_table1_refuses_a_bad_l_before_any_report(monkeypatch):
+    """Every smoothing factor is checked before the first draw's report, so
+    a bad last l is refused at once, not after the others' rows."""
+    monkeypatch.setattr(subspace, "separation_report", lambda *a: pytest.fail("report ran"))
+    sc = ArrayScenario(m=16, n=8, l=2, doas=(0.0, 1.0), snr_db=0.0)
+    with pytest.raises(ValueError, match="got l=16, m=16"):
+        table1(sc, (2, 16), draws=2000)
 
 
 def test_consistency_sweep_sizing_policy_enforced():

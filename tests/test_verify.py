@@ -12,7 +12,7 @@ import re
 import numpy as np
 import pytest
 
-from smoothmusic import verify
+from smoothmusic import subspace, verify
 from smoothmusic.array_model import Smoothing, block_hankel, complex_gaussian
 from smoothmusic.rmt import DomainError, MpParams, mp_cdf, mp_stieltjes, mp_stieltjes_tilde, phi_star
 from smoothmusic.verify import (
@@ -22,6 +22,8 @@ from smoothmusic.verify import (
     run_verification_suite,
     spike_experiment,
 )
+
+from reference import spike_dense
 
 
 def test_esd_report_structure_and_ks():
@@ -102,6 +104,41 @@ def test_spike_experiment_iid_control():
     assert float(np.median(rel)) < 0.05
     perr = np.abs(iid.projections[:, 0] - iid.h[0])
     assert float(np.median(perr)) < 0.05
+
+
+@pytest.mark.parametrize("noise", ["hankel", "iid"])
+@pytest.mark.parametrize("scale", [4.0, 0.5], ids=["detached", "sub-threshold"])
+@pytest.mark.parametrize(
+    "m, n, l, trials",
+    [(40, 10, 4, 6), (160, 20, 16, 4)],
+    ids=["dense", "lanczos"],  # U = 37 and 145, on either side of LANCZOS_MIN_DIM
+)
+def test_spike_experiment_matches_dense_eigh(m, n, l, trials, scale, noise):
+    """The top eigenpairs of X X*, formed from Z's Gram and products, equal
+    those of a full eigh of the X built from Z's entries."""
+    g = Smoothing(m=m, n=n, l=l)
+    lam = scale * MpParams(1.0, g.c_n).spike_threshold
+    got = spike_experiment(m, n, l, 1.0, (lam,), trials=trials, seed=3, noise=noise)
+    lambda_hat, projections = spike_dense(m, n, l, 1.0, (lam,), trials, 3, noise)
+    np.testing.assert_allclose(got.lambda_hat, lambda_hat, rtol=1e-10)
+    np.testing.assert_allclose(got.projections, projections, rtol=0, atol=1e-10)
+
+
+def test_sub_threshold_spike_converges_without_dense_fallback(monkeypatch):
+    """At (160, 20, 16), seed 0, the edge-sticking experiment's top-k search
+    converges in every trial: no trial falls back to a full eigh."""
+    lanczos_top = subspace._lanczos_top
+    found = []
+
+    def spy(cov, k):
+        top = lanczos_top(cov, k)
+        found.append(top is not None)
+        return top
+
+    monkeypatch.setattr(subspace, "_lanczos_top", spy)
+    lam = 0.5 * MpParams(1.0, 145 / 320).spike_threshold
+    spike_experiment(160, 20, 16, 1.0, (lam,), trials=12, seed=0)
+    assert found == [True] * 12
 
 
 def test_spike_experiment_multiple_ordered_spikes():
@@ -236,12 +273,15 @@ def test_quadratic_form_check_refuses_non_finite_z(z):
 
 @pytest.mark.usefixtures("forbid_block_hankel")
 def test_verify_gram_paths_never_build_the_smoothed_matrix():
-    """quadratic_form_check's Z Z*, Z a~ and Z b~, and esd_vs_mp's Z Z*, come
-    from the raw noise block: block_hankel, the U x N L copy, is never
-    called."""
+    """quadratic_form_check's Z Z*, Z a~ and Z b~, esd_vs_mp's Z Z*, and
+    spike_experiment's Z Z* and Z V, for both noise kinds, come from the raw
+    noise block: block_hankel, the U x N L copy, is never called."""
     p = MpParams(1.0, Smoothing(m=160, n=20, l=16).c_n)
     assert all(r >= 0 for r in quadratic_form_check(160, 20, 16, 1.0, 1.5 * p.edge_plus, seed=0))
     esd_vs_mp(40, 10, 4, 1.0, trials=2, seed=0)
+    lam = 2.0 * p.spike_threshold
+    for noise in ("hankel", "iid"):
+        spike_experiment(160, 20, 16, 1.0, (lam,), trials=2, seed=0, noise=noise)
 
 
 def test_run_verification_suite_refuses_fewer_than_two_trials(monkeypatch):
