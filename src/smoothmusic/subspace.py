@@ -293,7 +293,7 @@ def _top_eigenpairs(cov: np.ndarray, k: int, rank: int):
     part of cov, a PSD matrix of rank at most ``rank``, as (eigenvalues
     descending, U x k row-major eigenvectors, rest), where rest holds the
     other U - k eigenvalues, descending, when a dense eigh found them, and
-    is None when Lanczos did.
+    is None when Lanczos did.  Eigenvalues are clipped at 0.
 
     Lanczos runs when 0 < k < rank, U >= LANCZOS_MIN_DIM and
     U >= LANCZOS_DIM_PER_PAIR k; a dense eigh runs otherwise, and when
@@ -304,10 +304,12 @@ def _top_eigenpairs(cov: np.ndarray, k: int, rank: int):
     if 0 < k < rank and u >= LANCZOS_MIN_DIM and u >= LANCZOS_DIM_PER_PAIR * k:
         top = _lanczos_top(cov, k)
         if top is not None:
-            return top + (None,)
+            return np.clip(top[0], 0.0, None), top[1], None
     vals, vecs = np.linalg.eigh(cov)
-    # eigh is ascending; take a row-major copy, not a reversed view
-    return vals[: -k - 1 : -1], np.ascontiguousarray(vecs[:, : -k - 1 : -1]), vals[-k - 1 :: -1]
+    # eigh is ascending, and can return tiny negative values for a PSD input
+    vals = np.clip(vals[::-1], 0.0, None)
+    # row-major, like Lanczos' eigenvectors, not a reversed view
+    return vals[:k], np.ascontiguousarray(vecs[:, : -k - 1 : -1]), vals[k:]
 
 
 def sample_covariance_eig(smoothed: SmoothedMatrix, k: int) -> EigenSystem:
@@ -349,11 +351,9 @@ def sample_covariance_eig(smoothed: SmoothedMatrix, k: int) -> EigenSystem:
         vals[:nl] = sing**2 / nl
         return top_k(vals, vecs, np.mean(vals[k:]))
     vals, vecs, rest = _top_eigenpairs(smoothed.gram() / nl, k, nl)
-    # eigh can return tiny negative values for a PSD input
-    vals = np.clip(vals, 0.0, None)
     if rest is None:
         return top_k(vals, vecs, smoothed.residual(vecs) / (nl * (u - k)))
-    return top_k(vals, vecs, np.mean(np.clip(rest, 0.0, None)))
+    return top_k(vals, vecs, np.mean(rest))
 
 
 def _signal_projections(eig: EigenSystem, theta) -> np.ndarray:
