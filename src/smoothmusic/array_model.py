@@ -166,6 +166,10 @@ class SmoothedMatrix(Smoothing):
     The block-Hankel matrix W is not stored: ``entries`` builds it on each
     read, while ``gram``, ``matvec`` and ``residual`` work on the row slices
     Y_t = Y[t : t + U], t < l, whose columns are W's, grouped by t.
+    A T x M x N stack of T trials' snapshots is smoothed alike: m and n are
+    its last two axes, ``entries`` stacks the trials' W, and ``trials()``
+    gives each trial's own matrix, on which ``gram``, ``matvec`` and
+    ``residual`` work.
     Instances compare and hash by identity: arrays have no one truth value,
     and the inherited (m, n, l) comparison would call any two of one shape equal."""
 
@@ -178,16 +182,27 @@ class SmoothedMatrix(Smoothing):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "snapshots", np.asarray(self.snapshots))
-        if self.snapshots.ndim != 2:
-            raise ValueError(f"snapshots must be 2-d, got shape {self.snapshots.shape}")
-        object.__setattr__(self, "m", self.snapshots.shape[0])
-        object.__setattr__(self, "n", self.snapshots.shape[1])
+        if self.snapshots.ndim not in (2, 3):
+            raise ValueError(
+                f"snapshots must be 2-d, or 3-d for a stack of trials, got shape {self.snapshots.shape}"
+            )
+        object.__setattr__(self, "m", self.snapshots.shape[-2])
+        object.__setattr__(self, "n", self.snapshots.shape[-1])
         super().__post_init__()
 
     @property
     def entries(self) -> np.ndarray:
-        """W = block_hankel(snapshots, l), built anew on every read."""
-        return block_hankel(self.snapshots, self.l)
+        """W = block_hankel(snapshots, l), built anew on every read; a
+        stack's W, trial by trial."""
+        if self.snapshots.ndim == 2:
+            return block_hankel(self.snapshots, self.l)
+        return np.stack([one.entries for one in self.trials()])
+
+    def trials(self) -> list:
+        """Each trial's own SmoothedMatrix: one per row of a stack, or self."""
+        if self.snapshots.ndim == 2:
+            return [self]
+        return [SmoothedMatrix(snapshots=y, l=self.l) for y in self.snapshots]
 
     def gram(self) -> np.ndarray:
         """W W* = sum_t Y_t Y_t* (forward spatial smoothing), without W.

@@ -28,7 +28,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -420,8 +420,7 @@ def cmd_septable(cfg: dict, scenario: ArrayScenario):
     draws = _used(montecarlo.table1, sp)["draws"]
     with _invalid("septable"):
         _check_count("draws", draws, 1)
-        for l in sp["l_values"]:
-            replace(scenario, l=l)
+        montecarlo._table1_scenarios(scenario, sp["l_values"])
     log.info("septable: %d smoothing factors, %d draws each", len(sp["l_values"]), draws)
     rows = montecarlo.table1(scenario, **sp)
     header = ("L", "min_snr_db_median", "min_snr_db_iqr")

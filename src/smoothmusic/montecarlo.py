@@ -6,19 +6,27 @@ output is a table of per-source mean squared errors with explicit failure
 accounting, plus the conditional (deterministic-signal) Cramer-Rao bound as
 a reference curve.
 
+A sweep point's trials run in blocks: one stack of snapshots per block,
+smoothed, decomposed and searched as one (see :mod:`smoothmusic.subspace`),
+and each block returns an outcome per trial and estimator: ok,
+under-resolved, not separated or wild.  The process pool takes blocks as
+its tasks.
+
 Determinism contract: every random quantity is derived from the master seed
 through named numpy SeedSequence streams keyed by (purpose, sweep point,
-trial), so a plan produces bitwise-identical tables no matter how trials
-are scheduled across worker processes.
+trial), and every layer treats each row of a stack alike, so a plan
+produces bitwise-identical tables no matter how trials are cut into blocks
+or scheduled across worker processes.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 import numpy.ma  # np.percentile loads it lazily; import it here, not inside a command
@@ -48,6 +56,8 @@ __all__ = [
     "table1",
 ]
 
+log = logging.getLogger(__name__)
+
 
 class Estimator(NamedTuple):
     """What fixes an estimator: whether it reads the smoothed covariance at
@@ -70,6 +80,40 @@ DOA_MODES = ("intervals", "window")
 # seed-stream tags: 1 = signal draws, 2 = per-trial noise
 _STREAM_SIGNAL = 1
 _STREAM_NOISE = 2
+
+# what became of one estimator in one trial: an estimate within the failure
+# threshold, fewer minima than sources (window search only), a top
+# eigenvalue in the bulk (strict_separation only), or an estimate past the
+# threshold
+OK, UNDER_RESOLVED, NOT_SEPARATED, WILD = "ok", "under-resolved", "not-separated", "wild"
+CAUSES = (OK, UNDER_RESOLVED, NOT_SEPARATED, WILD)
+
+
+class Outcome(NamedTuple):
+    """One estimator in one trial: its cause, and its signed errors, None
+    when it gave no estimate (under-resolved or not separated)."""
+
+    cause: str
+    errors: Optional[np.ndarray]
+
+
+# Trials per block B.  A block shares the fixed cost of each numpy call
+# among its trials, most of all in the search's ~15 steps per spectrum, but
+# holds B snapshot arrays and, on the thin-SVD branch, B singular-vector
+# matrices.  At the mc-intervals plan ((160, 20, 16), three estimators),
+# one BLAS thread, 2-CPU VM, the median ms per trial in process and the
+# peak RSS of the CLI command (47.0 MB with one trial at a time before
+# blocks):
+#
+#   B                    1      2      4      8      16     40
+#   ms, intervals mode   4.73   3.76   2.86   2.43   2.40   2.05
+#   ms, window mode      5.54   3.84   3.25   2.72   2.62   2.73
+#   peak RSS, MB         46.9   47.2   47.3   47.8   48.3   51.7
+#
+# Past 8 a trial saves little more time and costs ~0.1 MB of peak RSS.
+BLOCK_TRIALS = 8
+# blocks per worker that a pool's cut aims at, so that workers finish together
+BLOCKS_PER_WORKER = 4
 
 
 def _smoothing_factor(estimator: str, l: int) -> int:
@@ -224,66 +268,90 @@ def _drawn_signal(scenario: ArrayScenario, *key) -> np.ndarray:
     return draw_signal_matrix(scenario.k, scenario.n, scenario.signal_policy, rng)
 
 
-def _run_trial(task) -> dict:
-    """One noise realization: estimate DoAs with every requested estimator.
+def _run_block(task) -> list:
+    """Trials first, first + 1, ... of one sweep point, one per source
+    matrix in signals, run as one stack: their noise draws, one stack of
+    eigensystems per smoothing factor, and per estimator one stack of
+    weights and one search (subspace.find_doas).
 
-    Module-level so process pools can pickle it.  Returns
-    {estimator: signed errors, or None when the estimator failed}.
+    Module-level so process pools can pickle it.  Returns one
+    {estimator: Outcome} per trial.  Each trial draws its noise from its own
+    stream and every layer treats the rows of a stack alike, so a trial's
+    outcome does not depend on the block it runs in.
     """
-    scenario, signal, point, trial, estimators, doa_mode, strict = task
+    scenario, signals, point, first, policy, estimators, strict = task
     m, k = scenario.m, scenario.k
-    rng = np.random.default_rng(
-        np.random.SeedSequence([scenario.seed, _STREAM_NOISE, point, trial])
-    )
-    y = observe(scenario, signal, rng)
-
-    if doa_mode == "intervals":
-        policy = subspace.intervals_around(scenario.doas, m)
-    else:
-        policy = subspace.SearchWindow()
-
+    y = np.stack([
+        observe(scenario, signal, np.random.default_rng(
+            np.random.SeedSequence([scenario.seed, _STREAM_NOISE, point, first + i])
+        ))
+        for i, signal in enumerate(signals)
+    ])
     eigs = {}
     for lval in sorted({_smoothing_factor(e, scenario.l) for e in estimators}):
         eigs[lval] = subspace.sample_covariance_eig(SmoothedMatrix(snapshots=y, l=lval), k)
+    threshold = _failure_threshold(scenario.doas, m)
 
-    out = {}
+    out = [{} for _ in signals]
     for est in estimators:
         eig = eigs[_smoothing_factor(est, scenario.l)]
-        try:
-            weights = None
-            if ESTIMATORS[est].corrected:
-                weights = subspace.gmusic_weights(eig, eig.noise_variance, eig.c_n, strict)
-            theta_hat = subspace.find_doas(subspace.Pseudospectrum(eig, weights), k, policy, m)
-        except (subspace.UnderResolvedError, subspace.NotSeparatedError):
-            out[est] = None
-            continue
-        out[est] = _matched_errors(theta_hat, scenario.doas)
+        causes = [OK] * len(signals)
+        weights = None
+        if ESTIMATORS[est].corrected:
+            weights = np.ones((len(signals), k))  # a row that does not separate is not read
+            for t in range(len(signals)):
+                row = eig.row(t)
+                try:
+                    weights[t] = subspace.gmusic_weights(row, row.noise_variance, row.c_n, strict)
+                except subspace.NotSeparatedError:
+                    causes[t] = NOT_SEPARATED
+        doas = subspace.find_doas(subspace.Pseudospectrum(eig, weights), k, policy, m)
+        for t, cause in enumerate(causes):
+            if cause == OK and np.isnan(doas[t, 0]):
+                cause = UNDER_RESOLVED
+            if cause != OK:
+                out[t][est] = Outcome(cause, None)
+                continue
+            errors = _matched_errors(doas[t], scenario.doas)
+            out[t][est] = Outcome(WILD if np.max(np.abs(errors)) > threshold else OK, errors)
     return out
 
 
 def _run_trials(
     scens, signal_of, trials: int, estimators, doa_mode: str, strict: bool, workers: int
 ) -> list:
-    """outcomes[p][t] of :func:`_run_trial` for each scenario p and trial t.
+    """outcomes[p][t], {estimator: Outcome}, for each scenario p and trial t.
 
-    signal_of(p, t) gives the trial's source matrix.  workers = 0 uses one
-    process per CPU; a pool returns results in task order, like the serial
-    loop, so the outcomes never depend on the worker count.
+    signal_of(p, t) gives the trial's source matrix.  A point's trials run
+    in blocks of at most BLOCK_TRIALS (:func:`_run_block`), on the point's
+    search policy, built once.  workers = 0 uses one process per CPU; a pool
+    runs the blocks, cut so that each worker gets several, and returns them
+    in task order, like the serial loop.  So the outcomes never depend on
+    the worker count.
     """
     _check_count("workers", workers, 0)
-    tasks = [
-        (sc, signal_of(p, t), p, t, estimators, doa_mode, strict)
-        for p, sc in enumerate(scens)
-        for t in range(trials)
-    ]
     if workers == 0:
         workers = os.cpu_count() or 1
+    parts = -(-trials // BLOCK_TRIALS)
+    if workers > 1:
+        parts = max(parts, -(-BLOCKS_PER_WORKER * workers // len(scens)))
+    parts = min(parts, trials)
+    cuts = [trials * i // parts for i in range(parts + 1)]
+    tasks = []
+    for p, sc in enumerate(scens):
+        if doa_mode == "intervals":
+            policy = subspace.intervals_around(sc.doas, sc.m)
+        else:
+            policy = subspace.SearchWindow()
+        for lo, hi in zip(cuts, cuts[1:]):
+            signals = [signal_of(p, t) for t in range(lo, hi)]
+            tasks.append((sc, signals, p, lo, policy, estimators, strict))
     if workers == 1 or len(tasks) <= 1:
-        flat = [_run_trial(task) for task in tasks]
+        blocks = [_run_block(task) for task in tasks]
     else:
-        chunk = max(1, len(tasks) // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            flat = list(pool.map(_run_trial, tasks, chunksize=chunk))
+            blocks = list(pool.map(_run_block, tasks))
+    flat = [outcome for block in blocks for outcome in block]
     return [flat[p * trials : (p + 1) * trials] for p in range(len(scens))]
 
 
@@ -307,23 +375,21 @@ def run_plan(plan: ExperimentPlan, workers: int = 1) -> list:
 
     rows = []
     for p, (value, sc) in enumerate(zip(plan.values, plan.scenarios)):
-        threshold = _failure_threshold(sc.doas, sc.m)
         crb_point = crb(sc, signal_of(p, 0))
         for est in plan.estimators:
             sums = np.zeros(sc.k)
             used = 0
-            failures = 0
+            causes = [out[est].cause for out in outcomes[p]]
             for out in outcomes[p]:
-                errs = out[est]
-                if errs is None:
-                    failures += 1
-                    continue
-                if np.max(np.abs(errs)) > threshold:
-                    failures += 1
-                    if not plan.include_failures:
-                        continue
-                sums += errs**2
-                used += 1
+                cause, errs = out[est]
+                if cause == OK or (cause == WILD and plan.include_failures):
+                    sums += errs**2
+                    used += 1
+            failures = len(causes) - causes.count(OK)
+            log.debug(
+                "montecarlo: %s %s %s: %s", plan.sweep, value, est,
+                ", ".join(f"{cause} {causes.count(cause)}" for cause in CAUSES),
+            )
             mse = sums / used if used else np.full(sc.k, np.nan)
             for j in range(sc.k):
                 rows.append(
@@ -371,16 +437,33 @@ class Table1Row(NamedTuple):
     min_snr_db_iqr: float
 
 
+def _table1_scenarios(scenario: ArrayScenario, l_values: Sequence[int]) -> list:
+    """The scenario at each smoothing factor of a separation table.
+
+    An l with k > N l is refused by name: P o C, of rank at most N l, then
+    leaves the K-th signal eigenvalue 0 in every draw, and the minimum
+    separation SNR infinite.
+    """
+    scenarios = [replace(scenario, l=l) for l in l_values]
+    for sc in scenarios:
+        if sc.k > sc.virtual_snapshots:
+            raise ValueError(
+                f"l={sc.l} leaves N l = {sc.virtual_snapshots} < k = {sc.k}: the signal "
+                "covariance has fewer than k nonzero eigenvalues in every draw"
+            )
+    return scenarios
+
+
 def table1(scenario: ArrayScenario, l_values: Sequence[int], draws: int = 100) -> list:
     """Minimum separation SNR per smoothing factor, summarized over draws.
 
     For each l the scenario's source matrix is redrawn ``draws`` times (the
     same draws across all l, so the column effect is isolated) and the
     median and interquartile range of separation_report.min_snr_db are
-    reported.
+    reported.  Every l is checked before the first draw.
     """
     _check_count("draws", draws, 1)
-    scenarios = [replace(scenario, l=l) for l in l_values]
+    scenarios = _table1_scenarios(scenario, l_values)
     signals = [_drawn_signal(scenario, scenario.k, scenario.n, d) for d in range(draws)]
     rows = []
     for l, sc in zip(l_values, scenarios):
@@ -461,7 +544,7 @@ def consistency_sweep(
             pooled = []
             failures = 0
             for out in outcomes[p]:
-                errs = out[est]
+                errs = out[est].errors
                 if errs is None:
                     failures += 1
                     continue

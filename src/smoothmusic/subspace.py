@@ -6,14 +6,18 @@ random-matrix-corrected estimator (G-MUSIC SS) that reweights the top sample
 eigenvectors by the inverse spike attenuation 1/h(lambda_hat).  DoAs are the
 deepest minima of the modulus of the pseudo-spectrum.
 
-A :class:`Pseudospectrum` fixes one spectrum from an eigensystem and its
-weights.  On a whole-circle search window it is evaluated by FFT: on the
-grid theta_j = lo + 2 pi j / P every projection u_k* a(theta_j) is one
-zero-padded length-P DFT of the eigenvector, so a P-point scan costs k FFTs
-instead of a U x P steering matrix.  Any other uniform grid (a sub-window,
-a per-source interval) is one chirp-z transform per eigenvector.  Refinement
-advances the golden-section searches of all dips in lockstep, one direct
-evaluation of all their angles per step.
+Every layer here takes one trial or a stack of T trials, and one trial is
+the stack of one.  :func:`sample_covariance_eig` of a stack of snapshots
+gives a stack of eigensystems, a :class:`Pseudospectrum` of that stack holds
+T x U x k eigenvectors and T x k weights, and :func:`find_doas` searches all
+T spectra at once.  On a whole-circle search window a spectrum is evaluated
+by FFT: on the grid theta_j = lo + 2 pi j / P every projection u_k* a(theta_j)
+is one zero-padded length-P DFT of the eigenvector, so a P-point scan costs
+k FFTs instead of a U x P steering matrix.  Any other uniform grid (a
+sub-window, a per-source interval) is one chirp-z transform per eigenvector.
+The transforms of a stack run along one axis.  Refinement is one
+golden-section search written over arrays: the dips of every trial of the
+stack advance together, one direct evaluation of all their angles per step.
 """
 
 from __future__ import annotations
@@ -86,8 +90,10 @@ class EigenSystem:
 
     eigenvalues are the top k, descending and nonnegative; eigenvectors is
     U x k with column i matching eigenvalues[i]; noise_variance is the mean
-    of the other U - k eigenvalues, the plug-in sigma2.  k, the source
-    count, and dim, the covariance's size U, follow from the arrays.
+    of the other U - k eigenvalues, the plug-in sigma2.  A stack of T
+    trials' eigensystems holds T x k eigenvalues, T x U x k eigenvectors
+    and T noise variances; row(t) is trial t's.  k, the source count, and
+    dim, the covariance's size U, follow from the arrays.
     """
 
     eigenvalues: np.ndarray
@@ -97,11 +103,17 @@ class EigenSystem:
 
     @property
     def k(self) -> int:
-        return self.eigenvalues.shape[0]
+        return self.eigenvalues.shape[-1]
 
     @property
     def dim(self) -> int:
-        return self.eigenvectors.shape[0]
+        return self.eigenvectors.shape[-2]
+
+    def row(self, t: int) -> "EigenSystem":
+        """Trial t's eigensystem of a stack."""
+        return EigenSystem(
+            self.eigenvalues[t], self.eigenvectors[t], self.c_n, float(self.noise_variance[t])
+        )
 
 
 @dataclass(frozen=True)
@@ -318,7 +330,8 @@ def sample_covariance_eig(smoothed: SmoothedMatrix, k: int) -> EigenSystem:
 
     * k < N L < U: a thin SVD W = V S Z* gives the N L range eigenpairs
       (s^2 / (N L), V) at a fraction of the cost of a U x U eigensolve; the
-      U - N L null eigenvalues are exact zeros.  Only this branch builds W.
+      U - N L null eigenvalues are exact zeros.  Only this branch builds W,
+      and only for l > 1: at l = 1, W is Y.
     * 0 < k < N L, U >= LANCZOS_MIN_DIM and U >= LANCZOS_DIM_PER_PAIR k:
       Lanczos computes only the top k eigenpairs U_k (from a fixed start
       vector, so a result never depends on the process), and the noise
@@ -334,6 +347,12 @@ def sample_covariance_eig(smoothed: SmoothedMatrix, k: int) -> EigenSystem:
 
     The last two are :func:`_top_eigenpairs` on W W* / (N L), read from
     Y Y* (:meth:`SmoothedMatrix.gram`), never from W.
+
+    A stack of T trials' snapshots gives the stack of their eigensystems
+    (:meth:`EigenSystem.row` is one trial's), all from one branch: the thin
+    SVD is one stacked call, while the Gram, Lanczos and the residual run
+    trial by trial (a stack of T U x U Grams measured slower, and its
+    memory grows with T).  One trial is the stack of one.
     """
     if not np.all(np.isfinite(smoothed.snapshots)):  # W holds every entry of Y
         raise ValueError("smoothed matrix contains non-finite entries")
@@ -342,18 +361,22 @@ def sample_covariance_eig(smoothed: SmoothedMatrix, k: int) -> EigenSystem:
         raise ValueError(f"need 0 <= k < subarray size {u}, got k={k}")
     nl = smoothed.virtual_snapshots
 
-    def top_k(vals, vecs, noise_variance):
-        return EigenSystem(vals[:k], vecs[:, :k], smoothed.c_n, float(noise_variance))
-
     if k < nl < u:
-        vecs, sing, _ = np.linalg.svd(smoothed.entries, full_matrices=False)
-        vals = np.zeros(u)
-        vals[:nl] = sing**2 / nl
-        return top_k(vals, vecs, np.mean(vals[k:]))
-    vals, vecs, rest = _top_eigenpairs(smoothed.gram() / nl, k, nl)
-    if rest is None:
-        return top_k(vals, vecs, smoothed.residual(vecs) / (nl * (u - k)))
-    return top_k(vals, vecs, np.mean(rest))
+        # at l = 1, W is Y, which the SVD reads without a copy
+        w = smoothed.snapshots if smoothed.l == 1 else smoothed.entries
+        vecs, sing, _ = np.linalg.svd(w.reshape(-1, u, nl), full_matrices=False)
+        vals = np.zeros((sing.shape[0], u))
+        vals[:, :nl] = sing**2 / nl
+        eig = EigenSystem(vals[:, :k], vecs[..., :k], smoothed.c_n, np.mean(vals[:, k:], axis=-1))
+    else:
+        tops = []
+        for one in smoothed.trials():
+            vals, vecs, rest = _top_eigenpairs(one.gram() / nl, k, nl)
+            noise = one.residual(vecs) / (nl * (u - k)) if rest is None else np.mean(rest)
+            tops.append((vals, vecs, noise))
+        vals, vecs, noise = zip(*tops)
+        eig = EigenSystem(np.array(vals), np.array(vecs), smoothed.c_n, np.array(noise))
+    return eig if smoothed.snapshots.ndim == 3 else eig.row(0)
 
 
 def _signal_projections(eig: EigenSystem, theta) -> np.ndarray:
@@ -365,21 +388,22 @@ def _signal_projections(eig: EigenSystem, theta) -> np.ndarray:
 
 
 def _circle_projections(eig: EigenSystem, lo: float, p: int) -> np.ndarray:
-    """|u_i^* a(lo + 2 pi j / p)|^2 for j = 0..p-1, shape (k, p), by FFT.
+    """|u_i^* a(lo + 2 pi j / p)|^2 for j = 0..p-1, shape (..., k, p), by FFT.
 
     u^* a(theta_j) = conj(sum_n u_n e^{-i n lo} e^{-2 pi i n j / p}) / sqrt(U),
     a length-p DFT of u_n e^{-i n lo}.  Terms with n >= p fold onto n mod p,
     so any p is exact, not only p >= U.
     """
-    dim = eig.dim
+    dim, k = eig.dim, eig.k
     x = eig.eigenvectors * np.exp(-1j * lo * np.arange(dim))[:, None]
     if dim > p:
-        x = np.pad(x, ((0, -dim % p), (0, 0))).reshape(-1, p, eig.k).sum(axis=0)
-    return np.abs(np.fft.fft(x, n=p, axis=0).T) ** 2 / dim
+        pad = [(0, 0)] * (x.ndim - 2) + [(0, -dim % p), (0, 0)]
+        x = np.pad(x, pad).reshape(*x.shape[:-2], -1, p, k).sum(axis=-3)
+    return np.abs(np.swapaxes(np.fft.fft(x, n=p, axis=-2), -1, -2)) ** 2 / dim
 
 
 def _grid_projections(eig: EigenSystem, lo: float, step: float, p: int) -> np.ndarray:
-    """|u_i^* a(lo + j step)|^2 for j = 0..p-1, shape (k, p), by chirp-z.
+    """|u_i^* a(lo + j step)|^2 for j = 0..p-1, shape (..., k, p), by chirp-z.
 
     With n j = (n^2 + j^2 - (j - n)^2) / 2, u^* a(theta_j) is
     e^{i step j^2 / 2} / sqrt(U) times sum_n y_n c_{j-n}, where
@@ -396,15 +420,16 @@ def _grid_projections(eig: EigenSystem, lo: float, step: float, p: int) -> np.nd
     kernel[nfft - dim + 1 :] = chirp[dim - 1 : 0 : -1]  # t = -(dim - 1) .. -1
     n = t[:dim]
     y = eig.eigenvectors.conj() * (np.exp(1j * lo * n) / chirp[:dim])[:, None]
-    conv = np.fft.ifft(np.fft.fft(y, n=nfft, axis=0) * np.fft.fft(kernel)[:, None], axis=0)
-    return np.abs(conv[:p].T) ** 2 / dim
+    conv = np.fft.ifft(np.fft.fft(y, n=nfft, axis=-2) * np.fft.fft(kernel)[:, None], axis=-2)
+    return np.abs(np.swapaxes(conv[..., :p, :], -1, -2)) ** 2 / dim
 
 
 def _spectrum_values(proj2: np.ndarray, weights: Optional[np.ndarray]) -> np.ndarray:
-    """1 - sum_k w_k proj2_k; weights None is the traditional form, clipped to [0, 1]."""
+    """1 - sum_k w_k proj2_k over the k axis of proj2, shape (..., k, g);
+    weights None is the traditional form, clipped to [0, 1]."""
     if weights is None:
-        return np.clip(1.0 - np.sum(proj2, axis=0), 0.0, 1.0)
-    return 1.0 - np.einsum("k,k...->...", weights, proj2)
+        return np.clip(1.0 - np.sum(proj2, axis=-2), 0.0, 1.0)
+    return 1.0 - np.einsum("...k,...kg->...g", weights, proj2)
 
 
 def traditional_pseudospectrum(eig: EigenSystem, theta):
@@ -458,13 +483,16 @@ def gmusic_pseudospectrum(
 
 @dataclass(frozen=True)
 class Pseudospectrum:
-    """One pseudo-spectrum of a trial, fixed by its eigensystem and weights.
+    """The pseudo-spectrum of one trial, or of each trial of a stack, fixed
+    by its eigensystem and weights.
 
     weights None is the traditional (MUSIC) spectrum; otherwise the G-MUSIC
     spectrum with those spike weights, computed once, e.g. by
-    :func:`gmusic_weights`.  Calling it evaluates angles directly;
-    :meth:`on_circle` evaluates a uniform grid around the whole circle by FFT,
-    and :meth:`on_grid` any other uniform grid by chirp-z.
+    :func:`gmusic_weights`, and shaped like the eigenvalues: k, or T x k
+    for a stack.  Calling it evaluates one trial's spectrum at angles
+    directly; :meth:`on_circle` evaluates a uniform grid around the whole
+    circle by FFT, and :meth:`on_grid` any other uniform grid by chirp-z,
+    one row per trial of a stack.
     """
 
     eig: EigenSystem
@@ -483,31 +511,19 @@ class Pseudospectrum:
         """Values at lo + j step, j = 0..p-1."""
         return _spectrum_values(_grid_projections(self.eig, lo, step, p), self.weights)
 
+    def by_row(self, rows: np.ndarray):
+        """The function that maps D angles to the spectrum of trial rows[d]
+        at angle d, for refinement: the stack is indexed once, here.  Each
+        value is one trial's k projections, by matmul, whatever D is."""
+        dim, k = self.eig.dim, self.eig.k
+        vh = np.swapaxes(self.eig.eigenvectors.reshape(-1, dim, k)[rows].conj(), -1, -2).copy()
+        w = None if self.weights is None else np.reshape(self.weights, (-1, k))[rows]
 
-def _golden_min(a: float, b: float, xtol: float):
-    """Golden-section minimum on [a, b] to absolute x tolerance, as a
-    generator: it yields each angle to evaluate, is sent the value there,
-    and returns the midpoint of the last bracket."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    invphi2 = invphi * invphi
-    h = b - a
-    if h <= xtol:
-        return 0.5 * (a + b)
-    x1 = a + invphi2 * h
-    x2 = a + invphi * h
-    f1 = yield x1
-    f2 = yield x2
-    while h > xtol:
-        h *= invphi
-        if f1 < f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = a + invphi2 * h
-            f1 = yield x1
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * h
-            f2 = yield x2
-    return 0.5 * (a + b)
+        def values(theta):
+            proj = vh @ steering_matrix(dim, theta).T[:, :, None]  # (D, k, 1)
+            return _spectrum_values(np.abs(proj) ** 2, w)[:, 0]
+
+        return values
 
 
 def _grid(lo: float, hi: float, m: int, floor: int = 0) -> np.ndarray:
@@ -517,64 +533,89 @@ def _grid(lo: float, hi: float, m: int, floor: int = 0) -> np.ndarray:
 
 
 def _scan(spectrum_fn, grid: np.ndarray, circle: bool) -> np.ndarray:
-    """spectrum_fn on a _grid; a circle grid's last point repeats its first
-    and is left out.  A Pseudospectrum scans by FFT or chirp-z."""
+    """spectrum_fn on a _grid, one row per trial; a circle grid's last point
+    repeats its first and is left out.  A Pseudospectrum scans by FFT or
+    chirp-z; any other callable is one trial."""
     if not isinstance(spectrum_fn, Pseudospectrum):
-        return np.asarray(spectrum_fn(grid[:-1] if circle else grid))
-    if circle:
-        return spectrum_fn.on_circle(grid[0], grid.size - 1)
-    return spectrum_fn.on_grid(grid[0], (grid[-1] - grid[0]) / (grid.size - 1), grid.size)
+        vals = spectrum_fn(grid[:-1] if circle else grid)
+    elif circle:
+        vals = spectrum_fn.on_circle(grid[0], grid.size - 1)
+    else:
+        vals = spectrum_fn.on_grid(grid[0], (grid[-1] - grid[0]) / (grid.size - 1), grid.size)
+    return np.atleast_2d(vals)
 
 
-def _deepest_minima(vals: np.ndarray, k: int, periodic: bool = False) -> np.ndarray:
-    """Indices of the (at most) k deepest strict local minima, deepest first.
+def _deepest_minima(vals: np.ndarray, k: int, periodic: bool = False):
+    """The (at most) k deepest strict local minima of each row of vals,
+    deepest first, as a rows x k index array, and how many each row has.
 
-    periodic treats vals as samples around a circle, so the first and the
-    last point are neighbours; otherwise the end points never count.
+    periodic treats each row as samples around a circle, so the first and
+    the last point are neighbours; otherwise the end points never count.
+    Equal depths keep their grid order.
     """
     if periodic:
-        idx = np.flatnonzero((vals < np.roll(vals, 1)) & (vals < np.roll(vals, -1)))
+        is_min = (vals < np.roll(vals, 1, axis=-1)) & (vals < np.roll(vals, -1, axis=-1))
     else:
-        idx = np.flatnonzero((vals[1:-1] < vals[:-2]) & (vals[1:-1] < vals[2:])) + 1
-    return idx[np.argsort(vals[idx], kind="stable")][:k]
+        is_min = np.zeros(vals.shape, dtype=bool)
+        is_min[:, 1:-1] = (vals[:, 1:-1] < vals[:, :-2]) & (vals[:, 1:-1] < vals[:, 2:])
+    row, col = np.nonzero(is_min)
+    order = np.lexsort((vals[row, col], row))  # by row, then depth; stable
+    row, col = row[order], col[order]
+    rank = np.arange(row.size) - np.searchsorted(row, row)  # depth order within the row
+    keep = rank < k
+    picked = np.zeros((vals.shape[0], k), dtype=np.intp)
+    picked[row[keep], rank[keep]] = col[keep]
+    return picked, np.bincount(row, minlength=vals.shape[0])
 
 
-def _bracket(grid: np.ndarray, i: int, periodic: bool) -> tuple:
-    """The grid neighbours of point i.  On a periodic grid (grid[-1] is
-    grid[0] + 2 pi) the left neighbour of point 0 lies one step below it;
-    otherwise the bracket is clamped to the grid ends."""
+def _bracket(grid: np.ndarray, i: np.ndarray, periodic: bool) -> tuple:
+    """The grid neighbours of the points i, an index array.  On a periodic
+    grid (grid[-1] is grid[0] + 2 pi) the left neighbour of point 0 lies one
+    step below it; otherwise the bracket is clamped to the grid ends."""
     if periodic:
-        a = grid[i - 1] if i else 2.0 * grid[0] - grid[1]
+        a = np.where(i > 0, grid[i - 1], 2.0 * grid[0] - grid[1])
     else:
-        a = grid[max(i - 1, 0)]
-    return a, grid[min(i + 1, grid.size - 1)]
+        a = grid[np.maximum(i - 1, 0)]
+    return a, grid[np.minimum(i + 1, grid.size - 1)]
 
 
-def _refine(spectrum_fn, brackets, xtol: float) -> np.ndarray:
-    """Golden-section minimum of spectrum_fn in each (a, b) bracket, wrapped
-    onto [-pi, pi), as a bracket may reach past +-pi.
+def _refine(values, lo: np.ndarray, hi: np.ndarray, xtol: float) -> np.ndarray:
+    """Golden-section minimum of values in each bracket [lo_d, hi_d] to
+    absolute x tolerance, wrapped onto [-pi, pi), as a bracket may reach
+    past +-pi.
 
-    The searches advance together: each step is one spectrum_fn call on the
-    next angle of every search still running.
+    One search per bracket, written over arrays: it takes the scalar
+    search's float64 steps and f1 < f2 comparisons, element by element, and
+    returns the midpoint of each last bracket.  The searches advance
+    together: each step is one values call on an array of one angle per
+    search.  A search that has finished, or whose bracket is within xtol
+    from the start, gets an angle of its bracket too, whose value is not
+    read.
     """
-    searches = [_golden_min(a, b, xtol) for a, b in brackets]
-    out = np.empty(len(searches))
-    pending = {}  # search index -> its next angle
-    for i, search in enumerate(searches):
-        try:
-            pending[i] = next(search)
-        except StopIteration as done:
-            out[i] = done.value
-    while pending:
-        vals = spectrum_fn(np.array(list(pending.values())))
-        angles = {}
-        for i, val in zip(pending, vals):
-            try:
-                angles[i] = searches[i].send(float(val))
-            except StopIteration as done:
-                out[i] = done.value
-        pending = angles
-    return wrap_angle(out)
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    invphi2 = invphi * invphi
+    a = np.array(lo, dtype=float)
+    b = np.array(hi, dtype=float)
+    h = b - a
+    if np.any(h > xtol):
+        x1 = a + invphi2 * h
+        x2 = a + invphi * h
+        f1 = values(x1)
+        f2 = values(x2)
+        while np.any(live := h > xtol):
+            h = np.where(live, h * invphi, h)
+            lower = f1 < f2
+            left, right = live & lower, live & ~lower
+            # left: b, x2, f2 = x2, x1, f1 and a new x1; right: a, x1, f1 = x1, x2, f2 and a new x2
+            b = np.where(left, x2, b)
+            a = np.where(right, x1, a)
+            x1, x2 = np.where(right, x2, x1), np.where(left, x1, x2)
+            f1, f2 = np.where(right, f2, f1), np.where(left, f1, f2)
+            x = np.where(left, a + invphi2 * h, a + invphi * h)
+            f = values(x)
+            x1, f1 = np.where(left, x, x1), np.where(left, f, f1)
+            x2, f2 = np.where(right, x, x2), np.where(right, f, f2)
+    return wrap_angle(0.5 * (a + b))
 
 
 def find_doas(spectrum_fn, k: int, policy, m: int):
@@ -591,13 +632,20 @@ def find_doas(spectrum_fn, k: int, policy, m: int):
     spectrum the two conventions coincide.
 
     Under a :class:`SearchWindow` the k deepest strict local minima on the
-    grid are kept and an :class:`UnderResolvedError` is raised when fewer
-    exist; under :class:`KnownIntervals` each interval contributes its
-    global minimum.  Each minimum is refined by golden-section search
+    grid are kept; under :class:`KnownIntervals` each interval contributes
+    its global minimum.  Each minimum is refined by golden-section search
     between its grid neighbours to an absolute tolerance of 1e-4
     beamwidths; the searches of all minima run in lockstep, so each step is
-    one spectrum_fn call on up to k angles.  Returns angles wrapped onto
+    one evaluation of up to k angles.  Returns angles wrapped onto
     [-pi, pi), in ascending order.
+
+    A Pseudospectrum of a stack of T trials is searched as one: each grid
+    is one scan of the whole stack, and the searches of all its trials' dips
+    run in lockstep.  It returns a T x k array, a row per trial, whose rows
+    with fewer than k minima on the grid (under-resolved) are nan.  One
+    trial's Pseudospectrum, and any callable, is the stack of one: it
+    returns k angles, and raises :class:`UnderResolvedError` for a row a
+    stack would leave nan.
 
     A whole-circle window treats spectrum_fn as 2 pi-periodic: its grid
     counts the seam point once, minima wrap around it, refinement may step
@@ -611,24 +659,33 @@ def find_doas(spectrum_fn, k: int, policy, m: int):
 
     if isinstance(policy, SearchWindow):
         grid = _grid(policy.lo, policy.hi, m)
-        deepest = _deepest_minima(_scan(spectrum_fn, grid, policy.circle), k, policy.circle)
-        if deepest.size < k:
-            raise UnderResolvedError(needed=k, found=int(deepest.size))
-        brackets = [_bracket(grid, i, policy.circle) for i in deepest]
-        return np.sort(_refine(spectrum_fn, brackets, xtol))
-
-    if isinstance(policy, KnownIntervals):
+        picked, found = _deepest_minima(_scan(spectrum_fn, grid, policy.circle), k, policy.circle)
+        lo, hi = _bracket(grid, picked, policy.circle)
+    elif isinstance(policy, KnownIntervals):
         if len(policy.intervals) != k:
             raise ValueError(
                 f"need one interval per source, got {len(policy.intervals)} for k={k}"
             )
-        brackets = []
-        for lo, hi in policy.intervals:
-            grid = _grid(lo, hi, m, floor=MIN_INTERVAL_POINTS)
-            brackets.append(_bracket(grid, int(np.argmin(_scan(spectrum_fn, grid, False))), False))
-        return np.sort(_refine(spectrum_fn, brackets, xtol))
+        ends = []
+        for a, b in policy.intervals:
+            grid = _grid(a, b, m, floor=MIN_INTERVAL_POINTS)
+            ends.append(_bracket(grid, np.argmin(_scan(spectrum_fn, grid, False), axis=-1), False))
+        lo, hi = (np.stack(side, axis=-1) for side in zip(*ends))
+        found = np.full(lo.shape[0], k)
+    else:
+        raise TypeError(f"unknown grid policy {policy!r}")
 
-    raise TypeError(f"unknown grid policy {policy!r}")
+    stack = isinstance(spectrum_fn, Pseudospectrum) and spectrum_fn.eig.eigenvalues.ndim == 2
+    if not stack and found[0] < k:
+        raise UnderResolvedError(needed=k, found=int(found[0]))
+    rows = np.flatnonzero(found >= k)
+    values = spectrum_fn
+    if isinstance(spectrum_fn, Pseudospectrum):
+        values = spectrum_fn.by_row(np.repeat(rows, k))
+    refined = _refine(values, lo[rows].ravel(), hi[rows].ravel(), xtol).reshape(-1, k)
+    doas = np.full((found.size, k), np.nan)
+    doas[rows] = np.sort(refined, axis=-1)
+    return doas if stack else doas[0]
 
 
 def separation_report(scenario: ArrayScenario, signal: np.ndarray) -> SeparationReport:

@@ -518,6 +518,38 @@ def test_spectrum_rejects_too_few_virtual_snapshots(tmp_path, capsys, n):
     assert "config error: invalid [scenario]" in err and "gmusic-ss needs N L >= 3" in err
 
 
+def test_montecarlo_debug_log_counts_each_failure_by_cause(tmp_path, capsys):
+    """At verbosity debug, montecarlo logs one line per sweep point and
+    estimator with its trials counted by outcome.  The counts cover every
+    trial, and all but ok are the row's failures.  A whole-circle search of
+    four sources on a 5-sensor subarray at 0 dB under strict separation
+    meets every cause."""
+    ini = (
+        "[scenario]\nm = 6\nn = 8\nl = 2\ndoas = -2.5, -1.0, 0.5, 2.0\nsnr_db = 0\nseed = 0\n\n"
+        "[montecarlo]\nsweep = snr_db\nvalues = 0, 20\ntrials = 12\n"
+        "estimators = music, gmusic, music-ss, gmusic-ss\ndoa_mode = window\n"
+        "strict_separation = true\n\n[output]\nverbosity = debug\n"
+    )
+    code, out, err = _run(["montecarlo", "--config", _write(tmp_path, ini)], capsys)
+    assert code == 0
+    counts = {}
+    for line in err.splitlines():
+        if line.startswith("DEBUG montecarlo: snr_db "):
+            point, tally = line[len("DEBUG montecarlo: snr_db ") :].split(": ")
+            value, est = point.split(" ")
+            counts[float(value), est] = {
+                cause: int(n) for cause, n in (item.rsplit(" ", 1) for item in tally.split(", "))
+            }
+    _, rows = _rows(out)
+    failures = {(float(r[0]), r[1]): int(r[4]) for r in rows}
+    assert set(counts) == set(failures)
+    for key, tally in counts.items():
+        assert list(tally) == list(montecarlo.CAUSES)
+        assert sum(tally.values()) == 12, key
+        assert failures[key] == 12 - tally["ok"], key
+    assert all(any(t[cause] for t in counts.values()) for cause in montecarlo.CAUSES)
+
+
 @pytest.mark.parametrize(
     "command, ini, flags, message",
     [
@@ -525,6 +557,15 @@ def test_spectrum_rejects_too_few_virtual_snapshots(tmp_path, capsys, n):
         ("montecarlo", MONTECARLO_INI + "workers = -1\n", [], "workers must be >= 0, got -1"),
         ("septable", SEPTABLE_INI.replace("draws = 2", "draws = 0"), [], "draws must be >= 1, got 0"),
         ("septable", SEPTABLE_INI.replace("l_values = 2, 4", "l_values = 2, 64"), [], "l=64, m=32"),
+        (
+            "septable",
+            SEPTABLE_INI.replace("m = 32\nn = 8", "m = 27\nn = 2")
+            .replace("doas = 0, 0.98", "doas = -2.8, 1.93, 0.26, -0.76, -0.94")
+            .replace("snr_db = 10", "snr_db = 0")
+            .replace("draws = 2", "draws = 3"),
+            [],
+            "l=2 leaves N l = 4 < k = 5",
+        ),
         ("spectrum", SPECTRUM_INI.replace("grid_points = 64", "grid_points = 1"), [], "grid_points"),
         ("spectrum", SPECTRUM_INI + "lo = nan\n", [], "window [nan, 3.141592653589793] is not"),
         (
@@ -534,7 +575,10 @@ def test_spectrum_rejects_too_few_virtual_snapshots(tmp_path, capsys, n):
             "doas 1.0 and 1.0000000000000002 are too close to search apart",
         ),
     ],
-    ids=["workers-flag", "workers-key", "draws", "l-values", "grid-points", "window-nan", "close-doas"],
+    ids=[
+        "workers-flag", "workers-key", "draws", "l-values", "l-below-k", "grid-points",
+        "window-nan", "close-doas",
+    ],
 )
 def test_library_refusal_is_a_config_error(tmp_path, capsys, command, ini, flags, message):
     """A value the library refuses exits 2 with the library's message under

@@ -14,13 +14,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from smoothmusic import subspace, verify
+from smoothmusic import montecarlo, subspace, verify
 from smoothmusic.array_model import (
     ArrayScenario,
     SmoothedMatrix,
     draw_signal_matrix,
+    observe,
     synthesize_snapshots,
+    wrap_angle,
 )
 from smoothmusic.montecarlo import (
     ESTIMATORS,
@@ -229,8 +233,10 @@ def test_run_plan_noiseless_floor_on_the_lanczos_branch():
 def test_trials_factor_through_sample_covariance_eig(monkeypatch):
     """Every trial reaches the eigen layer through
     subspace.sample_covariance_eig, once per distinct smoothing factor: the
-    one function the benchmark's tracer wraps for that layer.  Both
-    smoothing factors of a trial smooth the same snapshot array."""
+    one function the benchmark's tracer wraps for that layer.  A block of
+    trials makes one call per factor, on the stack of its trials'
+    snapshots, and both smoothing factors of a block smooth that same
+    stack."""
     calls = []
     factor = subspace.sample_covariance_eig
 
@@ -243,11 +249,13 @@ def test_trials_factor_through_sample_covariance_eig(monkeypatch):
     plan = ExperimentPlan(scenario=sc, sweep="snr_db", values=(5.0, 15.0), trials=3)
     run_plan(plan)
     # music and gmusic share l = 1, music-ss and gmusic-ss l = 4; a serial
-    # run takes the trials in order, each l = 1 call before its l = 4 one
-    assert [l for l, _ in calls] == [1, 4] * 6
+    # run takes each point's 3 trials as one block, its l = 1 call before its
+    # l = 4 one
+    assert [l for l, _ in calls] == [1, 4] * 2
     for (_, y1), (_, y4) in zip(calls[::2], calls[1::2]):
         assert y1 is y4
-    assert len({id(y) for _, y in calls}) == 6
+    assert [y.shape for _, y in calls] == [(3, sc.m, sc.n)] * 4
+    assert len({id(y) for _, y in calls}) == 2
 
 
 def test_run_plan_failure_accounting_window_mode():
@@ -469,6 +477,20 @@ def test_table1_refuses_a_bad_l_before_any_report(monkeypatch):
         table1(sc, (2, 16), draws=2000)
 
 
+def test_table1_refuses_an_l_below_the_source_count(monkeypatch):
+    """With k > N l, P o C has rank below k: the K-th signal eigenvalue is 0
+    in every draw, the minimum separation SNR infinite, and its spread
+    inf - inf.  Such an l is refused by name before the first report; at
+    l = 4, N l = 8 >= k = 5 and the table is finite."""
+    sc = ArrayScenario(m=27, n=2, l=2, doas=(-2.8, 1.93, 0.26, -0.76, -0.94), snr_db=0.0)
+    with monkeypatch.context() as patched:
+        patched.setattr(subspace, "separation_report", lambda *a: pytest.fail("report ran"))
+        with pytest.raises(ValueError, match=r"^l=2 leaves N l = 4 < k = 5: "):
+            table1(sc, (2, 4), draws=3)
+    (row,) = table1(sc, (4,), draws=3)
+    assert math.isfinite(row.min_snr_db_median) and math.isfinite(row.min_snr_db_iqr)
+
+
 def test_consistency_sweep_sizing_policy_enforced():
     """Drifting c_N, shrinking m and bad arguments are rejected before any draw."""
     doas = (0.0, 5.0)
@@ -531,3 +553,117 @@ def test_consistency_sweep_estimator_set_equals_single_estimator_sweeps(workers)
         singles = [consistency_sweep(*args, (e,), trials=8, seed=3) for e in ests]
         assert both == [row for per_size in zip(*singles) for row in per_size]
         assert all(math.isfinite(r.median_scaled_error) for r in both)
+
+
+def _alone(sc, signal, point, trial, policy, estimators, strict) -> dict:
+    """One trial's outcomes through the single-trial API, the oracle of a
+    block: its own noise draw, a 2-d SmoothedMatrix and one EigenSystem per
+    estimator, and a find_doas that raises UnderResolvedError."""
+    rng = np.random.default_rng(np.random.SeedSequence([sc.seed, 2, point, trial]))
+    y = observe(sc, signal, rng)
+    out = {}
+    for est in estimators:
+        smoothed, corrected = ESTIMATORS[est]
+        eig = subspace.sample_covariance_eig(SmoothedMatrix(snapshots=y, l=sc.l if smoothed else 1), sc.k)
+        try:
+            weights = subspace.gmusic_weights(eig, eig.noise_variance, eig.c_n, strict) if corrected else None
+            theta = subspace.find_doas(subspace.Pseudospectrum(eig, weights), sc.k, policy, sc.m)
+        except subspace.UnderResolvedError:
+            out[est] = montecarlo.Outcome(montecarlo.UNDER_RESOLVED, None)
+            continue
+        except subspace.NotSeparatedError:
+            out[est] = montecarlo.Outcome(montecarlo.NOT_SEPARATED, None)
+            continue
+        errors = _matched_errors(theta, sc.doas)
+        wild = np.max(np.abs(errors)) > _failure_threshold(sc.doas, sc.m)
+        out[est] = montecarlo.Outcome(montecarlo.WILD if wild else montecarlo.OK, errors)
+    return out
+
+
+def _same_outcomes(got, want):
+    assert len(got) == len(want)
+    for t, (g, w) in enumerate(zip(got, want)):
+        assert list(g) == list(w)
+        for est in w:
+            assert g[est].cause == w[est].cause, (t, est)
+            if w[est].errors is None:
+                assert g[est].errors is None, (t, est)
+            else:
+                assert np.array_equal(g[est].errors, w[est].errors), (t, est, g[est], w[est])
+
+
+# (m, n, l, k) for each eigen branch of the smoothed pair, k from 1 to 3:
+# the thin SVD (k < N L < U, at l = 2 too), Lanczos (N L >= U >= 96) and the
+# dense eigh (N L >= U < 96); the unsmoothed pair takes the thin SVD or eigh
+_BLOCK_SIZES = {
+    "svd": (16, 4, 2, 3),
+    "lanczos": (100, 25, 4, 2),
+    "eigh": (16, 8, 4, 1),
+    "under-resolved": (6, 8, 2, 4),  # U = 5: a spectrum has at most 4 dips
+}
+
+
+@settings(max_examples=30)
+@given(
+    size=st.sampled_from(sorted(_BLOCK_SIZES)),
+    k=st.integers(1, 3),
+    snr_db=st.sampled_from([-5.0, 0.0, 10.0, 30.0]),
+    window=st.booleans(),
+    strict=st.booleans(),
+    fresh=st.booleans(),
+    offset=st.floats(-math.pi, math.pi),
+    seed=st.integers(0, 2**16),
+)
+def test_block_outcomes_equal_each_trial_alone(size, k, snr_db, window, strict, fresh, offset, seed):
+    """A block's outcome for each of its trials equals, bit for bit, the
+    trial's outcome through the single-trial API, cut into blocks of one,
+    two or all five trials: causes, and signed errors where there are any.
+    Both DoA modes and strict separation; the window search of four sources
+    on a 5-sensor subarray meets under-resolved rows."""
+    m, n, l, k_max = _BLOCK_SIZES[size]
+    k = k_max if size == "under-resolved" else min(k, k_max)
+    doas = wrap_angle(offset + 2.0 * math.pi * np.arange(k) / k)
+    sc = ArrayScenario(m=m, n=n, l=l, doas=doas, snr_db=snr_db, seed=seed)
+    estimators = []
+    for est in ESTIMATORS:
+        try:
+            montecarlo._check_rank(sc, (est,))
+            estimators.append(est)
+        except ValueError:
+            pass
+    policy = subspace.SearchWindow() if window else subspace.intervals_around(sc.doas, m)
+    trials = 5
+    signals = [montecarlo._drawn_signal(sc, 0, t) if fresh else montecarlo._drawn_signal(sc) for t in range(trials)]
+    want = [_alone(sc, signals[t], 1, t, policy, estimators, strict) for t in range(trials)]
+    for size_of_block in (1, 2, trials):
+        got = []
+        for first in range(0, trials, size_of_block):
+            block = signals[first : first + size_of_block]
+            got += montecarlo._run_block((sc, block, 1, first, policy, estimators, strict))
+        _same_outcomes(got, want)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("doa_mode", ["intervals", "window"])
+def test_pooled_blocks_equal_each_trial_alone(workers, doa_mode):
+    """_run_trials cuts each point's trials into blocks, one cut for a
+    serial run and another for a pool; either way each trial's outcome is
+    its single-trial one, including under-resolved and not-separated
+    trials (window mode, strict)."""
+    sc = ArrayScenario(m=6, n=8, l=2, doas=(-2.5, -1.0, 0.5, 2.0), snr_db=0.0, seed=0)
+    if doa_mode == "intervals":
+        sc = ArrayScenario(m=32, n=8, l=4, doas=WIDE, snr_db=0.0, seed=0)
+    scens = [dataclasses.replace(sc, snr_db=v) for v in (0.0, 10.0)]
+    estimators = tuple(ESTIMATORS)
+    signal = montecarlo._drawn_signal(sc)
+    trials = montecarlo.BLOCK_TRIALS + 3
+    got = montecarlo._run_trials(
+        scens, lambda p, t: signal, trials, estimators, doa_mode, True, workers
+    )
+    for p, point in enumerate(scens):
+        if doa_mode == "intervals":
+            policy = subspace.intervals_around(point.doas, point.m)
+        else:
+            policy = subspace.SearchWindow()
+        want = [_alone(point, signal, p, t, policy, estimators, True) for t in range(trials)]
+        _same_outcomes(got[p], want)

@@ -479,7 +479,7 @@ def test_lockstep_refine_equals_golden_section_per_dip(brackets, seed):
     fn = _trig_poly(seed)
     scalar = lambda t: float(fn(np.array([t]))[0])
     want = wrap_angle([golden_min(scalar, a, b, xtol) for a, b in brackets])
-    got = _refine(fn, brackets, xtol)
+    got = _refine(fn, *np.array(brackets).T, xtol)
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
