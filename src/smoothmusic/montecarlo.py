@@ -100,7 +100,7 @@ class Outcome(NamedTuple):
 # Trials per block B.  A block shares the fixed cost of each numpy call
 # among its trials, most of all in the search's ~15 steps per spectrum, but
 # holds B snapshot arrays and, on the thin-SVD branch, B singular-vector
-# matrices.  At the mc-intervals plan ((160, 20, 16), three estimators),
+# matrices while it runs.  At the mc-intervals plan ((160, 20, 16), three estimators),
 # one BLAS thread, 2-CPU VM, the median ms per trial in process and the
 # peak RSS of the CLI command (47.0 MB with one trial at a time before
 # blocks):
@@ -108,9 +108,9 @@ class Outcome(NamedTuple):
 #   B                    1      2      4      8      16     40
 #   ms, intervals mode   4.73   3.76   2.86   2.43   2.40   2.05
 #   ms, window mode      5.54   3.84   3.25   2.72   2.62   2.73
-#   peak RSS, MB         46.9   47.2   47.3   47.8   48.3   51.7
+#   peak RSS, MB         47.1   47.0   47.2   47.5   48.0   51.5
 #
-# Past 8 a trial saves little more time and costs ~0.1 MB of peak RSS.
+# Past 8 a trial saves little more time and costs ~0.06 MB of peak RSS.
 BLOCK_TRIALS = 8
 # blocks per worker that a pool's cut aims at, so that workers finish together
 BLOCKS_PER_WORKER = 4

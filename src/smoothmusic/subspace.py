@@ -367,7 +367,9 @@ def sample_covariance_eig(smoothed: SmoothedMatrix, k: int) -> EigenSystem:
         vecs, sing, _ = np.linalg.svd(w.reshape(-1, u, nl), full_matrices=False)
         vals = np.zeros((sing.shape[0], u))
         vals[:, :nl] = sing**2 / nl
-        eig = EigenSystem(vals[:, :k], vecs[..., :k], smoothed.c_n, np.mean(vals[:, k:], axis=-1))
+        # a copy, so the U x N L singular vectors of the stack are freed
+        top = np.ascontiguousarray(vecs[..., :k])
+        eig = EigenSystem(vals[:, :k], top, smoothed.c_n, np.mean(vals[:, k:], axis=-1))
     else:
         tops = []
         for one in smoothed.trials():
