@@ -150,13 +150,24 @@ class ArrayScenario(Smoothing):
         return 10.0 ** (-self.snr_db / 10.0)
 
     def check_signal(self, signal) -> np.ndarray:
-        """The source matrix as a finite complex K x N array; anything else is rejected."""
+        """The source matrix as a finite complex K x N array, or a (..., K, N)
+        stack of them; anything else is rejected."""
         s = np.asarray(signal, dtype=complex)
-        if s.shape != (self.k, self.n):
+        if s.shape[-2:] != (self.k, self.n):
             raise ValueError(f"signal has shape {s.shape}, expected {(self.k, self.n)}")
         if not np.all(np.isfinite(s)):
             raise ValueError("signal matrix contains non-finite entries")
         return s
+
+
+def _one_signal(scenario: ArrayScenario, signal) -> np.ndarray:
+    """scenario.check_signal for the functions that take one draw, not a stack."""
+    s = scenario.check_signal(signal)
+    if s.ndim != 2:
+        raise ValueError(
+            f"signal has shape {s.shape}, expected one {(scenario.k, scenario.n)} draw"
+        )
+    return s
 
 
 @dataclass(frozen=True, kw_only=True, eq=False)
@@ -357,7 +368,7 @@ def block_hankel(y: np.ndarray, l: int) -> np.ndarray:
 def signal_covariance(scenario: ArrayScenario, signal: np.ndarray) -> np.ndarray:
     """(1/L) A^(L) (S S*/N kron I_L) A^(L)*, which is W W* / (N L) for the
     block-Hankel matrix W of the noiseless snapshots A S."""
-    noiseless = steering_matrix(scenario.m, scenario.doas) @ scenario.check_signal(signal)
+    noiseless = steering_matrix(scenario.m, scenario.doas) @ _one_signal(scenario, signal)
     return SmoothedMatrix(snapshots=noiseless, l=scenario.l).gram() / scenario.virtual_snapshots
 
 
@@ -368,7 +379,7 @@ def signal_covariance_hadamard(scenario: ArrayScenario, signal: np.ndarray) -> n
     is the elementwise product.  Used as a cross-check of
     :func:`signal_covariance`.
     """
-    s = scenario.check_signal(signal)
+    s = _one_signal(scenario, signal)
     m, l, n = scenario.m, scenario.l, scenario.n
     u = scenario.subarray_size
     p = s @ s.conj().T / n

@@ -36,6 +36,7 @@ from .array_model import (
     ArrayScenario,
     SmoothedMatrix,
     _check_count,
+    _one_signal,
     draw_signal_matrix,
     min_spacing,
     observe,
@@ -416,7 +417,7 @@ def crb(scenario: ArrayScenario, signal) -> np.ndarray:
     if scenario.k == 0:
         raise ValueError("CRB needs at least one source")
     n, m = scenario.n, scenario.m
-    s = scenario.check_signal(signal)
+    s = _one_signal(scenario, signal)
     a = steering_matrix(m, scenario.doas)
     d = np.column_stack([steering_derivative(m, t) for t in scenario.doas])
     gram = a.conj().T @ a
@@ -440,10 +441,12 @@ class Table1Row(NamedTuple):
 def _table1_scenarios(scenario: ArrayScenario, l_values: Sequence[int]) -> list:
     """The scenario at each smoothing factor of a separation table.
 
-    An l with k > N l is refused by name: P o C, of rank at most N l, then
-    leaves the K-th signal eigenvalue 0 in every draw, and the minimum
-    separation SNR infinite.
+    A scenario without sources is refused, and so is an l with k > N l:
+    P o C, of rank at most N l, then leaves the K-th signal eigenvalue 0 in
+    every draw, and the minimum separation SNR infinite.
     """
+    if scenario.k == 0:
+        raise ValueError("separation analysis needs at least one source")
     scenarios = [replace(scenario, l=l) for l in l_values]
     for sc in scenarios:
         if sc.k > sc.virtual_snapshots:
@@ -454,22 +457,42 @@ def _table1_scenarios(scenario: ArrayScenario, l_values: Sequence[int]) -> list:
     return scenarios
 
 
+def _median_iqr(vals: np.ndarray) -> tuple:
+    """Median and interquartile range of draws some of which may be inf.
+
+    The quartiles follow np.percentile's linear rule between the two order
+    statistics around each: one of weight 0 is not read, and an inf one of
+    positive weight makes the quartile inf.  Two equal quartiles, inf ones
+    too, have a range of 0.  (np.percentile reads inf * 0 and inf - inf as
+    nan there, and warns.)
+    """
+    with np.errstate(invalid="ignore"):
+        q = np.percentile(vals, [25.0, 75.0])
+    # nan only where an inf order statistic entered; the upper one is then
+    # the quartile itself at weight 0, and inf otherwise
+    upper = np.sort(vals)[np.ceil(np.array([0.25, 0.75]) * (vals.size - 1)).astype(int)]
+    q1, q3 = np.where(np.isnan(q), upper, q)
+    return float(np.median(vals)), float(q3 - q1) if q3 > q1 else 0.0
+
+
 def table1(scenario: ArrayScenario, l_values: Sequence[int], draws: int = 100) -> list:
     """Minimum separation SNR per smoothing factor, summarized over draws.
 
     For each l the scenario's source matrix is redrawn ``draws`` times (the
     same draws across all l, so the column effect is isolated) and the
     median and interquartile range of separation_report.min_snr_db are
-    reported.  Every l is checked before the first draw.
+    reported (:func:`_median_iqr`; a draw whose K-th signal eigenvalue is 0
+    reads inf).  The draws are stacked, so each l takes one
+    separation_report call for all of them.  Every l is checked before the
+    first draw.
     """
     _check_count("draws", draws, 1)
     scenarios = _table1_scenarios(scenario, l_values)
-    signals = [_drawn_signal(scenario, scenario.k, scenario.n, d) for d in range(draws)]
+    signals = np.stack([_drawn_signal(scenario, scenario.k, scenario.n, d) for d in range(draws)])
     rows = []
     for l, sc in zip(l_values, scenarios):
-        vals = np.array([subspace.separation_report(sc, s).min_snr_db for s in signals])
-        q1, q3 = np.percentile(vals, [25.0, 75.0])
-        rows.append(Table1Row(l, float(np.median(vals)), float(q3 - q1)))
+        vals = subspace.separation_report(sc, signals).min_snr_db
+        rows.append(Table1Row(l, *_median_iqr(vals)))
     return rows
 
 

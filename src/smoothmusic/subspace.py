@@ -18,6 +18,8 @@ sub-window, a per-source interval) is one chirp-z transform per eigenvector.
 The transforms of a stack run along one axis.  Refinement is one
 golden-section search written over arrays: the dips of every trial of the
 stack advance together, one direct evaluation of all their angles per step.
+:func:`separation_report` takes one source matrix or a stack of D draws
+the same way: a stack is one K x K eigen pass, with a report per draw.
 """
 
 from __future__ import annotations
@@ -118,13 +120,15 @@ class EigenSystem:
 
 @dataclass(frozen=True)
 class SeparationReport:
-    """Finite-sample separation analysis of one scenario and signal draw."""
+    """Finite-sample separation analysis of one scenario and signal draw, or
+    of each draw of a stack of D: then lambda_signal is D x k and
+    separated, margin and min_snr_db are length-D arrays."""
 
-    lambda_signal: np.ndarray  # descending, length k
+    lambda_signal: np.ndarray  # descending, length k per draw
     threshold: float  # sigma2 * sqrt(c_n)
     separated: bool
     margin: float
-    min_snr_db: float
+    min_snr_db: float  # inf where lambda_K is 0
     c_n: float
 
 
@@ -241,11 +245,19 @@ def intervals_around(doas: Sequence[float], m: int) -> KnownIntervals:
 # eigh by about U / 2.4 steps at every U here.  The budget of U / 2 steps
 # is what that one spike needs: a search that will not converge in it hands
 # over from U / 4 steps on (_lanczos_top), at 1.5 to 1.8 eigh from U = 97.
-# Below U ~ 96 Lanczos saves nothing even with 10 dB sources; up to
-# k = U / 24 sources converge within 32 steps.
+# Below U ~ 96 Lanczos saves nothing even with 10 dB sources.  With more
+# sources at 10 dB, eigh / the whole search (* a hand-over, and the eigh
+# after it), same setting:
+#
+#    U  k = U/12             k = U/8              k = U/6              k = U/4
+#   97  ( 8) 1.39 / 0.90     (12) 1.40 / 1.30     (16) 1.39 / 2.05*    (24) 1.38 / 2.11*
+#  145  (12) 3.61 / 1.84     (18) 4.09 / 2.64     (24) 3.65 / 4.94*    (36) 3.55 / 4.89*
+#  289  (24) 22.6 / 4.75     (36) 32.8 / 13.2     (48) 21.2 / 28.0*    (72) 21.4 / 27.1*
+#
+# Up to k = U / 8 sources converge, from U / 6 on they hand over.
 EPS = np.finfo(float).eps
 LANCZOS_MIN_DIM = 96
-LANCZOS_DIM_PER_PAIR = 24
+LANCZOS_DIM_PER_PAIR = 8
 LANCZOS_DIM_PER_STEP = 2
 
 
@@ -699,28 +711,38 @@ def separation_report(scenario: ArrayScenario, signal: np.ndarray) -> Separation
     the eigenvalues of (U/M) R G R, with R the Hermitian square root of
     P o C and G = A_U* A_U.  The minimum separation SNR is
     10 log10(sqrt(c_N) / lambda_K).
+
+    A D x K x N stack of D source matrices gives one report per draw, whose
+    fields carry a leading D axis: C and G are built once for the stack,
+    and P, the root and both K x K eigh calls run stacked.  One K x N draw
+    is the stack of one, reported with scalar fields.
     """
     k, n, m, l = scenario.k, scenario.n, scenario.m, scenario.l
     if k == 0:
         raise ValueError("separation analysis needs at least one source")
     s = scenario.check_signal(signal)
     u = scenario.subarray_size
-    p = s @ s.conj().T / n
+    p = s @ np.swapaxes(s.conj(), -1, -2) / n
     a_l = steering_matrix(l, scenario.doas)
     a_u = steering_matrix(u, scenario.doas)
     # P o C is singular when l = 1 and k > n, so its root comes from eigh, not Cholesky
     w, v = np.linalg.eigh(p * (a_l.T @ a_l.conj()))
-    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
     h = (u / m) * (root @ (a_u.conj().T @ a_u) @ root)
-    vals = np.linalg.eigh(0.5 * (h + h.conj().T))[0]
+    vals = np.linalg.eigh(0.5 * (h + np.swapaxes(h.conj(), -1, -2)))[0]
 
-    lam = np.clip(vals[::-1], 0.0, None)
-    lam_k = float(lam[-1])
-    threshold = scenario.sigma2 * math.sqrt(scenario.c_n)
-    if lam_k > 0:
-        min_snr_db = 10.0 * math.log10(math.sqrt(scenario.c_n) / lam_k)
+    lam = np.clip(vals[..., ::-1], 0.0, None)
+    lam_k = lam[..., -1]
+    # math.log10, draw by draw: np.log10 may differ from it in the last bit
+    root_c = math.sqrt(scenario.c_n)
+    min_snr_db = [
+        10.0 * math.log10(root_c / x) if x > 0 else math.inf for x in np.ravel(lam_k).tolist()
+    ]
+    if s.ndim == 2:
+        lam_k, min_snr_db = float(lam_k), min_snr_db[0]
     else:
-        min_snr_db = math.inf
+        min_snr_db = np.reshape(min_snr_db, lam_k.shape)
+    threshold = scenario.sigma2 * root_c
     return SeparationReport(
         lambda_signal=lam,
         threshold=threshold,

@@ -12,6 +12,12 @@ against this independent construction.
 lockstep refinement (``subspace._refine``) must reproduce bit for bit, one
 call of f per angle.
 
+``separation_report_per_draw`` is the separation report of one source
+matrix as the K x K computation writes it for one draw, and
+``table1_per_draw`` the separation table that runs it draw by draw; the
+package stacks the draws (``subspace.separation_report``,
+``montecarlo.table1``), and the tests hold it to these bit for bit.
+
 ``spike_dense`` is the planted-spike trial built the direct way: the noise
 matrix Z as entries, X = B + Z, and a full eigh of X X*.  The package forms
 X X* from Z's Gram and products and reads only the top pairs
@@ -23,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from smoothmusic import verify
+from smoothmusic import montecarlo, verify
 from smoothmusic.array_model import (
     ArrayScenario,
     Smoothing,
@@ -32,7 +38,9 @@ from smoothmusic.array_model import (
     block_hankel,
     complex_gaussian,
     haar_columns,
+    steering_matrix,
 )
+from smoothmusic.subspace import SeparationReport
 
 
 def steering_vector(m: int, theta: float) -> np.ndarray:
@@ -79,6 +87,43 @@ def signal_covariance_kronecker(scenario: ArrayScenario, signal: np.ndarray) -> 
     """(1/L) A^(L) (S S*/N kron I_L) A^(L)*, via the Kronecker construction."""
     b = smoothed_signal_part(scenario, signal)
     return b @ b.conj().T
+
+
+def separation_report_per_draw(scenario: ArrayScenario, signal: np.ndarray) -> SeparationReport:
+    """The separation report of one K x N source matrix: the eigenvalues of
+    (U/M) R G R, R the root of P o C, with 2-d arrays throughout."""
+    s = scenario.check_signal(signal)
+    u, m, l = scenario.subarray_size, scenario.m, scenario.l
+    p = s @ s.conj().T / scenario.n
+    a_l = steering_matrix(l, scenario.doas)
+    a_u = steering_matrix(u, scenario.doas)
+    w, v = np.linalg.eigh(p * (a_l.T @ a_l.conj()))
+    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    h = (u / m) * (root @ (a_u.conj().T @ a_u) @ root)
+    lam = np.clip(np.linalg.eigh(0.5 * (h + h.conj().T))[0][::-1], 0.0, None)
+    lam_k = float(lam[-1])
+    threshold = scenario.sigma2 * math.sqrt(scenario.c_n)
+    min_snr_db = 10.0 * math.log10(math.sqrt(scenario.c_n) / lam_k) if lam_k > 0 else math.inf
+    return SeparationReport(
+        lambda_signal=lam,
+        threshold=threshold,
+        separated=lam_k > threshold,
+        margin=lam_k - threshold,
+        min_snr_db=min_snr_db,
+        c_n=scenario.c_n,
+    )
+
+
+def table1_per_draw(scenario: ArrayScenario, l_values, draws: int) -> list:
+    """montecarlo.table1 with one separation report per draw and l, each
+    l's draws summarized by the package's own median and quartile rule."""
+    scenarios = montecarlo._table1_scenarios(scenario, l_values)
+    signals = [montecarlo._drawn_signal(scenario, scenario.k, scenario.n, d) for d in range(draws)]
+    rows = []
+    for l, sc in zip(l_values, scenarios):
+        vals = np.array([separation_report_per_draw(sc, s).min_snr_db for s in signals])
+        rows.append(montecarlo.Table1Row(l, *montecarlo._median_iqr(vals)))
+    return rows
 
 
 def golden_min(f: Callable[[float], float], a: float, b: float, xtol: float) -> float:

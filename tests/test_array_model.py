@@ -27,6 +27,7 @@ from smoothmusic.array_model import (
     steering_matrix,
     synthesize_snapshots,
 )
+from smoothmusic.montecarlo import crb
 from reference import smoothed_signal_part, smoothed_steering, smoothed_steering_set, steering_vector
 
 
@@ -172,6 +173,18 @@ def test_smoothed_signal_part_identity():
         smoothed_signal_part(sc, s[:, :-1])
     with pytest.raises(ValueError, match="signal has shape"):
         signal_covariance_hadamard(sc, s[:, :-1])
+
+
+def test_one_draw_functions_refuse_a_stack():
+    """check_signal takes a (..., K, N) stack of source matrices, while the
+    covariance builders and the bound take one draw and refuse a stack by
+    name: at D = K = N a stack would broadcast into a wrong answer."""
+    sc = ArrayScenario(m=8, n=2, l=2, doas=(0.0, 1.0), snr_db=10.0)
+    stack = np.ones((2, 2, 2), dtype=complex) + np.eye(2)
+    assert sc.check_signal(stack).shape == (2, 2, 2)
+    for one_draw in (signal_covariance, signal_covariance_hadamard, crb):
+        with pytest.raises(ValueError, match=r"expected one \(2, 2\) draw"):
+            one_draw(sc, stack)
 
 
 def test_signal_covariance_elementwise_form():

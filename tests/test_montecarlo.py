@@ -6,11 +6,13 @@ parameter (angles plus real and imaginary source entries), and against the
 single-source closed form 6 sigma2 / (N p (M^2 - 1)).  Harness tests pin
 worker-count independence bitwise, seeded reproducibility, the failure
 bookkeeping, and that every trial reaches the eigen layer through
-subspace.sample_covariance_eig.
+subspace.sample_covariance_eig.  The separation table's median and
+quartiles are pinned on draws whose minimum separation SNR is inf.
 """
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from smoothmusic.montecarlo import (
     _matched_errors,
     consistency_sweep,
     crb,
+    Table1Row,
     run_plan,
     table1,
 )
@@ -489,6 +492,52 @@ def test_table1_refuses_an_l_below_the_source_count(monkeypatch):
             table1(sc, (2, 4), draws=3)
     (row,) = table1(sc, (4,), draws=3)
     assert math.isfinite(row.min_snr_db_median) and math.isfinite(row.min_snr_db_iqr)
+
+
+def test_table1_with_infinite_draws_has_no_nan():
+    """DoAs 1e-9 apart leave lambda_K = 0, an infinite minimum separation
+    SNR, in some draws.  A quartile lies between two order statistics: an
+    inf one of positive weight makes it inf, one of weight 0 is not read;
+    no nan and no numpy warning (np.percentile reads inf * 0 as nan)."""
+    sc = ArrayScenario(m=8, n=4, l=2, doas=(0, 1e-9), snr_db=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = table1(sc, (2, 4), draws=5)
+    signals = np.stack([montecarlo._drawn_signal(sc, sc.k, sc.n, d) for d in range(5)])
+    for row in rows:
+        at_l = dataclasses.replace(sc, l=row.l)
+        vals = np.sort(subspace.separation_report(at_l, signals).min_snr_db)
+        # five draws: the quartiles are order statistics 1 and 3, with weight 1
+        assert row.min_snr_db_median == vals[2]
+        assert row.min_snr_db_iqr == (vals[3] - vals[1] if vals[3] > vals[1] else 0.0)
+    assert rows[0] == Table1Row(2, math.inf, math.inf)
+    assert math.isfinite(rows[1].min_snr_db_median)
+    assert rows[1].min_snr_db_iqr > 0
+
+
+@pytest.mark.parametrize(
+    "vals, median, iqr",
+    [
+        ([1.0, 2.0, math.inf, math.inf, math.inf], math.inf, math.inf),
+        ([1.0, 2.0, 3.0, 4.0, math.inf], 3.0, 2.0),  # weight 0 on the inf one
+        ([1.0, 2.0, math.inf], 2.0, math.inf),  # weight 1/2, past np.percentile's midpoint
+        ([1.0, 2.0, 3.0, math.inf], 2.5, math.inf),
+        ([1.0, math.inf, math.inf, math.inf, math.inf], math.inf, 0.0),
+        ([math.inf] * 4, math.inf, 0.0),
+        ([math.inf], math.inf, 0.0),
+    ],
+)
+def test_median_iqr_rule_for_infinite_draws(vals, median, iqr):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = montecarlo._median_iqr(np.array(vals))
+    assert got == (median, iqr)
+
+
+def test_median_iqr_of_finite_draws_is_numpys():
+    vals = np.random.default_rng(0).normal(size=37)
+    q1, q3 = np.percentile(vals, [25.0, 75.0])
+    assert montecarlo._median_iqr(vals) == (float(np.median(vals)), float(q3 - q1))
 
 
 def test_consistency_sweep_sizing_policy_enforced():

@@ -11,7 +11,10 @@ row-slice noise residual and the row-slice matvec match their forms
 through the block-Hankel matrix W; a source count above the rank of the
 covariance must still give finite results; the Kronecker form of the
 smoothed signal covariance (the tests' reference) agrees with the Gram,
-Hadamard and K x K forms; the closed-form MP CDF differentiates to the
+Hadamard and K x K forms; a stack of draws gives each draw's separation
+report bit for bit, and the separation table that stacks them the
+per-draw table's rows; the separation table keeps its invariants, or
+refuses before its first draw, on any input; the closed-form MP CDF differentiates to the
 density and carries the bulk mass min(1, 1/c); and the cyclic-shift matching of estimates to DoAs is a least-cost
 assignment on the circle, checked against every permutation.
 """
@@ -21,13 +24,15 @@ import itertools
 import math
 import os
 import tempfile
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from smoothmusic import cli
+from smoothmusic import cli, montecarlo, subspace
 from smoothmusic.array_model import (
     SIGNAL_POLICIES,
     ArrayScenario,
@@ -43,7 +48,7 @@ from smoothmusic.array_model import (
     synthesize_snapshots,
     wrap_angle,
 )
-from smoothmusic.montecarlo import _matched_errors
+from smoothmusic.montecarlo import _matched_errors, table1
 from smoothmusic.rmt import MpParams, mp_atom, mp_cdf
 from smoothmusic.subspace import (
     LANCZOS_DIM_PER_PAIR,
@@ -59,11 +64,13 @@ from smoothmusic.subspace import (
     sample_covariance_eig,
     separation_report,
 )
-from reference import signal_covariance_kronecker
+from reference import separation_report_per_draw, signal_covariance_kronecker, table1_per_draw
 
 from test_rmt import mp_density
 
 seeds = st.integers(0, 2**32 - 1)
+# the fields of a SeparationReport with one entry per draw of a stack
+PER_DRAW = ("lambda_signal", "separated", "margin", "min_snr_db")
 
 
 def _unitary(dim, rng):
@@ -416,6 +423,99 @@ def test_separation_report_matches_kronecker_and_hadamard_eigenvalues(m, data, s
         cov = form(sc, signal)
         want = np.linalg.eigvalsh(0.5 * (cov + cov.conj().T))[::-1][:k]
         np.testing.assert_allclose(lam, want, rtol=0, atol=1e-10 * want[0])
+
+
+# any angle, or one of three 1e-9 apart: two of those leave lambda_K at 0
+separation_angles = st.one_of(
+    st.floats(-math.pi, math.pi, exclude_max=True), st.sampled_from((0.0, 1e-9, 2e-9))
+)
+
+
+@given(m=st.integers(3, 48), data=st.data(), seed=seeds)
+def test_stacked_separation_reports_equal_the_per_draw_oracle(m, data, seed):
+    """A stack of D source matrices gives each draw's own report
+    (reference.separation_report_per_draw) bit for bit, inf min_snr_db
+    included, also for n < k; so does one draw alone.  table1, which
+    stacks its draws, gives the rows of the per-draw table."""
+    l = data.draw(st.integers(1, m - 1), label="l")
+    k = data.draw(st.integers(1, min(3, m - l)), label="k")
+    policy = data.draw(st.sampled_from(SIGNAL_POLICIES), label="policy")
+    n = data.draw(st.integers(k if policy == "identity-covariance" else 1, 8), label="n")
+    doas = data.draw(st.lists(separation_angles, min_size=k, max_size=k, unique=True), label="doas")
+    draws = data.draw(st.integers(1, 6), label="draws")
+    sc = ArrayScenario(m=m, n=n, l=l, doas=doas, snr_db=0.0, signal_policy=policy, seed=seed)
+    rng = np.random.default_rng(seed)
+    signals = np.stack([draw_signal_matrix(k, n, policy, rng) for _ in range(draws)])
+    stacked = separation_report(sc, signals)
+    for d, signal in enumerate(signals):
+        want = separation_report_per_draw(sc, signal)
+        one = separation_report(sc, signal)
+        for got in (one, replace(stacked, **{f: getattr(stacked, f)[d] for f in PER_DRAW})):
+            assert np.array_equal(got.lambda_signal, want.lambda_signal)
+            assert (got.separated, got.margin, got.min_snr_db) == (
+                want.separated, want.margin, want.min_snr_db
+            )
+            assert (got.threshold, got.c_n) == (want.threshold, want.c_n)
+    least = -(-k // n)  # table1 refuses an l with N l < k
+    l_values = data.draw(st.lists(st.integers(least, m - k), max_size=3), label="l_values")
+    assert table1(sc, l_values, draws) == table1_per_draw(sc, l_values, draws)
+
+
+@st.composite
+def table1_inputs(draw):
+    """A small scenario of any source count, some of its sources 1e-9 apart,
+    smoothing factors in range or anywhere, and a draw count."""
+    m = draw(st.integers(2, 24), label="m")
+    l = draw(st.integers(1, m - 1), label="l")
+    n = draw(st.integers(1, 6), label="n")
+    policy = draw(st.sampled_from(SIGNAL_POLICIES), label="policy")
+    most = min(3, m - l, n if policy == "identity-covariance" else 3)
+    k = draw(st.one_of(st.integers(min(1, most), most), st.just(0)), label="k")
+    sc = ArrayScenario(
+        m=m, n=n, l=l, signal_policy=policy, seed=draw(seeds, label="seed"),
+        doas=draw(st.lists(separation_angles, min_size=k, max_size=k, unique=True), label="doas"),
+        snr_db=draw(st.floats(-30.0, 250.0), label="snr_db"),
+    )
+    anywhere = st.one_of(st.integers(-1, m + 1), st.just(2.5))
+    l_values = draw(
+        st.one_of(st.lists(st.integers(1, m - 1), max_size=3), st.lists(anywhere, max_size=3)),
+        label="l_values",
+    )
+    draws = draw(st.one_of(st.integers(1, 5), st.sampled_from((0, -1, 2.0, True))), label="draws")
+    return sc, l_values, draws
+
+
+@given(inputs=table1_inputs())
+@example(inputs=(ArrayScenario(m=8, n=4, l=2, doas=(0, 1e-9), snr_db=0), [2, 4], 5))
+def test_table1_over_its_accepted_domain(inputs):
+    """table1 on any scenario, smoothing factors and draw count.  An
+    accepted input gives one row per l with a median that is not nan and a
+    range >= 0, and no numpy warning; any other is refused by a ValueError
+    before the first draw, with no separation report run."""
+    sc, l_values, draws = inputs
+    m, n, k = sc.m, sc.n, sc.k
+    accepted = (
+        type(draws) is int and draws >= 1 and k >= 1
+        and all(type(v) is int and 1 <= v <= m - k and k <= n * v for v in l_values)
+    )
+    if accepted:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = table1(sc, l_values, draws)
+        assert [r.l for r in rows] == l_values
+        for r in rows:
+            assert not math.isnan(r.min_snr_db_median)
+            assert r.min_snr_db_iqr >= 0
+        return
+
+    def drawn(*args):
+        pytest.fail("table1 drew a signal before refusing its input")
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(montecarlo, "_drawn_signal", drawn)
+        patched.setattr(subspace, "separation_report", drawn)
+        with pytest.raises(ValueError):
+            table1(sc, l_values, draws)
 
 
 @given(

@@ -31,7 +31,7 @@ from smoothmusic.array_model import (
     wrap_angle,
 )
 from reference import golden_min, steering_vector
-from smoothmusic import montecarlo
+from smoothmusic import montecarlo, subspace
 from smoothmusic.rmt import MpParams, h_star
 from smoothmusic.subspace import (
     EigenSystem,
@@ -573,6 +573,48 @@ def test_separation_report_matches_dense_forms_at_table_size():
                 np.testing.assert_allclose(lam, want, rtol=0, atol=1e-10 * want[0], err_msg=f"l={l}")
 
 
+def test_eight_sources_at_u_145_take_lanczos(monkeypatch):
+    """k = 8 sources at 10 dB, U = 145 (k > U / 24, the old size rule's
+    limit): the top-k search runs Lanczos, which converges, and its
+    eigenvalues match a dense eigh to 1e-10 relative."""
+    sc = ArrayScenario(
+        m=160, n=20, l=16, doas=-math.pi + 2.0 * math.pi * (np.arange(8) + 0.5) / 8,
+        snr_db=10.0, seed=2,
+    )
+    lanczos_top = subspace._lanczos_top
+    found = []
+
+    def spy(cov, k):
+        top = lanczos_top(cov, k)
+        found.append(top is not None)
+        return top
+
+    monkeypatch.setattr(subspace, "_lanczos_top", spy)
+    smoothed = SmoothedMatrix(snapshots=synthesize_snapshots(sc), l=sc.l)
+    eig = sample_covariance_eig(smoothed, sc.k)
+    assert found == [True]
+    want = np.linalg.eigvalsh(smoothed.gram() / sc.virtual_snapshots)[::-1]
+    np.testing.assert_allclose(eig.eigenvalues, want[: sc.k], rtol=1e-10)
+    assert eig.noise_variance == pytest.approx(np.mean(want[sc.k :]), rel=1e-10)
+
+
+def test_separation_report_of_a_stack():
+    """A D x K x N stack gives D reports: lambda_signal is D x K and the
+    other per-draw fields have length D; one draw gives scalars."""
+    sc = ArrayScenario(m=20, n=6, l=4, doas=(0.3, 1.2), snr_db=3.0)
+    rng = np.random.default_rng(0)
+    signals = np.stack([draw_signal_matrix(2, 6, sc.signal_policy, rng) for _ in range(3)])
+    rep = separation_report(sc, signals)
+    assert rep.lambda_signal.shape == (3, 2)
+    for field in (rep.separated, rep.margin, rep.min_snr_db):
+        assert np.shape(field) == (3,)
+    one = separation_report(sc, signals[1])
+    assert one.lambda_signal.shape == (2,)
+    assert type(one.separated) is bool
+    assert type(one.margin) is float and type(one.min_snr_db) is float
+    assert one.min_snr_db == rep.min_snr_db[1]
+
+
 def test_separation_report_validation():
     """A sourceless scenario or a non-finite signal cannot be analyzed."""
     sc = ArrayScenario(m=12, n=6, l=3, doas=(), snr_db=10.0)
@@ -581,6 +623,10 @@ def test_separation_report_validation():
     one = ArrayScenario(m=12, n=6, l=3, doas=(0.4,), snr_db=10.0)
     with pytest.raises(ValueError, match="non-finite"):
         separation_report(one, np.full((1, 6), np.nan))
+    with pytest.raises(ValueError, match="non-finite"):
+        separation_report(one, np.stack([np.ones((1, 6)), np.full((1, 6), np.inf)]))
+    with pytest.raises(ValueError, match=r"signal has shape \(2, 6\), expected \(1, 6\)"):
+        separation_report(one, np.ones((2, 6)))
 
 
 def test_bias_correction_tightens_closely_spaced_estimates():
