@@ -447,9 +447,12 @@ def test_stacked_separation_reports_equal_the_per_draw_oracle(m, data, seed):
     rng = np.random.default_rng(seed)
     signals = np.stack([draw_signal_matrix(k, n, policy, rng) for _ in range(draws)])
     stacked = separation_report(sc, signals)
+    assert stacked.lambda_signal.shape == (draws, k)
+    assert all(np.shape(getattr(stacked, f)) == (draws,) for f in PER_DRAW[1:])
     for d, signal in enumerate(signals):
         want = separation_report_per_draw(sc, signal)
         one = separation_report(sc, signal)
+        assert (type(one.separated), type(one.margin), type(one.min_snr_db)) == (bool, float, float)
         for got in (one, replace(stacked, **{f: getattr(stacked, f)[d] for f in PER_DRAW})):
             assert np.array_equal(got.lambda_signal, want.lambda_signal)
             assert (got.separated, got.margin, got.min_snr_db) == (

@@ -598,23 +598,6 @@ def test_eight_sources_at_u_145_take_lanczos(monkeypatch):
     assert eig.noise_variance == pytest.approx(np.mean(want[sc.k :]), rel=1e-10)
 
 
-def test_separation_report_of_a_stack():
-    """A D x K x N stack gives D reports: lambda_signal is D x K and the
-    other per-draw fields have length D; one draw gives scalars."""
-    sc = ArrayScenario(m=20, n=6, l=4, doas=(0.3, 1.2), snr_db=3.0)
-    rng = np.random.default_rng(0)
-    signals = np.stack([draw_signal_matrix(2, 6, sc.signal_policy, rng) for _ in range(3)])
-    rep = separation_report(sc, signals)
-    assert rep.lambda_signal.shape == (3, 2)
-    for field in (rep.separated, rep.margin, rep.min_snr_db):
-        assert np.shape(field) == (3,)
-    one = separation_report(sc, signals[1])
-    assert one.lambda_signal.shape == (2,)
-    assert type(one.separated) is bool
-    assert type(one.margin) is float and type(one.min_snr_db) is float
-    assert one.min_snr_db == rep.min_snr_db[1]
-
-
 def test_separation_report_validation():
     """A sourceless scenario or a non-finite signal cannot be analyzed."""
     sc = ArrayScenario(m=12, n=6, l=3, doas=(), snr_db=10.0)
