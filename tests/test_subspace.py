@@ -574,9 +574,9 @@ def test_separation_report_matches_dense_forms_at_table_size():
 
 
 def test_eight_sources_at_u_145_take_lanczos(monkeypatch):
-    """k = 8 sources at 10 dB, U = 145 (k > U / 24, the old size rule's
-    limit): the top-k search runs Lanczos, which converges, and its
-    eigenvalues match a dense eigh to 1e-10 relative."""
+    """k = 8 sources at 10 dB, U = 145 (U / k = 18, within the U / 8 of
+    LANCZOS_DIM_PER_PAIR): the top-k search runs Lanczos, which converges,
+    and its eigenvalues match a dense eigh to 1e-10 relative."""
     sc = ArrayScenario(
         m=160, n=20, l=16, doas=-math.pi + 2.0 * math.pi * (np.arange(8) + 0.5) / 8,
         snr_db=10.0, seed=2,
