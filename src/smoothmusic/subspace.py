@@ -246,18 +246,22 @@ def intervals_around(doas: Sequence[float], m: int) -> KnownIntervals:
 # is what that one spike needs: a search that will not converge in it hands
 # over from U / 4 steps on (_lanczos_top), at 1.5 to 1.8 eigh from U = 97.
 # Below U ~ 96 Lanczos saves nothing even with 10 dB sources.  With more
-# sources at 10 dB, eigh / the whole search (* a hand-over, and the eigh
-# after it), same setting:
+# sources, each cell as above with the size rule lifted (BENCH_27.json):
 #
-#    U  k = U/12             k = U/8              k = U/6              k = U/4
-#   97  ( 8) 1.39 / 0.90     (12) 1.40 / 1.30     (16) 1.39 / 2.05*    (24) 1.38 / 2.11*
-#  145  (12) 3.61 / 1.84     (18) 4.09 / 2.64     (24) 3.65 / 4.94*    (36) 3.55 / 4.89*
-#  289  (24) 22.6 / 4.75     (36) 32.8 / 13.2     (48) 21.2 / 28.0*    (72) 21.4 / 27.1*
+#    U  k = U/12                         k = U/8
+#   97  ( 8) 1.39 / 0.90 / 2.11* / 2.11*  (12) 1.40 / 1.30 / 2.11* / 2.10*
+#  145  (12) 3.61 / 1.84 / 5.15* / 5.04*  (18) 4.09 / 2.64 / 5.72* / 5.86*
+#  289  (24) 22.6 / 4.75 / 30.0* / 29.9*  (36) 32.8 / 13.2 / 41.7* / 41.1*
 #
-# Up to k = U / 8 sources converge, from U / 6 on they hand over.
+# and from k = U / 6 on every column hands over, at 1.3 to 1.5 eigh.  So up
+# to U / 8 sources above the threshold converge at 0.2 to 0.95 eigh, while
+# noise alone and sub-threshold spikes pay 1.3 to 1.5 eigh there.  Which of
+# the two a search at k > U / 24 meets depends on the SNR mix of its
+# workload, which no benchmark workload measures yet; the rule stays at
+# U / 24 until one does.
 EPS = np.finfo(float).eps
 LANCZOS_MIN_DIM = 96
-LANCZOS_DIM_PER_PAIR = 8
+LANCZOS_DIM_PER_PAIR = 24
 LANCZOS_DIM_PER_STEP = 2
 
 

@@ -573,29 +573,30 @@ def test_separation_report_matches_dense_forms_at_table_size():
                 np.testing.assert_allclose(lam, want, rtol=0, atol=1e-10 * want[0], err_msg=f"l={l}")
 
 
-def test_eight_sources_at_u_145_take_lanczos(monkeypatch):
-    """k = 8 sources at 10 dB, U = 145 (U / k = 18, within the U / 8 of
-    LANCZOS_DIM_PER_PAIR): the top-k search runs Lanczos, which converges,
-    and its eigenvalues match a dense eigh to 1e-10 relative."""
+def test_eight_sources_at_u_145_converge_in_lanczos(monkeypatch):
+    """k = 8 sources at 10 dB, U = 145: the size rule (U < 24 k) sends the
+    top-k search to a dense eigh, and Lanczos run on the same matrix
+    converges: its eigenvalues match that eigh to 1e-10 relative, and it
+    spans the same top-k subspace."""
     sc = ArrayScenario(
         m=160, n=20, l=16, doas=-math.pi + 2.0 * math.pi * (np.arange(8) + 0.5) / 8,
         snr_db=10.0, seed=2,
     )
     lanczos_top = subspace._lanczos_top
-    found = []
-
-    def spy(cov, k):
-        top = lanczos_top(cov, k)
-        found.append(top is not None)
-        return top
-
-    monkeypatch.setattr(subspace, "_lanczos_top", spy)
+    calls = []
+    monkeypatch.setattr(subspace, "_lanczos_top", lambda cov, k: calls.append(k))
     smoothed = SmoothedMatrix(snapshots=synthesize_snapshots(sc), l=sc.l)
     eig = sample_covariance_eig(smoothed, sc.k)
-    assert found == [True]
-    want = np.linalg.eigvalsh(smoothed.gram() / sc.virtual_snapshots)[::-1]
+    assert calls == []
+    cov = smoothed.gram() / sc.virtual_snapshots
+    top = lanczos_top(0.5 * (cov + cov.conj().T), sc.k)
+    assert top is not None
+    want = np.linalg.eigvalsh(cov)[::-1]
+    np.testing.assert_allclose(top[0], want[: sc.k], rtol=1e-10)
     np.testing.assert_allclose(eig.eigenvalues, want[: sc.k], rtol=1e-10)
     assert eig.noise_variance == pytest.approx(np.mean(want[sc.k :]), rel=1e-10)
+    proj = top[1] @ top[1].conj().T
+    np.testing.assert_allclose(proj, eig.eigenvectors @ eig.eigenvectors.conj().T, atol=1e-8)
 
 
 def test_separation_report_validation():
