@@ -9,8 +9,8 @@ Spatial smoothing turns the M x N snapshot matrix into the block-Hankel
 matrix of size (M - L + 1) x (N L) whose column block n stacks the L
 length-(M - L + 1) sliding subarray views of snapshot n.
 :class:`SmoothedMatrix` is the one block-Hankel operator: it forms W W*,
-W x and the residual of W off a subspace from the row slices of Y, and
-builds W itself only when its entries are read.
+W x, W* q, W W* q and the residual of W off a subspace from Y, and builds
+W itself only when its entries are read.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import numpy.random  # numpy loads it lazily; import it here, not inside a command
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 __all__ = [
     "SIGNAL_POLICIES",
@@ -175,11 +175,13 @@ class SmoothedMatrix(Smoothing):
     """Smoothed M x N snapshots Y: m, n = Y.shape, smoothing factor l.
     Snapshots go by keyword, as the inherited field order puts l first.
     The block-Hankel matrix W is not stored: ``entries`` builds it on each
-    read, while ``gram``, ``matvec`` and ``residual`` work on the row slices
-    Y_t = Y[t : t + U], t < l, whose columns are W's, grouped by t.
+    read, while ``gram``, ``residual``, ``matvec`` (W x), ``rmatvec`` (W* q)
+    and ``gram_matvec`` (W W* q) work on Y, whose row slices
+    Y_t = Y[t : t + U], t < l, hold W's columns, grouped by t.
     A T x M x N stack of T trials' snapshots is smoothed alike: m and n are
-    its last two axes, ``entries`` stacks the trials' W, and ``trials()``
-    gives each trial's own matrix, on which ``gram``, ``matvec`` and
+    its last two axes, ``entries`` stacks the trials' W, the three products
+    take one vector (or block) per trial and run as stacked products, and
+    ``trials()`` gives each trial's own matrix, on which ``gram`` and
     ``residual`` work.
     Instances compare and hash by identity: arrays have no one truth value,
     and the inherited (m, n, l) comparison would call any two of one shape equal."""
@@ -236,15 +238,44 @@ class SmoothedMatrix(Smoothing):
         return out
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """W x for a length-(n l) x or an (n l) x p block of them: the sum of
-        Y_t x_t, where x_t = x[t::l] holds the entries of x that meet
-        column t of each block."""
-        y, l, u = self.snapshots, self.l, self.subarray_size
-        xs = x.reshape(self.n, l, *x.shape[1:])  # xs[j, t] = x[t + j l]
-        out = y[:u] @ xs[:, 0]
-        for t in range(1, l):
-            out += y[t : t + u] @ xs[:, t]
-        return out
+        """W x for a length-(n l) x or an (n l) x p block of them, without W;
+        on a stack, one per trial: T x (n l) or T x (n l) x p.
+
+        W x is the sum of Y_t x_t, where x_t = x[t::l] holds the entries of
+        x that meet column t of each block: one product P = Y [x_0 ... x_{l-1}]
+        and a sum of P[i + t, t] along the shifted diagonals."""
+        y, l = self.snapshots, self.l
+        x = np.asarray(x)
+        cols = x[..., None] if x.ndim < y.ndim else x
+        p = cols.shape[-1]
+        # prod[..., r, t p + c] = (Y x_t)[r, c]
+        prod = y @ cols.reshape(*cols.shape[:-2], self.n, l * p)
+        row, col = prod.strides[-2:]
+        shape = (*prod.shape[:-2], self.subarray_size, l, p)
+        strides = (*prod.strides[:-2], row, row + p * col, col)
+        out = as_strided(prod, shape, strides, writeable=False).sum(axis=-2)
+        return out[..., 0] if x.ndim < y.ndim else out
+
+    def rmatvec(self, q: np.ndarray) -> np.ndarray:
+        """W* q for a length-U q, or one per trial of a stack (T x U), without W.
+
+        (W* q)[t + j l] = (Y* Q)[j, t], where Q is the m x l shift embedding
+        of q: its column t is q moved down t rows.  Q is read as a window
+        view of q zero-padded by l - 1 on each side, whose row s is column
+        l - 1 - s of Q, and Y* Q is one (stacked) product."""
+        y, l = self.snapshots, self.l
+        padded = np.zeros((*q.shape[:-1], self.m + l - 1), dtype=complex)
+        np.conjugate(q, out=padded[..., l - 1 : self.m])
+        shifts = sliding_window_view(padded, self.m, axis=-1)
+        # prod[..., s, j] = conj((Y* Q)[j, l - 1 - s]); the window view's rows
+        # overlap, so BLAS takes a copy of it, not the view
+        prod = np.ascontiguousarray(shifts) @ y
+        return prod[..., ::-1, :].swapaxes(-1, -2).conj().reshape(*q.shape[:-1], self.n * l)
+
+    def gram_matvec(self, q: np.ndarray) -> np.ndarray:
+        """W W* q for a length-U q, or one per trial of a stack (T x U),
+        without W or W W*: W (W* q)."""
+        return self.matvec(self.rmatvec(q))
 
     def residual(self, vecs: np.ndarray) -> float:
         """||W - V V* W||_F^2 for orthonormal columns V: the sum of

@@ -227,26 +227,43 @@ def intervals_around(doas: Sequence[float], m: int) -> KnownIntervals:
     raise ValueError(f"doas {a!r} and {b!r} are too close to search apart")
 
 
-# Dense eigh against _lanczos_top for the top k eigenpairs of W W*/(N L),
-# N L = 2 U, ms, one BLAS thread, 2-CPU VM.  Each cell is eigh / Lanczos
-# with k sources at 10 dB each / Lanczos on noise alone / Lanczos with k
-# planted spikes at 0.5 to 0.9 of the threshold sigma2 sqrt(c_N); * marks a
-# search that handed over to eigh, which then ran too:
+# The dense branch against the top-k search for the top k eigenpairs of
+# W W*/(N L), N L = 2 U, ms, one BLAS thread, 2-CPU VM.  Each cell is the
+# dense branch / the search with k sources at 10 dB each / on noise alone /
+# with k planted spikes at 0.5 to 0.9 of the threshold sigma2 sqrt(c_N); *
+# marks a search that handed over to the dense branch, which then ran too
+# (+ where some trials of a block did).  One trial, W = U x 2U (l = 1), the
+# dense branch its eigh alone (BENCH_28.json):
 #
-#    U  k = 2                        k = 4                        k = 8
-#   65  1.00 / 1.04 / 2.19* / 2.11*  1.04 / 1.42 / 2.07* / 1.55*  0.77 / 1.51* / 1.52* / 1.90*
-#   97  2.22 / 0.96 / 3.78* / 4.13*  2.28 / 1.38 / 3.50* / 3.62*  2.26 / 1.69 / 4.02* / 3.95*
-#  145  6.03 / 1.33 / 7.48 / 7.39    5.92 / 1.70 / 8.80* / 9.01*  6.08 / 2.08 / 9.12* / 8.90*
-#  289  33.2 / 2.19 / 16.9 / 17.0    34.1 / 3.08 / 21.1 / 19.9    33.8 / 3.90 / 27.1 / 24.4
+#    U  k = 2                        k = 4
+#   65  0.60 / 1.62 / 2.54* / 2.50*  0.59 / 2.25 / 2.37* / 2.29*
+#   97  1.45 / 1.78 / 4.92* / 4.92*  1.52 / 2.50 / 4.65* / 4.61*
+#  145  4.46 / 2.32 / 7.92 / 7.83    3.75 / 2.86 / 9.65* / 9.64*
+#  289  23.6 / 5.71 / 31.1 / 30.2    22.5 / 7.49 / 38.8 / 37.5
+#
+# and per trial of a block of 8 smoothed as the trials are (M = U + 15,
+# l = 16, N = 2 U / 16), the dense branch its Gram from Y and its eigh:
+#
+#    U  k = 2                        k = 4
+#   65  0.77 / 0.70 / 1.24* / 1.31*  0.74 / 0.80 / 1.19* / 1.21*
+#   97  1.96 / 0.85 / 2.84* / 2.71+  1.68 / 0.91 / 2.53* / 2.52*
+#  145  4.46 / 0.96 / 5.49+ / 5.52+  4.18 / 1.15 / 6.29* / 6.05*
+#  289  25.0 / 2.17 / 13.8 / 12.1    23.2 / 2.60 / 17.7 / 16.4
 #
 # Steps grow as the top eigenvalues near the noise bulk or each other: 9 to
 # 32 for sources at 10 to 31 dB, 50 to 110 on noise alone or below the
-# threshold, where one spike at U = 145 takes 49 to 65.  A search costs one
-# eigh by about U / 2.4 steps at every U here.  The budget of U / 2 steps
-# is what that one spike needs: a search that will not converge in it hands
-# over from U / 4 steps on (_lanczos_top), at 1.5 to 1.8 eigh from U = 97.
+# threshold, where one spike at U = 145 takes 49 to 65.  The budget of
+# U / 2 steps is what that one spike needs: a search that will not converge
+# in it hands over from U / 4 steps on (_lanczos_top).  A step's product
+# W (W* q) costs about 2 M N l, against U^2 for a product with W W* itself,
+# so one unsmoothed trial (4 U^2) pays 1.2 to 1.6 eigh at U = 97 even with
+# 10 dB sources, and noise alone 1.3 to 3.4 eigh.  In a smoothed block, the
+# trials' case, the search with sources takes 0.9 to 1.1 of the dense
+# branch at U = 65, 0.4 to 0.55 at U = 97 and 0.1 to 0.3 above; noise alone
+# pays 1.2 to 1.6 of it where it hands over, and 0.55 to 0.8 at U = 289.
 # Below U ~ 96 Lanczos saves nothing even with 10 dB sources.  With more
-# sources, each cell as above with the size rule lifted (BENCH_27.json):
+# sources, and the search then run on the dense matrix (BENCH_27.json),
+# each cell of one trial as above with the size rule lifted:
 #
 #    U  k = U/12                         k = U/8
 #   97  ( 8) 1.39 / 0.90 / 2.11* / 2.11*  (12) 1.40 / 1.30 / 2.11* / 2.10*
@@ -265,9 +282,17 @@ LANCZOS_DIM_PER_PAIR = 24
 LANCZOS_DIM_PER_STEP = 2
 
 
-def _lanczos_top(cov: np.ndarray, k: int):
-    """Top k eigenpairs of a Hermitian matrix, eigenvalues descending, or
-    None when they have not converged within U / LANCZOS_DIM_PER_STEP steps.
+def _lanczos_top(apply, data, u: int, k: int) -> list:
+    """Top k eigenpairs of each of T Hermitian U x U operators, searched in
+    lockstep: one list entry per trial, (eigenvalues descending, U x k
+    eigenvectors), or None when they have not converged within
+    U / LANCZOS_DIM_PER_STEP steps.
+
+    data holds the operators along its first axis, and apply(data, x)
+    gives their products with the rows of x, a len(data) x U stack; a
+    trial whose search ends leaves the stack, and its row of data with it.
+    Every step works on each trial's own slices, so a trial's result does
+    not depend on the others searched with it.
 
     Lanczos with full reorthogonalization from a fixed start vector, in
     numpy alone: ARPACK (scipy's eigsh) runs on scipy's own BLAS, whose
@@ -281,63 +306,86 @@ def _lanczos_top(cov: np.ndarray, k: int):
     has stalled in the noise bulk then costs little more than the eigh
     that follows it.
     """
-    u = cov.shape[0]
+    found = [None] * len(data)
     steps = u // LANCZOS_DIM_PER_STEP
-    basis = np.empty((u, steps), dtype=complex, order="F")
-    alpha = np.empty(steps)
-    beta = np.empty(steps)
+    ids = np.arange(len(data))  # the trials still searching
+    basis = np.empty((len(data), steps, u), dtype=complex)  # basis[i, j] is trial i's q_j
+    alpha = np.empty((len(data), steps))
+    beta = np.empty((len(data), steps))
+    last = np.full(len(data), math.inf)  # the largest residual at the previous check
     # a generic start vector: all ones is orthogonal to every a(2 pi j / U), j != 0
     q = complex_gaussian(np.random.default_rng(0), u)
-    q /= np.linalg.norm(q)
-    last = math.inf  # the largest residual at the previous check
+    q = np.tile(q / np.linalg.norm(q), (len(data), 1))
     for j in range(steps):
         basis[:, j] = q
-        span = basis[:, : j + 1]
-        z = cov @ q
-        h = (z.conj() @ span).conj()
-        z -= span @ h
-        z -= span @ (z.conj() @ span).conj()  # twice is enough (Kahan)
-        alpha[j] = h[j].real
-        beta[j] = np.linalg.norm(z)
-        invariant = beta[j] <= EPS * np.max(np.abs(alpha[: j + 1]))
-        if j + 1 >= k and (invariant or (j + 1 - k) % 4 == 0):
-            tri = np.diag(alpha[: j + 1]) + np.diag(beta[:j], 1) + np.diag(beta[:j], -1)
+        span = basis[:, : j + 1].swapaxes(1, 2)  # each trial's U x (j + 1) basis
+        z = apply(data, q)
+        h = (z.conj()[:, None] @ span).conj()[:, 0]  # span* z, trial by trial
+        z -= (span @ h[..., None])[..., 0]
+        again = (z.conj()[:, None] @ span).conj()[:, 0]
+        z -= (span @ again[..., None])[..., 0]  # twice is enough (Kahan)
+        alpha[:, j] = h[:, j].real
+        beta[:, j] = np.linalg.norm(z, axis=-1)
+        invariant = beta[:, j] <= EPS * np.max(np.abs(alpha[:, : j + 1]), axis=-1)
+        done = invariant.copy()
+        check = np.flatnonzero((invariant | ((j + 1 - k) % 4 == 0)) & (j + 1 >= k))
+        if check.size:
+            tri = np.zeros((len(check), j + 1, j + 1))
+            d = np.arange(j + 1)
+            tri[:, d, d] = alpha[check, : j + 1]
+            tri[:, d[1:], d[:-1]] = tri[:, d[:-1], d[1:]] = beta[check, :j]
             theta, s = np.linalg.eigh(tri)
-            resid = float(np.max(beta[j] * np.abs(s[-1, -k:])))
-            if resid <= EPS * theta[-1]:
-                return theta[: -k - 1 : -1], span @ s[:, : -k - 1 : -1]
-            fall = min(resid / last, 1.0) ** ((steps - j - 1) / 4)
-            if 2 * (j + 1) >= steps and resid * fall > EPS * theta[-1]:
-                return None
-            last = resid
-        if invariant:
-            return None
-        q = z / beta[j]
-    return None
+            resid = np.max(beta[check, j, None] * np.abs(s[:, -1, -k:]), axis=-1)
+            converged = resid <= EPS * theta[:, -1]
+            fall = np.minimum(resid / last[check], 1.0) ** ((steps - j - 1) / 4)
+            gives_up = (2 * (j + 1) >= steps) & (resid * fall > EPS * theta[:, -1])
+            last[check] = resid
+            done[check] |= converged | gives_up
+            for c in np.flatnonzero(converged):
+                i = check[c]
+                found[ids[i]] = theta[c, : -k - 1 : -1], span[i] @ s[c, :, : -k - 1 : -1]
+        if done.all():
+            break
+        if done.any():
+            keep = ~done
+            ids, data, basis, z, alpha, beta, last = (
+                a[keep] for a in (ids, data, basis, z, alpha, beta, last)
+            )
+        q = z / beta[:, j, None]
+    return found
 
 
-def _top_eigenpairs(cov: np.ndarray, k: int, rank: int):
-    """The one top-k eigen search: the top k eigenpairs of the Hermitian
-    part of cov, a PSD matrix of rank at most ``rank``, as (eigenvalues
-    descending, U x k row-major eigenvectors, rest), where rest holds the
-    other U - k eigenvalues, descending, when a dense eigh found them, and
-    is None when Lanczos did.  Eigenvalues are clipped at 0.
+def _top_eigenpairs(apply, data, dense, u: int, k: int, rank: int):
+    """The one top-k eigen search, for each of T Hermitian U x U operators,
+    PSD of rank at most ``rank``: (T x k eigenvalues descending, T x U x k
+    row-major eigenvectors, rest), where rest[i] holds trial i's other
+    U - k eigenvalues, descending, when a dense eigh found them, and is
+    None when Lanczos did.  Eigenvalues are clipped at 0.
 
-    Lanczos runs when 0 < k < rank, U >= LANCZOS_MIN_DIM and
-    U >= LANCZOS_DIM_PER_PAIR k; a dense eigh runs otherwise, and when
-    Lanczos hands over unconverged.
+    The operators are apply(data, x) as in :func:`_lanczos_top`, and
+    dense(i) is trial i's U x U matrix, which only a dense eigh reads, of
+    its Hermitian part.  Lanczos runs when 0 < k < rank, U >= LANCZOS_MIN_DIM
+    and U >= LANCZOS_DIM_PER_PAIR k; a dense eigh runs otherwise, and for
+    each trial whose search hands over unconverged.
     """
-    cov = 0.5 * (cov + cov.conj().T)
-    u = cov.shape[0]
+    found = [None] * len(data)
     if 0 < k < rank and u >= LANCZOS_MIN_DIM and u >= LANCZOS_DIM_PER_PAIR * k:
-        top = _lanczos_top(cov, k)
+        found = _lanczos_top(apply, data, u, k)
+    vals = np.empty((len(data), k))
+    vecs = np.empty((len(data), u, k), dtype=complex)
+    rest = []
+    for i, top in enumerate(found):
         if top is not None:
-            return np.clip(top[0], 0.0, None), top[1], None
-    vals, vecs = np.linalg.eigh(cov)
-    # eigh is ascending, and can return tiny negative values for a PSD input
-    vals = np.clip(vals[::-1], 0.0, None)
-    # row-major, like Lanczos' eigenvectors, not a reversed view
-    return vals[:k], np.ascontiguousarray(vecs[:, : -k - 1 : -1]), vals[k:]
+            vals[i], vecs[i] = np.clip(top[0], 0.0, None), top[1]
+            rest.append(None)
+            continue
+        cov = dense(i)
+        every, basis = np.linalg.eigh(0.5 * (cov + cov.conj().T))
+        # eigh is ascending, and can return tiny negative values for a PSD input
+        every = np.clip(every[::-1], 0.0, None)
+        vals[i], vecs[i] = every[:k], basis[:, : -k - 1 : -1]
+        rest.append(every[k:])
+    return vals, vecs, rest
 
 
 def sample_covariance_eig(smoothed: SmoothedMatrix, k: int) -> EigenSystem:
@@ -350,25 +398,30 @@ def sample_covariance_eig(smoothed: SmoothedMatrix, k: int) -> EigenSystem:
       and only for l > 1: at l = 1, W is Y.
     * 0 < k < N L, U >= LANCZOS_MIN_DIM and U >= LANCZOS_DIM_PER_PAIR k:
       Lanczos computes only the top k eigenpairs U_k (from a fixed start
-      vector, so a result never depends on the process), and the noise
-      eigenvalue mean is the residual ||W - U_k U_k* W||_F^2 /
+      vector, so a result never depends on the process) on the operator
+      q -> W (W* q) / (N L), whose products come from Y
+      (:meth:`SmoothedMatrix.gram_matvec`): no U x U matrix is formed.  The
+      noise eigenvalue mean is the residual ||W - U_k U_k* W||_F^2 /
       (N L (U - k)) (:meth:`SmoothedMatrix.residual`).  That equals
       (tr R - sum of the top k) / (U - k) but is a sum of squares, so it
       stays positive where the trace difference cancels to rounding level.
-      If Lanczos hands over unconverged (out of steps, or stalled in the
-      noise bulk), the dense branch runs instead.
-    * otherwise a dense eigh of the whole matrix.  With k >= N L the range
+      A trial whose search hands over unconverged (out of steps, or stalled
+      in the noise bulk) takes the dense branch instead.
+    * otherwise a dense eigh of the whole matrix, formed from Y Y*
+      (:meth:`SmoothedMatrix.gram`), never from W.  With k >= N L the range
       holds no noise eigenvalue, and its rounding-level null eigenvalues
       are what the noise mean then averages.
 
-    The last two are :func:`_top_eigenpairs` on W W* / (N L), read from
-    Y Y* (:meth:`SmoothedMatrix.gram`), never from W.
+    The last two are :func:`_top_eigenpairs`.
 
     A stack of T trials' snapshots gives the stack of their eigensystems
     (:meth:`EigenSystem.row` is one trial's), all from one branch: the thin
-    SVD is one stacked call, while the Gram, Lanczos and the residual run
-    trial by trial (a stack of T U x U Grams measured slower, and its
-    memory grows with T).  One trial is the stack of one.
+    SVD is one stacked call, and Lanczos one search of all T trials in
+    lockstep, each step one stacked product W W* q; the residual, and the
+    Gram and eigh of a trial that takes the dense branch, run trial by
+    trial.  Every stacked call works on each trial's own slices, so a
+    trial's eigensystem does not depend on the stack it is in.  One trial
+    is the stack of one.
     """
     if not np.all(np.isfinite(smoothed.snapshots)):  # W holds every entry of Y
         raise ValueError("smoothed matrix contains non-finite entries")
@@ -387,13 +440,18 @@ def sample_covariance_eig(smoothed: SmoothedMatrix, k: int) -> EigenSystem:
         top = np.ascontiguousarray(vecs[..., :k])
         eig = EigenSystem(vals[:, :k], top, smoothed.c_n, np.mean(vals[:, k:], axis=-1))
     else:
-        tops = []
-        for one in smoothed.trials():
-            vals, vecs, rest = _top_eigenpairs(one.gram() / nl, k, nl)
-            noise = one.residual(vecs) / (nl * (u - k)) if rest is None else np.mean(rest)
-            tops.append((vals, vecs, noise))
-        vals, vecs, noise = zip(*tops)
-        eig = EigenSystem(np.array(vals), np.array(vecs), smoothed.c_n, np.array(noise))
+        trials = smoothed.trials()
+        vals, vecs, rest = _top_eigenpairs(
+            lambda y, x: SmoothedMatrix(snapshots=y, l=smoothed.l).gram_matvec(x) / nl,
+            smoothed.snapshots.reshape(len(trials), smoothed.m, smoothed.n),
+            lambda i: trials[i].gram() / nl,
+            u, k, nl,
+        )
+        noise = [
+            trials[i].residual(vecs[i]) / (nl * (u - k)) if r is None else np.mean(r)
+            for i, r in enumerate(rest)
+        ]
+        eig = EigenSystem(vals, vecs, smoothed.c_n, np.array(noise))
     return eig if smoothed.snapshots.ndim == 3 else eig.row(0)
 
 

@@ -235,6 +235,7 @@ def spike_experiment(
     if noise not in ("hankel", "iid"):
         raise ValueError(f"noise must be 'hankel' or 'iid', got {noise!r}")
     _check_count("trials", trials, 1)
+    _check_count("seed", seed, 0)
     g = Smoothing(m=m, n=n, l=l)
     p = MpParams(sigma2, g.c_n)
     u_dim, v_dim = g.subarray_size, g.virtual_snapshots
@@ -257,8 +258,13 @@ def spike_experiment(
         w = SmoothedMatrix(snapshots=_noise_block(noise_shape, sigma2, rng), l=noise_shape.l)
         uc = u @ (w.matvec(vt) * np.sqrt(lams / v_dim)).conj().T  # U C*
         cov = w.gram() / v_dim + uc + uc.conj().T + (u * lams) @ u.conj().T
-        lambda_hat[t], top, _ = _top_eigenpairs(cov, k, v_dim)
-        projections[t] = np.abs(np.sum(u.conj() * top, axis=0)) ** 2
+        cov = 0.5 * (cov + cov.conj().T)
+        vals, top, _ = _top_eigenpairs(
+            lambda c, x: (c @ x[..., None])[..., 0], cov[None], lambda i: cov, u_dim, k, v_dim
+        )
+        lambda_hat[t] = vals[0]
+        # squared overlaps of unit vectors, which rounding can carry an ulp past 1
+        projections[t] = np.minimum(np.abs(np.sum(u.conj() * top[0], axis=0)) ** 2, 1.0)
     return SpikeExperiment(
         planted=lams,
         params=p,

@@ -7,14 +7,16 @@ against the angle the circle starts at and against a direct scan, and the CLI's
 spectrum minima against the size of its display grid; conjugating the
 snapshots mirrors both spectra; the thin-SVD eigen path is checked against
 a dense eigh of the same covariance; the smoothed Gram matrix, the
-row-slice noise residual and the row-slice matvec match their forms
-through the block-Hankel matrix W; a source count above the rank of the
+row-slice noise residual and the products W x, W* q and W W* q, of one
+trial or a stack, match their forms through the block-Hankel matrix W; a
+source count above the rank of the
 covariance must still give finite results; the Kronecker form of the
 smoothed signal covariance (the tests' reference) agrees with the Gram,
 Hadamard and K x K forms; a stack of draws gives each draw's separation
 report bit for bit, and the separation table that stacks them the
 per-draw table's rows; the separation table keeps its invariants, or
-refuses before its first draw, on any input; the closed-form MP CDF differentiates to the
+refuses before its first draw, on any input, and so does the planted-spike
+experiment; the closed-form MP CDF differentiates to the
 density and carries the bulk mass min(1, 1/c); and the cyclic-shift matching of estimates to DoAs is a least-cost
 assignment on the circle, checked against every permutation.
 """
@@ -32,7 +34,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from smoothmusic import cli, montecarlo, subspace
+from smoothmusic import cli, montecarlo, subspace, verify
 from smoothmusic.array_model import (
     SIGNAL_POLICIES,
     ArrayScenario,
@@ -255,7 +257,10 @@ def test_lanczos_top_k_matches_dense_eigh(u, data, seed):
     eig = sample_covariance_eig(sm, k)
     if converges:
         # the Lanczos branch converges here instead of handing over to eigh
-        assert _lanczos_top(0.5 * (cov + cov.conj().T), k) is not None
+        (top,) = _lanczos_top(
+            lambda y, x: SmoothedMatrix(snapshots=y, l=1).gram_matvec(x) / nl, w[None], u, k
+        )
+        assert top is not None
     assert eig.eigenvalues.shape == (k,)
     assert eig.eigenvectors.shape == (u, k)
     np.testing.assert_allclose(eig.eigenvalues, vals[:k], rtol=1e-12)
@@ -348,9 +353,9 @@ def test_spectrum_flags_do_not_depend_on_grid_points(m, l, doa, spacing, snr_db,
 
 
 @st.composite
-def smoothing_shapes(draw):
-    """(m, n, l) with 1 <= l < m, from the unsmoothed l = 1 to l = m - 1."""
-    m = draw(st.integers(2, 64), label="m")
+def smoothing_shapes(draw, most=64):
+    """(m, n, l) with 1 <= l < m <= most, from the unsmoothed l = 1 to l = m - 1."""
+    m = draw(st.integers(2, most), label="m")
     return m, draw(st.integers(1, 12), label="n"), draw(st.integers(1, m - 1), label="l")
 
 
@@ -383,6 +388,37 @@ def test_gram_residual_and_matvec_match_their_w_forms(shape, seed):
     assert np.linalg.norm(got_wx - w @ x) <= 1e-13 * np.linalg.norm(w) * np.linalg.norm(x)
     one = smoothed.matvec(x[:, 0])
     assert np.linalg.norm(one - w @ x[:, 0]) <= 1e-13 * np.linalg.norm(w) * np.linalg.norm(x)
+
+
+@given(shape=smoothing_shapes(most=48), trials=st.sampled_from((None, 1, 3)), seed=seeds)
+@example(shape=(17, 5, 1), trials=3, seed=0)
+@example(shape=(17, 5, 16), trials=None, seed=0)
+@example(shape=(48, 2, 20), trials=3, seed=0)
+def test_adjoint_gram_and_matvec_products_match_w_entries(shape, trials, seed):
+    """SmoothedMatrix's rmatvec(q), gram_matvec(q) and matvec(x), of one
+    vector or a block of them, are W* q, W W* q and W x for W = entries, to
+    1e-12 relative, for one trial (trials None) and for each row of a
+    stack."""
+    m, n, l = shape
+    lead = () if trials is None else (trials,)
+    rng = np.random.default_rng(seed)
+    y = 10.0 ** rng.uniform(-3, 3) * complex_gaussian(rng, (*lead, m, n))
+    smoothed = SmoothedMatrix(snapshots=y, l=l)
+    w = smoothed.entries
+    w_adj = w.conj().swapaxes(-1, -2)
+    q = complex_gaussian(rng, (*lead, m - l + 1))
+    x = complex_gaussian(rng, (*lead, n * l))
+    block = complex_gaussian(rng, (*lead, n * l, 3))
+    products = [
+        (smoothed.rmatvec(q), (w_adj @ q[..., None])[..., 0]),
+        (smoothed.gram_matvec(q), (w @ (w_adj @ q[..., None]))[..., 0]),
+        (smoothed.matvec(x), (w @ x[..., None])[..., 0]),
+        (smoothed.matvec(block), w @ block),
+    ]
+    for got, want in products:
+        assert got.shape == want.shape
+        err = np.linalg.norm((got - want).reshape(*lead, -1), axis=-1)
+        assert np.all(err <= 1e-12 * np.linalg.norm(want.reshape(*lead, -1), axis=-1))
 
 
 @given(m=st.integers(2, 40), data=st.data(), seed=seeds)
@@ -519,6 +555,84 @@ def test_table1_over_its_accepted_domain(inputs):
         patched.setattr(subspace, "separation_report", drawn)
         with pytest.raises(ValueError):
             table1(sc, l_values, draws)
+
+
+@st.composite
+def spike_inputs(draw):
+    """spike_experiment's arguments: a small model of either noise kind, a
+    noise power over 60 decades and distinct planted eigenvalues from 20 dB
+    below it to 250 dB above it; or the same with one argument out of range."""
+    wrong = draw(
+        st.sampled_from(
+            (None,) * 7 + ("l", "sigma2", "planted", "rank", "trials", "seed", "noise")
+        ),
+        label="wrong",
+    )
+    bad = st.sampled_from((0.0, -1.0, math.inf, math.nan))
+    m = draw(st.integers(2, 24), label="m")
+    n = draw(st.integers(1, 6), label="n")
+    l = draw(st.sampled_from((0, m)) if wrong == "l" else st.integers(1, m - 1), label="l")
+    decades = st.floats(-30.0, 30.0).map(lambda e: 10.0**e)
+    sigma2 = draw(bad if wrong == "sigma2" else decades, label="sigma2")
+    room = min(m - l, n * l)  # the most spikes the model takes
+    k = room + 1 if wrong == "rank" else draw(st.integers(1, max(1, min(room, 4))), label="k")
+    scale = sigma2 if 0.0 < sigma2 < math.inf else 1.0
+    power = st.floats(-20.0, 250.0).map(lambda db: scale * 10.0 ** (db / 10.0))
+    planted = draw(st.lists(power, min_size=k, max_size=k, unique=True), label="planted")
+    if wrong == "planted":
+        how = draw(st.sampled_from(("none", "repeat", "bad")), label="how")
+        planted = [] if how == "none" else planted + [planted[0] if how == "repeat" else draw(bad)]
+    trials = draw(
+        st.sampled_from((0, -1, 2.0, True)) if wrong == "trials" else st.integers(1, 3),
+        label="trials",
+    )
+    seed = draw(st.sampled_from((-1, 2.5, True)) if wrong == "seed" else seeds, label="seed")
+    noise = draw(
+        st.just("gaussian") if wrong == "noise" else st.sampled_from(("hankel", "iid")),
+        label="noise",
+    )
+    return m, n, l, sigma2, tuple(planted), trials, seed, noise
+
+
+@given(inputs=spike_inputs())
+@example(inputs=(2, 1, 1, 1.0, (3.162277660168379e19,), 1, 1, "hankel"))
+@example(inputs=(2, 1, 1, 1.0, (1.0,), 1, True, "hankel"))
+def test_spike_experiment_over_its_accepted_domain(inputs):
+    """spike_experiment on any model, noise power, planted eigenvalues and
+    counts.  An accepted input gives finite statistics, lambda_hat >= 0 and
+    projections in [0, 1], with no numpy warning; any other is refused by a
+    ValueError before the first draw."""
+    m, n, l, sigma2, planted, trials, seed, noise = inputs
+    k, u, nl = len(planted), m - l + 1, n * l
+    accepted = (
+        1 <= l < m
+        and 0.0 < sigma2 < math.inf
+        and all(0.0 < lam < math.inf for lam in planted)
+        and 1 <= len(set(planted)) == k
+        and k < u
+        and k <= nl
+        and type(trials) is int and trials >= 1
+        and type(seed) is int and seed >= 0
+        and noise in ("hankel", "iid")
+    )
+    if accepted:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            exp = verify.spike_experiment(m, n, l, sigma2, planted, trials, seed, noise)
+        assert exp.lambda_hat.shape == exp.projections.shape == (trials, k)
+        assert np.all(np.isfinite(exp.lambda_hat)) and np.all(exp.lambda_hat >= 0)
+        assert np.all((exp.projections >= 0) & (exp.projections <= 1))
+        assert np.all(np.isfinite(exp.rho)) and np.all(np.isfinite(exp.h[exp.detached]))
+        return
+
+    def drawn(*args):
+        pytest.fail("spike_experiment drew before refusing its input")
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(verify, "haar_columns", drawn)
+        patched.setattr(verify, "_noise_block", drawn)
+        with pytest.raises(ValueError):
+            verify.spike_experiment(m, n, l, sigma2, planted, trials, seed, noise)
 
 
 @given(

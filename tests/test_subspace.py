@@ -7,7 +7,8 @@ and zero crossings are placed far apart, which pins the contract that
 selection and refinement act on signed values (a modulus-folding search
 would land on a crossing instead of the vertex).  The lockstep refinement
 must equal one scalar golden-section search per dip (``reference``) bit for
-bit, and interval policies are checked on the circle.
+bit, each row of a stacked top-k eigen search must equal that trial searched
+alone bit for bit, and interval policies are checked on the circle.
 """
 
 import math
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 from smoothmusic.array_model import (
     ArrayScenario,
     SmoothedMatrix,
+    complex_gaussian,
     draw_signal_matrix,
     min_spacing,
     signal_covariance,
@@ -584,12 +586,15 @@ def test_eight_sources_at_u_145_converge_in_lanczos(monkeypatch):
     )
     lanczos_top = subspace._lanczos_top
     calls = []
-    monkeypatch.setattr(subspace, "_lanczos_top", lambda cov, k: calls.append(k))
+    monkeypatch.setattr(subspace, "_lanczos_top", lambda apply, data, u, k: calls.append(k))
     smoothed = SmoothedMatrix(snapshots=synthesize_snapshots(sc), l=sc.l)
     eig = sample_covariance_eig(smoothed, sc.k)
     assert calls == []
     cov = smoothed.gram() / sc.virtual_snapshots
-    top = lanczos_top(0.5 * (cov + cov.conj().T), sc.k)
+    (top,) = lanczos_top(
+        lambda y, x: SmoothedMatrix(snapshots=y, l=sc.l).gram_matvec(x) / sc.virtual_snapshots,
+        smoothed.snapshots[None], sc.subarray_size, sc.k,
+    )
     assert top is not None
     want = np.linalg.eigvalsh(cov)[::-1]
     np.testing.assert_allclose(top[0], want[: sc.k], rtol=1e-10)
@@ -597,6 +602,49 @@ def test_eight_sources_at_u_145_converge_in_lanczos(monkeypatch):
     assert eig.noise_variance == pytest.approx(np.mean(want[sc.k :]), rel=1e-10)
     proj = top[1] @ top[1].conj().T
     np.testing.assert_allclose(proj, eig.eigenvectors @ eig.eigenvectors.conj().T, atol=1e-8)
+
+
+def test_stacked_search_rows_equal_each_trial_searched_alone():
+    """Each row of a stacked top-k search equals that trial searched alone
+    (a stack of 1), bit for bit, in stacks of 2 and 8, and so does each row
+    of the stacked eigensystem.  At U = 97 trial 3 holds two sources below the separation
+    threshold sigma2 sqrt(c_N) and hands over to eigh, while its neighbours,
+    two sources at 10 to 30 dB, converge in Lanczos."""
+    m, n, l, k = 112, 12, 16, 2
+    u, nl = m - l + 1, n * l
+    rng = np.random.default_rng(7)
+    a = steering_matrix(m, (-0.4, 0.5))
+    powers = [
+        (10, 30), (1e3, 100), (20, 1e3), (0.3, 0.4), (10, 10), (1e3, 1e3), (50, 12), (100, 1e3)
+    ]
+    y = np.stack([
+        a @ (np.sqrt(p)[:, None] * complex_gaussian(rng, (k, n))) + complex_gaussian(rng, (m, n))
+        for p in np.array(powers, dtype=float)
+    ])
+
+    def search(rows):
+        trials = [SmoothedMatrix(snapshots=y[i], l=l) for i in rows]
+        return subspace._top_eigenpairs(
+            lambda ys, x: SmoothedMatrix(snapshots=ys, l=l).gram_matvec(x) / nl,
+            y[rows], lambda i: trials[i].gram() / nl, u, k, nl,
+        )
+
+    alone = [search([i]) for i in range(8)]
+    assert [rest[0] is not None for _, _, rest in alone] == [i == 3 for i in range(8)]
+    for rows in [list(range(8))] + [[i, i + 1] for i in range(7)]:
+        vals, vecs, rest = search(rows)
+        for r, i in enumerate(rows):
+            np.testing.assert_array_equal(vals[r], alone[i][0][0])
+            np.testing.assert_array_equal(vecs[r], alone[i][1][0])
+            assert (rest[r] is None) == (alone[i][2][0] is None)
+            if rest[r] is not None:
+                np.testing.assert_array_equal(rest[r], alone[i][2][0])
+    stacked = sample_covariance_eig(SmoothedMatrix(snapshots=y, l=l), k)
+    for i in range(8):
+        one = sample_covariance_eig(SmoothedMatrix(snapshots=y[i], l=l), k)
+        np.testing.assert_array_equal(stacked.eigenvalues[i], one.eigenvalues)
+        np.testing.assert_array_equal(stacked.eigenvectors[i], one.eigenvectors)
+        assert stacked.noise_variance[i] == one.noise_variance
 
 
 def test_separation_report_validation():

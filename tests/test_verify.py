@@ -130,9 +130,9 @@ def test_sub_threshold_spike_converges_without_dense_fallback(monkeypatch):
     lanczos_top = subspace._lanczos_top
     found = []
 
-    def spy(cov, k):
-        top = lanczos_top(cov, k)
-        found.append(top is not None)
+    def spy(apply, data, u, k):
+        top = lanczos_top(apply, data, u, k)
+        found.extend(one is not None for one in top)
         return top
 
     monkeypatch.setattr(subspace, "_lanczos_top", spy)
