@@ -431,7 +431,7 @@ def cmd_verify(cfg: dict, seed: int):
     vc = cfg["verify"]
     trials = _used(verify.run_verification_suite, vc)["trials"]
     with _invalid("verify"):
-        verify._check_suite(vc["m"], vc["n"], vc["l"], vc["sigma2"], trials)
+        verify._check_suite(vc["m"], vc["n"], vc["l"], vc["sigma2"], trials, seed)
     log.info("verify: M=%d N=%d L=%d sigma2=%g, %d trials", vc["m"], vc["n"], vc["l"], vc["sigma2"], trials)
     rows = verify.run_verification_suite(**vc, seed=seed)
     header = ("check", "m", "n", "l", "statistic", "threshold", "pass")

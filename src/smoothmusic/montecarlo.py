@@ -209,6 +209,7 @@ class ExperimentPlan:
             _check_rank(sc, estimators)
             if self.doa_mode == "intervals":
                 subspace.intervals_around(sc.doas, sc.m)
+            _crb_geometry(sc.m, sc.doas)
         object.__setattr__(self, "scenarios", scenarios)
 
 
@@ -407,6 +408,21 @@ def run_plan(plan: ExperimentPlan, workers: int = 1) -> list:
     return rows
 
 
+def _crb_geometry(m: int, doas) -> np.ndarray:
+    """D* P_A^perp D, with D the steering derivatives.  The solve on A* A
+    rounds P_A^perp D by about eps cond(A* A) of D; DoAs too close for it
+    to stand 1e3 times above that have no bound, and are refused by name."""
+    a = steering_matrix(m, doas)
+    d = np.column_stack([steering_derivative(m, t) for t in doas])
+    gram = a.conj().T @ a
+    room = 1e3 * np.finfo(float).eps * np.linalg.cond(gram, 1)
+    if room < 1.0:
+        proj = d - a @ np.linalg.solve(gram, a.conj().T @ d)
+        if np.all(np.linalg.norm(proj, axis=0) > room * np.linalg.norm(d, axis=0)):
+            return d.conj().T @ proj
+    raise ValueError(f"doas {tuple(doas)} are too close for a Cramer-Rao bound at m={m}")
+
+
 def crb(scenario: ArrayScenario, signal) -> np.ndarray:
     """Conditional (deterministic-signal) Cramer-Rao bound on each DoA.
 
@@ -416,15 +432,10 @@ def crb(scenario: ArrayScenario, signal) -> np.ndarray:
     """
     if scenario.k == 0:
         raise ValueError("CRB needs at least one source")
-    n, m = scenario.n, scenario.m
     s = _one_signal(scenario, signal)
-    a = steering_matrix(m, scenario.doas)
-    d = np.column_stack([steering_derivative(m, t) for t in scenario.doas])
-    gram = a.conj().T @ a
-    proj = d - a @ np.linalg.solve(gram, a.conj().T @ d)
-    h = d.conj().T @ proj
-    p_mat = s @ s.conj().T / n
-    fim = (2.0 * n / scenario.sigma2) * np.real(h * p_mat.T)
+    h = _crb_geometry(scenario.m, scenario.doas)
+    p_mat = s @ s.conj().T / scenario.n
+    fim = (2.0 * scenario.n / scenario.sigma2) * np.real(h * p_mat.T)
     bound = np.linalg.inv(fim)
     out = np.diagonal(bound).copy()
     if not np.all(np.isfinite(out)) or np.any(out <= 0):

@@ -91,8 +91,9 @@ class EigenSystem:
     """The signal part of a smoothed sample covariance's eigensystem.
 
     eigenvalues are the top k, descending and nonnegative; eigenvectors is
-    U x k with column i matching eigenvalues[i]; noise_variance is the mean
-    of the other U - k eigenvalues, the plug-in sigma2.  A stack of T
+    U x k with column i matching eigenvalues[i]; noise_variance, the plug-in
+    sigma2, is the residual of W off those k (:func:`sample_covariance_eig`),
+    positive on every branch.  A stack of T
     trials' eigensystems holds T x k eigenvalues, T x U x k eigenvectors
     and T noise variances; row(t) is trial t's.  k, the source count, and
     dim, the covariance's size U, follow from the arrays.
@@ -358,9 +359,7 @@ def _lanczos_top(apply, data, u: int, k: int) -> list:
 def _top_eigenpairs(apply, data, dense, u: int, k: int, rank: int):
     """The one top-k eigen search, for each of T Hermitian U x U operators,
     PSD of rank at most ``rank``: (T x k eigenvalues descending, T x U x k
-    row-major eigenvectors, rest), where rest[i] holds trial i's other
-    U - k eigenvalues, descending, when a dense eigh found them, and is
-    None when Lanczos did.  Eigenvalues are clipped at 0.
+    row-major eigenvectors).  Eigenvalues are clipped at 0.
 
     The operators are apply(data, x) as in :func:`_lanczos_top`, and
     dense(i) is trial i's U x U matrix, which only a dense eigh reads, of
@@ -371,48 +370,40 @@ def _top_eigenpairs(apply, data, dense, u: int, k: int, rank: int):
     found = [None] * len(data)
     if 0 < k < rank and u >= LANCZOS_MIN_DIM and u >= LANCZOS_DIM_PER_PAIR * k:
         found = _lanczos_top(apply, data, u, k)
-    vals = np.empty((len(data), k))
-    vecs = np.empty((len(data), u, k), dtype=complex)
-    rest = []
     for i, top in enumerate(found):
-        if top is not None:
-            vals[i], vecs[i] = np.clip(top[0], 0.0, None), top[1]
-            rest.append(None)
-            continue
-        cov = dense(i)
-        every, basis = np.linalg.eigh(0.5 * (cov + cov.conj().T))
-        # eigh is ascending, and can return tiny negative values for a PSD input
-        every = np.clip(every[::-1], 0.0, None)
-        vals[i], vecs[i] = every[:k], basis[:, : -k - 1 : -1]
-        rest.append(every[k:])
-    return vals, vecs, rest
+        if top is None:
+            cov = dense(i)
+            every, basis = np.linalg.eigh(0.5 * (cov + cov.conj().T))
+            found[i] = every[: -k - 1 : -1], basis[:, : -k - 1 : -1]  # eigh is ascending
+    vals, vecs = zip(*found)
+    # both can return tiny negative values for a PSD input
+    return np.clip(vals, 0.0, None), np.array(vecs, dtype=complex)
 
 
 def sample_covariance_eig(smoothed: SmoothedMatrix, k: int) -> EigenSystem:
-    """Top k eigenpairs of W W* / (N L) and the mean of the other U - k
-    eigenvalues, by one of three branches chosen from U, N L and k alone:
+    """Top k eigenpairs U_k of W W* / (N L), by one of three branches chosen
+    from U, N L and k alone, and the noise variance:
 
-    * k < N L < U: a thin SVD W = V S Z* gives the N L range eigenpairs
-      (s^2 / (N L), V) at a fraction of the cost of a U x U eigensolve; the
-      U - N L null eigenvalues are exact zeros.  Only this branch builds W,
-      and only for l > 1: at l = 1, W is Y.
+    * k < N L < U: a thin SVD W = V S Z* gives the top k pairs
+      (s^2 / (N L), V) at a fraction of the cost of a U x U eigensolve.
+      Only this branch builds W, and only for l > 1: at l = 1, W is Y.
     * 0 < k < N L, U >= LANCZOS_MIN_DIM and U >= LANCZOS_DIM_PER_PAIR k:
-      Lanczos computes only the top k eigenpairs U_k (from a fixed start
-      vector, so a result never depends on the process) on the operator
+      Lanczos computes only the top k (from a fixed start vector, so a
+      result never depends on the process) on the operator
       q -> W (W* q) / (N L), whose products come from Y
-      (:meth:`SmoothedMatrix.gram_matvec`): no U x U matrix is formed.  The
-      noise eigenvalue mean is the residual ||W - U_k U_k* W||_F^2 /
-      (N L (U - k)) (:meth:`SmoothedMatrix.residual`).  That equals
-      (tr R - sum of the top k) / (U - k) but is a sum of squares, so it
-      stays positive where the trace difference cancels to rounding level.
+      (:meth:`SmoothedMatrix.gram_matvec`): no U x U matrix is formed.
       A trial whose search hands over unconverged (out of steps, or stalled
       in the noise bulk) takes the dense branch instead.
     * otherwise a dense eigh of the whole matrix, formed from Y Y*
-      (:meth:`SmoothedMatrix.gram`), never from W.  With k >= N L the range
-      holds no noise eigenvalue, and its rounding-level null eigenvalues
-      are what the noise mean then averages.
+      (:meth:`SmoothedMatrix.gram`), never from W.
 
-    The last two are :func:`_top_eigenpairs`.
+    The last two are :func:`_top_eigenpairs`.  Whichever branch ran, the
+    noise variance is the residual
+    ||W - U_k U_k* W||_F^2 / (N L (U - k)) (:meth:`SmoothedMatrix.residual`),
+    the mean of the other U - k eigenvalues in exact arithmetic but a sum
+    of squares, so it stays positive where that mean cancels to rounding
+    level, and above ~300 dB, where Y = A S + V rounds the noise away, it
+    is that rounding floor (1e7 to 1e9 sigma2 at 400 dB), never 0.
 
     A stack of T trials' snapshots gives the stack of their eigensystems
     (:meth:`EigenSystem.row` is one trial's), all from one branch: the thin
@@ -429,29 +420,23 @@ def sample_covariance_eig(smoothed: SmoothedMatrix, k: int) -> EigenSystem:
     if not 0 <= k < u:
         raise ValueError(f"need 0 <= k < subarray size {u}, got k={k}")
     nl = smoothed.virtual_snapshots
-
+    trials = smoothed.trials()
     if k < nl < u:
         # at l = 1, W is Y, which the SVD reads without a copy
         w = smoothed.snapshots if smoothed.l == 1 else smoothed.entries
         vecs, sing, _ = np.linalg.svd(w.reshape(-1, u, nl), full_matrices=False)
-        vals = np.zeros((sing.shape[0], u))
-        vals[:, :nl] = sing**2 / nl
+        vals = sing[:, :k] ** 2 / nl
         # a copy, so the U x N L singular vectors of the stack are freed
-        top = np.ascontiguousarray(vecs[..., :k])
-        eig = EigenSystem(vals[:, :k], top, smoothed.c_n, np.mean(vals[:, k:], axis=-1))
+        vecs = np.ascontiguousarray(vecs[..., :k])
     else:
-        trials = smoothed.trials()
-        vals, vecs, rest = _top_eigenpairs(
+        vals, vecs = _top_eigenpairs(
             lambda y, x: SmoothedMatrix(snapshots=y, l=smoothed.l).gram_matvec(x) / nl,
             smoothed.snapshots.reshape(len(trials), smoothed.m, smoothed.n),
             lambda i: trials[i].gram() / nl,
             u, k, nl,
         )
-        noise = [
-            trials[i].residual(vecs[i]) / (nl * (u - k)) if r is None else np.mean(r)
-            for i, r in enumerate(rest)
-        ]
-        eig = EigenSystem(vals, vecs, smoothed.c_n, np.array(noise))
+    noise = [one.residual(top) for one, top in zip(trials, vecs)]
+    eig = EigenSystem(vals, vecs, smoothed.c_n, np.array(noise) / (nl * (u - k)))
     return eig if smoothed.snapshots.ndim == 3 else eig.row(0)
 
 

@@ -128,6 +128,7 @@ def esd_vs_mp(m: int, n: int, l: int, sigma2: float, trials: int, seed: int) -> 
     and counts per-trial eigenvalues beyond (1 + EDGE_TOLERANCE) x+.
     """
     _check_count("trials", trials, 1)
+    _check_count("seed", seed, 0)
     g = Smoothing(m=m, n=n, l=l)
     p = MpParams(sigma2, g.c_n)
     inflated = (1.0 + EDGE_TOLERANCE) * p.edge_plus
@@ -167,6 +168,7 @@ def quadratic_form_check(
     Z Z* and the products Z a~ and Z b~ come from the raw noise block V
     (:class:`SmoothedMatrix`).
     """
+    _check_count("seed", seed, 0)
     g = Smoothing(m=m, n=n, l=l)
     p = MpParams(sigma2, g.c_n)
     mval = mp_stieltjes(z, p)
@@ -259,7 +261,7 @@ def spike_experiment(
         uc = u @ (w.matvec(vt) * np.sqrt(lams / v_dim)).conj().T  # U C*
         cov = w.gram() / v_dim + uc + uc.conj().T + (u * lams) @ u.conj().T
         cov = 0.5 * (cov + cov.conj().T)
-        vals, top, _ = _top_eigenpairs(
+        vals, top = _top_eigenpairs(
             lambda c, x: (c @ x[..., None])[..., 0], cov[None], lambda i: cov, u_dim, k, v_dim
         )
         lambda_hat[t] = vals[0]
@@ -317,11 +319,12 @@ def determinant_root_check(p: MpParams, lambdas: Sequence[float]) -> np.ndarray:
     return roots
 
 
-def _check_suite(m: int, n: int, l: int, sigma2: float, trials: int) -> MpParams:
+def _check_suite(m: int, n: int, l: int, sigma2: float, trials: int, seed: int) -> MpParams:
     """The suite's MP parameters, refusing bad arguments before any draw:
-    sizes and sigma2 as Smoothing and MpParams do, and trials < 2, under
-    which the hankel-vs-iid row would compare quartiles of one sample."""
+    sizes and sigma2 as Smoothing and MpParams do, a bad seed, and trials < 2,
+    under which the hankel-vs-iid row would compare quartiles of one sample."""
     _check_count("trials", trials, 2)
+    _check_count("seed", seed, 0)
     return MpParams(sigma2, Smoothing(m=m, n=n, l=l).c_n)
 
 
@@ -342,7 +345,7 @@ def run_verification_suite(
     four-times-larger array (same c_N) with a similarly reduced internal
     trial count.
     """
-    p = _check_suite(m, n, l, sigma2, trials)
+    p = _check_suite(m, n, l, sigma2, trials, seed)
     rows = []
 
     esd = esd_vs_mp(m, n, l, sigma2, trials=max(trials // 2, 2), seed=seed)

@@ -507,6 +507,27 @@ def test_runtime_failure_exits_one(tmp_path, capsys):
     assert code == 1 and out == ""
 
 
+@pytest.mark.parametrize(
+    "command, ini",
+    [
+        ("montecarlo", "[scenario]\nm = 2\nn = 8\nl = 1\ndoas = 0.3\nsnr_db = 200\nseed = 0\n\n"
+         "[montecarlo]\nsweep = snr_db\nvalues = 200\ntrials = 2\nestimators = gmusic\n"),
+        ("spectrum", _spectrum_ini(2, 2, 1, 1.587, 250, 0)),
+        ("spectrum", _spectrum_ini(2, 2, 1, 1.587, 250, 3)),
+    ],
+    ids=["montecarlo", "spectrum-seed-0", "spectrum-seed-3"],
+)
+def test_nearly_noiseless_two_sensor_runs_write_their_csv(tmp_path, capsys, command, ini):
+    """At 200 and 250 dB on two sensors the noise estimate stays positive,
+    so G-MUSIC's weights exist: the command writes its CSV and exits 0,
+    where a noise estimate of 0 used to fail a trial (exit 1)."""
+    out_dir = tmp_path / "out"
+    code, _, err = _run([command, "--config", _write(tmp_path, ini), "--out", str(out_dir)], capsys)
+    assert code == 0, err
+    header, rows = _rows((out_dir / f"{command}.csv").read_text(encoding="utf-8"))
+    assert rows and all(len(r) == len(header) for r in rows)
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_spectrum_rejects_too_few_virtual_snapshots(tmp_path, capsys, n):
     """spectrum applies the rank rule plans use: two sources at N L = 2 leave
@@ -574,16 +595,24 @@ def test_montecarlo_debug_log_counts_each_failure_by_cause(tmp_path, capsys):
             [],
             "doas 1.0 and 1.0000000000000002 are too close to search apart",
         ),
+        (
+            "montecarlo",
+            MONTECARLO_INI.replace("doas = 0, 0.9817477", "doas = 1.0, 1.0000000000000002")
+            + "doa_mode = window\n",
+            [],
+            "doas (1.0, 1.0000000000000002) are too close for a Cramer-Rao bound at m=32",
+        ),
     ],
     ids=[
         "workers-flag", "workers-key", "draws", "l-values", "l-below-k", "grid-points",
-        "window-nan", "close-doas",
+        "window-nan", "close-doas", "close-doas-window",
     ],
 )
 def test_library_refusal_is_a_config_error(tmp_path, capsys, command, ini, flags, message):
     """A value the library refuses exits 2 with the library's message under
     invalid [<command>], before any CSV is written.  Two DoAs too close for
-    search intervals are a plan's refusal, so [montecarlo] too."""
+    search intervals, or for the CRB, are a plan's refusal, so [montecarlo]
+    too."""
     out_dir = tmp_path / "out"
     argv = [command, "--config", _write(tmp_path, ini), "--out", str(out_dir), *flags]
     code, out, err = _run(argv, capsys)

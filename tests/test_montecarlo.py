@@ -215,17 +215,36 @@ def test_run_plan_noiseless_floor():
         assert row.mse < 1e-12, f"{row.estimator} floor {row.mse}"
 
 
-def test_run_plan_noiseless_floor_on_the_lanczos_branch():
-    """At 200 dB the top-k (Lanczos) eigensystem's noise estimate stays
-    positive and near the true noise power, where tr R minus the top k
-    eigenvalues cancels to rounding level and below zero, and every
-    estimator still reaches the search floor."""
-    sc = ArrayScenario(m=112, n=16, l=8, doas=WIDE, snr_db=200.0, seed=0)
+def _eigen_branch(smoothed, k):
+    """sample_covariance_eig(smoothed, k) and the branches that found its top
+    k: "thin-svd" where numpy's SVD ran, "dense" where a Gram did, and
+    "lanczos" where neither did."""
+    ran = set()
+    with pytest.MonkeyPatch.context() as patched:
+        for owner, name, branch in ((np.linalg, "svd", "thin-svd"), (SmoothedMatrix, "gram", "dense")):
+            real = getattr(owner, name)
+            patched.setattr(
+                owner, name, lambda *a, real=real, branch=branch, **kw: ran.add(branch) or real(*a, **kw)
+            )
+        eig = subspace.sample_covariance_eig(smoothed, k)
+    return eig, ran or {"lanczos"}
+
+
+@pytest.mark.parametrize(
+    "m, n, l, branch",
+    [(40, 16, 1, "thin-svd"), (32, 16, 4, "dense"), (112, 16, 8, "lanczos")],
+    ids=["thin-svd", "dense", "lanczos"],
+)
+def test_run_plan_noiseless_floor_on_each_eigen_branch(m, n, l, branch):
+    """At 200 dB each eigen branch's noise estimate stays positive and near
+    the true noise power, where a difference of the covariance's eigenvalues
+    cancels to rounding level, or to 0, and every estimator still reaches
+    the search floor."""
+    sc = ArrayScenario(m=m, n=n, l=l, doas=WIDE, snr_db=200.0, seed=0)
     u = sc.subarray_size
-    assert u >= subspace.LANCZOS_MIN_DIM and sc.n * sc.l >= u
-    smoothed = SmoothedMatrix(snapshots=synthesize_snapshots(sc), l=sc.l)
-    eig = subspace.sample_covariance_eig(smoothed, sc.k)
-    assert eig.eigenvalues.shape == (sc.k,), "the top-k branch ran"
+    eig, ran = _eigen_branch(SmoothedMatrix(snapshots=synthesize_snapshots(sc), l=sc.l), sc.k)
+    assert ran == {branch}
+    assert (u >= subspace.LANCZOS_MIN_DIM) == (branch == "lanczos")
     assert 0.5 * sc.sigma2 < eig.noise_variance < 2.0 * sc.sigma2
     plan = ExperimentPlan(scenario=sc, sweep="snr_db", values=(200.0,), trials=3)
     for row in run_plan(plan):
@@ -362,12 +381,14 @@ def test_plan_validation():
         ExperimentPlan(**{**good, "scenario": dataclasses.replace(sc, doas=())})
     with pytest.raises(ValueError, match="sequence of names"):  # not one name per letter
         ExperimentPlan(**{**good, "estimators": "music"})
-    # DoAs one ulp apart: search intervals around them round to points, which
-    # only the whole-circle search can do without
+    # DoAs one ulp apart: search intervals around them round to points, and
+    # the whole-circle search, which needs none, still needs the CRB, whose
+    # steering Gram is singular
     close = dataclasses.replace(sc, doas=(1.0, math.nextafter(1.0, 2.0)))
     with pytest.raises(ValueError, match="^doas 1.0 and 1.0000000000000002 are too close"):
         ExperimentPlan(**{**good, "scenario": close})
-    ExperimentPlan(**{**good, "scenario": close, "doa_mode": "window"})
+    with pytest.raises(ValueError, match=r"^doas \(1.0, 1.0000000000000002\) are too close for a Cramer-Rao"):
+        ExperimentPlan(**{**good, "scenario": close, "doa_mode": "window"})
     # estimator de-duplication preserves order
     plan = ExperimentPlan(**{**good, "estimators": ("gmusic-ss", "music", "gmusic-ss")})
     assert plan.estimators == ("gmusic-ss", "music")

@@ -15,8 +15,9 @@ smoothed signal covariance (the tests' reference) agrees with the Gram,
 Hadamard and K x K forms; a stack of draws gives each draw's separation
 report bit for bit, and the separation table that stacks them the
 per-draw table's rows; the separation table keeps its invariants, or
-refuses before its first draw, on any input, and so does the planted-spike
-experiment; the closed-form MP CDF differentiates to the
+refuses before its first draw, on any input, and so do the planted-spike
+experiment and run_plan; the residual noise variance of every eigen branch
+lies in the chi^2 band of its noise degrees of freedom; the closed-form MP CDF differentiates to the
 density and carries the bulk mass min(1, 1/c); and the cyclic-shift matching of estimates to DoAs is a least-cost
 assignment on the circle, checked against every permutation.
 """
@@ -31,6 +32,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -50,7 +52,14 @@ from smoothmusic.array_model import (
     synthesize_snapshots,
     wrap_angle,
 )
-from smoothmusic.montecarlo import _matched_errors, table1
+from smoothmusic.montecarlo import (
+    DOA_MODES,
+    ESTIMATORS,
+    ExperimentPlan,
+    _matched_errors,
+    run_plan,
+    table1,
+)
 from smoothmusic.rmt import MpParams, mp_atom, mp_cdf
 from smoothmusic.subspace import (
     LANCZOS_DIM_PER_PAIR,
@@ -71,6 +80,9 @@ from reference import separation_report_per_draw, signal_covariance_kronecker, t
 from test_rmt import mp_density
 
 seeds = st.integers(0, 2**32 - 1)
+EPS = np.finfo(float).eps
+# the chance that a statistical band fails one correct example
+ALPHA = 1e-9
 # the fields of a SeparationReport with one entry per draw of a stack
 PER_DRAW = ("lambda_signal", "separated", "margin", "min_snr_db")
 
@@ -219,7 +231,7 @@ def test_thin_svd_matches_dense_eigh(nl, extra, data, seed):
     top = eig.eigenvectors
     want = vecs[:, :k]
     np.testing.assert_allclose(top @ top.conj().T, want @ want.conj().T, rtol=0, atol=1e-10)
-    # the U - N L null eigenvalues enter the mean as exact zeros
+    # the residual is the mean of the other eigenvalues, U - N L of them rounding-level nulls
     assert isinstance(eig.noise_variance, float)
     assert eig.noise_variance == pytest.approx(np.mean(vals[k:]), rel=1e-10)
 
@@ -269,6 +281,74 @@ def test_lanczos_top_k_matches_dense_eigh(u, data, seed):
     np.testing.assert_allclose(top @ top.conj().T, want @ want.conj().T, rtol=0, atol=1e-10)
     assert isinstance(eig.noise_variance, float)
     assert eig.noise_variance == pytest.approx(np.mean(vals[k:]), rel=1e-10)
+
+
+@st.composite
+def noise_variance_inputs(draw):
+    """(m, n, l, k, snr_db, seed) sized for one branch of
+    sample_covariance_eig: the thin SVD (k < N L < U), the dense eigh
+    (N L >= U < LANCZOS_MIN_DIM) or Lanczos (N L >= U >= LANCZOS_MIN_DIM),
+    with 1 to 3 sources at -20 to 300 dB."""
+    branch = draw(st.sampled_from(("thin-svd", "dense", "lanczos")), label="branch")
+    k = draw(st.integers(1, 3), label="k")
+    if branch == "thin-svd":
+        l = draw(st.integers(1, 3), label="l")
+        n = draw(st.integers(k // l + 1, 6), label="n")
+        m = draw(st.integers(n * l + l, 40), label="m")
+    else:
+        m = draw(st.integers(k + 2, 48) if branch == "dense" else st.integers(108, 120), label="m")
+        l = draw(st.integers(1, min(m - k - 1, 12)), label="l")
+        n = -(-(m - l + 1) // l) + draw(st.integers(0, 3), label="extra")
+    return m, n, l, k, draw(st.floats(-20.0, 300.0), label="snr_db"), draw(seeds, label="seed")
+
+
+@given(inputs=noise_variance_inputs())
+@example(inputs=(2, 8, 1, 1, 200.0, 0))
+@example(inputs=(40, 4, 3, 2, 300.0, 0))
+@example(inputs=(112, 16, 8, 2, 30.0, 0))
+def test_noise_variance_lies_in_the_chi2_band_on_every_branch(inputs):
+    """The residual noise estimate of every branch, for Y = A S + V with k
+    unit-power sources and noise power sigma2, is positive and lies in the
+    band that the chi^2 spread of the (U - k) N L noise degrees of freedom
+    off the steering span gives; at moderate SNR it equals the mean of the
+    dense spectrum's other U - k eigenvalues to 1e-10 relative.
+
+    The band: each row slice Y_t of the noise is an iid U x N block, so
+    ||P Y_t||^2 / sigma2, with P the projection off the span of the k
+    steering vectors, is Gamma((U - k) N); by the union bound the sum over
+    the L slices, ||P W_V||^2, lies between L times the slices' quantiles at
+    ALPHA / (2 L) and 1 - ALPHA / (2 L), except with probability ALPHA.
+    Eckart-Young puts the residual between ||P W_V||^2 less its top k
+    squared singular values (what a fit of k directions can remove) and
+    ||P W_V||^2 itself.  A rounding floor of 2 U eps per entry of W,
+    relative (the worst-case bound on a length-U inner product, for the
+    Gram or products and the projection each residual entry comes from),
+    widens both ends; it shows only above ~250 dB."""
+    m, n, l, k, snr_db, seed = inputs
+    u, nl = m - l + 1, n * l
+    rng = np.random.default_rng(seed)
+    sigma2 = 10.0 ** (-snr_db / 10.0)
+    doas = rng.uniform(-math.pi, math.pi) + rng.uniform(0.3, 2.0 * math.pi / k) * np.arange(k)
+    noise = complex_gaussian(rng, (m, n), math.sqrt(sigma2))
+    y = steering_matrix(m, doas) @ complex_gaussian(rng, (k, n)) + noise
+    smoothed = SmoothedMatrix(snapshots=y, l=l)
+    estimate = sample_covariance_eig(smoothed, k).noise_variance
+    assert estimate > 0
+
+    steering, _ = np.linalg.qr(steering_matrix(u, doas))
+    off = block_hankel(noise, l)
+    off -= steering @ (steering.conj().T @ off)
+    squares = np.linalg.svd(off, compute_uv=False) ** 2
+    w = smoothed.entries
+    floor = (2.0 * u * EPS) ** 2 * np.vdot(w, w).real / (nl * (u - k))
+    dof = (u - k) * n
+    lo, hi = scipy.stats.gamma.ppf([ALPHA / (2 * l), 1.0 - ALPHA / (2 * l)], dof) / dof
+    fit = np.sum(squares[:k]) / (nl * (u - k))
+    assert lo * sigma2 - fit - floor <= estimate <= hi * sigma2 + floor, estimate / sigma2
+
+    if snr_db <= 30.0:
+        every = np.linalg.eigvalsh(w @ w.conj().T / nl)
+        assert estimate == pytest.approx(np.mean(every[: u - k]), rel=1e-10)
 
 
 @given(nl=st.integers(1, 10), data=st.data(), seed=seeds, weighted=st.booleans())
@@ -555,6 +635,119 @@ def test_table1_over_its_accepted_domain(inputs):
         patched.setattr(subspace, "separation_report", drawn)
         with pytest.raises(ValueError):
             table1(sc, l_values, draws)
+
+
+@st.composite
+def plan_inputs(draw):
+    """run_plan's scenario and plan: a small array with 1 to 3 sources at
+    least 1e-3 apart, an snr_db sweep of one or two points from -20 to
+    250 dB, any set of the estimators the rank rule admits (N l >= k, and
+    N l >= k + 1 for the G-MUSIC pair, at l = 1 for the unsmoothed pair),
+    either DoA mode and any flags; or the same with one argument out of
+    range."""
+    wrong = draw(
+        st.sampled_from(
+            (None,) * 8 + ("l", "doas", "snr_db", "seed", "trials", "estimators", "rank", "doa_mode")
+        ),
+        label="wrong",
+    )
+    m = draw(st.integers(2, 24), label="m")
+    l = draw(st.sampled_from((0, m)) if wrong == "l" else st.integers(1, m - 1), label="l")
+    k = draw(st.integers(1, max(1, min(3, m - l))), label="k")
+    policy = draw(st.sampled_from(SIGNAL_POLICIES), label="policy")
+    n = k if wrong == "rank" else draw(st.integers(k, 6), label="n")
+    angles = st.lists(st.floats(-math.pi, math.pi, exclude_max=True), min_size=k, max_size=k)
+    doas = draw(angles.filter(lambda t: k == 1 or min_spacing(t) > 1e-3), label="doas")
+    if wrong == "doas":
+        # a repeat, one off [-pi, pi), or one 1e-9 away, which leaves the
+        # steering Gram singular at float precision
+        near = doas[0] - math.copysign(1e-9, doas[0])
+        doas = doas + [draw(st.sampled_from((doas[0], math.pi, math.nan, near)), label="bad doa")]
+    db = st.floats(-20.0, 250.0)
+    bad_db = st.sampled_from((-4000.0, 4000.0, math.inf, math.nan))
+    scenario = dict(
+        m=m, n=n, l=l, doas=tuple(doas), signal_policy=policy, snr_db=draw(db, label="snr_db"),
+        seed=draw(st.sampled_from((-1, 2.5, True)) if wrong == "seed" else seeds, label="seed"),
+    )
+    values = draw(st.lists(db, min_size=1, max_size=2), label="values")
+    if wrong == "snr_db":
+        values.append(draw(bad_db, label="bad snr_db"))
+    admitted = [
+        name for name, est in ESTIMATORS.items()
+        if n * (l if est.smoothed else 1) >= k + est.corrected
+    ]
+    estimators = draw(st.lists(st.sampled_from(admitted), min_size=1, unique=True), label="estimators")
+    if wrong == "rank":
+        estimators.append("gmusic")  # N l = k at l = 1 leaves G-MUSIC no noise eigenvalue
+    elif wrong == "estimators":
+        estimators = draw(st.sampled_from(((), ("capon",), "music")), label="bad estimators")
+    plan = dict(
+        sweep="snr_db", values=tuple(values), estimators=tuple(estimators),
+        trials=draw(
+            st.sampled_from((0, -1, 2.0, True)) if wrong == "trials" else st.integers(1, 3),
+            label="trials",
+        ),
+        doa_mode=draw(
+            st.just("grid") if wrong == "doa_mode" else st.sampled_from(DOA_MODES), label="doa_mode"
+        ),
+        include_failures=draw(st.booleans(), label="include_failures"),
+        fresh_signal=draw(st.booleans(), label="fresh_signal"),
+        strict_separation=draw(st.booleans(), label="strict_separation"),
+    )
+    return wrong is None, scenario, plan
+
+
+@given(inputs=plan_inputs())
+@example(inputs=(
+    True,
+    dict(m=2, n=8, l=1, doas=(0.3,), snr_db=200.0, seed=0),
+    dict(sweep="snr_db", values=(200.0,), trials=2, estimators=("gmusic",)),
+))
+@example(inputs=(
+    False,
+    dict(m=8, n=4, l=2, doas=(0.0, 1e-9), snr_db=0.0, seed=0),
+    dict(sweep="snr_db", values=(0.0,), trials=1, estimators=("music",), doa_mode="window"),
+))
+def test_run_plan_over_its_accepted_domain(inputs):
+    """run_plan on any small scenario and plan.  An accepted input gives a row
+    per point, estimator and source with failures <= trials, mse >= 0 or
+    nan and a finite positive CRB, every resolved trial a finite error in
+    [-pi, pi), and no numpy warning; any other is refused by a ValueError
+    before the first draw."""
+    accepted, scenario, plan = inputs
+    if accepted:
+        outcomes = []
+        run_block = montecarlo._run_block
+
+        def spy(task):
+            block = run_block(task)
+            outcomes.extend(out for trial in block for out in trial.values())
+            return block
+
+        with pytest.MonkeyPatch.context() as patched, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            patched.setattr(montecarlo, "_run_block", spy)
+            rows = run_plan(ExperimentPlan(scenario=ArrayScenario(**scenario), **plan))
+        k, trials = len(scenario["doas"]), plan["trials"]
+        assert len(rows) == len(plan["values"]) * len(plan["estimators"]) * k
+        assert len(outcomes) == len(plan["values"]) * len(plan["estimators"]) * trials
+        for row in rows:
+            assert 0 <= row.failures <= trials
+            assert row.mse >= 0 or math.isnan(row.mse)
+            assert 0 < row.crb < math.inf
+        for out in outcomes:
+            if out.errors is not None:
+                assert np.all((-math.pi <= out.errors) & (out.errors < math.pi))
+        return
+
+    def drawn(*args):
+        pytest.fail("run_plan drew before refusing its input")
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(montecarlo, "_drawn_signal", drawn)
+        patched.setattr(montecarlo, "observe", drawn)
+        with pytest.raises(ValueError):
+            run_plan(ExperimentPlan(scenario=ArrayScenario(**scenario), **plan))
 
 
 @st.composite

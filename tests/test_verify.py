@@ -292,6 +292,24 @@ def test_run_verification_suite_refuses_fewer_than_two_trials(monkeypatch):
             run_verification_suite(32, 8, 4, 1.0, trials=trials)
 
 
+@pytest.mark.parametrize("seed", [True, 2.5, -1])
+@pytest.mark.parametrize(
+    "check, args",
+    [
+        ("esd_vs_mp", (8, 4, 2, 1.0, 2)),
+        ("quadratic_form_check", (8, 4, 2, 1.0, 5 + 1j)),
+        ("run_verification_suite", (8, 4, 2, 1.0, 2)),
+    ],
+    ids=["esd_vs_mp", "quadratic_form_check", "run_verification_suite"],
+)
+def test_a_seed_that_is_no_count_is_refused_by_name_before_any_draw(monkeypatch, check, args, seed):
+    """True, 2.5 or -1 as a seed is a ValueError that names the seed, before
+    the first noise draw, not seed 1 or numpy's TypeError inside a trial."""
+    monkeypatch.setattr(verify, "_noise_block", lambda *a: pytest.fail("drew before checking the seed"))
+    with pytest.raises(ValueError, match="seed must be"):
+        getattr(verify, check)(*args, seed=seed)
+
+
 def test_run_verification_suite_all_rows_pass():
     """At (80, 25, 8) with the default budget every bundled check passes."""
     rows = run_verification_suite(80, 25, 8, 1.0, trials=100, seed=0)
