@@ -179,10 +179,10 @@ class SmoothedMatrix(Smoothing):
     and ``gram_matvec`` (W W* q) work on Y, whose row slices
     Y_t = Y[t : t + U], t < l, hold W's columns, grouped by t.
     A T x M x N stack of T trials' snapshots is smoothed alike: m and n are
-    its last two axes, ``entries`` stacks the trials' W, the three products
-    take one vector (or block) per trial and run as stacked products, and
-    ``trials()`` gives each trial's own matrix, on which ``gram`` and
-    ``residual`` work.
+    its last two axes, and every method works on the whole stack, each
+    trial on its own slices: ``entries`` and ``gram`` give one matrix per
+    trial, ``residual`` one value per trial, and the three products take
+    one vector (or block) per trial.
     Instances compare and hash by identity: arrays have no one truth value,
     and the inherited (m, n, l) comparison would call any two of one shape equal."""
 
@@ -206,19 +206,12 @@ class SmoothedMatrix(Smoothing):
     @property
     def entries(self) -> np.ndarray:
         """W = block_hankel(snapshots, l), built anew on every read; a
-        stack's W, trial by trial."""
-        if self.snapshots.ndim == 2:
-            return block_hankel(self.snapshots, self.l)
-        return np.stack([one.entries for one in self.trials()])
-
-    def trials(self) -> list:
-        """Each trial's own SmoothedMatrix: one per row of a stack, or self."""
-        if self.snapshots.ndim == 2:
-            return [self]
-        return [SmoothedMatrix(snapshots=y, l=self.l) for y in self.snapshots]
+        stack's W, one per trial."""
+        return block_hankel(self.snapshots, self.l)
 
     def gram(self) -> np.ndarray:
-        """W W* = sum_t Y_t Y_t* (forward spatial smoothing), without W.
+        """W W* = sum_t Y_t Y_t* (forward spatial smoothing), without W; on
+        a stack, one per trial.
 
         R[i, j] = sum_{t < l} C[i + t, j + t] with C = Y Y*.  Prefix sums
         down each diagonal of C, subtracted l apart, give every entry in
@@ -226,15 +219,15 @@ class SmoothedMatrix(Smoothing):
         Y Y* itself.
         """
         y, l = self.snapshots, self.l
-        gram = y @ y.conj().T
+        gram = y @ y.conj().swapaxes(-1, -2)
         if l == 1:
             return gram
         # in place, row by row: gram[i, j] becomes sum_{s <= min(i, j)} C[i - s, j - s]
         for i in range(1, self.m):
-            gram[i, 1:] += gram[i - 1, :-1]
+            gram[..., i, 1:] += gram[..., i - 1, :-1]
         u = self.subarray_size
-        out = gram[l - 1 :, l - 1 :].copy()
-        out[1:, 1:] -= gram[: u - 1, : u - 1]
+        out = gram[..., l - 1 :, l - 1 :].copy()
+        out[..., 1:, 1:] -= gram[..., : u - 1, : u - 1]
         return out
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
@@ -277,16 +270,21 @@ class SmoothedMatrix(Smoothing):
         without W or W W*: W (W* q)."""
         return self.matvec(self.rmatvec(q))
 
-    def residual(self, vecs: np.ndarray) -> float:
-        """||W - V V* W||_F^2 for orthonormal columns V: the sum of
-        ||Y_t - V (V* Y_t)||_F^2."""
+    def residual(self, vecs: np.ndarray):
+        """||W - V V* W||_F^2 for orthonormal U x k columns V: the sum of
+        ||Y_t - V (V* Y_t)||_F^2.  On a stack, V is T x U x k and the
+        residuals are a length-T array, one per trial."""
         y, u = self.snapshots, self.subarray_size
-        total = 0.0
+        stack = y.reshape(-1, self.m, self.n)
+        vecs = vecs.reshape(len(stack), *vecs.shape[-2:])
+        adjoint = vecs.conj().swapaxes(-1, -2)
+        total = np.zeros(len(stack))
         for t in range(self.l):
-            resid = vecs @ (vecs.conj().T @ y[t : t + u])
-            resid -= y[t : t + u]
-            total += np.vdot(resid, resid).real
-        return total
+            resid = vecs @ (adjoint @ stack[:, t : t + u])
+            resid -= stack[:, t : t + u]
+            # one vdot per trial, so each sums in the order of its trial alone
+            total += [np.vdot(r, r).real for r in resid]
+        return total if y.ndim == 3 else float(total[0])
 
 
 def steering_matrix(m: int, doas) -> np.ndarray:
@@ -377,18 +375,18 @@ def block_hankel(y: np.ndarray, l: int) -> np.ndarray:
 
     For y of shape (m, n) the result W has shape (m - l + 1, n * l) with
     W[i, t + j*l] = y[i + t, j]; a 1-d input of length m is treated as a
-    single snapshot and yields shape (m - l + 1, l).  l = 1 returns a copy
-    of y itself.
+    single snapshot and yields shape (m - l + 1, l), and a (..., m, n)
+    stack gives the stack of their W.  l = 1 returns a copy of y itself.
     """
     y = np.asarray(y)
+    if y.ndim == 0:
+        raise ValueError("expected a vector, a matrix or a stack of matrices, got a scalar")
     if y.ndim == 1:
         y = y[:, None]
-    if y.ndim != 2:
-        raise ValueError(f"expected a vector or matrix, got ndim={y.ndim}")
-    m = y.shape[0]
+    m = y.shape[-2]
     _check_smoothing(m, l)
-    windows = sliding_window_view(y, l, axis=0)  # (m-l+1, n, l), [i, j, t] = y[i+t, j]
-    out = np.ascontiguousarray(windows).reshape(m - l + 1, y.shape[1] * l)
+    windows = sliding_window_view(y, l, axis=-2)  # [..., i, j, t] = y[..., i + t, j]
+    out = np.ascontiguousarray(windows).reshape(*y.shape[:-2], m - l + 1, y.shape[-1] * l)
     if np.shares_memory(out, y):
         # l = 1 keeps the window view contiguous, so no copy happened above;
         # materialize one so the result never aliases (or write-locks) the input

@@ -8,9 +8,9 @@ a reference curve.
 
 A sweep point's trials run in blocks: one stack of snapshots per block,
 smoothed, decomposed and searched as one (see :mod:`smoothmusic.subspace`),
-and each block returns an outcome per trial and estimator: ok,
-under-resolved, not separated or wild.  The process pool takes blocks as
-its tasks.
+and each block returns, per estimator, arrays over its trials: each
+trial's outcome (ok, under-resolved, not separated or wild) and signed
+errors.  The process pool takes blocks as its tasks.
 
 Determinism contract: every random quantity is derived from the master seed
 through named numpy SeedSequence streams keyed by (purpose, sweep point,
@@ -26,7 +26,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import numpy.ma  # np.percentile loads it lazily; import it here, not inside a command
@@ -88,14 +88,6 @@ _STREAM_NOISE = 2
 # threshold
 OK, UNDER_RESOLVED, NOT_SEPARATED, WILD = "ok", "under-resolved", "not-separated", "wild"
 CAUSES = (OK, UNDER_RESOLVED, NOT_SEPARATED, WILD)
-
-
-class Outcome(NamedTuple):
-    """One estimator in one trial: its cause, and its signed errors, None
-    when it gave no estimate (under-resolved or not separated)."""
-
-    cause: str
-    errors: Optional[np.ndarray]
 
 
 # Trials per block B.  A block shares the fixed cost of each numpy call
@@ -234,7 +226,8 @@ class MseRow(NamedTuple):
 
 def _matched_errors(theta_hat: np.ndarray, doas: Sequence[float]) -> np.ndarray:
     """Signed estimate errors on the circle, in [-pi, pi), after nearest
-    assignment to the true DoAs.
+    assignment to the true DoAs; a T x k stack of estimates is matched row
+    by row, and a row holding nan gives nan errors.
 
     For points on a circle with arc-length cost, some cyclic shift of the two
     sorted orders is an optimal assignment (Karp & Li, "Two special cases of
@@ -245,13 +238,15 @@ def _matched_errors(theta_hat: np.ndarray, doas: Sequence[float]) -> np.ndarray:
     k = truth.size
     # sorted by position on the circle, cut at angle 0
     by_truth = np.argsort(np.mod(truth, 2.0 * math.pi))
-    est = theta_hat[np.argsort(np.mod(theta_hat, 2.0 * math.pi))]
+    order = np.argsort(np.mod(theta_hat, 2.0 * math.pi), axis=-1)
+    est = np.take_along_axis(theta_hat, order, axis=-1)
     shifts = np.arange(k)
-    # shifted[s, i] = est[(i + s) % k], matched to the i-th true DoA in order
-    shifted = est[(shifts[:, None] + shifts) % k]
+    # shifted[..., s, i] = est[..., (i + s) % k], matched to the i-th true DoA in order
+    shifted = est[..., (shifts[:, None] + shifts) % k]
     diff = wrap_angle(shifted - truth[by_truth])
-    errors = np.empty(k)
-    errors[by_truth] = diff[np.argmin(np.sum(np.abs(diff), axis=1))]
+    best = np.argmin(np.sum(np.abs(diff), axis=-1), axis=-1)
+    errors = np.empty(theta_hat.shape)
+    errors[..., by_truth] = np.take_along_axis(diff, best[..., None, None], axis=-2)[..., 0, :]
     return errors
 
 
@@ -270,19 +265,21 @@ def _drawn_signal(scenario: ArrayScenario, *key) -> np.ndarray:
     return draw_signal_matrix(scenario.k, scenario.n, scenario.signal_policy, rng)
 
 
-def _run_block(task) -> list:
+def _run_block(task) -> dict:
     """Trials first, first + 1, ... of one sweep point, one per source
     matrix in signals, run as one stack: their noise draws, one stack of
     eigensystems per smoothing factor, and per estimator one stack of
     weights and one search (subspace.find_doas).
 
-    Module-level so process pools can pickle it.  Returns one
-    {estimator: Outcome} per trial.  Each trial draws its noise from its own
-    stream and every layer treats the rows of a stack alike, so a trial's
-    outcome does not depend on the block it runs in.
+    Module-level so process pools can pickle it.  Returns, per estimator,
+    (causes, errors): each trial's cause, one of CAUSES, and its signed
+    errors, a row of nan where it gave no estimate (under-resolved or not
+    separated).  Each trial draws its noise from its own stream and every
+    layer treats the rows of a stack alike, so a trial's outcome does not
+    depend on the block it runs in.
     """
     scenario, signals, point, first, policy, estimators, strict = task
-    m, k = scenario.m, scenario.k
+    m, k, trials = scenario.m, scenario.k, len(signals)
     y = np.stack([
         observe(scenario, signal, np.random.default_rng(
             np.random.SeedSequence([scenario.seed, _STREAM_NOISE, point, first + i])
@@ -294,44 +291,44 @@ def _run_block(task) -> list:
         eigs[lval] = subspace.sample_covariance_eig(SmoothedMatrix(snapshots=y, l=lval), k)
     threshold = _failure_threshold(scenario.doas, m)
 
-    out = [{} for _ in signals]
+    out = {}
     for est in estimators:
         eig = eigs[_smoothing_factor(est, scenario.l)]
-        causes = [OK] * len(signals)
+        not_separated = np.zeros(trials, dtype=bool)
         weights = None
         if ESTIMATORS[est].corrected:
-            weights = np.ones((len(signals), k))  # a row that does not separate is not read
-            for t in range(len(signals)):
+            weights = np.ones((trials, k))  # a row that does not separate is not read
+            for t in range(trials):
                 row = eig.row(t)
                 try:
                     weights[t] = subspace.gmusic_weights(row, row.noise_variance, row.c_n, strict)
                 except subspace.NotSeparatedError:
-                    causes[t] = NOT_SEPARATED
+                    not_separated[t] = True
         doas = subspace.find_doas(subspace.Pseudospectrum(eig, weights), k, policy, m)
-        for t, cause in enumerate(causes):
-            if cause == OK and np.isnan(doas[t, 0]):
-                cause = UNDER_RESOLVED
-            if cause != OK:
-                out[t][est] = Outcome(cause, None)
-                continue
-            errors = _matched_errors(doas[t], scenario.doas)
-            out[t][est] = Outcome(WILD if np.max(np.abs(errors)) > threshold else OK, errors)
+        unresolved = np.isnan(doas[:, 0])
+        errors = _matched_errors(doas, scenario.doas)
+        errors[not_separated | unresolved] = np.nan
+        wild = np.max(np.abs(errors), axis=-1) > threshold  # False on a row of nan
+        causes = np.select(
+            [not_separated, unresolved, wild], [NOT_SEPARATED, UNDER_RESOLVED, WILD], OK
+        )
+        out[est] = causes, errors
     return out
 
 
 def _run_trials(
     scens, signal_of, trials: int, estimators, doa_mode: str, strict: bool, workers: int
 ) -> list:
-    """outcomes[p][t], {estimator: Outcome}, for each scenario p and trial t.
+    """outcomes[p][estimator] = (causes, errors) over the trials of each
+    scenario p, as :func:`_run_block` gives them for a block.
 
     signal_of(p, t) gives the trial's source matrix.  A point's trials run
     in blocks of at most BLOCK_TRIALS (:func:`_run_block`), on the point's
-    search policy, built once.  workers = 0 uses one process per CPU; a pool
-    runs the blocks, cut so that each worker gets several, and returns them
-    in task order, like the serial loop.  So the outcomes never depend on
-    the worker count.
+    search policy, built once.  workers (checked by the callers) = 0 uses
+    one process per CPU; a pool runs the blocks, cut so that each worker
+    gets several, and returns them in task order, like the serial loop.
+    So the outcomes never depend on the worker count.
     """
-    _check_count("workers", workers, 0)
     if workers == 0:
         workers = os.cpu_count() or 1
     parts = -(-trials // BLOCK_TRIALS)
@@ -353,8 +350,11 @@ def _run_trials(
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_run_block, tasks))
-    flat = [outcome for block in blocks for outcome in block]
-    return [flat[p * trials : (p + 1) * trials] for p in range(len(scens))]
+    points = [blocks[p * parts : (p + 1) * parts] for p in range(len(scens))]
+    return [
+        {est: tuple(map(np.concatenate, zip(*(block[est] for block in point)))) for est in estimators}
+        for point in points
+    ]
 
 
 def run_plan(plan: ExperimentPlan, workers: int = 1) -> list:
@@ -365,6 +365,7 @@ def run_plan(plan: ExperimentPlan, workers: int = 1) -> list:
     rows because trials are keyed by (point, trial) and aggregated in a
     fixed order.  Each point's CRB uses the source matrix of its trial 0.
     """
+    _check_count("workers", workers, 0)
     shared = None if plan.fresh_signal else _drawn_signal(plan.scenario)
 
     def signal_of(p, t):
@@ -379,32 +380,23 @@ def run_plan(plan: ExperimentPlan, workers: int = 1) -> list:
     for p, (value, sc) in enumerate(zip(plan.values, plan.scenarios)):
         crb_point = crb(sc, signal_of(p, 0))
         for est in plan.estimators:
-            sums = np.zeros(sc.k)
-            used = 0
-            causes = [out[est].cause for out in outcomes[p]]
-            for out in outcomes[p]:
-                cause, errs = out[est]
-                if cause == OK or (cause == WILD and plan.include_failures):
-                    sums += errs**2
-                    used += 1
-            failures = len(causes) - causes.count(OK)
+            causes, errors = outcomes[p][est]
+            used = (causes == OK) | ((causes == WILD) & plan.include_failures)
+            failures = int(np.count_nonzero(causes != OK))
             log.debug(
                 "montecarlo: %s %s %s: %s", plan.sweep, value, est,
-                ", ".join(f"{cause} {causes.count(cause)}" for cause in CAUSES),
+                ", ".join(f"{cause} {np.count_nonzero(causes == cause)}" for cause in CAUSES),
             )
-            mse = sums / used if used else np.full(sc.k, np.nan)
+            mse = np.full(sc.k, np.nan)
+            if used.any():
+                # a running sum adds the trials in order; np.sum would pair
+                # them up along a contiguous axis, and round otherwise
+                mse = np.cumsum(errors[used] ** 2, axis=0)[-1] / np.count_nonzero(used)
             for j in range(sc.k):
-                rows.append(
-                    MseRow(
-                        sweep_value=value,
-                        estimator=est,
-                        source_index=j,
-                        trials=plan.trials,
-                        failures=failures,
-                        mse=float(mse[j]),
-                        crb=float(crb_point[j]),
-                    )
-                )
+                rows.append(MseRow(
+                    sweep_value=value, estimator=est, source_index=j, trials=plan.trials,
+                    failures=failures, mse=float(mse[j]), crb=float(crb_point[j]),
+                ))
     return rows
 
 
@@ -551,6 +543,7 @@ def consistency_sweep(
         raise ValueError("consistency sweeps need at least one source")
     estimators = _check_estimators(estimators)
     _check_count("trials", trials, 1)
+    _check_count("workers", workers, 0)
 
     scens = []
     for m, n, l in triples:
@@ -575,24 +568,12 @@ def consistency_sweep(
     rows = []
     for p, sc in enumerate(scens):
         for est in estimators:
-            pooled = []
-            failures = 0
-            for out in outcomes[p]:
-                errs = out[est].errors
-                if errs is None:
-                    failures += 1
-                    continue
-                pooled.extend(sc.m * np.abs(errs))
-            med = float(np.median(pooled)) if pooled else math.nan
-            rows.append(
-                ConsistencyRow(
-                    m=sc.m,
-                    n=sc.n,
-                    l=sc.l,
-                    estimator=est,
-                    median_scaled_error=med,
-                    trials=trials,
-                    failures=failures,
-                )
-            )
+            causes, errors = outcomes[p][est]
+            estimated = (causes == OK) | (causes == WILD)
+            failures = int(np.count_nonzero(~estimated))
+            med = float(np.median(sc.m * np.abs(errors[estimated]))) if failures < trials else math.nan
+            rows.append(ConsistencyRow(
+                m=sc.m, n=sc.n, l=sc.l, estimator=est, median_scaled_error=med, trials=trials,
+                failures=failures,
+            ))
     return rows

@@ -362,19 +362,22 @@ def _top_eigenpairs(apply, data, dense, u: int, k: int, rank: int):
     row-major eigenvectors).  Eigenvalues are clipped at 0.
 
     The operators are apply(data, x) as in :func:`_lanczos_top`, and
-    dense(i) is trial i's U x U matrix, which only a dense eigh reads, of
-    its Hermitian part.  Lanczos runs when 0 < k < rank, U >= LANCZOS_MIN_DIM
-    and U >= LANCZOS_DIM_PER_PAIR k; a dense eigh runs otherwise, and for
-    each trial whose search hands over unconverged.
+    dense(rows) is the stack of those trials' U x U matrices, which only a
+    dense eigh reads, of their Hermitian parts.  Lanczos runs when
+    0 < k < rank, U >= LANCZOS_MIN_DIM and U >= LANCZOS_DIM_PER_PAIR k; a
+    dense eigh runs otherwise, and for the trials whose search hands over
+    unconverged: one stacked eigh for all of them.
     """
     found = [None] * len(data)
     if 0 < k < rank and u >= LANCZOS_MIN_DIM and u >= LANCZOS_DIM_PER_PAIR * k:
         found = _lanczos_top(apply, data, u, k)
-    for i, top in enumerate(found):
-        if top is None:
-            cov = dense(i)
-            every, basis = np.linalg.eigh(0.5 * (cov + cov.conj().T))
-            found[i] = every[: -k - 1 : -1], basis[:, : -k - 1 : -1]  # eigh is ascending
+    rows = [i for i, top in enumerate(found) if top is None]
+    if rows:
+        cov = dense(rows)
+        every, basis = np.linalg.eigh(0.5 * (cov + cov.conj().swapaxes(-1, -2)))
+        # eigh is ascending
+        for i, top, vecs in zip(rows, every[:, : -k - 1 : -1], basis[..., : -k - 1 : -1]):
+            found[i] = top, vecs
     vals, vecs = zip(*found)
     # both can return tiny negative values for a PSD input
     return np.clip(vals, 0.0, None), np.array(vecs, dtype=complex)
@@ -407,36 +410,35 @@ def sample_covariance_eig(smoothed: SmoothedMatrix, k: int) -> EigenSystem:
 
     A stack of T trials' snapshots gives the stack of their eigensystems
     (:meth:`EigenSystem.row` is one trial's), all from one branch: the thin
-    SVD is one stacked call, and Lanczos one search of all T trials in
-    lockstep, each step one stacked product W W* q; the residual, and the
-    Gram and eigh of a trial that takes the dense branch, run trial by
-    trial.  Every stacked call works on each trial's own slices, so a
-    trial's eigensystem does not depend on the stack it is in.  One trial
-    is the stack of one.
+    SVD is one stacked call, Lanczos one search of all T trials in
+    lockstep, each step one stacked product W W* q, and the trials that
+    take the dense branch, from the start or by hand-over, one stacked Gram
+    and eigh; the residual is one call for the stack.  Every stacked call
+    works on each trial's own slices, so a trial's eigensystem does not
+    depend on the stack it is in.  One trial is the stack of one.
     """
     if not np.all(np.isfinite(smoothed.snapshots)):  # W holds every entry of Y
         raise ValueError("smoothed matrix contains non-finite entries")
     u = smoothed.subarray_size
     if not 0 <= k < u:
         raise ValueError(f"need 0 <= k < subarray size {u}, got k={k}")
-    nl = smoothed.virtual_snapshots
-    trials = smoothed.trials()
+    nl, l = smoothed.virtual_snapshots, smoothed.l
+    stack = SmoothedMatrix(snapshots=smoothed.snapshots.reshape(-1, smoothed.m, smoothed.n), l=l)
     if k < nl < u:
         # at l = 1, W is Y, which the SVD reads without a copy
-        w = smoothed.snapshots if smoothed.l == 1 else smoothed.entries
-        vecs, sing, _ = np.linalg.svd(w.reshape(-1, u, nl), full_matrices=False)
+        w = stack.snapshots if l == 1 else stack.entries
+        vecs, sing, _ = np.linalg.svd(w, full_matrices=False)
         vals = sing[:, :k] ** 2 / nl
         # a copy, so the U x N L singular vectors of the stack are freed
         vecs = np.ascontiguousarray(vecs[..., :k])
     else:
         vals, vecs = _top_eigenpairs(
-            lambda y, x: SmoothedMatrix(snapshots=y, l=smoothed.l).gram_matvec(x) / nl,
-            smoothed.snapshots.reshape(len(trials), smoothed.m, smoothed.n),
-            lambda i: trials[i].gram() / nl,
+            lambda y, x: SmoothedMatrix(snapshots=y, l=l).gram_matvec(x) / nl,
+            stack.snapshots,
+            lambda rows: SmoothedMatrix(snapshots=stack.snapshots[rows], l=l).gram() / nl,
             u, k, nl,
         )
-    noise = [one.residual(top) for one, top in zip(trials, vecs)]
-    eig = EigenSystem(vals, vecs, smoothed.c_n, np.array(noise) / (nl * (u - k)))
+    eig = EigenSystem(vals, vecs, smoothed.c_n, stack.residual(vecs) / (nl * (u - k)))
     return eig if smoothed.snapshots.ndim == 3 else eig.row(0)
 
 

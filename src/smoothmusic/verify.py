@@ -262,7 +262,7 @@ def spike_experiment(
         cov = w.gram() / v_dim + uc + uc.conj().T + (u * lams) @ u.conj().T
         cov = 0.5 * (cov + cov.conj().T)
         vals, top = _top_eigenpairs(
-            lambda c, x: (c @ x[..., None])[..., 0], cov[None], lambda i: cov, u_dim, k, v_dim
+            lambda c, x: (c @ x[..., None])[..., 0], cov[None], lambda rows: cov[None], u_dim, k, v_dim
         )
         lambda_hat[t] = vals[0]
         # squared overlaps of unit vectors, which rounding can carry an ulp past 1

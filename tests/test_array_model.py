@@ -96,7 +96,8 @@ def test_block_hankel_index_definition():
 
 
 def test_block_hankel_degenerate_and_errors():
-    """l = 1 copies the input; vectors act as single snapshots; bad l rejected."""
+    """l = 1 copies the input; vectors act as single snapshots; a stack of
+    matrices gives the stack of their W; a scalar and a bad l are rejected."""
     rng = np.random.default_rng(11)
     y = rng.standard_normal((6, 4))
     w = block_hankel(y, 1)
@@ -117,8 +118,15 @@ def test_block_hankel_degenerate_and_errors():
     # Smoothing's integer rule, not numpy's TypeError from the window view
     with pytest.raises(ValueError, match="^l must be an integer, got 2.5"):
         block_hankel(np.ones((4, 2)), 2.5)
-    with pytest.raises(ValueError):
-        block_hankel(np.zeros((2, 2, 2)), 1)
+    stack = rng.standard_normal((3, 6, 4))
+    for l in (1, 3):
+        got = block_hankel(stack, l)
+        assert got.shape == (3, 7 - l, 4 * l)
+        for i in range(3):
+            np.testing.assert_array_equal(got[i], block_hankel(stack[i], l))
+    assert not np.shares_memory(block_hankel(stack, 1), stack)
+    with pytest.raises(ValueError, match="scalar"):
+        block_hankel(np.float64(1.0), 1)
 
 
 def test_smoothed_steering_dual_construction():

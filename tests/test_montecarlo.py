@@ -626,9 +626,10 @@ def test_consistency_sweep_estimator_set_equals_single_estimator_sweeps(workers)
 
 
 def _alone(sc, signal, point, trial, policy, estimators, strict) -> dict:
-    """One trial's outcomes through the single-trial API, the oracle of a
-    block: its own noise draw, a 2-d SmoothedMatrix and one EigenSystem per
-    estimator, and a find_doas that raises UnderResolvedError."""
+    """One trial's {estimator: (cause, errors)} through the single-trial API,
+    the oracle of a block: its own noise draw, a 2-d SmoothedMatrix and one
+    EigenSystem per estimator, and a find_doas that raises
+    UnderResolvedError; errors are None where the trial gave no estimate."""
     rng = np.random.default_rng(np.random.SeedSequence([sc.seed, 2, point, trial]))
     y = observe(sc, signal, rng)
     out = {}
@@ -639,27 +640,39 @@ def _alone(sc, signal, point, trial, policy, estimators, strict) -> dict:
             weights = subspace.gmusic_weights(eig, eig.noise_variance, eig.c_n, strict) if corrected else None
             theta = subspace.find_doas(subspace.Pseudospectrum(eig, weights), sc.k, policy, sc.m)
         except subspace.UnderResolvedError:
-            out[est] = montecarlo.Outcome(montecarlo.UNDER_RESOLVED, None)
+            out[est] = montecarlo.UNDER_RESOLVED, None
             continue
         except subspace.NotSeparatedError:
-            out[est] = montecarlo.Outcome(montecarlo.NOT_SEPARATED, None)
+            out[est] = montecarlo.NOT_SEPARATED, None
             continue
         errors = _matched_errors(theta, sc.doas)
         wild = np.max(np.abs(errors)) > _failure_threshold(sc.doas, sc.m)
-        out[est] = montecarlo.Outcome(montecarlo.WILD if wild else montecarlo.OK, errors)
+        out[est] = montecarlo.WILD if wild else montecarlo.OK, errors
     return out
 
 
 def _same_outcomes(got, want):
-    assert len(got) == len(want)
-    for t, (g, w) in enumerate(zip(got, want)):
-        assert list(g) == list(w)
-        for est in w:
-            assert g[est].cause == w[est].cause, (t, est)
-            if w[est].errors is None:
-                assert g[est].errors is None, (t, est)
+    """got, {estimator: (causes, errors)} over trials as _run_block gives
+    them, holds each trial's cause and errors in want, a list of _alone's
+    per trial, bit for bit, and a row of nan where the trial gave none."""
+    assert list(got) == list(want[0])
+    for est, (causes, errors) in got.items():
+        assert causes.shape == (len(want),) and len(errors) == len(want)
+        for t, alone in enumerate(want):
+            cause, errs = alone[est]
+            assert causes[t] == cause, (t, est)
+            if errs is None:
+                assert np.all(np.isnan(errors[t])), (t, est, errors[t])
             else:
-                assert np.array_equal(g[est].errors, w[est].errors), (t, est, g[est], w[est])
+                assert np.array_equal(errors[t], errs), (t, est, errors[t], errs)
+
+
+def _joined(blocks) -> dict:
+    """The blocks' {estimator: (causes, errors)}, joined in trial order."""
+    return {
+        est: tuple(np.concatenate([block[est][i] for block in blocks]) for i in range(2))
+        for est in blocks[0]
+    }
 
 
 # (m, n, l, k) for each eigen branch of the smoothed pair, k from 1 to 3:
@@ -706,11 +719,13 @@ def test_block_outcomes_equal_each_trial_alone(size, k, snr_db, window, strict, 
     signals = [montecarlo._drawn_signal(sc, 0, t) if fresh else montecarlo._drawn_signal(sc) for t in range(trials)]
     want = [_alone(sc, signals[t], 1, t, policy, estimators, strict) for t in range(trials)]
     for size_of_block in (1, 2, trials):
-        got = []
-        for first in range(0, trials, size_of_block):
-            block = signals[first : first + size_of_block]
-            got += montecarlo._run_block((sc, block, 1, first, policy, estimators, strict))
-        _same_outcomes(got, want)
+        blocks = [
+            montecarlo._run_block(
+                (sc, signals[first : first + size_of_block], 1, first, policy, estimators, strict)
+            )
+            for first in range(0, trials, size_of_block)
+        ]
+        _same_outcomes(_joined(blocks), want)
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -439,35 +439,41 @@ def smoothing_shapes(draw, most=64):
     return m, draw(st.integers(1, 12), label="n"), draw(st.integers(1, m - 1), label="l")
 
 
-@given(shape=smoothing_shapes(), seed=seeds)
-@example(shape=(17, 5, 1), seed=0)
-@example(shape=(17, 5, 16), seed=0)
-@example(shape=(40, 1, 13), seed=0)
-def test_gram_residual_and_matvec_match_their_w_forms(shape, seed):
+@given(shape=smoothing_shapes(), trials=st.sampled_from((None, 1, 3)), seed=seeds)
+@example(shape=(17, 5, 1), trials=None, seed=0)
+@example(shape=(17, 5, 16), trials=3, seed=0)
+@example(shape=(40, 1, 13), trials=None, seed=0)
+def test_gram_residual_and_matvec_match_their_w_forms(shape, trials, seed):
     """SmoothedMatrix's gram() is W W*, its residual(V), summed over Y's row
     slices, is ||W - V V* W||_F^2, and its row-slice matvec(x) is W x, all
-    to rounding level, for W = block_hankel(y, l)."""
+    to rounding level, for W = block_hankel(y, l): of one trial (trials
+    None), and of a T x M x N stack, whose rows are each checked against
+    that trial's own W, V and x."""
     m, n, l = shape
+    u = m - l + 1
+    lead = () if trials is None else (trials,)
     rng = np.random.default_rng(seed)
-    y = 10.0 ** rng.uniform(-3, 3) * complex_gaussian(rng, (m, n))
+    y = 10.0 ** rng.uniform(-3, 3) * complex_gaussian(rng, (*lead, m, n))
     smoothed = SmoothedMatrix(snapshots=y, l=l)
-    w = block_hankel(y, l)
-    want = w @ w.conj().T
-    got = smoothed.gram()
-    assert got.shape == want.shape == (m - l + 1, m - l + 1)
-    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    k = rng.integers(1, u)
+    vecs = np.stack([haar_columns(u, k, rng) for _ in range(trials or 1)]).reshape(*lead, u, k)
+    x = complex_gaussian(rng, (*lead, n * l, 2))
+    gram, residual, wx = smoothed.gram(), smoothed.residual(vecs), smoothed.matvec(x)
+    assert gram.shape == (*lead, u, u) and np.shape(residual) == lead and wx.shape == (*lead, u, 2)
+    assert isinstance(residual, float) == (trials is None)
+    for row in [(t,) for t in range(trials)] if trials else [()]:
+        w = block_hankel(y[row], l)
+        want = w @ w.conj().T
+        assert np.linalg.norm(gram[row] - want) <= 1e-13 * np.linalg.norm(want)
 
-    k = rng.integers(1, m - l + 1)
-    vecs = haar_columns(m - l + 1, k, rng)
-    resid = w - vecs @ (vecs.conj().T @ w)
-    direct = np.vdot(resid, resid).real
-    assert abs(smoothed.residual(vecs) - direct) <= 1e-13 * np.vdot(w, w).real
+        resid = w - vecs[row] @ (vecs[row].conj().T @ w)
+        direct = np.vdot(resid, resid).real
+        assert abs(np.asarray(residual)[row] - direct) <= 1e-13 * np.vdot(w, w).real
 
-    x = complex_gaussian(rng, (n * l, 2))
-    got_wx = smoothed.matvec(x)
-    assert np.linalg.norm(got_wx - w @ x) <= 1e-13 * np.linalg.norm(w) * np.linalg.norm(x)
-    one = smoothed.matvec(x[:, 0])
-    assert np.linalg.norm(one - w @ x[:, 0]) <= 1e-13 * np.linalg.norm(w) * np.linalg.norm(x)
+        bound = 1e-13 * np.linalg.norm(w) * np.linalg.norm(x[row])
+        assert np.linalg.norm(wx[row] - w @ x[row]) <= bound
+        one = smoothed.matvec(x[..., 0])[row]
+        assert np.linalg.norm(one - w @ x[row][:, 0]) <= bound
 
 
 @given(shape=smoothing_shapes(most=48), trials=st.sampled_from((None, 1, 3)), seed=seeds)
@@ -643,11 +649,12 @@ def plan_inputs(draw):
     least 1e-3 apart, an snr_db sweep of one or two points from -20 to
     250 dB, any set of the estimators the rank rule admits (N l >= k, and
     N l >= k + 1 for the G-MUSIC pair, at l = 1 for the unsmoothed pair),
-    either DoA mode and any flags; or the same with one argument out of
-    range."""
+    either DoA mode and any flags, on one worker; or the same with one
+    argument out of range, the worker count included."""
     wrong = draw(
         st.sampled_from(
-            (None,) * 8 + ("l", "doas", "snr_db", "seed", "trials", "estimators", "rank", "doa_mode")
+            (None,) * 8
+            + ("l", "doas", "snr_db", "seed", "trials", "estimators", "rank", "doa_mode", "workers")
         ),
         label="wrong",
     )
@@ -694,7 +701,8 @@ def plan_inputs(draw):
         fresh_signal=draw(st.booleans(), label="fresh_signal"),
         strict_separation=draw(st.booleans(), label="strict_separation"),
     )
-    return wrong is None, scenario, plan
+    workers = draw(st.sampled_from((-1, 2.5, True)) if wrong == "workers" else st.just(1), label="workers")
+    return wrong is None, scenario, plan, workers
 
 
 @given(inputs=plan_inputs())
@@ -702,42 +710,54 @@ def plan_inputs(draw):
     True,
     dict(m=2, n=8, l=1, doas=(0.3,), snr_db=200.0, seed=0),
     dict(sweep="snr_db", values=(200.0,), trials=2, estimators=("gmusic",)),
+    1,
 ))
 @example(inputs=(
     False,
     dict(m=8, n=4, l=2, doas=(0.0, 1e-9), snr_db=0.0, seed=0),
     dict(sweep="snr_db", values=(0.0,), trials=1, estimators=("music",), doa_mode="window"),
+    1,
+))
+@example(inputs=(
+    False,
+    dict(m=8, n=4, l=2, doas=(0.0, 1.0), snr_db=0.0, seed=0),
+    dict(sweep="snr_db", values=(0.0,), trials=1, estimators=("music",)),
+    -1,
 ))
 def test_run_plan_over_its_accepted_domain(inputs):
     """run_plan on any small scenario and plan.  An accepted input gives a row
     per point, estimator and source with failures <= trials, mse >= 0 or
     nan and a finite positive CRB, every resolved trial a finite error in
-    [-pi, pi), and no numpy warning; any other is refused by a ValueError
-    before the first draw."""
-    accepted, scenario, plan = inputs
+    [-pi, pi) and every other a row of nan, and no numpy warning; any other
+    is refused by a ValueError before the first draw."""
+    accepted, scenario, plan, workers = inputs
     if accepted:
-        outcomes = []
+        outcomes = []  # (causes, errors) per block and estimator
         run_block = montecarlo._run_block
 
         def spy(task):
             block = run_block(task)
-            outcomes.extend(out for trial in block for out in trial.values())
+            outcomes.extend(block.values())
             return block
 
         with pytest.MonkeyPatch.context() as patched, warnings.catch_warnings():
             warnings.simplefilter("error")
             patched.setattr(montecarlo, "_run_block", spy)
-            rows = run_plan(ExperimentPlan(scenario=ArrayScenario(**scenario), **plan))
+            rows = run_plan(ExperimentPlan(scenario=ArrayScenario(**scenario), **plan), workers)
         k, trials = len(scenario["doas"]), plan["trials"]
         assert len(rows) == len(plan["values"]) * len(plan["estimators"]) * k
-        assert len(outcomes) == len(plan["values"]) * len(plan["estimators"]) * trials
+        assert sum(len(causes) for causes, _ in outcomes) == (
+            len(plan["values"]) * len(plan["estimators"]) * trials
+        )
         for row in rows:
             assert 0 <= row.failures <= trials
             assert row.mse >= 0 or math.isnan(row.mse)
             assert 0 < row.crb < math.inf
-        for out in outcomes:
-            if out.errors is not None:
-                assert np.all((-math.pi <= out.errors) & (out.errors < math.pi))
+        for causes, errors in outcomes:
+            assert errors.shape == (len(causes), k) and set(causes) <= set(montecarlo.CAUSES)
+            estimated = (causes == montecarlo.OK) | (causes == montecarlo.WILD)
+            assert np.all((-math.pi <= errors[estimated]) & (errors[estimated] < math.pi))
+            assert np.all(np.isnan(errors[~estimated]))
         return
 
     def drawn(*args):
@@ -747,7 +767,108 @@ def test_run_plan_over_its_accepted_domain(inputs):
         patched.setattr(montecarlo, "_drawn_signal", drawn)
         patched.setattr(montecarlo, "observe", drawn)
         with pytest.raises(ValueError):
-            run_plan(ExperimentPlan(scenario=ArrayScenario(**scenario), **plan))
+            run_plan(ExperimentPlan(scenario=ArrayScenario(**scenario), **plan), workers)
+
+
+@st.composite
+def sweep_inputs(draw):
+    """consistency_sweep's arguments: one to three sizes at one c_N, either
+    l fixed and n growing with the subarray or l growing with it at fixed
+    n; 1 or 2 sources given in beamwidths, at least 1e-3 rad apart at the
+    largest size; -20 to 250 dB, any set of estimators, 1 to 3 trials and
+    one worker; or the same with one argument out of range."""
+    wrong = draw(
+        st.sampled_from(
+            (None,) * 8
+            + ("workers", "order", "drift", "doas", "snr_db", "trials", "estimators", "rank", "sizes")
+        ),
+        label="wrong",
+    )
+    k = draw(st.integers(1, 2), label="k")
+    u, l = draw(st.integers(k + 1, 6), label="u"), draw(st.integers(1, 4), label="l")
+    n = k if wrong == "rank" else draw(st.integers(k + 1, 4), label="n")
+    count = draw(st.integers(2 if wrong in ("order", "drift") else 1, 3), label="count")
+    if draw(st.booleans(), label="fixed l"):
+        sizes = [(j * u + l - 1, j * n, l) for j in range(1, count + 1)]
+    else:
+        sizes = [(j * (u + l) - 1, n, j * l) for j in range(1, count + 1)]
+    if wrong == "order":
+        sizes = sizes[::-1] if draw(st.booleans(), label="reversed") else sizes + sizes[-1:]
+    elif wrong == "drift":
+        m, n_last, l_last = sizes[-1]
+        sizes[-1] = (m, 2 * n_last, l_last)  # halves the last c_N
+    elif wrong == "sizes":
+        sizes = []
+    half = sizes[0][0] / 2 if sizes else 1.0  # DoAs of the smallest array in [-pi, pi)
+    beamwidths = st.floats(-half, half, exclude_max=True)
+    largest = max((m for m, _, _ in sizes), default=1)
+    doas = draw(
+        st.lists(beamwidths, min_size=k, max_size=k).filter(
+            lambda t: k == 1 or min_spacing([2.0 * math.pi * x / largest for x in t]) > 1e-3
+        ),
+        label="doas",
+    )
+    if wrong == "doas":
+        doas = [doas[0], draw(st.sampled_from((doas[0], math.nan)), label="bad doa")]
+    snr_db = draw(
+        st.sampled_from((4000.0, math.inf, math.nan)) if wrong == "snr_db" else st.floats(-20.0, 250.0),
+        label="snr_db",
+    )
+    estimators = draw(st.lists(st.sampled_from(tuple(ESTIMATORS)), min_size=1, unique=True), label="estimators")
+    if wrong == "rank":
+        estimators.append("gmusic")  # N l = k at l = 1 leaves G-MUSIC no noise eigenvalue
+    elif wrong == "estimators":
+        estimators = draw(st.sampled_from(((), ("capon",), "music")), label="bad estimators")
+    trials = draw(
+        st.sampled_from((0, -1, 2.0, True)) if wrong == "trials" else st.integers(1, 3), label="trials"
+    )
+    workers = draw(st.sampled_from((-1, 2.5, True)) if wrong == "workers" else st.just(1), label="workers")
+    return wrong is None, (tuple(sizes), tuple(doas), snr_db, tuple(estimators), trials, 0, workers)
+
+
+@given(inputs=sweep_inputs())
+@example(inputs=(False, (((8, 2, 2), (16, 4, 2)), (0.0, 1.5), 10.0, ("music-ss",), 2, 0, -1)))
+@example(inputs=(False, (((16, 4, 2), (8, 2, 2)), (0.0, 1.5), 10.0, ("music-ss",), 2, 0, 1)))
+@example(inputs=(  # two DoAs whose intervals cannot part in floating point at m = 8
+    False, (((8, 2, 2), (16, 4, 2)), (-1.0, float(np.nextafter(-1.0, 0.0))), 10.0, ("music-ss",), 2, 0, 1)
+))
+@example(inputs=(False, (((8, 2, 2), (16, 8, 2)), (0.0, 1.5), 10.0, ("music-ss",), 2, 0, 1)))
+@example(inputs=(  # at m = 14 both refined estimates land on the true DoAs: a median of 0
+    True, (((8, 3, 3), (14, 6, 3)), (2.96875, 0.375), 63.0, ("music",), 1, 0, 1)
+))
+def test_consistency_sweep_over_its_accepted_domain(inputs):
+    """consistency_sweep on any small sizing policy, DoAs, SNR, estimators
+    and counts.  An accepted input gives one row per size and estimator, in
+    that order, with 0 <= failures <= trials and a finite median scaled
+    error >= 0, or nan when every trial failed, and no numpy warning; any
+    other (a bad worker count, m not increasing, c_N drifting, DoAs
+    repeated or too close to part, ...) is refused by a ValueError before
+    the first draw."""
+    accepted, args = inputs
+    sizes, _, _, estimators, trials, _, _ = args
+    if accepted:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = montecarlo.consistency_sweep(*args)
+        assert [(r.m, r.n, r.l, r.estimator) for r in rows] == [
+            (*size, est) for size in sizes for est in estimators
+        ]
+        for row in rows:
+            assert row.trials == trials and 0 <= row.failures <= trials
+            if row.failures == trials:
+                assert math.isnan(row.median_scaled_error)
+            else:
+                assert 0 <= row.median_scaled_error < math.inf
+        return
+
+    def drawn(*args):
+        pytest.fail("consistency_sweep drew before refusing its input")
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(montecarlo, "_drawn_signal", drawn)
+        patched.setattr(montecarlo, "observe", drawn)
+        with pytest.raises(ValueError):
+            montecarlo.consistency_sweep(*args)
 
 
 @st.composite
@@ -868,6 +989,10 @@ def test_matched_errors_is_a_least_cost_assignment(k, scale, center, turns, seed
     if turns:
         est = est + 2.0 * math.pi * rng.integers(-2, 3, k)
     errors = _matched_errors(est, truth)
+    # a stack is matched row by row; a row holding nan gives nan errors
+    stacked = _matched_errors(np.stack([est, est[::-1], np.full(k, np.nan)]), truth)
+    np.testing.assert_array_equal(stacked[:2], [errors, _matched_errors(est[::-1], truth)])
+    assert np.all(np.isnan(stacked[2]))
     by_perm = [wrap_angle(est[list(perm)] - truth) for perm in itertools.permutations(range(k))]
     costs = [float(np.sum(np.abs(e))) for e in by_perm]
     best = by_perm[int(np.argmin(costs))]

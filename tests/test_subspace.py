@@ -606,10 +606,12 @@ def test_eight_sources_at_u_145_converge_in_lanczos(monkeypatch):
 
 def test_stacked_search_rows_equal_each_trial_searched_alone():
     """Each row of a stacked top-k search equals that trial searched alone
-    (a stack of 1), bit for bit, in stacks of 2 and 8, and so does each row
-    of the stacked eigensystem.  At U = 97 trial 3 holds two sources below the separation
-    threshold sigma2 sqrt(c_N) and hands over to eigh, while its neighbours,
-    two sources at 10 to 30 dB, converge in Lanczos."""
+    (a stack of 1), bit for bit, in stacks of 2, 3 and 8, and so does each
+    row of the stacked eigensystem.  At U = 97 trial 3 holds two sources
+    below the separation threshold sigma2 sqrt(c_N) and hands over to eigh,
+    while its neighbours, two sources at 10 to 30 dB, converge in Lanczos;
+    every search makes one dense(rows) call for the trials that hand over,
+    so a stack holding trial 3 twice hands both to one stacked eigh."""
     m, n, l, k = 112, 12, 16, 2
     u, nl = m - l + 1, n * l
     rng = np.random.default_rng(7)
@@ -623,24 +625,22 @@ def test_stacked_search_rows_equal_each_trial_searched_alone():
     ])
 
     def search(rows):
-        trials = [SmoothedMatrix(snapshots=y[i], l=l) for i in rows]
-
-        def dense(i):
-            handed.append(rows[i])
-            return trials[i].gram() / nl
+        def dense(handing):
+            handed.append([rows[i] for i in handing])
+            return SmoothedMatrix(snapshots=y[rows][handing], l=l).gram() / nl
 
         return subspace._top_eigenpairs(
             lambda ys, x: SmoothedMatrix(snapshots=ys, l=l).gram_matvec(x) / nl,
             y[rows], dense, u, k, nl,
         )
 
-    handed = []  # the trials that read their dense matrix
+    handed = []  # per dense(rows) call, the trials that read their dense matrix
     alone = [search([i]) for i in range(8)]
-    assert handed == [3]
-    for rows in [list(range(8))] + [[i, i + 1] for i in range(7)]:
+    assert handed == [[3]]
+    for rows in [list(range(8)), [3, 0, 3]] + [[i, i + 1] for i in range(7)]:
         handed.clear()
         vals, vecs = search(rows)
-        assert handed == ([3] if 3 in rows else [])
+        assert handed == ([[i for i in rows if i == 3]] if 3 in rows else [])
         for r, i in enumerate(rows):
             np.testing.assert_array_equal(vals[r], alone[i][0][0])
             np.testing.assert_array_equal(vecs[r], alone[i][1][0])

@@ -7,11 +7,15 @@ Exempt are ``from __future__`` imports, the commented side-effect imports of
 numpy submodules that numpy would otherwise load lazily inside a command, and
 ``__init__.py``, whose imports are the package's re-exports.  Every entry of
 a module's ``__all__``, ``__init__.py``'s included, must be bound at its top
-level, so a deleted name cannot linger there.
+level, so a deleted name cannot linger there.  Every module-level
+``_private`` function must be called or named somewhere in ``src/`` outside
+its own body, so a helper that a refactor left without callers fails here.
 """
 
 import ast
+import collections
 import pathlib
+import re
 
 import smoothmusic
 
@@ -66,3 +70,28 @@ def test_no_module_imports_a_name_it_never_uses():
 def test_every_all_entry_is_a_top_level_binding():
     stale = [entry for path in sorted(PACKAGE.glob("*.py")) for entry in _stale_exports(path)]
     assert stale == [], "__all__ names no top-level binding:\n" + "\n".join(stale)
+
+
+def _names_read(node):
+    """Every name read in node's subtree, as a name or an attribute."""
+    return {
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_private_function_is_referenced_in_src():
+    """A recursive call does not count: the reference must come from
+    outside the function's own definition."""
+    readers = collections.Counter()  # name -> top-level statements in src/ that read it
+    private = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            names = _names_read(node)
+            readers.update(names)
+            if isinstance(node, ast.FunctionDef) and re.match(r"_[^_]", node.name):  # not dunder
+                private.append((f"{path.name}:{node.lineno}: {node.name}", node.name, names))
+    orphans = [where for where, name, own in private if readers[name] == (name in own)]
+    assert orphans == [], "private functions nothing in src/ refers to:\n" + "\n".join(orphans)
