@@ -175,14 +175,14 @@ class SmoothedMatrix(Smoothing):
     """Smoothed M x N snapshots Y: m, n = Y.shape, smoothing factor l.
     Snapshots go by keyword, as the inherited field order puts l first.
     The block-Hankel matrix W is not stored: ``entries`` builds it on each
-    read, while ``gram``, ``residual``, ``matvec`` (W x), ``rmatvec`` (W* q)
-    and ``gram_matvec`` (W W* q) work on Y, whose row slices
-    Y_t = Y[t : t + U], t < l, hold W's columns, grouped by t.
+    read, while ``gram``, ``norm2``, ``residual``, ``matvec`` (W x),
+    ``rmatvec`` (W* q) and ``gram_matvec`` (W W* q) work on Y, whose row
+    slices Y_t = Y[t : t + U], t < l, hold W's columns, grouped by t.
     A T x M x N stack of T trials' snapshots is smoothed alike: m and n are
     its last two axes, and every method works on the whole stack, each
     trial on its own slices: ``entries`` and ``gram`` give one matrix per
-    trial, ``residual`` one value per trial, and the three products take
-    one vector (or block) per trial.
+    trial, ``norm2`` and ``residual`` one value per trial, and the three
+    products take one vector (or block) per trial.
     Instances compare and hash by identity: arrays have no one truth value,
     and the inherited (m, n, l) comparison would call any two of one shape equal."""
 
@@ -269,6 +269,16 @@ class SmoothedMatrix(Smoothing):
         """W W* q for a length-U q, or one per trial of a stack (T x U),
         without W or W W*: W (W* q)."""
         return self.matvec(self.rmatvec(q))
+
+    def norm2(self):
+        """||W||_F^2 = sum_i c_i ||Y_i||^2, where c_i counts the row slices
+        that hold row i of Y; on a stack, one value per trial."""
+        i = np.arange(self.m)
+        counts = np.minimum(i, self.l - 1) - np.maximum(i - self.subarray_size + 1, 0) + 1
+        y = self.snapshots
+        # row by row: a product over the stack would round by the stack's size
+        rows = np.einsum("...j,...j->...", y.real, y.real) + np.einsum("...j,...j->...", y.imag, y.imag)
+        return np.sum(rows * counts, axis=-1)
 
     def residual(self, vecs: np.ndarray):
         """||W - V V* W||_F^2 for orthonormal U x k columns V: the sum of

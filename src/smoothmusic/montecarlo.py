@@ -92,8 +92,8 @@ CAUSES = (OK, UNDER_RESOLVED, NOT_SEPARATED, WILD)
 
 # Trials per block B.  A block shares the fixed cost of each numpy call
 # among its trials, most of all in the search's ~15 steps per spectrum, but
-# holds B snapshot arrays and, on the thin-SVD branch, B singular-vector
-# matrices while it runs.  At the mc-intervals plan ((160, 20, 16), three estimators),
+# holds B snapshot arrays and B Gram matrices (W W*, or W* W, which is built
+# from W where l > 1) while it runs.  At the mc-intervals plan ((160, 20, 16), three estimators),
 # one BLAS thread, 2-CPU VM, the median ms per trial in process and the
 # peak RSS of the CLI command (47.0 MB with one trial at a time before
 # blocks):
@@ -297,13 +297,10 @@ def _run_block(task) -> dict:
         not_separated = np.zeros(trials, dtype=bool)
         weights = None
         if ESTIMATORS[est].corrected:
-            weights = np.ones((trials, k))  # a row that does not separate is not read
-            for t in range(trials):
-                row = eig.row(t)
-                try:
-                    weights[t] = subspace.gmusic_weights(row, row.noise_variance, row.c_n, strict)
-                except subspace.NotSeparatedError:
-                    not_separated[t] = True
+            # a row that does not separate is searched with weights 1, and not read
+            weights = subspace.gmusic_weights(eig, eig.noise_variance, eig.c_n)
+            if strict:
+                not_separated = ~subspace.separated(eig, eig.noise_variance, eig.c_n).all(axis=-1)
         doas = subspace.find_doas(subspace.Pseudospectrum(eig, weights), k, policy, m)
         unresolved = np.isnan(doas[:, 0])
         errors = _matched_errors(doas, scenario.doas)
@@ -532,6 +529,8 @@ def consistency_sweep(
     estimator runs on the same trials.  Returns one ConsistencyRow per
     (size, estimator), in that order, with the per-size statistic the
     median of m * |error| pooled over sources and non-failed trials.
+    DoAs too close for a Cramer-Rao bound at some size are refused, as a
+    plan refuses them: no estimate can tell them apart there.
     """
     triples = [(m, n, l) for m, n, l in sizes]
     if not triples:
@@ -552,6 +551,7 @@ def consistency_sweep(
     for sc in scens:
         _check_rank(sc, estimators)
         subspace.intervals_around(sc.doas, sc.m)
+        _crb_geometry(sc.m, sc.doas)
     cs = np.array([sc.c_n for sc in scens])
     target = float(np.mean(cs))
     if np.max(np.abs(cs - target)) > 0.1 * target:

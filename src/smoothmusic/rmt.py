@@ -47,13 +47,15 @@ class BelowEdgeError(DomainError):
 
 @dataclass(frozen=True)
 class MpParams:
-    """Noise power and aspect ratio selecting one Marcenko-Pastur law."""
+    """Noise power and aspect ratio selecting one Marcenko-Pastur law, or
+    one per entry of an array of noise powers."""
 
     sigma2: float
     c: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.sigma2) and self.sigma2 > 0):
+        s2 = np.asarray(self.sigma2)
+        if not (np.all(np.isfinite(s2)) and np.all(s2 > 0)):
             raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2!r}")
         if not (math.isfinite(self.c) and self.c > 0):
             raise ValueError(f"c must be positive and finite, got {self.c!r}")
@@ -194,31 +196,35 @@ def phi_star(w: float, p: MpParams) -> float:
     return (w + s2) * (w + s2 * c) / w
 
 
-def phi_inverse(rho: float, p: MpParams) -> float:
+def phi_inverse(rho, p: MpParams):
     """Unique w > sigma2 sqrt(c) with phi(w) = rho, for rho > edge_plus.
 
     Computed as the larger root of w^2 - (rho - sigma2 - sigma2 c) w
-    + sigma2^2 c = 0.
+    + sigma2^2 c = 0.  rho, and p.sigma2, may be arrays: entry by entry.
     """
-    if not rho > p.edge_plus:
+    x = np.asarray(rho, dtype=float)
+    if not np.all(x > p.edge_plus):
         raise BelowEdgeError(
             f"phi_inverse requires rho > edge_plus = {p.edge_plus}, got {rho}"
         )
     s2, c = p.sigma2, p.c
-    b = rho - s2 - s2 * c
+    b = x - s2 - s2 * c
     disc = b * b - 4.0 * s2 * s2 * c
-    return 0.5 * (b + math.sqrt(max(disc, 0.0)))
+    w = 0.5 * (b + np.sqrt(np.maximum(disc, 0.0)))
+    return float(w) if np.ndim(w) == 0 else w
 
 
-def h_star(rho: float, p: MpParams) -> float:
+def h_star(rho, p: MpParams):
     """Eigenvector attenuation h(rho) = (w^2 - sigma2^2 c) / (w (w + sigma2 c)).
 
-    Here w = phi_inverse(rho).  Values lie in (0, 1): the squared overlap
-    between a detached sample eigenvector and its population counterpart.
+    Here w = phi_inverse(rho), entry by entry for arrays.  Values lie in
+    (0, 1): the squared overlap between a detached sample eigenvector and
+    its population counterpart.
     """
     w = phi_inverse(rho, p)
     s2, c = p.sigma2, p.c
-    return (w * w - s2 * s2 * c) / (w * (w + s2 * c))
+    h = (w * w - s2 * s2 * c) / (w * (w + s2 * c))
+    return float(h) if np.ndim(h) == 0 else h
 
 
 def spike_forward(lam: float, p: MpParams) -> SpikePrediction:

@@ -40,7 +40,7 @@ from .array_model import (
     steering_matrix,
     wrap_angle,
 )
-from .rmt import BelowEdgeError, MpParams, h_star
+from .rmt import MpParams, h_star
 
 __all__ = [
     "EigenSystem",
@@ -55,6 +55,7 @@ __all__ = [
     "gmusic_weights",
     "intervals_around",
     "sample_covariance_eig",
+    "separated",
     "separation_report",
     "traditional_pseudospectrum",
 ]
@@ -93,7 +94,7 @@ class EigenSystem:
     eigenvalues are the top k, descending and nonnegative; eigenvectors is
     U x k with column i matching eigenvalues[i]; noise_variance, the plug-in
     sigma2, is the residual of W off those k (:func:`sample_covariance_eig`),
-    positive on every branch.  A stack of T
+    positive on every side.  A stack of T
     trials' eigensystems holds T x k eigenvalues, T x U x k eigenvectors
     and T noise variances; row(t) is trial t's.  k, the source count, and
     dim, the covariance's size U, follow from the arrays.
@@ -281,6 +282,10 @@ EPS = np.finfo(float).eps
 LANCZOS_MIN_DIM = 96
 LANCZOS_DIM_PER_PAIR = 24
 LANCZOS_DIM_PER_STEP = 2
+# sample_covariance_eig reads r from the trace where ||W||_F^2 <= TRACE_RATIO_MAX r.
+# Its relative error was at most 4 eps times that ratio (-20 to 60 dB, both
+# sides), so 1e3 keeps it near 1e-12; at (160, 20, 16), 31 to 37 dB read 12 to 90.
+TRACE_RATIO_MAX = 1e3
 
 
 def _lanczos_top(apply, data, u: int, k: int) -> list:
@@ -384,38 +389,27 @@ def _top_eigenpairs(apply, data, dense, u: int, k: int, rank: int):
 
 
 def sample_covariance_eig(smoothed: SmoothedMatrix, k: int) -> EigenSystem:
-    """Top k eigenpairs U_k of W W* / (N L), by one of three branches chosen
-    from U, N L and k alone, and the noise variance:
+    """Top k eigenpairs U_k of W W* / (N L), and the noise variance.
 
-    * k < N L < U: a thin SVD W = V S Z* gives the top k pairs
-      (s^2 / (N L), V) at a fraction of the cost of a U x U eigensolve.
-      Only this branch builds W, and only for l > 1: at l = 1, W is Y.
-    * 0 < k < N L, U >= LANCZOS_MIN_DIM and U >= LANCZOS_DIM_PER_PAIR k:
-      Lanczos computes only the top k (from a fixed start vector, so a
-      result never depends on the process) on the operator
-      q -> W (W* q) / (N L), whose products come from Y
-      (:meth:`SmoothedMatrix.gram_matvec`): no U x U matrix is formed.
-      A trial whose search hands over unconverged (out of steps, or stalled
-      in the noise bulk) takes the dense branch instead.
-    * otherwise a dense eigh of the whole matrix, formed from Y Y*
-      (:meth:`SmoothedMatrix.gram`), never from W.
+    The pairs come from the smaller of W W* and W* W, by
+    :func:`_top_eigenpairs` (Lanczos on products read from Y, or one
+    stacked eigh), the side chosen from U, N L and k alone.  When
+    k < N L < U it is W* W / (N L), whose dense matrix is Y* Y at l = 1 and
+    is built from W itself for l > 1 (the one place W is built); its top
+    pairs (lambda, Z) give U_k = W Z (N L lambda)^{-1/2} after one QR pass,
+    and a trial whose lambda_k is at rounding level takes W W* instead.
 
-    The last two are :func:`_top_eigenpairs`.  Whichever branch ran, the
-    noise variance is the residual
-    ||W - U_k U_k* W||_F^2 / (N L (U - k)) (:meth:`SmoothedMatrix.residual`),
-    the mean of the other U - k eigenvalues in exact arithmetic but a sum
-    of squares, so it stays positive where that mean cancels to rounding
-    level, and above ~300 dB, where Y = A S + V rounds the noise away, it
-    is that rounding floor (1e7 to 1e9 sigma2 at 400 dB), never 0.
+    The noise variance is r / (N L (U - k)), r = ||W - U_k U_k* W||_F^2:
+    the trace ||W||_F^2 - N L sum(lambda) (:meth:`SmoothedMatrix.norm2`)
+    where ||W||_F^2 <= TRACE_RATIO_MAX r, and elsewhere (high SNR, r <= 0)
+    the sum of squares (:meth:`SmoothedMatrix.residual`), which stays
+    positive: above ~300 dB, where Y = A S + V rounds the noise away, it is
+    that rounding floor (1e7 to 1e9 sigma2 at 400 dB), never 0.
 
     A stack of T trials' snapshots gives the stack of their eigensystems
-    (:meth:`EigenSystem.row` is one trial's), all from one branch: the thin
-    SVD is one stacked call, Lanczos one search of all T trials in
-    lockstep, each step one stacked product W W* q, and the trials that
-    take the dense branch, from the start or by hand-over, one stacked Gram
-    and eigh; the residual is one call for the stack.  Every stacked call
-    works on each trial's own slices, so a trial's eigensystem does not
-    depend on the stack it is in.  One trial is the stack of one.
+    (:meth:`EigenSystem.row` is one trial's).  Every stacked call and sum
+    works on each trial's own slices, so a trial's eigensystem depends
+    neither on its stack nor on the fallbacks its neighbours take.
     """
     if not np.all(np.isfinite(smoothed.snapshots)):  # W holds every entry of Y
         raise ValueError("smoothed matrix contains non-finite entries")
@@ -423,22 +417,44 @@ def sample_covariance_eig(smoothed: SmoothedMatrix, k: int) -> EigenSystem:
     if not 0 <= k < u:
         raise ValueError(f"need 0 <= k < subarray size {u}, got k={k}")
     nl, l = smoothed.virtual_snapshots, smoothed.l
-    stack = SmoothedMatrix(snapshots=smoothed.snapshots.reshape(-1, smoothed.m, smoothed.n), l=l)
+    y = smoothed.snapshots.reshape(-1, smoothed.m, smoothed.n)
+
+    def trials(rows) -> SmoothedMatrix:
+        # rows ascend, so all of them is y itself: a copy would add to the peak memory
+        return SmoothedMatrix(snapshots=y if len(rows) == len(y) else y[rows], l=l)
+
+    vals, vecs = np.zeros((len(y), k)), np.zeros((len(y), u, k), dtype=complex)
+    big = np.arange(len(y))  # the trials whose pairs come from W W*
     if k < nl < u:
-        # at l = 1, W is Y, which the SVD reads without a copy
-        w = stack.snapshots if l == 1 else stack.entries
-        vecs, sing, _ = np.linalg.svd(w, full_matrices=False)
-        vals = sing[:, :k] ** 2 / nl
-        # a copy, so the U x N L singular vectors of the stack are freed
-        vecs = np.ascontiguousarray(vecs[..., :k])
-    else:
-        vals, vecs = _top_eigenpairs(
-            lambda y, x: SmoothedMatrix(snapshots=y, l=l).gram_matvec(x) / nl,
-            stack.snapshots,
-            lambda rows: SmoothedMatrix(snapshots=stack.snapshots[rows], l=l).gram() / nl,
+
+        def cross(rows):
+            w = trials(rows).snapshots if l == 1 else trials(rows).entries
+            return w.conj().swapaxes(-1, -2) @ w / nl
+
+        lam, z = _top_eigenpairs(
+            lambda ys, x: (w := SmoothedMatrix(snapshots=ys, l=l)).rmatvec(w.matvec(x)) / nl,
+            y, cross, nl, k, nl,
+        )
+        # U_k divides by lambda_k: a trial where that is at rounding level takes W W*
+        fine = lam[:, -1] > nl * EPS * lam[:, 0]
+        small, big = np.flatnonzero(fine), np.flatnonzero(~fine)
+        if small.size:
+            vals[small] = lam[small]
+            tall = trials(small).matvec(z[small]) / np.sqrt(nl * lam[small])[:, None, :]
+            vecs[small] = np.linalg.qr(tall)[0]
+    if big.size:
+        vals[big], vecs[big] = _top_eigenpairs(
+            lambda ys, x: SmoothedMatrix(snapshots=ys, l=l).gram_matvec(x) / nl,
+            trials(big).snapshots,
+            lambda rows: trials(big[rows]).gram() / nl,
             u, k, nl,
         )
-    eig = EigenSystem(vals, vecs, smoothed.c_n, stack.residual(vecs) / (nl * (u - k)))
+    norm2 = SmoothedMatrix(snapshots=y, l=l).norm2()
+    rest = norm2 - nl * np.sum(vals, axis=-1)
+    far = np.flatnonzero(~((rest > 0) & (norm2 <= TRACE_RATIO_MAX * rest)))
+    if far.size:
+        rest[far] = trials(far).residual(vecs[far])
+    eig = EigenSystem(vals, vecs, smoothed.c_n, rest / (nl * (u - k)))
     return eig if smoothed.snapshots.ndim == 3 else eig.row(0)
 
 
@@ -503,23 +519,27 @@ def traditional_pseudospectrum(eig: EigenSystem, theta):
     return val
 
 
-def gmusic_weights(eig: EigenSystem, sigma2: float, c: float, strict: bool = False) -> np.ndarray:
-    """Spike weights 1/h(lambda_hat) for the k top eigenvalues.
+def separated(eig: EigenSystem, sigma2, c: float) -> np.ndarray:
+    """Whether each top eigenvalue lies above the bulk edge; on a stack,
+    T x k, with one sigma2 per trial."""
+    return eig.eigenvalues > MpParams(np.asarray(sigma2, dtype=float)[..., None], c).edge_plus
 
-    A top eigenvalue at or below the bulk edge does not separate: its
-    weight is clamped to exactly 1, the traditional projection weight, or
-    ``strict`` raises :class:`NotSeparatedError` instead.
+
+def gmusic_weights(eig: EigenSystem, sigma2, c: float, strict: bool = False) -> np.ndarray:
+    """Spike weights 1/h(lambda_hat) for the k top eigenvalues; on a stack,
+    T x k, with one sigma2 per trial.
+
+    A top eigenvalue that is not :func:`separated` gets the weight exactly
+    1, the traditional projection weight, or ``strict`` raises
+    :class:`NotSeparatedError` instead.
     """
-    p = MpParams(sigma2, c)
-    weights = np.ones(eig.k)
-    below = []
-    for i, lam in enumerate(eig.eigenvalues):
-        try:
-            weights[i] = 1.0 / h_star(lam, p)
-        except BelowEdgeError:
-            below.append(i)
-    if strict and below:
-        raise NotSeparatedError(below, eig.eigenvalues, p.edge_plus)
+    above = separated(eig, sigma2, c)
+    if strict and not above.all():
+        below = np.flatnonzero(~above).tolist()
+        raise NotSeparatedError(below, np.ravel(eig.eigenvalues), MpParams(sigma2, c).edge_plus)
+    s2 = np.broadcast_to(np.asarray(sigma2, dtype=float)[..., None], above.shape)
+    weights = np.ones(above.shape)
+    weights[above] = 1.0 / h_star(eig.eigenvalues[above], MpParams(s2[above], c))
     return weights
 
 

@@ -217,11 +217,11 @@ def test_run_plan_noiseless_floor():
 
 def _eigen_branch(smoothed, k):
     """sample_covariance_eig(smoothed, k) and the branches that found its top
-    k: "thin-svd" where numpy's SVD ran, "dense" where a Gram did, and
-    "lanczos" where neither did."""
+    k: "small-side" where the QR pass of the W* W side ran, "dense" where a
+    Gram W W* did, and "lanczos" where neither did."""
     ran = set()
     with pytest.MonkeyPatch.context() as patched:
-        for owner, name, branch in ((np.linalg, "svd", "thin-svd"), (SmoothedMatrix, "gram", "dense")):
+        for owner, name, branch in ((np.linalg, "qr", "small-side"), (SmoothedMatrix, "gram", "dense")):
             real = getattr(owner, name)
             patched.setattr(
                 owner, name, lambda *a, real=real, branch=branch, **kw: ran.add(branch) or real(*a, **kw)
@@ -232,8 +232,8 @@ def _eigen_branch(smoothed, k):
 
 @pytest.mark.parametrize(
     "m, n, l, branch",
-    [(40, 16, 1, "thin-svd"), (32, 16, 4, "dense"), (112, 16, 8, "lanczos")],
-    ids=["thin-svd", "dense", "lanczos"],
+    [(40, 16, 1, "small-side"), (32, 16, 4, "dense"), (112, 16, 8, "lanczos")],
+    ids=["small-side", "dense", "lanczos"],
 )
 def test_run_plan_noiseless_floor_on_each_eigen_branch(m, n, l, branch):
     """At 200 dB each eigen branch's noise estimate stays positive and near
@@ -676,10 +676,10 @@ def _joined(blocks) -> dict:
 
 
 # (m, n, l, k) for each eigen branch of the smoothed pair, k from 1 to 3:
-# the thin SVD (k < N L < U, at l = 2 too), Lanczos (N L >= U >= 96) and the
-# dense eigh (N L >= U < 96); the unsmoothed pair takes the thin SVD or eigh
+# the W* W side (k < N L < U, at l = 2 too), Lanczos (N L >= U >= 96) and the
+# dense eigh (N L >= U < 96); the unsmoothed pair takes the W* W side or eigh
 _BLOCK_SIZES = {
-    "svd": (16, 4, 2, 3),
+    "small-side": (16, 4, 2, 3),
     "lanczos": (100, 25, 4, 2),
     "eigh": (16, 8, 4, 1),
     "under-resolved": (6, 8, 2, 4),  # U = 5: a spectrum has at most 4 dips

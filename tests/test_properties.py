@@ -5,8 +5,9 @@ uniform grid are checked against direct evaluation through steering_matrix,
 the FFT scan against the rotation identity it implies, the DoA search
 against the angle the circle starts at and against a direct scan, and the CLI's
 spectrum minima against the size of its display grid; conjugating the
-snapshots mirrors both spectra; the thin-SVD eigen path is checked against
-a dense eigh of the same covariance; the smoothed Gram matrix, the
+snapshots mirrors both spectra; the W* W eigen path is checked against a
+dense eigh of the same covariance, and against the SVD of W up to 300 dB;
+the smoothed Gram matrix, the
 row-slice noise residual and the products W x, W* q and W W* q, of one
 trial or a stack, match their forms through the block-Hankel matrix W; a
 source count above the rank of the
@@ -214,8 +215,9 @@ def _smoothed(u, nl, seed):
 
 
 @given(nl=st.integers(2, 20), extra=st.integers(1, 30), data=st.data(), seed=seeds)
-def test_thin_svd_matches_dense_eigh(nl, extra, data, seed):
-    """With c_N > 1 the thin-SVD eigensystem equals a dense eigh of W W*/(N L)."""
+def test_small_side_matches_dense_eigh(nl, extra, data, seed):
+    """With c_N > 1 the eigensystem found from W* W equals a dense eigh of
+    W W*/(N L)."""
     u = nl + extra
     k = data.draw(st.integers(1, nl - 1), label="k")
     sm = _smoothed(u, nl, seed)
@@ -284,14 +286,14 @@ def test_lanczos_top_k_matches_dense_eigh(u, data, seed):
 
 
 @st.composite
-def noise_variance_inputs(draw):
-    """(m, n, l, k, snr_db, seed) sized for one branch of
-    sample_covariance_eig: the thin SVD (k < N L < U), the dense eigh
+def noise_variance_inputs(draw, branches=("small-side", "dense", "lanczos")):
+    """(m, n, l, k, snr_db, seed) sized for one of the branches of
+    sample_covariance_eig: the W* W side (k < N L < U), the dense eigh
     (N L >= U < LANCZOS_MIN_DIM) or Lanczos (N L >= U >= LANCZOS_MIN_DIM),
     with 1 to 3 sources at -20 to 300 dB."""
-    branch = draw(st.sampled_from(("thin-svd", "dense", "lanczos")), label="branch")
+    branch = draw(st.sampled_from(branches), label="branch")
     k = draw(st.integers(1, 3), label="k")
-    if branch == "thin-svd":
+    if branch == "small-side":
         l = draw(st.integers(1, 3), label="l")
         n = draw(st.integers(k // l + 1, 6), label="n")
         m = draw(st.integers(n * l + l, 40), label="m")
@@ -302,16 +304,57 @@ def noise_variance_inputs(draw):
     return m, n, l, k, draw(st.floats(-20.0, 300.0), label="snr_db"), draw(seeds, label="seed")
 
 
+def _sources_in_noise(m, n, k, snr_db, seed):
+    """Y = A S + V for k unit-power sources at least 0.3 rad apart, and V."""
+    rng = np.random.default_rng(seed)
+    sigma2 = 10.0 ** (-snr_db / 10.0)
+    doas = rng.uniform(-math.pi, math.pi) + rng.uniform(0.3, 2.0 * math.pi / k) * np.arange(k)
+    noise = complex_gaussian(rng, (m, n), math.sqrt(sigma2))
+    return steering_matrix(m, doas) @ complex_gaussian(rng, (k, n)) + noise, noise, doas
+
+
+@given(inputs=noise_variance_inputs(branches=("small-side",)))
+@example(inputs=(40, 6, 1, 2, 300.0, 0))
+@example(inputs=(17, 4, 1, 3, 154.0, 124))  # W Z (N L lambda)^{-1/2} alone: 1.6e-14 off
+@example(inputs=(13, 2, 2, 3, 203.0, 274))  # 1.2e-14 off
+def test_small_side_matches_the_svd_of_w(inputs):
+    """On the W* W side (k < N L < U), smoothed or not, the top k pairs
+    match the thin SVD W = V S Z* from -20 to 300 dB, where the noise
+    rounds away: the eigenvalues s^2 / (N L), and the projector V V* onto
+    their eigenvectors, which are orthonormal to 9 eps: the QR pass holds
+    them there (5 eps at most on 600 draws), where W Z (N L lambda)^{-1/2}
+    drifts by up to eps lambda_1 / lambda_k."""
+    m, n, l, k, snr_db, seed = inputs
+    smoothed = SmoothedMatrix(snapshots=_sources_in_noise(m, n, k, snr_db, seed)[0], l=l)
+    nl = smoothed.virtual_snapshots
+    assert k < nl < smoothed.subarray_size
+    left, sing, _ = np.linalg.svd(smoothed.entries, full_matrices=False)
+    want = sing**2 / nl
+    # a near-degenerate k-th gap leaves the top-k subspace ill defined
+    assume(want[k - 1] - want[k] > 1e-3 * want[0])
+    eig = sample_covariance_eig(smoothed, k)
+    np.testing.assert_allclose(eig.eigenvalues, want[:k], rtol=1e-12, atol=1e-13 * want[0])
+    top, v = eig.eigenvectors, left[:, :k]
+    np.testing.assert_allclose(top @ top.conj().T, v @ v.conj().T, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(top.conj().T @ top, np.eye(k), rtol=0, atol=9 * EPS)
+
+
 @given(inputs=noise_variance_inputs())
 @example(inputs=(2, 8, 1, 1, 200.0, 0))
 @example(inputs=(40, 4, 3, 2, 300.0, 0))
 @example(inputs=(112, 16, 8, 2, 30.0, 0))
+# past the trace bound, where the trace form would be off by 1e-10 or more
+@example(inputs=(40, 4, 3, 2, 80.0, 0))
+@example(inputs=(32, 9, 4, 2, 80.0, 0))
+@example(inputs=(112, 16, 8, 2, 80.0, 0))
 def test_noise_variance_lies_in_the_chi2_band_on_every_branch(inputs):
     """The residual noise estimate of every branch, for Y = A S + V with k
     unit-power sources and noise power sigma2, is positive and lies in the
     band that the chi^2 spread of the (U - k) N L noise degrees of freedom
     off the steering span gives; at moderate SNR it equals the mean of the
-    dense spectrum's other U - k eigenvalues to 1e-10 relative.
+    dense spectrum's other U - k eigenvalues to 1e-10 relative; and at any
+    SNR it equals the residual of the eigenvectors returned to 1e-11
+    relative, whether read from the trace or summed as squares.
 
     The band: each row slice Y_t of the noise is an iid U x N block, so
     ||P Y_t||^2 / sigma2, with P the projection off the span of the k
@@ -326,14 +369,13 @@ def test_noise_variance_lies_in_the_chi2_band_on_every_branch(inputs):
     widens both ends; it shows only above ~250 dB."""
     m, n, l, k, snr_db, seed = inputs
     u, nl = m - l + 1, n * l
-    rng = np.random.default_rng(seed)
     sigma2 = 10.0 ** (-snr_db / 10.0)
-    doas = rng.uniform(-math.pi, math.pi) + rng.uniform(0.3, 2.0 * math.pi / k) * np.arange(k)
-    noise = complex_gaussian(rng, (m, n), math.sqrt(sigma2))
-    y = steering_matrix(m, doas) @ complex_gaussian(rng, (k, n)) + noise
+    y, noise, doas = _sources_in_noise(m, n, k, snr_db, seed)
     smoothed = SmoothedMatrix(snapshots=y, l=l)
-    estimate = sample_covariance_eig(smoothed, k).noise_variance
+    eig = sample_covariance_eig(smoothed, k)
+    estimate = eig.noise_variance
     assert estimate > 0
+    assert estimate == pytest.approx(smoothed.residual(eig.eigenvectors) / (nl * (u - k)), rel=1e-11, abs=0)
 
     steering, _ = np.linalg.qr(steering_matrix(u, doas))
     off = block_hankel(noise, l)
@@ -444,11 +486,12 @@ def smoothing_shapes(draw, most=64):
 @example(shape=(17, 5, 16), trials=3, seed=0)
 @example(shape=(40, 1, 13), trials=None, seed=0)
 def test_gram_residual_and_matvec_match_their_w_forms(shape, trials, seed):
-    """SmoothedMatrix's gram() is W W*, its residual(V), summed over Y's row
-    slices, is ||W - V V* W||_F^2, and its row-slice matvec(x) is W x, all
-    to rounding level, for W = block_hankel(y, l): of one trial (trials
-    None), and of a T x M x N stack, whose rows are each checked against
-    that trial's own W, V and x."""
+    """SmoothedMatrix's gram() is W W*, its norm2(), weighted over Y's rows,
+    is ||W||_F^2, its residual(V), summed over Y's row slices, is
+    ||W - V V* W||_F^2, and its row-slice matvec(x) is W x, all to rounding
+    level, for W = block_hankel(y, l): of one trial (trials None), and of a
+    T x M x N stack, whose rows are each checked against that trial's own
+    W, V and x."""
     m, n, l = shape
     u = m - l + 1
     lead = () if trials is None else (trials,)
@@ -459,12 +502,14 @@ def test_gram_residual_and_matvec_match_their_w_forms(shape, trials, seed):
     vecs = np.stack([haar_columns(u, k, rng) for _ in range(trials or 1)]).reshape(*lead, u, k)
     x = complex_gaussian(rng, (*lead, n * l, 2))
     gram, residual, wx = smoothed.gram(), smoothed.residual(vecs), smoothed.matvec(x)
+    norm2 = smoothed.norm2()
     assert gram.shape == (*lead, u, u) and np.shape(residual) == lead and wx.shape == (*lead, u, 2)
-    assert isinstance(residual, float) == (trials is None)
+    assert isinstance(residual, float) == (trials is None) and np.shape(norm2) == lead
     for row in [(t,) for t in range(trials)] if trials else [()]:
         w = block_hankel(y[row], l)
         want = w @ w.conj().T
         assert np.linalg.norm(gram[row] - want) <= 1e-13 * np.linalg.norm(want)
+        assert norm2[row] == pytest.approx(np.vdot(w, w).real, rel=1e-13, abs=0)
 
         resid = w - vecs[row] @ (vecs[row].conj().T @ w)
         direct = np.vdot(resid, resid).real
@@ -809,7 +854,11 @@ def sweep_inputs(draw):
         label="doas",
     )
     if wrong == "doas":
-        doas = [doas[0], draw(st.sampled_from((doas[0], math.nan)), label="bad doa")]
+        # a repeat, nan, or a DoA 2 to 4 ulps from the first: too close for a bound
+        nudged = doas[0]
+        for _ in range(draw(st.integers(2, 4), label="ulps")):
+            nudged = float(np.nextafter(nudged, math.inf))
+        doas = [doas[0], draw(st.sampled_from((doas[0], math.nan, nudged)), label="bad doa")]
     snr_db = draw(
         st.sampled_from((4000.0, math.inf, math.nan)) if wrong == "snr_db" else st.floats(-20.0, 250.0),
         label="snr_db",
@@ -832,6 +881,11 @@ def sweep_inputs(draw):
 @example(inputs=(  # two DoAs whose intervals cannot part in floating point at m = 8
     False, (((8, 2, 2), (16, 4, 2)), (-1.0, float(np.nextafter(-1.0, 0.0))), 10.0, ("music-ss",), 2, 0, 1)
 ))
+@example(inputs=(  # two ulps apart the intervals part, but no bound exists
+    False,
+    (((8, 2, 2), (16, 4, 2)), (-1.0, float(np.nextafter(np.nextafter(-1.0, 0.0), 0.0))), 10.0,
+     ("music-ss",), 2, 0, 1),
+))
 @example(inputs=(False, (((8, 2, 2), (16, 8, 2)), (0.0, 1.5), 10.0, ("music-ss",), 2, 0, 1)))
 @example(inputs=(  # at m = 14 both refined estimates land on the true DoAs: a median of 0
     True, (((8, 3, 3), (14, 6, 3)), (2.96875, 0.375), 63.0, ("music",), 1, 0, 1)
@@ -842,8 +896,8 @@ def test_consistency_sweep_over_its_accepted_domain(inputs):
     that order, with 0 <= failures <= trials and a finite median scaled
     error >= 0, or nan when every trial failed, and no numpy warning; any
     other (a bad worker count, m not increasing, c_N drifting, DoAs
-    repeated or too close to part, ...) is refused by a ValueError before
-    the first draw."""
+    repeated, too close to part or too close for a Cramer-Rao bound, ...)
+    is refused by a ValueError before the first draw."""
     accepted, args = inputs
     sizes, _, _, estimators, trials, _, _ = args
     if accepted:

@@ -308,6 +308,38 @@ def test_w_star_on_arrays():
             w_star(zs + 1e-3j, p)
 
 
+def _h_in_floats(rho: float, s2: float, c: float) -> float:
+    """h(rho) in Python floats and math.sqrt, the scalar closed form."""
+    b = rho - s2 - s2 * c
+    w = 0.5 * (b + math.sqrt(max(b * b - 4.0 * s2 * s2 * c, 0.0)))
+    return (w * w - s2 * s2 * c) / (w * (w + s2 * c))
+
+
+def test_phi_inverse_and_h_star_on_arrays():
+    """An array of rho, with one sigma2 per entry or one for all, gives the
+    scalar closed form's values bit for bit, as np.sqrt and math.sqrt both
+    round correctly; a scalar gives a float; one entry at or below its edge
+    refuses the whole array."""
+    rng = np.random.default_rng(0)
+    for c in (0.25, 1.0, 3.0):
+        s2 = 10.0 ** rng.uniform(-30.0, 5.0, (4, 3))
+        rho = MpParams(s2, c).edge_plus * (1.0 + 10.0 ** rng.uniform(-9.0, 12.0, (4, 3)))
+        h = h_star(rho, MpParams(s2, c))
+        assert isinstance(h, np.ndarray) and h.shape == (4, 3)
+        want = [_h_in_floats(float(r), float(v), c) for r, v in zip(rho.flat, s2.flat)]
+        np.testing.assert_array_equal(h.ravel(), want)
+        assert isinstance(phi_inverse(rho, MpParams(s2, c)), np.ndarray)
+        one = MpParams(float(s2[0, 0]), c)
+        assert type(h_star(float(rho[0, 0]), one)) is float
+        assert type(phi_inverse(float(rho[0, 0]), one)) is float
+        row = one.edge_plus * np.array([1.0 + 1e-9, 1.5, 1e6])
+        np.testing.assert_array_equal(h_star(row, one), [_h_in_floats(r, one.sigma2, c) for r in row])
+        with pytest.raises(BelowEdgeError):
+            h_star(np.append(row, one.edge_plus), one)
+    with pytest.raises(ValueError):
+        MpParams(np.array([1.0, 0.0]), 0.5)
+
+
 def test_phi_round_trips():
     """phi and its inverse are mutually inverse on their stated domains."""
     for sigma2, c in PARAM_GRID:

@@ -172,6 +172,31 @@ def test_gmusic_weights_vector_and_mask():
     assert values[2] == 1.0
 
 
+def test_gmusic_weights_on_a_stack_equal_each_trials_weights():
+    """T x k eigenvalues with one sigma2 per trial give T x k weights, each
+    trial's row bit for bit the weights of that trial alone; separated masks
+    the entries above their own trial's bulk edge, whose weights are 1 / h,
+    and every other entry weighs exactly 1.  strict refuses a stack with
+    any entry at or below its edge."""
+    c = 0.5
+    sigma2 = np.array([1.0, 0.5, 2.0])
+    edges = MpParams(sigma2, c).edge_plus
+    vals = np.array([[10.0, 3.75], [10.0, 0.9 * edges[1]], [3.0 * edges[2], edges[2]]])
+    eig = EigenSystem(vals, np.zeros((3, 4, 2), dtype=complex), c_n=c, noise_variance=sigma2)
+    weights = gmusic_weights(eig, sigma2, c)
+    mask = subspace.separated(eig, sigma2, c)
+    assert weights.shape == mask.shape == (3, 2)
+    assert mask.tolist() == [[True, True], [True, False], [True, False]]
+    assert weights[0, 1] == pytest.approx(10.0 / 7.0, rel=1e-12)
+    assert weights[~mask].tolist() == [1.0, 1.0] and np.all(weights[mask] > 1.0)
+    for t in range(3):
+        np.testing.assert_array_equal(weights[t], gmusic_weights(eig.row(t), float(sigma2[t]), c))
+    gmusic_weights(EigenSystem(vals[:1], eig.eigenvectors[:1], c, sigma2[:1]), sigma2[:1], c, strict=True)
+    with pytest.raises(NotSeparatedError) as info:
+        gmusic_weights(eig, sigma2, c, strict=True)
+    assert info.value.indices == (3, 5)
+
+
 def test_gmusic_pseudospectrum_hand_case_and_overrides():
     """Axis-aligned eigenvectors give an angle-independent closed form."""
     eig = EigenSystem(
@@ -650,6 +675,81 @@ def test_stacked_search_rows_equal_each_trial_searched_alone():
         np.testing.assert_array_equal(stacked.eigenvalues[i], one.eigenvalues)
         np.testing.assert_array_equal(stacked.eigenvectors[i], one.eigenvectors)
         assert stacked.noise_variance[i] == one.noise_variance
+
+
+def _fallback_stack(m, n, k, rng):
+    """Snapshots of four trials: two sources at 20 and 30 dB, at 200 dB
+    (past the trace bound, so sigma2 takes the residual), and one source
+    without noise (rank 1 < k, so lambda_k is at rounding level)."""
+    a = steering_matrix(m, (-0.4, 0.5))
+    rows = [
+        a @ complex_gaussian(rng, (k, n)) + complex_gaussian(rng, (m, n), 10.0 ** (-snr / 20.0))
+        for snr in (20.0, 200.0, 30.0)
+    ]
+    return np.stack(rows + [a[:, :1] @ complex_gaussian(rng, (1, n))])
+
+
+@pytest.mark.parametrize("m, n, l", [(112, 12, 16), (40, 4, 3)], ids=["lanczos", "small-side"])
+def test_eigensystem_rows_do_not_depend_on_their_neighbours_fallbacks(m, n, l):
+    """A trial's eigensystem, sigma2 included, is bit for bit the same alone
+    and in any stack, where a neighbour takes the residual for sigma2 or, on
+    the W* W side (k < N L < U), a neighbour of rank 1 < k takes the W W*
+    side; each fallback runs for exactly the trials that need it."""
+    k = 2
+    y = _fallback_stack(m, n, k, np.random.default_rng(3))
+    smoothed = SmoothedMatrix(snapshots=y, l=l)
+    assert (k < smoothed.virtual_snapshots < smoothed.subarray_size) == (l == 3)
+    seen = {"residual": [], "gram": []}
+    with pytest.MonkeyPatch.context() as patched:
+        for name in seen:
+            real = getattr(SmoothedMatrix, name)
+            patched.setattr(SmoothedMatrix, name, lambda self, *a, real=real, name=name: (
+                seen[name].append(self.snapshots.copy()) or real(self, *a)
+            ))
+        stacked = sample_covariance_eig(smoothed, k)
+    (took_residual,) = seen["residual"]
+    np.testing.assert_array_equal(took_residual, y[[1, 3]])
+    if l == 3:
+        (wide,) = seen["gram"]
+        np.testing.assert_array_equal(wide, y[[3]])
+    assert np.all(np.isfinite(stacked.eigenvectors)) and np.all(stacked.noise_variance > 0)
+    for rows in ([0], [1], [2], [3], [0, 1], [1, 2], [3, 0], [2, 3, 0, 1]):
+        part = sample_covariance_eig(SmoothedMatrix(snapshots=y[rows], l=l), k)
+        for r, i in enumerate(rows):
+            np.testing.assert_array_equal(part.eigenvalues[r], stacked.eigenvalues[i])
+            np.testing.assert_array_equal(part.eigenvectors[r], stacked.eigenvectors[i])
+            assert part.noise_variance[r] == stacked.noise_variance[i]
+
+
+@pytest.mark.parametrize("m, n, l", [(40, 4, 3), (32, 16, 4), (112, 16, 8)])
+def test_noise_variance_sums_squares_only_past_the_trace_bound(m, n, l):
+    """sigma2 is read from the trace, ||W||_F^2 - N L sum(lambda), for the
+    trials whose ||W||_F^2 is within TRACE_RATIO_MAX of that value, and only
+    the others (here at 200 and 250 dB) reach SmoothedMatrix.residual, on
+    the W* W side, the dense side and Lanczos alike."""
+    k, rng = 2, np.random.default_rng(5)
+    a = steering_matrix(m, (-0.4, 0.5))
+    snrs = (20.0, 200.0, 30.0, 250.0)
+    y = np.stack([
+        a @ complex_gaussian(rng, (k, n)) + complex_gaussian(rng, (m, n), 10.0 ** (-snr / 20.0))
+        for snr in snrs
+    ])
+    smoothed = SmoothedMatrix(snapshots=y, l=l)
+    u, nl = smoothed.subarray_size, smoothed.virtual_snapshots
+    for rows, far in (([0, 2], []), ([0, 1, 2, 3], [1, 3])):
+        seen = []
+        with pytest.MonkeyPatch.context() as patched:
+            real = SmoothedMatrix.residual
+            patched.setattr(SmoothedMatrix, "residual", lambda self, v: (
+                seen.append(self.snapshots.copy()) or real(self, v)
+            ))
+            eig = sample_covariance_eig(SmoothedMatrix(snapshots=y[rows], l=l), k)
+        assert len(seen) == bool(far)
+        if far:
+            np.testing.assert_array_equal(seen[0], y[far])
+        rest = eig.noise_variance * (nl * (u - k))
+        ratio = SmoothedMatrix(snapshots=y[rows], l=l).norm2() / rest
+        assert list(np.flatnonzero(ratio > subspace.TRACE_RATIO_MAX)) == [rows.index(i) for i in far]
 
 
 def test_separation_report_validation():
