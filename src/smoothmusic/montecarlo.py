@@ -92,19 +92,25 @@ CAUSES = (OK, UNDER_RESOLVED, NOT_SEPARATED, WILD)
 
 # Trials per block B.  A block shares the fixed cost of each numpy call
 # among its trials, most of all in the search's ~15 steps per spectrum, but
-# holds B snapshot arrays and B Gram matrices (W W*, or W* W, which is built
-# from W where l > 1) while it runs.  At the mc-intervals plan ((160, 20, 16), three estimators),
-# one BLAS thread, 2-CPU VM, the median ms per trial in process and the
-# peak RSS of the CLI command (47.0 MB with one trial at a time before
-# blocks):
+# holds B snapshot arrays, B x l x M temporaries in each product of the
+# eigen search, and a basis that grows with the steps its trials take.  At
+# the mc-intervals plan (three estimators, 31 to 37 dB, 40 trials per
+# point), one BLAS thread, 2-CPU VM, the median ms per trial of _run_trials
+# in process, and the peak RSS of the CLI command:
 #
-#   B                    1      2      4      8      16     40
-#   ms, intervals mode   4.73   3.76   2.86   2.43   2.40   2.05
-#   ms, window mode      5.54   3.84   3.25   2.72   2.62   2.73
-#   peak RSS, MB         47.1   47.0   47.2   47.5   48.0   51.5
+#   B                            1      8      16     20     40
+#   (160, 20, 16)  intervals     6.48   1.89   1.69   1.65   1.43
+#                  window        6.21   2.33   2.15   1.94   1.82
+#                  peak RSS, MB  46.7   46.5   47.5   48.3   51.8
+#   (320, 40, 32)  intervals     8.57   4.93   4.85   4.71   4.88
+#                  window        9.74   5.80   5.55   5.67   6.26
+#                  peak RSS, MB  47.2   50.0   53.3   56.6   67.2
 #
-# Past 8 a trial saves little more time and costs ~0.06 MB of peak RSS.
-BLOCK_TRIALS = 8
+# Against 8, 20 takes 13% off a trial at (160, 20, 16) for 1.8 MB; 40
+# would take 13% more for 3.6 MB more, and at (320, 40, 32), where the
+# eigen layer's own work dominates, it is slower than 20 and holds 10.6 MB
+# more.
+BLOCK_TRIALS = 20
 # blocks per worker that a pool's cut aims at, so that workers finish together
 BLOCKS_PER_WORKER = 4
 
@@ -267,50 +273,50 @@ def _drawn_signal(scenario: ArrayScenario, *key) -> np.ndarray:
 
 def _run_block(task) -> dict:
     """Trials first, first + 1, ... of one sweep point, one per source
-    matrix in signals, run as one stack: their noise draws, one stack of
-    eigensystems per smoothing factor, and per estimator one stack of
-    weights and one search (subspace.find_doas).
+    matrix in signals, run as one stack: their noise draws, filled into one
+    T x M x N array, and per smoothing factor one stack of eigensystems and
+    one search (subspace.find_doas) of a Pseudospectrum with a row per
+    estimator on that eigensystem and trial, with one stack of weights per
+    G-MUSIC estimator.
 
     Module-level so process pools can pickle it.  Returns, per estimator,
     (causes, errors): each trial's cause, one of CAUSES, and its signed
     errors, a row of nan where it gave no estimate (under-resolved or not
     separated).  Each trial draws its noise from its own stream and every
     layer treats the rows of a stack alike, so a trial's outcome does not
-    depend on the block it runs in.
+    depend on the block it runs in, nor on the estimators searched with it.
     """
     scenario, signals, point, first, policy, estimators, strict = task
     m, k, trials = scenario.m, scenario.k, len(signals)
-    y = np.stack([
-        observe(scenario, signal, np.random.default_rng(
-            np.random.SeedSequence([scenario.seed, _STREAM_NOISE, point, first + i])
-        ))
-        for i, signal in enumerate(signals)
-    ])
-    eigs = {}
-    for lval in sorted({_smoothing_factor(e, scenario.l) for e in estimators}):
-        eigs[lval] = subspace.sample_covariance_eig(SmoothedMatrix(snapshots=y, l=lval), k)
+    y = np.empty((trials, m, scenario.n), dtype=complex)
+    for i, signal in enumerate(signals):
+        noise = np.random.SeedSequence([scenario.seed, _STREAM_NOISE, point, first + i])
+        y[i] = observe(scenario, signal, np.random.default_rng(noise))
     threshold = _failure_threshold(scenario.doas, m)
 
     out = {}
-    for est in estimators:
-        eig = eigs[_smoothing_factor(est, scenario.l)]
-        not_separated = np.zeros(trials, dtype=bool)
-        weights = None
-        if ESTIMATORS[est].corrected:
-            # a row that does not separate is searched with weights 1, and not read
-            weights = subspace.gmusic_weights(eig, eig.noise_variance, eig.c_n)
-            if strict:
-                not_separated = ~subspace.separated(eig, eig.noise_variance, eig.c_n).all(axis=-1)
-        doas = subspace.find_doas(subspace.Pseudospectrum(eig, weights), k, policy, m)
-        unresolved = np.isnan(doas[:, 0])
-        errors = _matched_errors(doas, scenario.doas)
-        errors[not_separated | unresolved] = np.nan
-        wild = np.max(np.abs(errors), axis=-1) > threshold  # False on a row of nan
-        causes = np.select(
-            [not_separated, unresolved, wild], [NOT_SEPARATED, UNDER_RESOLVED, WILD], OK
+    for lval in sorted({_smoothing_factor(e, scenario.l) for e in estimators}):
+        eig = subspace.sample_covariance_eig(SmoothedMatrix(snapshots=y, l=lval), k)
+        ests = [e for e in estimators if _smoothing_factor(e, scenario.l) == lval]
+        # a row that does not separate is searched with weights 1, and not read
+        weights = tuple(
+            subspace.gmusic_weights(eig, eig.noise_variance, eig.c_n) if ESTIMATORS[e].corrected else None
+            for e in ests
         )
-        out[est] = causes, errors
-    return out
+        found = subspace.find_doas(subspace.Pseudospectrum(eig, weights), k, policy, m)
+        for est, doas in zip(ests, np.split(found, len(ests))):
+            not_separated = np.zeros(trials, dtype=bool)
+            if strict and ESTIMATORS[est].corrected:
+                not_separated = ~subspace.separated(eig, eig.noise_variance, eig.c_n).all(axis=-1)
+            unresolved = np.isnan(doas[:, 0])
+            errors = _matched_errors(doas, scenario.doas)
+            errors[not_separated | unresolved] = np.nan
+            wild = np.max(np.abs(errors), axis=-1) > threshold  # False on a row of nan
+            causes = np.select(
+                [not_separated, unresolved, wild], [NOT_SEPARATED, UNDER_RESOLVED, WILD], OK
+            )
+            out[est] = causes, errors
+    return {est: out[est] for est in estimators}
 
 
 def _run_trials(

@@ -9,11 +9,13 @@ deepest minima of the modulus of the pseudo-spectrum.
 Every layer here takes one trial or a stack of T trials, and one trial is
 the stack of one.  :func:`sample_covariance_eig` of a stack of snapshots
 gives a stack of eigensystems, a :class:`Pseudospectrum` of that stack holds
-T x U x k eigenvectors and T x k weights, and :func:`find_doas` searches all
-T spectra at once.  On a whole-circle search window a spectrum is evaluated
-by FFT: on the grid theta_j = lo + 2 pi j / P every projection u_k* a(theta_j)
-is one zero-padded length-P DFT of the eigenvector, so a P-point scan costs
-k FFTs instead of a U x P steering matrix.  Any other uniform grid (a
+T x U x k eigenvectors and T x k weights (or several such stacks of
+weights, for the MUSIC and G-MUSIC spectra of one eigensystem), and
+:func:`find_doas` searches all its spectra at once.  On a whole-circle
+search window a spectrum is evaluated by FFT: on the grid
+theta_j = lo + 2 pi j / P every projection u_k* a(theta_j) is one
+zero-padded length-P DFT of the eigenvector, so a P-point scan costs k
+FFTs instead of a U x P steering matrix.  Any other uniform grid (a
 sub-window, a per-source interval) is one chirp-z transform per eigenvector.
 The transforms of a stack run along one axis.  Refinement is one
 golden-section search written over arrays: the dips of every trial of the
@@ -282,6 +284,10 @@ EPS = np.finfo(float).eps
 LANCZOS_MIN_DIM = 96
 LANCZOS_DIM_PER_PAIR = 24
 LANCZOS_DIM_PER_STEP = 2
+# the steps a search's basis holds before it first grows: sources above the
+# threshold converge in 9 to 32 steps, most of them (10 to 14 at (160, 20, 16))
+# within it, so a block does not hold U / 2 steps per trial for 14 it reads
+LANCZOS_FIRST_STEPS = 16
 # sample_covariance_eig reads r from the trace where ||W||_F^2 <= TRACE_RATIO_MAX r.
 # Its relative error was at most 4 eps times that ratio (-20 to 60 dB, both
 # sides), so 1e3 keeps it near 1e-12; at (160, 20, 16), 31 to 37 dB read 12 to 90.
@@ -298,7 +304,10 @@ def _lanczos_top(apply, data, u: int, k: int) -> list:
     gives their products with the rows of x, a len(data) x U stack; a
     trial whose search ends leaves the stack, and its row of data with it.
     Every step works on each trial's own slices, so a trial's result does
-    not depend on the others searched with it.
+    not depend on the others searched with it.  The basis of the trials
+    still searching starts at LANCZOS_FIRST_STEPS steps and doubles when
+    they outrun it, so past those it holds at most twice the steps taken;
+    growing it copies the q_j and changes no product.
 
     Lanczos with full reorthogonalization from a fixed start vector, in
     numpy alone: ARPACK (scipy's eigsh) runs on scipy's own BLAS, whose
@@ -315,7 +324,8 @@ def _lanczos_top(apply, data, u: int, k: int) -> list:
     found = [None] * len(data)
     steps = u // LANCZOS_DIM_PER_STEP
     ids = np.arange(len(data))  # the trials still searching
-    basis = np.empty((len(data), steps, u), dtype=complex)  # basis[i, j] is trial i's q_j
+    # basis[i, j] is trial i's q_j
+    basis = np.empty((len(data), min(steps, LANCZOS_FIRST_STEPS), u), dtype=complex)
     alpha = np.empty((len(data), steps))
     beta = np.empty((len(data), steps))
     last = np.full(len(data), math.inf)  # the largest residual at the previous check
@@ -323,6 +333,9 @@ def _lanczos_top(apply, data, u: int, k: int) -> list:
     q = complex_gaussian(np.random.default_rng(0), u)
     q = np.tile(q / np.linalg.norm(q), (len(data), 1))
     for j in range(steps):
+        if j == basis.shape[1]:
+            more = np.empty((len(basis), min(j, steps - j), u), dtype=complex)
+            basis = np.concatenate((basis, more), axis=1)
         basis[:, j] = q
         span = basis[:, : j + 1].swapaxes(1, 2)  # each trial's U x (j + 1) basis
         z = apply(data, q)
@@ -394,8 +407,9 @@ def sample_covariance_eig(smoothed: SmoothedMatrix, k: int) -> EigenSystem:
     The pairs come from the smaller of W W* and W* W, by
     :func:`_top_eigenpairs` (Lanczos on products read from Y, or one
     stacked eigh), the side chosen from U, N L and k alone.  When
-    k < N L < U it is W* W / (N L), whose dense matrix is Y* Y at l = 1 and
-    is built from W itself for l > 1 (the one place W is built); its top
+    k < N L < U it is W* W / (N L), whose dense matrix is built trial by
+    trial, from Y at l = 1 and from W for l > 1 (the one place W is built),
+    so one trial's conjugate is held at a time; its top
     pairs (lambda, Z) give U_k = W Z (N L lambda)^{-1/2} after one QR pass,
     and a trial whose lambda_k is at rounding level takes W W* instead.
 
@@ -428,8 +442,12 @@ def sample_covariance_eig(smoothed: SmoothedMatrix, k: int) -> EigenSystem:
     if k < nl < u:
 
         def cross(rows):
-            w = trials(rows).snapshots if l == 1 else trials(rows).entries
-            return w.conj().swapaxes(-1, -2) @ w / nl
+            # trial by trial, so one trial's W and its conjugate exist at a time, not the stack's
+            grams = []
+            for i in rows:
+                w = y[i] if l == 1 else SmoothedMatrix(snapshots=y[i], l=l).entries
+                grams.append(w.conj().T @ w)
+            return np.stack(grams) / nl
 
         lam, z = _top_eigenpairs(
             lambda ys, x: (w := SmoothedMatrix(snapshots=ys, l=l)).rmatvec(w.matvec(x)) / nl,
@@ -572,39 +590,59 @@ class Pseudospectrum:
     weights None is the traditional (MUSIC) spectrum; otherwise the G-MUSIC
     spectrum with those spike weights, computed once, e.g. by
     :func:`gmusic_weights`, and shaped like the eigenvalues: k, or T x k
-    for a stack.  Calling it evaluates one trial's spectrum at angles
-    directly; :meth:`on_circle` evaluates a uniform grid around the whole
-    circle by FFT, and :meth:`on_grid` any other uniform grid by chirp-z,
-    one row per trial of a stack.
+    for a stack.  A stack's weights may also be a tuple of these, one per
+    spectrum of the same eigensystem: the stack then has a row per spectrum
+    and trial, spectrum by spectrum (row s T + t is spectrum s of trial t),
+    each row computed as its spectrum alone would compute it, so one search
+    serves MUSIC and G-MUSIC.  Calling it evaluates one trial's spectrum at
+    angles directly; :meth:`on_circle` evaluates a uniform grid around the
+    whole circle by FFT, and :meth:`on_grid` any other uniform grid by
+    chirp-z, one row per row of a stack.
     """
 
     eig: EigenSystem
-    weights: Optional[np.ndarray] = None
+    weights: Optional[np.ndarray | tuple] = None
 
     def __call__(self, theta):
         if self.weights is None:
             return traditional_pseudospectrum(self.eig, theta)
         return gmusic_pseudospectrum(self.eig, None, None, theta, weights=self.weights)
 
+    def _spectra(self) -> tuple:
+        return self.weights if isinstance(self.weights, tuple) else (self.weights,)
+
+    def _rows(self, proj2: np.ndarray) -> np.ndarray:
+        """Each spectrum's values from the trials' projections, stacked."""
+        vals = [_spectrum_values(proj2, w) for w in self._spectra()]
+        return vals[0] if len(vals) == 1 else np.concatenate(vals)
+
     def on_circle(self, lo: float, p: int) -> np.ndarray:
         """Values at lo + 2 pi j / p, j = 0..p-1."""
-        return _spectrum_values(_circle_projections(self.eig, lo, p), self.weights)
+        return self._rows(_circle_projections(self.eig, lo, p))
 
     def on_grid(self, lo: float, step: float, p: int) -> np.ndarray:
         """Values at lo + j step, j = 0..p-1."""
-        return _spectrum_values(_grid_projections(self.eig, lo, step, p), self.weights)
+        return self._rows(_grid_projections(self.eig, lo, step, p))
 
     def by_row(self, rows: np.ndarray):
-        """The function that maps D angles to the spectrum of trial rows[d]
+        """The function that maps D angles to the spectrum of row rows[d]
         at angle d, for refinement: the stack is indexed once, here.  Each
         value is one trial's k projections, by matmul, whatever D is."""
         dim, k = self.eig.dim, self.eig.k
-        vh = np.swapaxes(self.eig.eigenvectors.reshape(-1, dim, k)[rows].conj(), -1, -2).copy()
-        w = None if self.weights is None else np.reshape(self.weights, (-1, k))[rows]
+        vecs = self.eig.eigenvectors.reshape(-1, dim, k)
+        trial = rows % len(vecs)
+        vh = np.swapaxes(vecs[trial].conj(), -1, -2).copy()
+        parts = []  # per spectrum, the angles it evaluates and their rows' weights
+        for s, w in enumerate(self._spectra()):
+            at = np.flatnonzero(rows // len(vecs) == s)
+            parts.append((at, None if w is None else np.reshape(w, (-1, k))[trial[at]]))
 
         def values(theta):
-            proj = vh @ steering_matrix(dim, theta).T[:, :, None]  # (D, k, 1)
-            return _spectrum_values(np.abs(proj) ** 2, w)[:, 0]
+            proj2 = np.abs(vh @ steering_matrix(dim, theta).T[:, :, None]) ** 2  # (D, k, 1)
+            out = np.empty(len(rows))
+            for at, w in parts:
+                out[at] = _spectrum_values(proj2[at], w)[:, 0]
+            return out
 
         return values
 
@@ -724,8 +762,10 @@ def find_doas(spectrum_fn, k: int, policy, m: int):
 
     A Pseudospectrum of a stack of T trials is searched as one: each grid
     is one scan of the whole stack, and the searches of all its trials' dips
-    run in lockstep.  It returns a T x k array, a row per trial, whose rows
-    with fewer than k minima on the grid (under-resolved) are nan.  One
+    run in lockstep.  It returns a T x k array, a row per trial (or per
+    spectrum and trial, where the stack holds several spectra of each
+    trial), whose rows with fewer than k minima on the grid
+    (under-resolved) are nan.  One
     trial's Pseudospectrum, and any callable, is the stack of one: it
     returns k angles, and raises :class:`UnderResolvedError` for a row a
     stack would leave nan.

@@ -17,7 +17,8 @@ Hadamard and K x K forms; a stack of draws gives each draw's separation
 report bit for bit, and the separation table that stacks them the
 per-draw table's rows; the separation table keeps its invariants, or
 refuses before its first draw, on any input, and so do the planted-spike
-experiment and run_plan; the residual noise variance of every eigen branch
+experiment and run_plan; the Lanczos basis, grown as a stack's searches
+run on, keeps each trial's bits; the residual noise variance of every eigen branch
 lies in the chi^2 band of its noise degrees of freedom; the closed-form MP CDF differentiates to the
 density and carries the bulk mass min(1, 1/c); and the cyclic-shift matching of estimates to DoAs is a least-cost
 assignment on the circle, checked against every permutation.
@@ -64,6 +65,7 @@ from smoothmusic.montecarlo import (
 from smoothmusic.rmt import MpParams, mp_atom, mp_cdf
 from smoothmusic.subspace import (
     LANCZOS_DIM_PER_PAIR,
+    LANCZOS_FIRST_STEPS,
     LANCZOS_MIN_DIM,
     EigenSystem,
     _lanczos_top,
@@ -283,6 +285,65 @@ def test_lanczos_top_k_matches_dense_eigh(u, data, seed):
     np.testing.assert_allclose(top @ top.conj().T, want @ want.conj().T, rtol=0, atol=1e-10)
     assert isinstance(eig.noise_variance, float)
     assert eig.noise_variance == pytest.approx(np.mean(vals[k:]), rel=1e-10)
+
+
+@settings(max_examples=25)
+@given(u=st.integers(145, 200), extra=st.integers(0, 100), data=st.data(), seed=seeds)
+def test_lanczos_basis_grows_without_moving_a_bit(u, extra, data, seed):
+    """A lockstep search's basis holds LANCZOS_FIRST_STEPS steps at first
+    and grows as the trials still searching outrun it.  In one stack, one
+    or two sources at 20 to 30 dB converge before the first growth, and
+    noise alone or a sub-threshold spike (50 to 110 steps at U >= 145) after
+    it, or runs out; each trial's pairs are bit for bit those of the trial searched
+    alone, and match a dense eigh of W W*/(N L) at the tolerances of
+    test_lanczos_top_k_matches_dense_eigh."""
+    nl, k = u + extra, 1
+    fast = ["source"] * data.draw(st.integers(1, 2), label="sources")
+    slow = data.draw(st.lists(st.sampled_from(["noise", "spike"]), min_size=1, max_size=3), label="slow")
+    kinds = data.draw(st.permutations(fast + slow), label="order")
+    rng = np.random.default_rng(seed)
+    ws = []
+    for kind in kinds:
+        w = complex_gaussian(rng, (u, nl))
+        if kind == "spike":  # half the threshold sigma2 sqrt(c_N), as in the test above
+            b = haar_columns(u, 1, rng) @ haar_columns(nl, 1, rng).conj().T
+            w += math.sqrt(0.5 * math.sqrt(u / nl) * nl) * b
+        elif kind == "source":
+            a = steering_matrix(u, rng.uniform(-math.pi, math.pi))  # |a|^2 = 1, so U times the SNR
+            w += a @ complex_gaussian(rng, (1, nl), math.sqrt(u * 10.0 ** rng.uniform(2.0, 3.0)))
+        ws.append(w)
+    w = np.stack(ws)
+
+    def search(rows):
+        steps = []
+
+        def apply(y, x):
+            steps.append(len(x))
+            return SmoothedMatrix(snapshots=y, l=1).gram_matvec(x) / nl
+
+        return _lanczos_top(apply, w[rows], u, k), len(steps)
+
+    alone = [search([i]) for i in range(len(kinds))]
+    for kind, ((top,), steps) in zip(kinds, alone):
+        if kind == "source":
+            assert top is not None and steps <= LANCZOS_FIRST_STEPS, (kind, steps)
+        else:
+            assert steps > LANCZOS_FIRST_STEPS, (kind, steps)
+    assert any(top is not None for kind, ((top,), _) in zip(kinds, alone) if kind != "source")
+    stacked, steps = search(list(range(len(kinds))))
+    assert steps == max(n for _, n in alone)
+    for i, (((top,), _), got) in enumerate(zip(alone, stacked)):
+        if top is None:
+            assert got is None
+            continue
+        np.testing.assert_array_equal(got[0], top[0])
+        np.testing.assert_array_equal(got[1], top[1])
+        vals, vecs = np.linalg.eigh(w[i] @ w[i].conj().T / nl)
+        vals, vecs = vals[::-1], vecs[:, ::-1]
+        assume(vals[k - 1] - vals[k] > 1e-3 * vals[0])
+        np.testing.assert_allclose(top[0], vals[:k], rtol=1e-12)
+        want = vecs[:, :k]
+        np.testing.assert_allclose(top[1] @ top[1].conj().T, want @ want.conj().T, rtol=0, atol=1e-10)
 
 
 @st.composite

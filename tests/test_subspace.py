@@ -13,6 +13,7 @@ alone bit for bit, and interval policies are checked on the circle.
 
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +27,7 @@ from smoothmusic.array_model import (
     complex_gaussian,
     draw_signal_matrix,
     min_spacing,
+    observe,
     signal_covariance,
     signal_covariance_hadamard,
     steering_matrix,
@@ -564,6 +566,100 @@ def test_find_doas_whole_circle_minima_near_doas_both_spectra():
     for spectrum, name in ((Pseudospectrum(eig), "traditional"), (Pseudospectrum(eig, weights), "g-music")):
         got = find_doas(spectrum, 2, SearchWindow(), m)
         np.testing.assert_allclose(got, doas, atol=5e-3, err_msg=name)
+
+
+def _under_resolved_stack():
+    """Eigensystems of six trials at (6, 8, 2), four sources on the 5-sensor
+    subarray at 0 dB, and their G-MUSIC weights: on the whole circle some
+    rows of each spectrum have fewer than four dips."""
+    sc = ArrayScenario(m=6, n=8, l=2, doas=(-2.5, -1.0, 0.5, 2.0), snr_db=0.0, seed=0)
+    signal = montecarlo._drawn_signal(sc)
+    y = np.stack([observe(sc, signal, np.random.default_rng(t)) for t in range(6)])
+    eig = sample_covariance_eig(SmoothedMatrix(snapshots=y, l=sc.l), sc.k)
+    return sc, eig, gmusic_weights(eig, eig.noise_variance, eig.c_n)
+
+
+def test_paired_search_rows_equal_each_spectrum_alone():
+    """A Pseudospectrum of MUSIC and G-MUSIC rows over one stack of
+    eigensystems, weights (None, w), gives each row that spectrum's values
+    alone, bit for bit: on the FFT circle, on a chirp-z grid and in
+    refinement's by_row, each row the traditional_pseudospectrum or the
+    gmusic_pseudospectrum of its trial.  find_doas on it gives each
+    spectrum's DoAs, and under the whole-circle window it meets
+    under-resolved rows (nan) of both estimators."""
+    sc, eig, w = _under_resolved_stack()
+    t = len(w)
+    paired = Pseudospectrum(eig, (None, w))
+    alone = (Pseudospectrum(eig), Pseudospectrum(eig, w))
+    direct = (
+        lambda row, th: traditional_pseudospectrum(eig.row(row), th),
+        lambda row, th: gmusic_pseudospectrum(eig.row(row), None, None, th, weights=w[row]),
+    )
+    for scan in (lambda f: f.on_circle(-math.pi, 97), lambda f: f.on_grid(-1.0, 0.01, 41)):
+        np.testing.assert_array_equal(scan(paired), np.concatenate([scan(f) for f in alone]))
+    grid = -1.0 + 0.01 * np.arange(41)
+    for s, f in enumerate(direct):
+        for row in range(t):
+            np.testing.assert_allclose(paired.on_grid(-1.0, 0.01, 41)[s * t + row], f(row, grid), atol=1e-12)
+    rows = np.array([0, 7, 3, 11, 7, 5, 6])
+    theta = np.linspace(-3.0, 3.0, rows.size)
+    got = paired.by_row(rows)(theta)
+    for s, f in enumerate(alone):
+        mine = rows // t == s
+        np.testing.assert_array_equal(got[mine], f.by_row(rows[mine] % t)(theta[mine]))
+    for policy in (SearchWindow(), intervals_around(sc.doas, sc.m)):
+        found = find_doas(paired, sc.k, policy, sc.m)
+        for s, f in enumerate(alone):
+            np.testing.assert_array_equal(found[s * t : (s + 1) * t], find_doas(f, sc.k, policy, sc.m))
+    unresolved = np.isnan(find_doas(paired, sc.k, SearchWindow(), sc.m)[:, 0]).reshape(2, t)
+    assert unresolved.any(axis=1).all() and not unresolved.all(axis=1).any(), unresolved
+
+
+def test_paired_music_rows_keep_their_clip():
+    """MUSIC rows of a paired stack stay in [0, 1] where the same
+    projections with unit weights, unclipped, round below 0: k = U - 1
+    eigenvectors spanning a(theta0), read at theta0 on a chirp-z grid."""
+    u, theta0 = 8, 0.5
+    rng = np.random.default_rng(8)
+    basis = np.linalg.qr(np.hstack([steering_matrix(u, theta0), complex_gaussian(rng, (u, u - 2))]))[0]
+    span = basis @ np.linalg.qr(complex_gaussian(rng, (u - 1, u - 1)))[0]  # a(theta0) spread over all
+    other = np.linalg.qr(complex_gaussian(rng, (u, u - 1)))[0]
+    eig = EigenSystem(np.ones((2, u - 1)), np.stack([span, other]), 0.5, np.ones(2))
+    ones = np.ones((2, u - 1))
+    vals = Pseudospectrum(eig, (None, ones)).on_grid(theta0, 0.01, 3)
+    assert vals[2, 0] < 0.0  # trial 0 with unit weights, unclipped
+    assert vals[0, 0] == 0.0
+    assert np.all((vals[:2] >= 0.0) & (vals[:2] <= 1.0))
+    np.testing.assert_array_equal(vals[2:], Pseudospectrum(eig, ones).on_grid(theta0, 0.01, 3))
+
+
+def test_eigen_pass_memory_follows_the_steps_taken():
+    """The eigen pass of a block at (160, 20, 16) holds at its tracemalloc
+    peak no more than the arrays it must: the T x M x N stack (a search
+    copies the rows still searching when a trial leaves), one product's
+    T x l x M temporaries, and a basis of at most twice the steps taken.
+    The U / 2-step basis the search once allocated up front does not fit:
+    that pass peaked at 4.55 MB here against a bound of 2.77 MB."""
+    sc = ArrayScenario(m=160, n=20, l=16, doas=(0.0, math.pi / 320), snr_db=31.0, seed=1)
+    trials, item = montecarlo.BLOCK_TRIALS, np.dtype(complex).itemsize
+    signal = montecarlo._drawn_signal(sc)
+    y = np.stack([observe(sc, signal, np.random.default_rng(t)) for t in range(trials)])
+    smoothed = SmoothedMatrix(snapshots=y, l=sc.l)
+    steps = []
+    with pytest.MonkeyPatch.context() as patched:
+        real = SmoothedMatrix.gram_matvec
+        patched.setattr(SmoothedMatrix, "gram_matvec", lambda self, q: steps.append(q) or real(self, q))
+        sample_covariance_eig(smoothed, sc.k)
+    assert 0 < len(steps) < sc.subarray_size // subspace.LANCZOS_DIM_PER_STEP
+    basis = trials * 2 * len(steps) * sc.subarray_size * item
+    bound = y.nbytes + trials * sc.l * sc.m * item + basis
+    tracemalloc.start()
+    try:
+        sample_covariance_eig(smoothed, sc.k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, (peak, bound)
 
 
 def test_separation_report_single_source_closed_form():
