@@ -19,7 +19,9 @@ FFTs instead of a U x P steering matrix.  Any other uniform grid (a
 sub-window, a per-source interval) is one chirp-z transform per eigenvector.
 The transforms of a stack run along one axis.  Refinement is one
 golden-section search written over arrays: the dips of every trial of the
-stack advance together, one direct evaluation of all their angles per step.
+stack advance together, one evaluation of all their angles per step, by
+baby-step/giant-step exponentials (~2 sqrt(U) per angle, not a U x D
+steering matrix).
 :func:`separation_report` takes one source matrix or a stack of D draws
 the same way: a stack is one K x K eigen pass, with a report per draw.
 """
@@ -477,7 +479,12 @@ def sample_covariance_eig(smoothed: SmoothedMatrix, k: int) -> EigenSystem:
 
 
 def _signal_projections(eig: EigenSystem, theta) -> np.ndarray:
-    """|u_i^* a(theta)|^2 for the k signal eigenvectors, shape (k, ...)."""
+    """|u_i^* a(theta)|^2 for the k signal eigenvectors of one trial, shape (k, ...)."""
+    if eig.eigenvectors.ndim != 2:
+        raise ValueError(
+            "direct evaluation is for one trial's eigensystem and one set of weights, "
+            f"got a stack of {len(eig.eigenvectors)} eigensystems"
+        )
     thetas = np.atleast_1d(np.asarray(theta, dtype=float))
     a = steering_matrix(eig.dim, thetas)  # (dim, g)
     proj = eig.eigenvectors.conj().T @ a  # (k, g)
@@ -570,13 +577,14 @@ def gmusic_pseudospectrum(
     weights of :func:`gmusic_weights` (all ones reproduces the traditional
     estimator before clipping), and sigma2 and c are then unused.
     """
+    proj2 = _signal_projections(eig, theta)
     if weights is None:
         weights = gmusic_weights(eig, sigma2, c)
     else:
         weights = np.asarray(weights, dtype=float)
         if weights.shape != (eig.k,):
             raise ValueError(f"weights has shape {weights.shape}, expected {(eig.k,)}")
-    val = _spectrum_values(_signal_projections(eig, theta), weights)
+    val = _spectrum_values(proj2, weights)
     if np.ndim(theta) == 0:
         return float(val[0])
     return val
@@ -594,8 +602,10 @@ class Pseudospectrum:
     spectrum of the same eigensystem: the stack then has a row per spectrum
     and trial, spectrum by spectrum (row s T + t is spectrum s of trial t),
     each row computed as its spectrum alone would compute it, so one search
-    serves MUSIC and G-MUSIC.  Calling it evaluates one trial's spectrum at
-    angles directly; :meth:`on_circle` evaluates a uniform grid around the
+    serves MUSIC and G-MUSIC.  Calling it evaluates one trial's spectrum,
+    with one set of weights, at angles directly (a stack or a tuple of
+    weights is refused); :meth:`by_row` evaluates one angle per row for
+    refinement; :meth:`on_circle` evaluates a uniform grid around the
     whole circle by FFT, and :meth:`on_grid` any other uniform grid by
     chirp-z, one row per row of a stack.
     """
@@ -604,6 +614,11 @@ class Pseudospectrum:
     weights: Optional[np.ndarray | tuple] = None
 
     def __call__(self, theta):
+        if isinstance(self.weights, tuple):
+            raise ValueError(
+                "direct evaluation is for one trial's eigensystem and one set of weights, "
+                f"got a tuple of {len(self.weights)} sets of weights"
+            )
         if self.weights is None:
             return traditional_pseudospectrum(self.eig, theta)
         return gmusic_pseudospectrum(self.eig, None, None, theta, weights=self.weights)
@@ -626,19 +641,37 @@ class Pseudospectrum:
 
     def by_row(self, rows: np.ndarray):
         """The function that maps D angles to the spectrum of row rows[d]
-        at angle d, for refinement: the stack is indexed once, here.  Each
-        value is one trial's k projections, by matmul, whatever D is."""
+        at angle d, for refinement: the stack is indexed once, here.
+
+        Each value is one trial's k projections, split baby-step/giant-step
+        (Paterson and Stockmeyer): with n = q R + r, R = isqrt(U) and
+        Q = ceil(U / R),
+        u* a(theta) = U^{-1/2} sum_q e^{i q R theta} sum_r conj(u_{qR+r}) e^{i r theta}.
+        Each dip's conjugated eigenvectors are laid out once, here, as a
+        zero-padded k x Q x R array, so an evaluation takes R + Q ~ 2 sqrt(U)
+        exponentials per angle, not the U of a steering vector, and two
+        batched products on each angle's own slices: a row's values do not
+        depend on D or on the other rows.  They agree with the direct
+        evaluation within rounding, not bit for bit.
+        """
         dim, k = self.eig.dim, self.eig.k
         vecs = self.eig.eigenvectors.reshape(-1, dim, k)
         trial = rows % len(vecs)
-        vh = np.swapaxes(vecs[trial].conj(), -1, -2).copy()
+        baby = math.isqrt(dim)
+        giant = -(-dim // baby)
+        coef = np.zeros((len(rows), k, giant * baby), dtype=complex)
+        coef[..., :dim] = np.swapaxes(vecs[trial].conj(), -1, -2)
+        coef = coef.reshape(len(rows), k * giant, baby)  # row j Q + q: conj(u_j[q R:(q + 1) R])
         parts = []  # per spectrum, the angles it evaluates and their rows' weights
         for s, w in enumerate(self._spectra()):
             at = np.flatnonzero(rows // len(vecs) == s)
             parts.append((at, None if w is None else np.reshape(w, (-1, k))[trial[at]]))
 
         def values(theta):
-            proj2 = np.abs(vh @ steering_matrix(dim, theta).T[:, :, None]) ** 2  # (D, k, 1)
+            inner = coef @ np.exp(1j * np.multiply.outer(theta, np.arange(baby)))[:, :, None]
+            outer = np.exp(1j * np.multiply.outer(theta, baby * np.arange(giant))) / math.sqrt(dim)
+            proj = inner.reshape(len(rows), k, giant) @ outer[:, :, None]
+            proj2 = np.abs(proj) ** 2  # (D, k, 1)
             out = np.empty(len(rows))
             for at, w in parts:
                 out[at] = _spectrum_values(proj2[at], w)[:, 0]
@@ -773,8 +806,9 @@ def find_doas(spectrum_fn, k: int, policy, m: int):
     A whole-circle window treats spectrum_fn as 2 pi-periodic: its grid
     counts the seam point once, minima wrap around it, refinement may step
     across it.  A :class:`Pseudospectrum` scans that grid by FFT, and a
-    sub-window's or an interval's grid by chirp-z; refinement evaluates it
-    directly.
+    sub-window's or an interval's grid by chirp-z; refinement evaluates all
+    dips by :meth:`Pseudospectrum.by_row`, ~2 sqrt(U) exponentials per dip
+    and step, with no U x D steering matrix.
     """
     _check_count("k", k, 1)
     _check_count("m", m, 1)

@@ -1,8 +1,9 @@
 """Property tests for the signal model and the spectral and eigen layers.
 
 The FFT scan of a whole-circle window and the chirp-z scan of any other
-uniform grid are checked against direct evaluation through steering_matrix,
-the FFT scan against the rotation identity it implies, the DoA search
+uniform grid, and refinement's baby-step/giant-step evaluation (within a
+rounding bound), are checked against direct evaluation through
+steering_matrix, the FFT scan against the rotation identity it implies, the DoA search
 against the angle the circle starts at and against a direct scan, and the CLI's
 spectrum minima against the size of its display grid; conjugating the
 snapshots mirrors both spectra; the W* W eigen path is checked against a
@@ -128,6 +129,71 @@ def test_chirp_z_grid_matches_direct_evaluation(dim, data, seed, weighted):
     spectrum = _spectrum(dim, k, seed, weighted)
     grid = np.linspace(lo, lo + (p - 1) * step, p)
     np.testing.assert_allclose(spectrum.on_grid(lo, step, p), spectrum(grid), rtol=0, atol=1e-12)
+
+
+# 2 and primes, perfect squares, and sizes whose Q R = isqrt(U) ceil(U / isqrt(U)) exceeds U
+SPLIT_SIZES = (2, 3, 4, 5, 7, 9, 16, 17, 143, 144, 145, 168, 169, 170, 289, 293, 299, 300)
+
+
+@given(
+    u=st.one_of(st.sampled_from(SPLIT_SIZES), st.integers(2, 300)),
+    data=st.data(),
+    seed=seeds,
+)
+def test_refinement_evaluator_matches_direct_evaluation(u, data, seed):
+    """by_row's baby-step/giant-step values lie within a rounding bound of
+    the direct (steering-matrix) traditional and G-MUSIC values, with
+    weights ones and random, over angles in [-pi, pi] and both ends; MUSIC
+    rows stay in [0, 1]; and each row equals, bit for bit, the same row
+    evaluated alone (D = 1) and inside a large batch.
+
+    The bound: both paths form p = sum_n conj(u_n) a_n(theta), and with
+    |theta| <= pi, sum_n |u_n| |a_n| <= ||u|| = 1.  The direct path's phases
+    n theta round by at most pi U eps / 2, its exp, sqrt and division by a
+    few eps, its length-U dot by sqrt(2) (U + 2) eps; the split's two
+    phases by at most pi (U + R) / 2 eps, its two dots by
+    sqrt(2) (R + Q + 4) eps.  So |dp| <= c U eps, with
+    c = pi + sqrt(2) + (pi R / 2 + 16 + sqrt(2) (R + Q + 6)) / U, where 16
+    covers the exps, products, division and |.|^2 of both sides; each
+    |p|^2 then moves by at most 2 c U eps (|p| <= 1), and the sum
+    1 - sum_j w_j |p_j|^2 rounds by at most (k + 1) eps (1 + sum |w|) on
+    each side.
+    """
+    k = data.draw(st.integers(1, u - 1), label="k")
+    t = data.draw(st.integers(1, 3), label="trials")
+    angles = data.draw(st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=12), label="angles")
+    rng = np.random.default_rng(seed)
+    vecs = np.stack([np.linalg.qr(complex_gaussian(rng, (u, k)))[0] for _ in range(t)])
+    eig = EigenSystem(np.ones((t, k)), vecs, 0.5, np.ones(t))
+    weights = (None, np.ones((t, k)), rng.uniform(0.0, 3.0, (t, k)))
+    spectrum = Pseudospectrum(eig, weights)
+    theta = np.array(angles + [-math.pi, math.pi])
+    rows = rng.integers(0, 3 * t, theta.size)
+    got = spectrum.by_row(rows)(theta)
+
+    r = math.isqrt(u)
+    q = -(-u // r)
+    c = math.pi + math.sqrt(2) + (math.pi * r / 2 + 16 + math.sqrt(2) * (r + q + 6)) / u
+    for d, (row, th) in enumerate(zip(rows, theta)):
+        s, trial = divmod(int(row), t)
+        one = eig.row(trial)
+        if s == 0:
+            want, w = subspace.traditional_pseudospectrum(one, th), np.ones(k)
+            assert 0.0 <= got[d] <= 1.0
+        else:
+            w = weights[s][trial]
+            want = subspace.gmusic_pseudospectrum(one, None, None, th, weights=w)
+        total = float(np.sum(np.abs(w)))
+        bound = EPS * (2 * c * u * total + (k + 1) * (1 + total) * 2)
+        assert abs(got[d] - want) <= bound, (d, got[d], want, bound)
+
+    alone = [spectrum.by_row(rows[d : d + 1])(theta[d : d + 1])[0] for d in range(theta.size)]
+    np.testing.assert_array_equal(got, alone)
+    # the same rows inside a batch of at least 4 times as many angles, up to 256 where they fit 2^18 entries
+    extra = max(3 * theta.size, min(256, 2**18 // (k * q * r)) - theta.size)
+    big_rows = np.concatenate([rows, rng.integers(0, 3 * t, extra)])
+    big_theta = np.concatenate([theta, rng.uniform(-math.pi, math.pi, extra)])
+    np.testing.assert_array_equal(spectrum.by_row(big_rows)(big_theta)[: theta.size], got)
 
 
 @given(

@@ -584,8 +584,8 @@ def test_paired_search_rows_equal_each_spectrum_alone():
     eigensystems, weights (None, w), gives each row that spectrum's values
     alone, bit for bit: on the FFT circle, on a chirp-z grid and in
     refinement's by_row, each row the traditional_pseudospectrum or the
-    gmusic_pseudospectrum of its trial.  find_doas on it gives each
-    spectrum's DoAs, and under the whole-circle window it meets
+    gmusic_pseudospectrum of its trial within rounding.  find_doas on it
+    gives each spectrum's DoAs, and under the whole-circle window it meets
     under-resolved rows (nan) of both estimators."""
     sc, eig, w = _under_resolved_stack()
     t = len(w)
@@ -613,6 +613,46 @@ def test_paired_search_rows_equal_each_spectrum_alone():
             np.testing.assert_array_equal(found[s * t : (s + 1) * t], find_doas(f, sc.k, policy, sc.m))
     unresolved = np.isnan(find_doas(paired, sc.k, SearchWindow(), sc.m)[:, 0]).reshape(2, t)
     assert unresolved.any(axis=1).all() and not unresolved.all(axis=1).any(), unresolved
+
+
+def test_stacked_search_builds_no_steering_matrix(monkeypatch):
+    """find_doas on a Pseudospectrum scans by FFT or chirp-z and refines by
+    baby-step/giant-step exponentials, so no steering matrix is built."""
+    sc, eig, w = _under_resolved_stack()
+
+    def forbidden(*args, **kwargs):
+        pytest.fail("steering_matrix was called")
+
+    monkeypatch.setattr(subspace, "steering_matrix", forbidden)
+    for policy in (SearchWindow(), intervals_around(sc.doas, sc.m)):
+        assert find_doas(Pseudospectrum(eig, (None, w)), sc.k, policy, sc.m).shape == (2 * len(w), sc.k)
+
+
+@pytest.mark.parametrize("t, u", [(3, 6), (6, 6)])
+def test_direct_evaluation_refuses_a_stack_and_a_tuple_of_weights(t, u):
+    """Direct evaluation is for one trial: a stack of eigensystems is
+    refused by name, also when T == U, where the transpose of the whole
+    stack used to give a wrong array without an error, and so is a
+    Pseudospectrum of a tuple of weights.  A row of the stack evaluates."""
+    k = 2
+    rng = np.random.default_rng(t)
+    vecs = np.stack([np.linalg.qr(complex_gaussian(rng, (u, u)))[0][:, :k] for _ in range(t)])
+    eig = EigenSystem(np.ones((t, k)), vecs, 0.5, np.ones(t))
+    w = np.full((t, k), 2.0)
+    theta = np.array([0.3, -1.2])
+    calls = (
+        lambda: Pseudospectrum(eig)(theta),
+        lambda: Pseudospectrum(eig, w)(theta),
+        lambda: traditional_pseudospectrum(eig, theta),
+        lambda: gmusic_pseudospectrum(eig, 1.0, 0.5, theta),
+        lambda: gmusic_pseudospectrum(eig, None, None, theta, weights=w[0]),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=f"one trial's eigensystem .* stack of {t} eigensystems"):
+            call()
+    with pytest.raises(ValueError, match="one set of weights, got a tuple of 2 sets of weights"):
+        Pseudospectrum(eig.row(0), (None, w[0]))(theta)
+    assert Pseudospectrum(eig.row(1), w[1])(theta).shape == (2,)
 
 
 def test_paired_music_rows_keep_their_clip():
